@@ -22,9 +22,7 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import convergence, divisors, jfraction, oracles, stirling
@@ -292,23 +290,11 @@ def _cmd_invert(args) -> int:
     return 0
 
 
-def _random_spec(seed: int, length: int = 16) -> jfraction.JFractionSpec:
-    rng = random.Random(seed)
-    cs = [
-        QRationalFn.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        for _ in range(length)
-    ]
-    abs_ = [
-        QRationalFn.from_fraction(
-            Fraction(rng.choice([v for v in range(-4, 5) if v]), rng.randint(1, 3))
-        )
-        for _ in range(length)
-    ]
-    return jfraction.JFractionSpec.from_tables(f"random(seed={seed})", cs, abs_)
-
-
 def _cmd_lemmas(args) -> int:
-    spec = jfraction.divisor_spec() if args.spec == "qq2" else _random_spec(args.seed)
+    if args.spec == "qq2":
+        spec = jfraction.divisor_spec()
+    else:
+        spec = jfraction.random_rational_spec(args.seed, length=16)
     reports = []
     ok = True
     for h in range(2, args.h + 1):

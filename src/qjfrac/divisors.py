@@ -4,15 +4,21 @@ tables modulo an integer, and partial-sum series.
 
 Conventions.  The depth-h convergent C_h(q, z) has [z^n] C_h = (1-q)/(1-q^(n+1))
 for n < 2h, so q*C_h(q, q)/(1-q) = sum over m >= 1 of q^m/(1-q^m) + error terms,
-i.e. the Lambert series of the divisor function.  The divisor series below is
-1 + q*C_h(q,q)/(1-q), whose coefficient at q^n is d(n) inside the accuracy
-window (the constant 1 is an artifact of the scaling, and tables start at
-n = 1).  For alpha >= 1 the Stirling-number derivative transform
+i.e. the Lambert series of the divisor function.  The generator for the weight
+n^alpha is the Stirling-number derivative transform
 
     sum_n n^alpha f_n z^n = sum_j S(alpha, j) z^j F^(j)(z)
 
-is applied to H(z) = z*C_h(q, z) before the substitution z := q; that builds
-in the weight n^alpha exactly and needs no shift afterwards.
+of H(z) = z*C_h(q, z), evaluated at z = q and divided by (1-q); that builds in
+the weight exactly and needs no shift afterwards.  At alpha = 0 the divisor
+series is 1 + q*C_h(q,q)/(1-q), whose coefficient at q^n is d(n) inside the
+accuracy window (the constant 1 is an artifact of the scaling, and tables
+start at n = 1).
+
+Only H and its first alpha derivatives at z = q enter, so P_h and Q_h are never
+built as polynomials in z: the three-term convergent recurrence runs on Taylor
+jets in t = z - q truncated after t^alpha (ZSeries of order alpha + 1 over
+Q(q)), and H^(j)(q) = j! [t^j] H(q + t).  Every alpha takes this one route.
 
 Coefficients with 1 <= n < h are certified by the convergent accuracy theorem;
 those with h <= n < 2h hold by the (everywhere-tested) 2h-window and are
@@ -22,18 +28,19 @@ flagged as empirical; anything beyond is untrusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Optional
 
 from .exact import QRationalFn, QSeries
 from .jfraction import (
-    ConvergentPair,
     JFractionSpec,
+    _poch_step,
     convergent_pairs,
     divisor_spec,
     lambda_modulus,
 )
 from .stirling import NestedSumSpec, StirlingQTriangle, nested_sum
-from .zalgebra import ZPolynomial
+from .zalgebra import ZPolynomial, ZSeries
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
@@ -114,94 +121,67 @@ class GFResult:
         return out
 
 
-def _stirling_derivative_transform(
-    num: ZPolynomial, den: ZPolynomial, alpha: int
-) -> tuple[ZPolynomial, ZPolynomial]:
-    """(N, D) with N/D = sum_j S(alpha,j) z^j d^j/dz^j (num/den), exactly.
+def _z_jet(alpha: int) -> ZSeries:
+    """z = q + t as a Taylor jet in t truncated after t^alpha."""
+    return ZSeries(alpha + 1, (_Q, _ONE)[: alpha + 1])
 
-    Uses H^(j) = N_j / den^(j+1) with N_{j+1} = N_j' den - (j+1) N_j den',
-    so repeated differentiation never squares the denominator."""
+
+def _convergent_jets(z: ZSeries, h: int) -> list[tuple[ZSeries, ZSeries]]:
+    """(P_i, Q_i) of the divisor spec for 0 <= i <= h as jets in t, from the
+    recurrence of jfraction.convergent_pairs with z replaced by its jet."""
+    spec = divisor_spec()
+    zero, one = ZSeries(z.order), ZSeries.one(z.order)
+    jets = [(zero, one), (one, 1 - z * spec.c(1))]
+    z2 = z * z
+    for i in range(2, h + 1):
+        lin = 1 - z * spec.c(i)
+        ab_z2 = z2 * spec.ab(i)
+        (P2, Q2), (P1, Q1) = jets[-2], jets[-1]
+        jets.append((lin * P1 - ab_z2 * P2, lin * Q1 - ab_z2 * Q2))
+    return jets
+
+
+def _transform_at_q(H: ZSeries, alpha: int) -> QRationalFn:
+    """sum_j S(alpha,j) q^j H^(j)(q), read off the jet of H at z = q."""
     table = Stirling2Table(alpha)
-    den_prime = den.derivative()
-    N_j = num
-    total = ZPolynomial.zero()
-    den_pow = [ZPolynomial.one()]
-    for _ in range(alpha + 1):
-        den_pow.append(den_pow[-1] * den)
-    for j in range(alpha + 1):
-        s = table.value(alpha, j)
-        if s:
-            total = total + (N_j * den_pow[alpha - j]).shift(j) * QRationalFn.from_fraction(s)
-        if j < alpha:
-            N_j = N_j.derivative() * den - (j + 1) * N_j * den_prime
-    return total, den_pow[alpha + 1]
-
-
-def _transform_evaluated_at_q(num: ZPolynomial, den: ZPolynomial, alpha: int) -> QRationalFn:
-    """Value of sum_j S(alpha,j) z^j d^j/dz^j (num/den) at z = q.
-
-    The N_j iteration stays polynomial in z (differentiation needs the
-    z-structure) but every assembled factor is evaluated at q immediately,
-    which avoids the large bivariate products of the naive route."""
-    table = Stirling2Table(alpha)
-    den_prime = den.derivative()
-    den_q = den.evaluate(_Q)
-    N_j = num
     total = _ZERO
     for j in range(alpha + 1):
         s = table.value(alpha, j)
         if s:
-            total = total + s * QRationalFn.qpow(j) * N_j.evaluate(_Q) * den_q ** (alpha - j)
-        if j < alpha:
-            N_j = N_j.derivative() * den - (j + 1) * N_j * den_prime
-    return total / den_q ** (alpha + 1)
+            total = total + (s * factorial(j)) * QRationalFn.qpow(j) * H[j]
+    return total
 
 
-_generator_cache: dict[tuple[int, int], QRationalFn] = {}
-
-
-def _generator(req: DivisorGFRequest, pair: ConvergentPair) -> QRationalFn:
-    """The reduced one-variable generating function for the request."""
-    key = (req.alpha, req.h)
-    cached = _generator_cache.get(key)
-    if cached is not None:
-        return cached
-    if req.alpha == 0:
-        conv_q = pair.P.evaluate(_Q) / pair.Q.evaluate(_Q)
-        gen = _ONE + _Q * conv_q / (_ONE - _Q)
-    else:
-        value = _transform_evaluated_at_q(pair.P.shift(1), pair.Q, req.alpha)
-        gen = value / (_ONE - _Q)
-    _generator_cache[key] = gen
-    return gen
+def _generator(alpha: int, h: int) -> QRationalFn:
+    """The reduced one-variable generating function for weight n^alpha at depth h."""
+    z = _z_jet(alpha)
+    P, Q = _convergent_jets(z, h)[h]
+    gen = _transform_at_q(z * P / Q, alpha) / (_ONE - _Q)
+    return _ONE + gen if alpha == 0 else gen
 
 
 def divisor_gf(req: DivisorGFRequest) -> GFResult:
     """Divisor-count series: [q^n] = d(n) for 1 <= n inside the window, constant 1."""
     if req.alpha != 0:
         raise ValueError("divisor_gf is the alpha = 0 case; use sigma_gf")
-    pair = convergent_pairs(divisor_spec(), req.h)[req.h]
-    gen = _generator(req, pair)
-    return GFResult(req, gen.taylor(req.order), gen)
+    return generating_series(req)
 
 
 def sigma_gf(req: DivisorGFRequest) -> GFResult:
     """Sums-of-divisors series: [q^n] = sigma_alpha(n) inside the window, [q^0] = 0."""
     if req.alpha < 1:
         raise ValueError("sigma_gf requires alpha >= 1; use divisor_gf")
-    pair = convergent_pairs(divisor_spec(), req.h)[req.h]
-    gen = _generator(req, pair)
-    return GFResult(req, gen.taylor(req.order), gen)
+    return generating_series(req)
 
 
 def generating_series(req: DivisorGFRequest) -> GFResult:
-    return divisor_gf(req) if req.alpha == 0 else sigma_gf(req)
+    gen = _generator(req.alpha, req.h)
+    return GFResult(req, gen.taylor(req.order), gen)
 
 
 def rational_approximant(req: DivisorGFRequest) -> QRationalFn:
     """Single reduced rational function in q whose expansion is the request's series."""
-    pair = convergent_pairs(divisor_spec(), req.h)[req.h]
-    return _generator(req, pair)
+    return _generator(req.alpha, req.h)
 
 
 def partial_sums(req: DivisorGFRequest) -> GFResult:
@@ -209,8 +189,7 @@ def partial_sums(req: DivisorGFRequest) -> GFResult:
 
     One extra 1/(1-q) factor over the plain series; the alpha = 0 case drops
     the constant-1 artifact first so that [q^0] = 0."""
-    pair = convergent_pairs(divisor_spec(), req.h)[req.h]
-    gen = _generator(req, pair)
+    gen = _generator(req.alpha, req.h)
     if req.alpha == 0:
         gen = gen - _ONE
     gen = gen / (_ONE - _Q)
@@ -400,10 +379,11 @@ class SpecialCaseReport:
     against the verbatim printed special-case realization.
 
     The telescoped path rewrites z*C_h as sum_i lambda_i z^(2i-1)/(Q_{i-1}Q_i)
-    and differentiates termwise; it is algebraically identical to sigma_gf and
-    its residual must vanish.  The printed path evaluates the tabulated
-    special-case display (with its own leading term and coefficient set) and
-    is reported as-is."""
+    and transforms termwise on the same jets at z = q as sigma_gf; it is
+    algebraically identical to sigma_gf and its residual must vanish.  The
+    printed path evaluates the tabulated special-case display (with its own
+    leading term and coefficient set) on the polynomials Q_j(q, z) and is
+    reported as-is."""
 
     alpha: int
     h: int
@@ -425,15 +405,6 @@ class SpecialCaseReport:
         }
 
 
-def _poch_step(x: QRationalFn, step: QRationalFn, n: int) -> QRationalFn:
-    acc = _ONE
-    xs = x
-    for _ in range(n):
-        acc = acc * (_ONE - xs)
-        xs = xs * step
-    return acc
-
-
 def _printed_block_coefficient(j: int) -> QRationalFn:
     """q * q^(j^2) (q;q)_j^4 / ((q;q^2)_j^2 (q^2;q^2)_j^2), the tabulated weight."""
     q2 = _Q * _Q
@@ -445,11 +416,13 @@ def _printed_block_coefficient(j: int) -> QRationalFn:
 def sigma_special_case_check(alpha: int, h: int, order: Optional[int] = None) -> SpecialCaseReport:
     """Compare the alpha in {1,2} sums-of-divisors series along three routes.
 
-    primary    : sigma_gf (transform of z*C_h as one rational function)
-    telescoped : termwise transform of lambda_i z^(2i-1)/((1-q) Q_{i-1} Q_i)
+    primary    : sigma_gf (transform of z*C_h, one quotient of jets at z = q)
+    telescoped : termwise transform of lambda_i z^(2i-1)/((1-q) Q_{i-1} Q_i),
+                 one block per level, each block a quotient of the same jets
     printed    : the tabulated explicit display, with G_j realized as the
-                 recurrence product Q_j Q_{j+1} (the quadruple-sum realization
-                 is measured separately by tilde_D0j)
+                 recurrence product Q_j(q, z) Q_{j+1}(q, z) of bivariate
+                 polynomials, differentiated in z and evaluated at z = q (the
+                 quadruple-sum realization is measured separately by tilde_D0j)
     """
     if alpha not in (1, 2):
         raise ValueError("explicit displays exist for alpha in {1, 2} only")
@@ -459,15 +432,18 @@ def sigma_special_case_check(alpha: int, h: int, order: Optional[int] = None) ->
     primary = sigma_gf(req).series
 
     spec = divisor_spec()
-    pairs = convergent_pairs(spec, h)
     one_minus_q = _ONE - _Q
 
+    z = _z_jet(alpha)
+    Q = [Q_i for _, Q_i in _convergent_jets(z, h)]
     telescoped = QSeries.zero(order)
+    z_power = z  # z^(2i-1)
     for i in range(1, h + 1):
-        lam = lambda_modulus(spec, i)
-        G = pairs[i - 1].Q * pairs[i].Q
-        val = _transform_evaluated_at_q(ZPolynomial.monomial(2 * i - 1, lam), G, alpha)
-        telescoped = telescoped + (val / one_minus_q).taylor(order)
+        block = z_power * lambda_modulus(spec, i) / (Q[i - 1] * Q[i])
+        telescoped = telescoped + (_transform_at_q(block, alpha) / one_minus_q).taylor(order)
+        z_power = z_power * z * z
+
+    pairs = convergent_pairs(spec, h)
 
     printed = QSeries.zero(order)
     if alpha == 1:

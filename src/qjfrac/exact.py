@@ -18,7 +18,6 @@ field is fractions.Fraction (arbitrary precision, always reduced).
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Iterator, Sequence, Union
@@ -174,13 +173,6 @@ class QPolynomial:
         if not self.coeffs:
             return Fraction(0)
         return self.coeffs[-1]
-
-    def valuation(self) -> int:
-        """Order of vanishing at q=0 (zero polynomial reports -1)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return -1
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -867,11 +859,3 @@ def _parse_atom(tok: _Tokenizer) -> QRationalFn:
     if ch.isdigit():
         return QRationalFn.from_fraction(tok.take_int())
     raise ValueError(f"unexpected character {ch!r} at position {tok.pos}")
-
-
-def ratfn_to_json_str(r: QRationalFn) -> str:
-    return json.dumps(r.to_json())
-
-
-def ratfn_from_json_str(s: str) -> QRationalFn:
-    return QRationalFn.from_json(json.loads(s))

@@ -12,8 +12,10 @@ sequence families.
 
 from __future__ import annotations
 
+import random
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exact import QRationalFn
@@ -247,6 +249,25 @@ def divisor_spec() -> JFractionSpec:
     return _DIVISOR_SPEC
 
 
+def random_rational_spec(seed: int, length: int = 18) -> JFractionSpec:
+    """Tabulated spec with small random rational c_i and nonzero ab_i.
+
+    All values come from one seeded stream, the c draws before the ab draws,
+    so the spec for a given seed depends on `length` too."""
+    rng = random.Random(seed)
+    cs = [
+        QRationalFn.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        for _ in range(length)
+    ]
+    abs_ = [
+        QRationalFn.from_fraction(
+            Fraction(rng.choice([v for v in range(-4, 5) if v]), rng.randint(1, 3))
+        )
+        for _ in range(length)
+    ]
+    return JFractionSpec.from_tables(f"random(seed={seed})", cs, abs_)
+
+
 # ---------------------------------------------------------------------------
 # convergents
 # ---------------------------------------------------------------------------
@@ -315,11 +336,6 @@ def convergent_coefficients(pair: ConvergentPair, n_max: int) -> ZSeries:
                 acc = acc - qi * js[n - i]
         js.append(acc)
     return ZSeries(n_max, js)
-
-
-def convergent_coefficients_by_division(pair: ConvergentPair, n_max: int) -> ZSeries:
-    """Same coefficients through full series division; cross-validation path."""
-    return pair.P.series(n_max) * pair.Q.series(n_max).reciprocal()
 
 
 def lambda_modulus(spec: JFractionSpec, h: int) -> QRationalFn:
@@ -596,16 +612,12 @@ def table1_target(
     if row == "reciprocal_qq":
         return q_pochhammer(_Q, n).reciprocal()
     if row == "pochhammer_zqn":
-        return _poch_from(z * _qpow(-n), n)
+        return q_pochhammer(z * _qpow(-n), n)
     if row == "reciprocal_pochhammer_zqn":
-        return _poch_from(z * _qpow(-n), n).reciprocal()
+        return q_pochhammer(z * _qpow(-n), n).reciprocal()
     if row == "pochhammer_ratio":
         return q_pochhammer(a, n) / q_pochhammer(b, n)
     raise ValueError(f"unknown preset row {row!r}")
-
-
-def _poch_from(x: QRationalFn, n: int) -> QRationalFn:
-    return _poch_step(x, _Q, n)
 
 
 def _preset_pochhammer_a(a: QRationalFn) -> JFractionSpec:

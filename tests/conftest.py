@@ -4,27 +4,11 @@ from fractions import Fraction
 import pytest
 
 from qjfrac.exact import QRationalFn
-from qjfrac.jfraction import JFractionSpec, PochhammerParams
+from qjfrac.jfraction import PochhammerParams
 
 
 def parse(text: str) -> QRationalFn:
     return QRationalFn.parse(text)
-
-
-def random_rational_spec(seed: int, length: int = 18) -> JFractionSpec:
-    """Tabulated spec with small random rational c_i and nonzero ab_i."""
-    rng = random.Random(seed)
-    cs = [
-        QRationalFn.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        for _ in range(length)
-    ]
-    abs_ = [
-        QRationalFn.from_fraction(
-            Fraction(rng.choice([v for v in range(-4, 5) if v]), rng.randint(1, 3))
-        )
-        for _ in range(length)
-    ]
-    return JFractionSpec.from_tables(f"random(seed={seed})", cs, abs_)
 
 
 def random_pochhammer_params(rng: random.Random) -> PochhammerParams:

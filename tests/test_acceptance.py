@@ -28,6 +28,7 @@ from qjfrac.jfraction import (
     divisor_spec,
     lambert_ratio_target,
     pochhammer_spec,
+    random_rational_spec,
     series_to_jfraction,
     telescoping_residual,
 )
@@ -48,7 +49,7 @@ from qjfrac.stirling import (
     verify_Qh_expansion,
 )
 
-from conftest import parse, random_pochhammer_params, random_rational_spec
+from conftest import parse, random_pochhammer_params
 
 ONE = QRationalFn.one()
 Q = QRationalFn.q()

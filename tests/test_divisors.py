@@ -13,10 +13,9 @@ from qjfrac.divisors import (
     sigma_gf,
     sigma_special_case_check,
     tilde_D0j,
-    _stirling_derivative_transform,
 )
 from qjfrac.exact import QRationalFn
-from qjfrac.jfraction import JFractionSpec
+from qjfrac.jfraction import JFractionSpec, convergent_pairs, divisor_spec
 from qjfrac.oracles import bell_numbers, sigma_alpha
 from qjfrac.zalgebra import ZPolynomial
 
@@ -25,6 +24,29 @@ from conftest import parse
 ONE = QRationalFn.one()
 ZERO = QRationalFn.zero()
 Q = QRationalFn.q()
+
+
+def _stirling_derivative_transform(
+    num: ZPolynomial, den: ZPolynomial, alpha: int
+) -> tuple[ZPolynomial, ZPolynomial]:
+    """(N, D) with N/D = sum_j S(alpha,j) z^j d^j/dz^j (num/den), exactly.
+
+    Uses H^(j) = N_j / den^(j+1) with N_{j+1} = N_j' den - (j+1) N_j den',
+    so repeated differentiation never squares the denominator."""
+    table = Stirling2Table(alpha)
+    den_prime = den.derivative()
+    N_j = num
+    total = ZPolynomial.zero()
+    den_pow = [ZPolynomial.one()]
+    for _ in range(alpha + 1):
+        den_pow.append(den_pow[-1] * den)
+    for j in range(alpha + 1):
+        s = table.value(alpha, j)
+        if s:
+            total = total + (N_j * den_pow[alpha - j]).shift(j) * QRationalFn.from_fraction(s)
+        if j < alpha:
+            N_j = N_j.derivative() * den - (j + 1) * N_j * den_prime
+    return total, den_pow[alpha + 1]
 
 
 class TestDivisorGF:
@@ -87,6 +109,10 @@ class TestSigmaGF:
                 res = sigma_gf(DivisorGFRequest(alpha, h, h))
                 for n in range(1, h):
                     assert res.series[n] == sigma_alpha(alpha, n), (alpha, h, n)
+        # beyond the reach of bivariate differentiation: the full 2h window
+        res = sigma_gf(DivisorGFRequest(3, 8, 16))
+        for n in range(1, 16):
+            assert res.series[n] == sigma_alpha(3, n), (3, 8, n)
 
 
 class TestApproximants:
@@ -112,6 +138,19 @@ class TestApproximants:
             approx = rational_approximant(req)
             series = (divisor_gf(req) if alpha == 0 else sigma_gf(req)).series
             assert approx.taylor(2 * h) == series
+
+
+class TestBivariateOracle:
+    def test_generator_matches_bivariate_transform(self):
+        # the jet route against differentiating P_h(q,z), Q_h(q,z) in full
+        pairs = convergent_pairs(divisor_spec(), 5)
+        for alpha in range(4):
+            for h in range(2, 6):
+                num, den = _stirling_derivative_transform(pairs[h].P.shift(1), pairs[h].Q, alpha)
+                want = num.evaluate(Q) / den.evaluate(Q) / (ONE - Q)
+                if alpha == 0:
+                    want = ONE + want
+                assert rational_approximant(DivisorGFRequest(alpha, h, 1)) == want, (alpha, h)
 
 
 class TestPartialSums:

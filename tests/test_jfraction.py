@@ -15,7 +15,6 @@ from qjfrac.jfraction import (
     PochhammerParams,
     cfraction_coefficient,
     convergent_coefficients,
-    convergent_coefficients_by_division,
     convergent_pairs,
     convergent_sum_decomposition,
     convergents,
@@ -26,6 +25,7 @@ from qjfrac.jfraction import (
     pochhammer_ab_closed_form,
     pochhammer_c_display_form,
     pochhammer_spec,
+    random_rational_spec,
     series_to_jfraction,
     substitute_z_to_q,
     table1_preset,
@@ -35,7 +35,7 @@ from qjfrac.jfraction import (
 from qjfrac.oracles import pochhammer_ratio, q_pochhammer
 from qjfrac.zalgebra import ZPolynomial, ZSeries
 
-from conftest import parse, random_pochhammer_params, random_rational_spec
+from conftest import parse, random_pochhammer_params
 
 ONE = QRationalFn.one()
 ZERO = QRationalFn.zero()
@@ -43,6 +43,11 @@ Q = QRationalFn.q()
 
 _small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 _small_nonzero_fraction = _small_fraction.filter(lambda v: v != 0)
+
+
+def convergent_coefficients_by_division(pair: ConvergentPair, n_max: int) -> ZSeries:
+    """Same coefficients through full series division; cross-validation path."""
+    return pair.P.series(n_max) * pair.Q.series(n_max).reciprocal()
 
 
 def monomial_spec() -> JFractionSpec:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qjfrac.exact import QRationalFn
-from qjfrac.jfraction import JFractionSpec, convergents
+from qjfrac.jfraction import JFractionSpec, convergents, random_rational_spec
 from qjfrac.stirling import (
     NestedSumSpec,
     StirlingQTriangle,
@@ -24,7 +24,6 @@ from qjfrac.stirling import (
 )
 from qjfrac.zalgebra import ZFraction, ZPolynomial
 
-from conftest import random_rational_spec
 
 ONE = QRationalFn.one()
 ZERO = QRationalFn.zero()
