@@ -273,8 +273,13 @@ def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
     tri = StirlingQTriangle.from_spec(spec, j + 1)
     order = 2 * j + 2
 
-    def s_series(h: int, m: int, s: int):
-        return nested_sum(spec, NestedSumSpec(h, m, s)).series(order)
+    series: dict[tuple[int, int, int], ZSeries] = {}
+
+    def s_series(h: int, m: int, s: int) -> ZSeries:
+        key = (h, m, s)
+        if key not in series:
+            series[key] = nested_sum(spec, NestedSumSpec(h, m, s)).series(order)
+        return series[key]
 
     coeffs = [_ZERO] * (2 * j + 2)
 
@@ -313,43 +318,29 @@ def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
                                 acc = acc + term if (m1 + m2) % 2 == 0 else acc - term
         coeffs[n] = coeffs[n] + acc
 
-    # block 3: entry(j+1, n-k) entry(j, 2j+1-n) against S_{j+1,m,s}
-    for n in range(0, 2 * j + 2):
-        e_fix = tri.entry(j, 2 * j + 1 - n)
-        if e_fix.is_zero():
-            continue
-        acc = _ZERO
-        for m in range(1, (j + 1) // 2 + 1):
-            for s in range(0, m * (j + 1) + 1):
-                ser = s_series(j + 1, m, s)
-                for k in range(0, s + 1):
-                    if not (0 <= k - 2 * m < order):
-                        continue
-                    c = ser[k - 2 * m]
-                    if c.is_zero():
-                        continue
-                    term = tri.entry(j + 1, n - k) * c
-                    acc = acc + term if m % 2 == 0 else acc - term
-        coeffs[n] = coeffs[n] + e_fix * acc
+    def single_block(h: int, fixed: int) -> None:
+        # single nested sum: entry(h, n-k) entry(fixed, 2j+1-n) against S_{h,m,s}
+        for n in range(0, 2 * j + 2):
+            e_fix = tri.entry(fixed, 2 * j + 1 - n)
+            if e_fix.is_zero():
+                continue
+            acc = _ZERO
+            for m in range(1, h // 2 + 1):
+                for s in range(0, m * h + 1):
+                    ser = s_series(h, m, s)
+                    for k in range(0, s + 1):
+                        if not (0 <= k - 2 * m < order):
+                            continue
+                        c = ser[k - 2 * m]
+                        if c.is_zero():
+                            continue
+                        term = tri.entry(h, n - k) * c
+                        acc = acc + term if m % 2 == 0 else acc - term
+            coeffs[n] = coeffs[n] + e_fix * acc
 
-    # block 4: entry(j, n-k) entry(j+1, 2j+1-n) against S_{j,m,s}
-    for n in range(0, 2 * j + 2):
-        e_fix = tri.entry(j + 1, 2 * j + 1 - n)
-        if e_fix.is_zero():
-            continue
-        acc = _ZERO
-        for m in range(1, j // 2 + 1):
-            for s in range(0, m * j + 1):
-                ser = s_series(j, m, s)
-                for k in range(0, s + 1):
-                    if not (0 <= k - 2 * m < order):
-                        continue
-                    c = ser[k - 2 * m]
-                    if c.is_zero():
-                        continue
-                    term = tri.entry(j, n - k) * c
-                    acc = acc + term if m % 2 == 0 else acc - term
-        coeffs[n] = coeffs[n] + e_fix * acc
+    # block 3 against S_{j+1,m,s}; block 4 against S_{j,m,s}
+    single_block(j + 1, j)
+    single_block(j, j + 1)
 
     quad = ZPolynomial(coeffs)
     pairs = convergent_pairs(spec, j + 1)

@@ -365,16 +365,14 @@ class SumDecomposition:
     first_failure: Optional[int]
 
 
-def convergent_sum_decomposition(
-    spec: JFractionSpec, h: int, full_sum_check: bool = True
-) -> SumDecomposition:
+def convergent_sum_decomposition(spec: JFractionSpec, h: int) -> SumDecomposition:
     """Decompose Conv_h into partial-fraction blocks over consecutive denominators.
 
     Verifies, exactly, the per-level determinant identity
     P_i Q_{i-1} - P_{i-1} Q_i = lambda_i z^(2i-2) for every i <= h and
-    (optionally) that the folded sum reproduces P_h/Q_h after clearing
-    denominators.  A failure reports the first bad level and means an
-    implementation bug, not a data problem.
+    that the folded sum reproduces P_h/Q_h after clearing denominators.  A
+    failure reports the first bad level and means an implementation bug, not
+    a data problem.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -391,7 +389,7 @@ def convergent_sum_decomposition(
         if first_failure is None and not telescoping_residual(pairs, lam, i).is_zero():
             first_failure = i
     ok = first_failure is None
-    if ok and full_sum_check:
+    if ok:
         # clear all denominators at once against D = Q_0 Q_1 ... Q_h: the claim
         #   sum_i lambda_i z^(2i-2) / (Q_{i-1} Q_i) = P_h / Q_h
         # becomes sum_i lambda_i z^(2i-2) * (D / (Q_{i-1} Q_i)) = P_h * (D / Q_h),

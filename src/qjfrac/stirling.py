@@ -9,7 +9,8 @@ Q(q)[z]; no two-variable gcd is ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from itertools import combinations
+from typing import Callable, Optional
 
 from .exact import QRationalFn
 from .jfraction import JFractionSpec, convergent_pairs, pochhammer_c_display_form
@@ -132,91 +133,69 @@ def newton_girard_check(c_source: Callable[[int], QRationalFn], h: int, k: int) 
 
 @dataclass(frozen=True)
 class NestedSumSpec:
-    """Index data for the paired nested sums S_{h,m,s}; variant selects the
-    denominator form or the index-shifted numerator form."""
+    """Index data for the paired nested sums S_{h,m,s}."""
 
     h: int
     m: int
     s: int
-    variant: str = "denominator"
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.variant not in ("denominator", "numerator_shifted"):
-            raise ValueError(f"unknown nested-sum variant {self.variant!r}")
 
 
 def _spaced_tuples(h: int, m: int):
-    """All (k_1..k_m) with k_1 >= 2, k_{p+1} >= k_p + 2, k_m <= h."""
+    """All (k_1..k_m) with k_1 >= 2, k_{p+1} >= k_p + 2, k_m <= h, in
+    lexicographic order."""
+    # k_p = j_p + p - 1 maps the spaced tuples onto the m-subsets of 2..h-m+1
+    for js in combinations(range(2, h - m + 2), m):
+        yield tuple(j + p for p, j in enumerate(js))
 
-    def rec(start: int, left: int, acc: tuple):
-        if left == 0:
-            yield acc
-            return
-        for k in range(start, h - 2 * (left - 1) + 1):
-            yield from rec(k + 2, left - 1, acc + (k,))
 
-    yield from rec(2, m, ())
+def _term(spec: JFractionSpec, ks: tuple[int, ...]) -> tuple[QRationalFn, set[int]]:
+    """(prod ab_{k_p}, factor indices {k_p - 1, k_p}) of one spaced tuple."""
+    w = _ONE
+    fs: set[int] = set()
+    for k in ks:
+        w = w * spec.ab(k)
+        fs.update((k - 1, k))
+    return w, fs
+
+
+def _cofactor(w: QRationalFn, fs: set[int], lin: dict[int, ZPolynomial]) -> ZPolynomial:
+    """w times every linear factor of lin outside fs."""
+    cof = ZPolynomial.constant(w)
+    for i, f in lin.items():
+        if i not in fs:
+            cof = cof * f
+    return cof
 
 
 def nested_sum(spec: JFractionSpec, nss: NestedSumSpec) -> ZFraction:
-    """The sum over spaced index tuples with the pairwise linear denominators.
+    """The sum over spaced tuples 2 <= k_1, k_p + 2 <= k_{p+1}, k_m <= h with
+    sum k_p = s of the terms
 
-    denominator variant: tuples k in [2..h], terms
-        ab_{k_p} / ((1 - c_{k_p} z)(1 - c_{k_p - 1} z)),  constraint sum k_p = s.
-    numerator_shifted variant: same tuples, terms
-        ab_{k_p + 1} / ((1 - c_{k_p} z)(1 - c_{k_p + 1} z)),  constraint sum k_p = s - m.
+        prod_p ab_{k_p} / ((1 - c_{k_p - 1} z)(1 - c_{k_p} z)).
+
+    The numerator expansion uses the index-shifted sums
+    S^[P]_{h,m,s} = nested_sum(spec.shifted(), NestedSumSpec(h, m, s - m)):
+    terms ab_{k_p + 1} / ((1 - c_{k_p} z)(1 - c_{k_p + 1} z)) with sum k_p = s - m.
 
     The result is returned over the common denominator formed by the union of
     the linear factors actually used; the empty sum is 0/1.
     """
-    h, m, s = nss.h, nss.m, nss.s
-    shifted = nss.variant == "numerator_shifted"
-    want = s - m if shifted else s
-    tuples = [t for t in _spaced_tuples(h, m) if sum(t) == want]
-    if not tuples:
+    terms = [_term(spec, ks) for ks in _spaced_tuples(nss.h, nss.m) if sum(ks) == nss.s]
+    if not terms:
         return ZFraction.zero()
-    factor_sets = []
-    used: set[int] = set()
-    for t in tuples:
-        fs = set()
-        for k in t:
-            fs.update((k, k + 1) if shifted else (k - 1, k))
-        factor_sets.append(fs)
-        used.update(fs)
-    used_sorted = sorted(used)
-    lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in used_sorted}
+    used = sorted(set().union(*(fs for _, fs in terms)))
+    lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in used}
     den = ZPolynomial.one()
-    for i in used_sorted:
-        den = den * lin[i]
+    for f in lin.values():
+        den = den * f
     num = ZPolynomial.zero()
-    for t, fs in zip(tuples, factor_sets):
-        w = _ONE
-        for k in t:
-            w = w * (spec.ab(k + 1) if shifted else spec.ab(k))
-        cof = ZPolynomial.constant(w)
-        for i in used_sorted:
-            if i not in fs:
-                cof = cof * lin[i]
-        num = num + cof
+    for w, fs in terms:
+        num = num + _cofactor(w, fs, lin)
     return ZFraction(num, den)
-
-
-def _nested_sum_block(
-    spec: JFractionSpec, h: int, m: int, shifted: bool
-) -> list[tuple[ZPolynomial, set[int]]]:
-    """All 'numerator over used-factor-set' pieces for fixed (h, m), one per tuple."""
-    out = []
-    for t in _spaced_tuples(h, m):
-        fs: set[int] = set()
-        for k in t:
-            fs.update((k, k + 1) if shifted else (k - 1, k))
-        w = _ONE
-        for k in t:
-            w = w * (spec.ab(k + 1) if shifted else spec.ab(k))
-        out.append((ZPolynomial.constant(w), fs))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,32 +224,29 @@ class LemmaReport:
         }
 
 
-def _product_expansion_identity(
-    target: ZPolynomial,
-    lin: dict[int, ZPolynomial],
-    indices: Sequence[int],
-    blocks: list[tuple[int, ZPolynomial, set[int]]],
-) -> bool:
-    """Check target == prod(lin) + sum over blocks of (-1)^m z^(2m) num*cofactor.
+def _product_expansion_identity(target: ZPolynomial, spec: JFractionSpec, h: int) -> bool:
+    """Check target == prod(lin) + sum_m (-1)^m z^(2m) sum over the spaced
+    tuples of m indices of ab-weight * cofactor, lin = (1-c_1 z)..(1-c_h z).
 
     Denominators are cleared against the full product of the linear factors:
-    each block's cofactor multiplies in exactly the unused factors."""
-    prod = ZPolynomial.one()
-    for i in indices:
-        prod = prod * lin[i]
-    rhs = prod
-    for m, num, fs in blocks:
-        cof = num
-        for i in indices:
-            if i not in fs:
-                cof = cof * lin[i]
-        term = cof.shift(2 * m)
-        rhs = rhs + term if m % 2 == 0 else rhs - term
+    each tuple's cofactor multiplies in exactly the unused factors."""
+    lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in range(1, h + 1)}
+    rhs = ZPolynomial.one()
+    for f in lin.values():
+        rhs = rhs * f
+    for m in range(1, h // 2 + 1):
+        for ks in _spaced_tuples(h, m):
+            w, fs = _term(spec, ks)
+            term = _cofactor(w, fs, lin).shift(2 * m)
+            rhs = rhs + term if m % 2 == 0 else rhs - term
     return target == rhs
 
 
-def verify_Qh_expansion(spec: JFractionSpec, h: int) -> LemmaReport:
-    """Exact check of both denominator expansion identities.
+def _verify_expansion(
+    name: str, level: int, spec: JFractionSpec, h: int, target: ZPolynomial
+) -> LemmaReport:
+    """Exact check of both expansion identities of Q_h(spec), with target
+    standing for Q_h; a failure is reported as name(i) or name(ii) at level.
 
     (i)  Q_h = (1-c_1 z)...(1-c_h z) [1 + sum_{m=1}^{floor(h/2)} (-z^2)^m S_{h,m}]
          where S_{h,m} collects the spaced nested sums, checked after clearing
@@ -279,19 +255,8 @@ def verify_Qh_expansion(spec: JFractionSpec, h: int) -> LemmaReport:
          + sum_{m,s} sum_{k=0}^{n} (-1)^m entry(h, n-k) [z^(k-2m)] S_{h,m,s}
          for all 0 <= n <= h.
     """
-    if h < 2:
-        raise ValueError("h must be >= 2")
-    pairs = convergent_pairs(spec, h)
-    Qh = pairs[h].Q
-    lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in range(1, h + 1)}
-    indices = range(1, h + 1)
-
-    blocks = []
-    for m in range(1, h // 2 + 1):
-        for num, fs in _nested_sum_block(spec, h, m, shifted=False):
-            blocks.append((m, num, fs))
-    if not _product_expansion_identity(Qh, lin, indices, blocks):
-        return LemmaReport("denominator-expansion(i)", h, False, (h,))
+    if not _product_expansion_identity(target, spec, h):
+        return LemmaReport(f"{name}(i)", level, False, (level,))
 
     tri = StirlingQTriangle(spec.c, h)
     series_cache: dict[tuple[int, int], ZSeries] = {}
@@ -307,54 +272,34 @@ def verify_Qh_expansion(spec: JFractionSpec, h: int) -> LemmaReport:
                 if not coeff.is_zero():
                     term = tri.entry(h, n - k) * coeff
                     total = total + term if m % 2 == 0 else total - term
-        if total != Qh.coefficient(n):
-            return LemmaReport("denominator-expansion(ii)", h, False, (h, n))
-    return LemmaReport("denominator-expansion", h, True)
+        if total != target.coefficient(n):
+            return LemmaReport(f"{name}(ii)", level, False, (level, n))
+    return LemmaReport(name, level, True)
+
+
+def verify_Qh_expansion(spec: JFractionSpec, h: int) -> LemmaReport:
+    """Exact check of both denominator expansion identities (i) and (ii) of Q_h."""
+    if h < 2:
+        raise ValueError("h must be >= 2")
+    Qh = convergent_pairs(spec, h)[h].Q
+    return _verify_expansion("denominator-expansion", h, spec, h, Qh)
 
 
 def verify_Ph_expansion(spec: JFractionSpec, h: int) -> LemmaReport:
     """Exact check of the numerator expansion identities.
 
-    First the shift rule P_h(c, ab) = Q_{h-1}(c_{i+1}, ab_{i+1}); then the
-    product expansion (i) with the index-shifted nested sums S^[P]_{h-1,m,s},
-    and the coefficient identity (ii) built from the shifted triangle
+    First the shift rule P_h(c, ab) = Q_{h-1}(c_{i+1}, ab_{i+1}); then P_h
+    must satisfy the denominator identities (i) and (ii) of Q_{h-1} on
+    spec.shifted(): the product over (1-c_2 z)...(1-c_h z) with the
+    index-shifted nested sums S^[P], and the shifted triangle
     entry_P(h,k) = [z^k](1-c_2 z)...(1-c_h z)."""
     if h < 2:
         raise ValueError("h must be >= 2")
-    pairs = convergent_pairs(spec, h)
-    Ph = pairs[h].P
+    Ph = convergent_pairs(spec, h)[h].P
     shifted_spec = spec.shifted()
-    Q_shift = convergent_pairs(shifted_spec, h - 1)[h - 1].Q
-    if Ph != Q_shift:
+    if Ph != convergent_pairs(shifted_spec, h - 1)[h - 1].Q:
         return LemmaReport("numerator-shift-rule", h, False, (h,))
-
-    lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in range(2, h + 1)}
-    indices = range(2, h + 1)
-    blocks = []
-    for m in range(1, h // 2 + 1):
-        for num, fs in _nested_sum_block(spec, h - 1, m, shifted=True):
-            # factor indices from the shifted terms live in 2..h already
-            blocks.append((m, num, fs))
-    if not _product_expansion_identity(Ph, lin, indices, blocks):
-        return LemmaReport("numerator-expansion(i)", h, False, (h,))
-
-    tri_P = StirlingQTriangle(shifted_spec.c, h - 1)  # entry_P(h,k) = shifted entry(h-1,k)
-    series_cache: dict[tuple[int, int], ZSeries] = {}
-    for m in range(1, h // 2 + 1):
-        for s in range(0, m * (h + 2) - 1):
-            frac = nested_sum(spec, NestedSumSpec(h - 1, m, s, "numerator_shifted"))
-            series_cache[(m, s)] = frac.series(h + 1)
-    for n in range(0, h):
-        total = tri_P.entry(h - 1, n)
-        for (m, s), ser in series_cache.items():
-            for k in range(2 * m, n + 1):
-                coeff = ser[k - 2 * m]
-                if not coeff.is_zero():
-                    term = tri_P.entry(h - 1, n - k) * coeff
-                    total = total + term if m % 2 == 0 else total - term
-        if total != Ph.coefficient(n):
-            return LemmaReport("numerator-expansion(ii)", h, False, (h, n))
-    return LemmaReport("numerator-expansion", h, True)
+    return _verify_expansion("numerator-expansion", h, shifted_spec, h - 1, Ph)
 
 
 # ---------------------------------------------------------------------------
@@ -407,26 +352,18 @@ def claim_nested_difference_residual(
     where the right side allows adjacent indices (so factors may repeat).
     Returns (residual, is_zero); measured, never asserted."""
     lhs = nested_sum(spec, NestedSumSpec(h - 1, m, s)) - nested_sum(
-        spec, NestedSumSpec(h, m, s, "numerator_shifted")
+        spec.shifted(), NestedSumSpec(h, m, s - m)
     )
     rhs = ZFraction.zero()
-
-    def rec(start: int, left: int, acc: tuple):
-        nonlocal rhs
-        if left == 0:
-            if sum(acc) == s:
-                num = _ONE
-                den = ZPolynomial.one()
-                for i in acc:
-                    num = num * spec.ab(i)
-                    den = den * ZPolynomial.linear_factor(spec.c(i - 1))
-                    den = den * ZPolynomial.linear_factor(spec.c(i))
-                rhs = rhs + ZFraction(ZPolynomial.constant(num), den)
-            return
-        for i in range(start, h + 1):
-            rec(i + 1, left - 1, acc + (i,))
-
-    rec(2, m, ())
+    for idx in combinations(range(2, h + 1), m):
+        if sum(idx) == s:
+            num = _ONE
+            den = ZPolynomial.one()
+            for i in idx:
+                num = num * spec.ab(i)
+                den = den * ZPolynomial.linear_factor(spec.c(i - 1))
+                den = den * ZPolynomial.linear_factor(spec.c(i))
+            rhs = rhs + ZFraction(ZPolynomial.constant(num), den)
     residual = lhs - rhs
     return residual, residual.num.is_zero()
 

@@ -1,6 +1,9 @@
 """Exit codes, schemas, and determinism of the command-line front end."""
 
+import hashlib
 import json
+
+import pytest
 
 from qjfrac.cli import run
 from qjfrac.oracles import sigma_alpha
@@ -154,6 +157,26 @@ class TestVerify:
         code, out = run_capture(capsys, ["verify", "lemmas", "--h", "2"])
         assert code == 1
         assert json.loads(out)["status"] == "mismatch"
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--h", "4"],
+                "1905d5dc7a5805da03e48d47e52cb5f5becfae5282b8bbfc5e3fa3a8fa6738d1",
+            ),
+            (
+                ["--spec", "random", "--seed", "0", "--h", "6"],
+                "5245f3e3d83e0cd0a9ec0b354946869bef0b3ca99a3ffb983f62d4764faaaaa5",
+            ),
+        ],
+        ids=["qq2-h4", "random-seed0-h6"],
+    )
+    def test_lemmas_golden_output(self, capsys, argv, digest):
+        # pinned stdout: refactors of the lemma layer must not change a byte
+        code, out = run_capture(capsys, ["verify", "lemmas", *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestConverge:

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import qjfrac.stirling as stirling
 from qjfrac.exact import QRationalFn
-from qjfrac.jfraction import JFractionSpec, convergents, random_rational_spec
+from qjfrac.jfraction import ConvergentPair, JFractionSpec, convergents, random_rational_spec
 from qjfrac.stirling import (
     NestedSumSpec,
     StirlingQTriangle,
@@ -34,6 +36,33 @@ def monomial_spec() -> JFractionSpec:
     cs = [QRationalFn.qpow(k) for k in (1, 2, 5, 9, 14, 20)]
     abs_ = [QRationalFn.qpow(k) for k in (27, 41, 56, 72, 89)]
     return JFractionSpec.from_tables("monomials", cs, abs_)
+
+
+def shifted_nested_sum_reference(spec: JFractionSpec, h: int, m: int, s: int) -> ZFraction:
+    """S^[P]_{h,m,s} written out in the original indices: spaced tuples in
+    [2..h] with sum k = s - m, terms ab_{k+1} / ((1 - c_k z)(1 - c_{k+1} z))."""
+    tuples = [
+        t for t in combinations(range(2, h + 1), m)
+        if all(b - a >= 2 for a, b in zip(t, t[1:])) and sum(t) == s - m
+    ]
+    if not tuples:
+        return ZFraction.zero()
+    used = sorted({i for t in tuples for k in t for i in (k, k + 1)})
+    lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in used}
+    den = ZPolynomial.one()
+    for f in lin.values():
+        den = den * f
+    num = ZPolynomial.zero()
+    for t in tuples:
+        w = ONE
+        for k in t:
+            w = w * spec.ab(k + 1)
+        cof = ZPolynomial.constant(w)
+        for i in used:
+            if i not in {j for k in t for j in (k, k + 1)}:
+                cof = cof * lin[i]
+        num = num + cof
+    return ZFraction(num, den)
 
 
 class TestTriangle:
@@ -161,8 +190,8 @@ class TestNestedSums:
         assert total.equals(brute)
 
     def test_shifted_variant_constraint(self, qq2_spec):
-        # numerator variant uses ab_{k+1} terms and the sum-s-minus-m constraint
-        got = nested_sum(qq2_spec, NestedSumSpec(3, 1, 3, "numerator_shifted"))
+        # S^[P] on the shifted spec uses ab_{k+1} terms and the sum-s-minus-m constraint
+        got = nested_sum(qq2_spec.shifted(), NestedSumSpec(3, 1, 3 - 1))
         expect = ZFraction(
             ZPolynomial.constant(qq2_spec.ab(3)),
             ZPolynomial.linear_factor(qq2_spec.c(2))
@@ -170,9 +199,16 @@ class TestNestedSums:
         )
         assert got.equals(expect)
 
-    def test_invalid_variant(self):
-        with pytest.raises(ValueError):
-            NestedSumSpec(3, 1, 2, "bogus")
+    @pytest.mark.parametrize("which, h_max", [("qq2", 5), ("random", 7)])
+    def test_shifted_spec_matches_index_shifted_reference(self, qq2_spec, which, h_max):
+        spec = qq2_spec if which == "qq2" else random_rational_spec(83)
+        shifted = spec.shifted()
+        for h in range(2, h_max + 1):
+            for m in range(1, h // 2 + 2):
+                for s in range(0, m * (h + 2) + 1):
+                    got = nested_sum(shifted, NestedSumSpec(h, m, s - m))
+                    ref = shifted_nested_sum_reference(spec, h, m, s)
+                    assert got.num == ref.num and got.den == ref.den, (h, m, s)
 
 
 class TestExpansionLemmas:
@@ -209,13 +245,23 @@ class TestExpansionLemmas:
         for h in range(1, 7):
             assert convergents(spec, h).P == convergents(shifted, h - 1).Q
 
-    def test_report_shape_on_mismatch(self):
-        # a spec whose recurrence is deliberately broken: report the level
+    def test_report_shape_on_mismatch(self, monkeypatch):
+        # memoized convergents deliberately broken at level h: report the level
         spec = random_rational_spec(73)
-        rep = verify_Qh_expansion(spec, 3)
-        data = rep.to_json()
+        h = 3
+        pair = convergents(spec, h)
+        z2 = ZPolynomial.monomial(2, ONE)
+        spec._pairs[h] = ConvergentPair(h, pair.P + z2, pair.Q + z2)
+        data = verify_Qh_expansion(spec, h).to_json()
         assert data["schema"] == "qjfrac/lemma-report/1"
-        assert data["status"] == "ok"
+        assert data["status"] == "mismatch"
+        assert (data["lemma"], data["first_failure"]) == ("denominator-expansion(i)", [h])
+        rep = verify_Ph_expansion(spec, h)
+        assert (rep.name, rep.ok, rep.first_failure) == ("numerator-shift-rule", False, (h,))
+        # past identity (i), the coefficient identity (ii) catches the z^2 column
+        monkeypatch.setattr(stirling, "_product_expansion_identity", lambda *args: True)
+        rep = verify_Qh_expansion(spec, h)
+        assert (rep.name, rep.ok, rep.first_failure) == ("denominator-expansion(ii)", False, (h, 2))
 
 
 class TestClaim:
