@@ -52,6 +52,7 @@ class JFractionSpec:
         # lock so concurrent callers cannot interleave appends
         self._pairs: list["ConvergentPair"] = []
         self._pairs_lock = threading.Lock()
+        self._shifted: Optional["JFractionSpec"] = None
 
     def c(self, i: int) -> QRationalFn:
         if i < 1:
@@ -72,12 +73,21 @@ class JFractionSpec:
         return v
 
     def shifted(self) -> "JFractionSpec":
-        """Same fraction with c_i -> c_{i+1}, ab_i -> ab_{i+1}."""
-        return JFractionSpec(
-            f"{self.name}<<1",
-            lambda i: self.c(i + 1),
-            lambda i: self.ab(i + 1),
-        )
+        """Same fraction with c_i -> c_{i+1}, ab_i -> ab_{i+1}.
+
+        Memoized on the spec, so the shifted spec's own memos (sequence values
+        and convergent pairs) outlive each call.  Two racing first calls may
+        each build one; that is harmless, because both read the same
+        immutable values and the spec kept is as good as the other."""
+        shifted = self._shifted
+        if shifted is None:
+            shifted = JFractionSpec(
+                f"{self.name}<<1",
+                lambda i: self.c(i + 1),
+                lambda i: self.ab(i + 1),
+            )
+            self._shifted = shifted
+        return shifted
 
     @classmethod
     def from_tables(
@@ -369,10 +379,12 @@ def convergent_sum_decomposition(spec: JFractionSpec, h: int) -> SumDecompositio
     """Decompose Conv_h into partial-fraction blocks over consecutive denominators.
 
     Verifies, exactly, the per-level determinant identity
-    P_i Q_{i-1} - P_{i-1} Q_i = lambda_i z^(2i-2) for every i <= h and
-    that the folded sum reproduces P_h/Q_h after clearing denominators.  A
-    failure reports the first bad level and means an implementation bug, not
-    a data problem.
+    P_i Q_{i-1} - P_{i-1} Q_i = lambda_i z^(2i-2) for every i <= h.  These
+    identities are the whole decomposition: dividing by Q_{i-1} Q_i gives
+    P_i/Q_i - P_{i-1}/Q_{i-1} = lambda_i z^(2i-2) / (Q_{i-1} Q_i) (each
+    Q_i(0) = 1, so no block divides by zero), and the blocks telescope from
+    P_0/Q_0 = 0 to P_h/Q_h.  A failure reports the first bad level and means
+    an implementation bug, not a data problem.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -388,27 +400,7 @@ def convergent_sum_decomposition(spec: JFractionSpec, h: int) -> SumDecompositio
         terms.append((pairs[i - 1].Q, pairs[i].Q))
         if first_failure is None and not telescoping_residual(pairs, lam, i).is_zero():
             first_failure = i
-    ok = first_failure is None
-    if ok:
-        # clear all denominators at once against D = Q_0 Q_1 ... Q_h: the claim
-        #   sum_i lambda_i z^(2i-2) / (Q_{i-1} Q_i) = P_h / Q_h
-        # becomes sum_i lambda_i z^(2i-2) * (D / (Q_{i-1} Q_i)) = P_h * (D / Q_h),
-        # with every cofactor formed from prefix/suffix products (no division)
-        prefix = [ZPolynomial.one()]
-        for i in range(h + 1):
-            prefix.append(prefix[-1] * pairs[i].Q)
-        suffix = [ZPolynomial.one()] * (h + 2)
-        for i in range(h, -1, -1):
-            suffix[i] = pairs[i].Q * suffix[i + 1]
-        lhs = ZPolynomial.zero()
-        for i in range(1, h + 1):
-            cof = prefix[i - 1] * suffix[i + 1]
-            lhs = lhs + cof.shift(2 * i - 2) * lambdas[i - 1]
-        rhs = pairs[h].P * prefix[h]
-        if lhs != rhs:
-            ok = False
-            first_failure = first_failure or h
-    return SumDecomposition(h, lambdas, terms, ok, first_failure)
+    return SumDecomposition(h, lambdas, terms, first_failure is None, first_failure)
 
 
 def lambda_closed_form(params: PochhammerParams, h: int) -> QRationalFn:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .exact import QRationalFn
 from .jfraction import JFractionSpec, convergent_pairs, pochhammer_c_display_form
-from .zalgebra import ZFraction, ZPolynomial, ZSeries
+from .zalgebra import ZFraction, ZPolynomial
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
@@ -224,49 +224,46 @@ class LemmaReport:
         }
 
 
-def _product_expansion_identity(target: ZPolynomial, spec: JFractionSpec, h: int) -> bool:
-    """Check target == prod(lin) + sum_m (-1)^m z^(2m) sum over the spaced
-    tuples of m indices of ab-weight * cofactor, lin = (1-c_1 z)..(1-c_h z).
-
-    Denominators are cleared against the full product of the linear factors:
-    each tuple's cofactor multiplies in exactly the unused factors."""
-    lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in range(1, h + 1)}
-    rhs = ZPolynomial.one()
-    for f in lin.values():
-        rhs = rhs * f
-    for m in range(1, h // 2 + 1):
-        for ks in _spaced_tuples(h, m):
-            w, fs = _term(spec, ks)
-            term = _cofactor(w, fs, lin).shift(2 * m)
-            rhs = rhs + term if m % 2 == 0 else rhs - term
-    return target == rhs
-
-
 def _verify_expansion(
     name: str, level: int, spec: JFractionSpec, h: int, target: ZPolynomial
 ) -> LemmaReport:
     """Exact check of both expansion identities of Q_h(spec), with target
     standing for Q_h; a failure is reported as name(i) or name(ii) at level.
 
-    (i)  Q_h = (1-c_1 z)...(1-c_h z) [1 + sum_{m=1}^{floor(h/2)} (-z^2)^m S_{h,m}]
-         where S_{h,m} collects the spaced nested sums, checked after clearing
-         all linear denominators (a plain ZPolynomial identity).
+    With D = (1-c_1 z)...(1-c_h z) and N_m = D S_{h,m}, the sum over the
+    spaced tuples of m indices of ab-weight * (the linear factors the tuple
+    leaves unused), both identities are read from the same D and N_m:
+
+    (i)  Q_h = D + sum_{m=1}^{floor(h/2)} (-z^2)^m N_m, a plain ZPolynomial
+         identity (every nested-sum denominator is cleared against D).
     (ii) [z^n] Q_h = entry(h,n)
-         + sum_{m,s} sum_{k=0}^{n} (-1)^m entry(h, n-k) [z^(k-2m)] S_{h,m,s}
-         for all 0 <= n <= h.
+         + sum_m sum_{k=2m}^{n} (-1)^m entry(h, n-k) [z^(k-2m)] S_{h,m}
+         for all 0 <= n <= h, where S_{h,m} = sum_s S_{h,m,s} is expanded
+         as N_m times the one series reciprocal of D.
     """
-    if not _product_expansion_identity(target, spec, h):
+    lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in range(1, h + 1)}
+    D = ZPolynomial.one()
+    for f in lin.values():
+        D = D * f
+    numerators: dict[int, ZPolynomial] = {}
+    for m in range(1, h // 2 + 1):
+        N = ZPolynomial.zero()
+        for ks in _spaced_tuples(h, m):
+            N = N + _cofactor(*_term(spec, ks), lin)
+        numerators[m] = N
+    rhs = D
+    for m, N in numerators.items():
+        rhs = rhs + N.shift(2 * m) if m % 2 == 0 else rhs - N.shift(2 * m)
+    if target != rhs:
         return LemmaReport(f"{name}(i)", level, False, (level,))
 
     tri = StirlingQTriangle(spec.c, h)
-    series_cache: dict[tuple[int, int], ZSeries] = {}
-    for m in range(1, h // 2 + 1):
-        for s in range(0, m * h + 1):
-            frac = nested_sum(spec, NestedSumSpec(h, m, s))
-            series_cache[(m, s)] = frac.series(h + 1)
+    inv_D = D.series(h + 1).reciprocal()
+    # (ii) reads [z^j] S_{h,m} only for j <= h - 2m
+    series = {m: N.series(h + 1 - 2 * m) * inv_D for m, N in numerators.items()}
     for n in range(0, h + 1):
         total = tri.entry(h, n)
-        for (m, s), ser in series_cache.items():
+        for m, ser in series.items():
             for k in range(2 * m, n + 1):
                 coeff = ser[k - 2 * m]
                 if not coeff.is_zero():

@@ -366,23 +366,12 @@ class ZFraction:
     def __sub__(self, other: "ZFraction") -> "ZFraction":
         return self + ZFraction(-other.num, other.den)
 
-    def __mul__(self, other: "ZFraction") -> "ZFraction":
-        if not isinstance(other, ZFraction):
-            return NotImplemented
-        return ZFraction(self.num * other.num, self.den * other.den)
-
     def equals(self, other: "ZFraction") -> bool:
         """Exact equality by cross-multiplication."""
         return self.num * other.den == other.num * self.den
 
     def series(self, order: int) -> ZSeries:
         return self.num.series(order) * self.den.series(order).reciprocal()
-
-    def evaluate(self, zval: _Coeff) -> QRationalFn:
-        d = self.den.evaluate(zval)
-        if d.is_zero():
-            raise ZeroDivisionError("ZFraction denominator vanishes at the given z")
-        return self.num.evaluate(zval) / d
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"

@@ -166,11 +166,15 @@ class TestVerify:
                 "1905d5dc7a5805da03e48d47e52cb5f5becfae5282b8bbfc5e3fa3a8fa6738d1",
             ),
             (
+                ["--h", "5"],
+                "0781fbf9f0e2e92533466438a87462a34a2486f6173a4069257e5c148e3c469b",
+            ),
+            (
                 ["--spec", "random", "--seed", "0", "--h", "6"],
                 "5245f3e3d83e0cd0a9ec0b354946869bef0b3ca99a3ffb983f62d4764faaaaa5",
             ),
         ],
-        ids=["qq2-h4", "random-seed0-h6"],
+        ids=["qq2-h4", "qq2-h5", "random-seed0-h6"],
     )
     def test_lemmas_golden_output(self, capsys, argv, digest):
         # pinned stdout: refactors of the lemma layer must not change a byte

@@ -212,7 +212,51 @@ class TestConvergents:
             convergent_coefficients(pair, 3)
 
 
+def fold_identity_holds(spec: JFractionSpec, h: int) -> bool:
+    """sum_i lambda_i z^(2i-2) / (Q_{i-1} Q_i) = P_h / Q_h, with all
+    denominators cleared at once against D = Q_0 Q_1 ... Q_h: every cofactor
+    D / (Q_{i-1} Q_i) is a prefix times a suffix product (no division)."""
+    pairs = convergent_pairs(spec, h)
+    prefix = [ZPolynomial.one()]
+    for i in range(h + 1):
+        prefix.append(prefix[-1] * pairs[i].Q)
+    suffix = [ZPolynomial.one()] * (h + 2)
+    for i in range(h, -1, -1):
+        suffix[i] = pairs[i].Q * suffix[i + 1]
+    lhs = ZPolynomial.zero()
+    for i in range(1, h + 1):
+        cof = prefix[i - 1] * suffix[i + 1]
+        lhs = lhs + cof.shift(2 * i - 2) * lambda_modulus(spec, i)
+    return lhs == pairs[h].P * prefix[h]
+
+
 class TestSumDecomposition:
+    @pytest.mark.parametrize(
+        "which, hs",
+        [("qq2", range(1, 6)), ("seed1", range(1, 7)), ("seed2", range(1, 7)), ("monomial", [4])],
+        ids=["qq2", "seed1", "seed2", "monomial"],
+    )
+    def test_fold_oracle(self, qq2_spec, which, hs):
+        # the determinant identities the decomposition checks imply the fold
+        spec = {
+            "qq2": qq2_spec,
+            "seed1": random_rational_spec(1),
+            "seed2": random_rational_spec(2),
+            "monomial": monomial_spec(),
+        }[which]
+        for h in hs:
+            assert convergent_sum_decomposition(spec, h).verified
+            assert fold_identity_holds(spec, h), h
+
+    def test_mismatch_reports_first_bad_level(self):
+        spec = random_rational_spec(5)
+        pair = convergent_pairs(spec, 5)[3]
+        z2 = ZPolynomial.monomial(2, ONE)
+        spec._pairs[3] = ConvergentPair(3, pair.P + z2, pair.Q + z2)
+        dec = convergent_sum_decomposition(spec, 5)
+        assert dec.verified is False
+        assert dec.first_failure == 3
+
     def test_depth_one(self, qq2_spec):
         dec = convergent_sum_decomposition(qq2_spec, 1)
         assert dec.verified

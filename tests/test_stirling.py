@@ -6,7 +6,6 @@ from itertools import combinations
 
 import pytest
 
-import qjfrac.stirling as stirling
 from qjfrac.exact import QRationalFn
 from qjfrac.jfraction import ConvergentPair, JFractionSpec, convergents, random_rational_spec
 from qjfrac.stirling import (
@@ -63,6 +62,24 @@ def shifted_nested_sum_reference(spec: JFractionSpec, h: int, m: int, s: int) ->
                 cof = cof * lin[i]
         num = num + cof
     return ZFraction(num, den)
+
+
+def per_slice_coefficients(spec: JFractionSpec, h: int) -> tuple:
+    """[z^0..z^h] of Q_h(spec) predicted by identity (ii), with the series of
+    each slice S_{h,m,s} taken by its own series division."""
+    tri = StirlingQTriangle(spec.c, h)
+    slices = []
+    for m in range(1, h // 2 + 1):
+        for s in range(0, m * h + 1):
+            slices.append((m, nested_sum(spec, NestedSumSpec(h, m, s)).series(h + 1)))
+    coeffs = []
+    for n in range(0, h + 1):
+        total = tri.entry(h, n)
+        for m, ser in slices:
+            for k in range(2 * m, n + 1):
+                total = total + (-1) ** m * tri.entry(h, n - k) * ser[k - 2 * m]
+        coeffs.append(total)
+    return tuple(coeffs)
 
 
 class TestTriangle:
@@ -212,6 +229,26 @@ class TestNestedSums:
 
 
 class TestExpansionLemmas:
+    @pytest.mark.parametrize("which, h_max", [("qq2", 5), ("random", 7)])
+    def test_per_slice_route_for_identity_ii(self, qq2_spec, which, h_max):
+        # (ii) with every slice S_{h,m,s} expanded by its own series division
+        # must predict the same coefficients the verifier accepts
+        spec = qq2_spec if which == "qq2" else random_rational_spec(83)
+        for h in range(2, h_max + 1):
+            pair = convergents(spec, h)
+            assert verify_Qh_expansion(spec, h).ok
+            assert per_slice_coefficients(spec, h) == pair.Q.series(h + 1).coeffs
+            assert verify_Ph_expansion(spec, h).ok
+            assert per_slice_coefficients(spec.shifted(), h - 1) == pair.P.series(h).coeffs
+
+    def test_shifted_spec_is_memoized(self):
+        spec = random_rational_spec(79)
+        shifted = spec.shifted()
+        assert spec.shifted() is shifted
+        for h in range(2, 6):
+            assert verify_Ph_expansion(spec, h).ok
+        assert len(shifted._pairs) == 5
+
     def test_h2_symbolic_algebra(self):
         # Q_2 = (1-c1 z)(1-c2 z) - ab2 z^2 equals the product form directly
         spec = monomial_spec()
@@ -258,9 +295,15 @@ class TestExpansionLemmas:
         assert (data["lemma"], data["first_failure"]) == ("denominator-expansion(i)", [h])
         rep = verify_Ph_expansion(spec, h)
         assert (rep.name, rep.ok, rep.first_failure) == ("numerator-shift-rule", False, (h,))
-        # past identity (i), the coefficient identity (ii) catches the z^2 column
-        monkeypatch.setattr(stirling, "_product_expansion_identity", lambda *args: True)
-        rep = verify_Qh_expansion(spec, h)
+        # a wrong triangle entry (3, 2) is read by (ii) only, at the z^2 column
+        real_entry = StirlingQTriangle.entry
+
+        def corrupted_entry(tri, i, k):
+            value = real_entry(tri, i, k)
+            return value + ONE if (i, k) == (h, 2) else value
+
+        monkeypatch.setattr(StirlingQTriangle, "entry", corrupted_entry)
+        rep = verify_Qh_expansion(random_rational_spec(73), h)
         assert (rep.name, rep.ok, rep.first_failure) == ("denominator-expansion(ii)", False, (h, 2))
 
 
