@@ -161,7 +161,8 @@ def threshold_radius(tolerance: float = 1e-10) -> float:
 
     The gap vanishes at t = 0 as well, so the bracket is located by scanning
     for the interior sign change; a missing sign change signals a
-    transcription bug and raises."""
+    transcription bug and raises.  Bisection also stops once lo and hi are
+    adjacent doubles, so a tolerance below their spacing still ends."""
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
     lo, hi = None, None
@@ -178,6 +179,8 @@ def threshold_radius(tolerance: float = 1e-10) -> float:
         raise ArithmeticError("no sign change found for the threshold inequality")
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            break
         if threshold_inequality_gap(mid) > 0:
             lo = mid
         else:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Iterator, Sequence, Union
+from math import lcm as _int_lcm
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -36,37 +37,144 @@ def _as_fraction(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# integer-polynomial gcd kernel
+# integer kernel for Q[q]
 # ---------------------------------------------------------------------------
 #
-# gcd runs over primitive integer polynomials with content stripping at each
-# pseudo-division step; this keeps intermediate coefficients bounded where a
-# naive Fraction-based Euclid blows up.
+# The ring operations run on Python ints.  A coefficient tuple is cleared to
+# integers over one common denominator, multiplied by Kronecker substitution
+# (Schönhage 1982; Harvey 2009: pack the coefficients as the digits of one big
+# integer, multiply once, unpack), and reduced by the heuristic gcd GCDHEU
+# (Char, Geddes & Gonnet 1989) with a primitive-PRS fallback.  Results go
+# back to reduced Fractions once per output coefficient.
 
 
-def _int_content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = _int_gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g if g else 1
+def _clear(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, d) with cs[i] == ints[i] / d and d the lcm of the denominators."""
+    d = _int_lcm(*[c.denominator for c in cs])
+    if d == 1:
+        return [c.numerator for c in cs], 1
+    return [c.numerator * (d // c.denominator) for c in cs], d
 
 
-def _to_primitive_int(cs: Sequence[Fraction]) -> list[int]:
-    lcm = 1
-    for c in cs:
-        d = c.denominator
-        lcm = lcm // _int_gcd(lcm, d) * d
-    ints = [int(c * lcm) for c in cs]
-    cont = _int_content(ints)
-    return [c // cont for c in ints]
+def _primitive(cs: list[int]) -> list[int]:
+    cont = _int_gcd(*cs)
+    return cs if cont == 1 else [c // cont for c in cs]
+
+
+def _split(cs: Sequence[Fraction]) -> tuple[list[int], int, int]:
+    """(p, c, d) with cs[i] == c·p[i] / d and p primitive in Z[q]."""
+    ints, d = _clear(cs)
+    c = _int_gcd(*ints)
+    return (ints if c == 1 else [x // c for x in ints]), c, d
+
+
+def _scaled(cs: Sequence[int], num: int, den: int) -> tuple[Fraction, ...]:
+    """The reduced Fractions cs[i] * num / den."""
+    g = _int_gcd(num, den)
+    if den < 0:
+        g = -g
+    num //= g
+    den //= g
+    if den == 1:
+        return tuple(Fraction(c * num) for c in cs)
+    return tuple(Fraction(c * num, den) for c in cs)
+
+
+def _bias(n: int, nbytes: int) -> int:
+    """Σ_{i<n} 2^(8·nbytes·(i+1) − 1): half a digit in each of n digits."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+
+
+def _pack(cs: Sequence[int], nbytes: int) -> int:
+    """Σ cs[i]·2^(8·nbytes·i), for |cs[i]| < 2^(8·nbytes − 1)."""
+    half = 1 << (8 * nbytes - 1)
+    raw = b"".join((c + half).to_bytes(nbytes, "little") for c in cs)
+    return int.from_bytes(raw, "little") - _bias(len(cs), nbytes)
+
+
+def _unpack(x: int, n: int, nbytes: int) -> list[int]:
+    """The n balanced digits d_i of x = Σ d_i·2^(8·nbytes·i), |d_i| < 2^(8·nbytes − 1).
+
+    Raises OverflowError when x has no such n-digit form."""
+    half = 1 << (8 * nbytes - 1)
+    raw = (x + _bias(n, nbytes)).to_bytes(n * nbytes, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, n * nbytes, nbytes)]
 
 
 def _int_strip(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two nonzero integer polynomials by Kronecker substitution."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return [c * x for x in b]
+    # every product coefficient is at most this in absolute value; a sign bit
+    # on top makes the packed digits independent
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    nbytes = bound.bit_length() // 8 + 1
+    return _unpack(_pack(a, nbytes) * _pack(b, nbytes), len(a) + len(b) - 1, nbytes)
+
+
+def _int_exquo(a: list[int], b: list[int]) -> Optional[list[int]]:
+    """a / b in Z[q] for nonzero a, b, or None when b does not divide a."""
+    n = len(a) - len(b) + 1
+    if n <= 0 or a[-1] % b[-1]:
+        return None
+    if len(b) == 1:
+        c = b[0]
+        return None if any(x % c for x in a) else [x // c for x in a]
+    # Mignotte's bound holds every factor f of a, the quotient included:
+    # max|f_i| <= 2^deg(f)·||a||_2.  Digits wider than bound·||b||_1 + max|a_i|
+    # then make Q·B == A equivalent to q·b == a: q·b − a vanishes at the base
+    # and its coefficients are below half a digit.
+    top = max(map(abs, a))
+    bound = (top * len(a)) << (n - 1)
+    nbytes = (bound * sum(map(abs, b)) + top).bit_length() // 8 + 1
+    quo, rem = divmod(_pack(a, nbytes), _pack(b, nbytes))
+    if rem:
+        return None
+    try:
+        q = _unpack(quo, n, nbytes)
+    except OverflowError:
+        return None
+    return q if max(map(abs, q)) <= bound else None
+
+
+_HEU_TRIES = 6
+
+
+def _heu_gcd(a: list[int], b: list[int]) -> Optional[tuple[list[int], list[int], list[int]]]:
+    """(g, a/g, b/g) with g = gcd(a, b) for primitive a, b of degree >= 1, or None.
+
+    GCDHEU: at ξ = 2^(8·nbytes) >= 2·max(||a||_inf, ||b||_inf) + 2 (so that
+    both operands pack; the proof below needs only the min), read the
+    candidate g off the balanced ξ-adic digits of γ = gcd(a(ξ), b(ξ)) and
+    keep its primitive part.  A candidate that divides both a and b is the
+    gcd G: G(ξ) divides γ = c·g(ξ), where c is the content of the digits, so
+    f = G/g (a polynomial, since g | G) has f(ξ) | c and |c| <= ξ/2.  The
+    roots of a (and of b) lie within ||a||_inf + 1 of 0, so a nonconstant f,
+    which divides both, has |f(ξ)| > (ξ/2)^deg(f) >= ξ/2.  Hence f = ±1.
+    A candidate that fails the division test sends ξ up; None after
+    _HEU_TRIES tries."""
+    nbytes = (2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() // 8 + 1
+    for _ in range(_HEU_TRIES):
+        gamma = _int_gcd(_pack(a, nbytes), _pack(b, nbytes))
+        g = _primitive(_int_strip(_unpack(gamma, gamma.bit_length() // (8 * nbytes) + 2, nbytes)))
+        if len(g) == 1:
+            return [1], a, b
+        qa = _int_exquo(a, g)
+        if qa is not None:
+            qb = _int_exquo(b, g)
+            if qb is not None:
+                return g, qa, qb
+        nbytes += nbytes // 4 + 1
+    return None
 
 
 def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -82,10 +190,21 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
             a[shift + i] -= lead * b[i]
         a.pop()
         _int_strip(a)
-        cont = _int_content(a)
+        cont = _int_gcd(*a)
         if cont > 1:
             a = [x // cont for x in a]
     return a
+
+
+def _prim_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a/g, b/g) for primitive a, b of degree >= 1; g = gcd(a, b) up to sign."""
+    found = _heu_gcd(a, b)
+    if found is not None:
+        return found
+    x, y = (a, b) if len(a) >= len(b) else (b, a)
+    while y:
+        x, y = y, _int_pseudo_rem(x, y)
+    return x, _int_exquo(a, x), _int_exquo(b, x)
 
 
 def _poly_gcd_coeffs(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
@@ -97,14 +216,10 @@ def _poly_gcd_coeffs(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fract
     if not b:
         lead = a[-1]
         return [c / lead for c in a]
-    x = _to_primitive_int(a)
-    y = _to_primitive_int(b)
-    if len(x) < len(y):
-        x, y = y, x
-    while y:
-        x, y = y, _int_pseudo_rem(x, y)
-    lead = Fraction(x[-1])
-    return [Fraction(c) / lead for c in x]
+    if len(a) == 1 or len(b) == 1:
+        return [Fraction(1)]
+    g = _prim_gcd(_split(a)[0], _split(b)[0])[0]
+    return list(_scaled(g, 1, g[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +340,8 @@ class QPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _QP_ZERO
-        cs = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb != 0:
-                    cs[i + j] += ca * cb
-        return QPolynomial(cs)
+        (ai, da), (bi, db) = _clear(a), _clear(b)
+        return _qp(_scaled(_int_mul(ai, bi), 1, da * db))
 
     __rmul__ = __mul__
 
@@ -320,12 +429,28 @@ def _coerce_poly(x):
     return NotImplemented
 
 
-_QP_ZERO = QPolynomial.__new__(QPolynomial)
-object.__setattr__(_QP_ZERO, "coeffs", ())
-_QP_ONE = QPolynomial.__new__(QPolynomial)
-object.__setattr__(_QP_ONE, "coeffs", (Fraction(1),))
-_QP_Q = QPolynomial.__new__(QPolynomial)
-object.__setattr__(_QP_Q, "coeffs", (Fraction(0), Fraction(1)))
+def _qp(cs: tuple[Fraction, ...]) -> QPolynomial:
+    """A QPolynomial on Fractions that are already canonical (no trailing zero)."""
+    p = QPolynomial.__new__(QPolynomial)
+    object.__setattr__(p, "coeffs", cs)
+    return p
+
+
+def _coprime_parts(p: QPolynomial, q: QPolynomial) -> Optional[tuple[QPolynomial, QPolynomial]]:
+    """(p/g, q/g) for the monic g = gcd(p, q) of nonzero p, q, or None when g = 1."""
+    if len(p.coeffs) == 1 or len(q.coeffs) == 1:
+        return None
+    (pi, cp, dp), (qi, cq, dq) = _split(p.coeffs), _split(q.coeffs)
+    g, pi, qi = _prim_gcd(pi, qi)
+    if len(g) == 1:
+        return None
+    # p = cp·g·pi / dp, and g is g[-1] times the monic gcd
+    return _qp(_scaled(pi, cp * g[-1], dp)), _qp(_scaled(qi, cq * g[-1], dq))
+
+
+_QP_ZERO = _qp(())
+_QP_ONE = _qp((Fraction(1),))
+_QP_Q = _qp((Fraction(0), Fraction(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +476,19 @@ class QRationalFn:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             num, den = _QP_ZERO, _QP_ONE
-        else:
-            g = QPolynomial.gcd(num, den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            lead = den.leading_coefficient
+        elif len(num.coeffs) == 1 or len(den.coeffs) == 1:
+            # gcd 1: only the denominator's leading coefficient goes
+            lead = den.coeffs[-1]
             if lead != 1:
-                num = QPolynomial(tuple(c / lead for c in num.coeffs))
-                den = QPolynomial(tuple(c / lead for c in den.coeffs))
+                num = _qp(tuple(c / lead for c in num.coeffs))
+                den = _qp(tuple(c / lead for c in den.coeffs))
+        else:
+            # num/den = (cn·pn·dd) / (cd·pd·nd) with pn, pd primitive in Z[q]
+            (pn, cn, nd), (pd, cd, dd) = _split(num.coeffs), _split(den.coeffs)
+            _, pn, pd = _prim_gcd(pn, pd)
+            lead = pd[-1]
+            num = _qp(_scaled(pn, cn * dd, lead * cd * nd))
+            den = _qp(_scaled(pd, 1, lead))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -434,10 +563,9 @@ class QRationalFn:
         if other.is_zero():
             return self
         # lcm denominator keeps the reduction gcd small
-        g = QPolynomial.gcd(self.den, other.den)
-        if g.degree > 0:
-            da = self.den.divmod(g)[0]
-            db = other.den.divmod(g)[0]
+        parts = _coprime_parts(self.den, other.den)
+        if parts is not None:
+            da, db = parts
             num = self.num * db + other.num * da
             den = da * other.den
         else:
@@ -472,8 +600,8 @@ class QRationalFn:
         if self.is_zero() or other.is_zero():
             return _QR_ZERO
         # cross-reduce before multiplying to keep degrees down
-        a_num, b_den = _cross_reduce(self.num, other.den)
-        b_num, a_den = _cross_reduce(other.num, self.den)
+        a_num, b_den = _coprime_parts(self.num, other.den) or (self.num, other.den)
+        b_num, a_den = _coprime_parts(other.num, self.den) or (other.num, self.den)
         return QRationalFn(a_num * b_num, a_den * b_den)
 
     __rmul__ = __mul__
@@ -555,13 +683,6 @@ class QRationalFn:
     @classmethod
     def parse(cls, text: str) -> "QRationalFn":
         return parse_ratfn(text)
-
-
-def _cross_reduce(num: QPolynomial, den: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
-    g = QPolynomial.gcd(num, den)
-    if g.degree > 0:
-        return num.divmod(g)[0], den.divmod(g)[0]
-    return num, den
 
 
 def _coerce_ratfn(x):
@@ -753,10 +874,16 @@ def format_poly(coeffs: Sequence[Fraction], var: str = "q") -> str:
     return " ".join(terms) if terms else "0"
 
 
+# deepest nesting of parentheses and unary signs the parser accepts; each level
+# costs a few Python frames, so this stays well inside the recursion limit
+_MAX_NESTING = 100
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -784,7 +911,9 @@ def parse_ratfn(text: str) -> QRationalFn:
     """Parse a rational-function expression in q.
 
     Grammar: integers, the variable q, and the operators + - * / ^ with
-    parentheses; ^ takes an (optionally negative) integer exponent.
+    parentheses; ^ takes an (optionally negative) integer exponent.  Input
+    nested deeper than _MAX_NESTING parentheses and unary signs raises
+    ValueError.
     """
     tok = _Tokenizer(text)
     value = _parse_sum(tok)
@@ -822,13 +951,20 @@ def _parse_product(tok: _Tokenizer) -> QRationalFn:
 
 
 def _parse_unary(tok: _Tokenizer) -> QRationalFn:
+    # every nesting level, a parenthesis or a unary sign, passes through here
+    if tok.depth > _MAX_NESTING:
+        raise ValueError(f"expression nested deeper than {_MAX_NESTING} levels at position {tok.pos}")
+    tok.depth += 1
     if tok.peek() == "-":
         tok.take()
-        return -_parse_unary(tok)
-    if tok.peek() == "+":
+        value = -_parse_unary(tok)
+    elif tok.peek() == "+":
         tok.take()
-        return _parse_unary(tok)
-    return _parse_power(tok)
+        value = _parse_unary(tok)
+    else:
+        value = _parse_power(tok)
+    tok.depth -= 1
+    return value
 
 
 def _parse_power(tok: _Tokenizer) -> QRationalFn:

@@ -2,8 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import qjfrac
 
 from qjfrac.cli import run
 from qjfrac.oracles import sigma_alpha
@@ -49,6 +54,33 @@ class TestDivisorTable:
         _, out1 = run_capture(capsys, argv)
         _, out2 = run_capture(capsys, argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--alpha", "0", "--h", "24", "--order", "48"],
+                "05a62d6b86c02d6807fd9c0722a29b674ad112641a7d34e19ab132b67d4d6a71",
+            ),
+            (
+                ["--alpha", "3", "--h", "6", "--order", "12"],
+                "cb550ce6c513ed241e9da5763192cc7dee5ed54b93a11eade1bc627e38b3697b",
+            ),
+        ],
+        ids=["alpha0-h24", "alpha3-h6"],
+    )
+    def test_golden_output(self, capsys, argv, digest):
+        # pinned stdout of the Fraction-kernel build; every row is in the
+        # certified (n < h) or empirical (h <= n < 2h) window and matches the oracle
+        code, out = run_capture(capsys, ["divisor", "table", *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        data = json.loads(out)
+        assert all(row["certified"] or row["empirical"] for row in data["rows"])
+        assert len(data["rows"]) == 2 * data["h"] - 1
+        assert [int(row["value"]) for row in data["rows"]] == [
+            sigma_alpha(data["alpha"], row["n"]) for row in data["rows"]
+        ]
 
     def test_bounds_checked(self, capsys):
         assert run(["divisor", "table", "--alpha", "-1", "--h", "4", "--order", "4"]) == 2
@@ -246,6 +278,25 @@ class TestOracle:
 class TestUsage:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["(" * 3000 + "q" + ")" * 3000, "-" * 3000 + "q"],
+        ids=["parentheses", "unary-minus"],
+    )
+    def test_deep_nesting_is_a_usage_error(self, expression):
+        # the recursive-descent parser used to overflow the stack: a
+        # RecursionError traceback and exit 1, the code for a mismatch
+        src = os.path.dirname(os.path.dirname(qjfrac.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qjfrac.cli", "jfrac", "expand", f"--a={expression}", "--b", "q^2", "--h", "2"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "nested deeper than" in proc.stderr
 
     def test_no_command(self):
         assert run([]) == 2

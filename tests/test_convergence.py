@@ -24,6 +24,10 @@ class TestThresholdRadius:
     def test_outside_region_negative(self):
         assert threshold_inequality_gap(0.3) < 0
 
+    def test_tolerance_below_double_spacing_ends(self):
+        # bisection used to spin forever once lo and hi were adjacent doubles
+        assert 0.2067 <= threshold_radius(1e-300) <= 0.2068
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             threshold_radius(0)

@@ -1,11 +1,14 @@
 """Exact scalar/polynomial/rational-function/series arithmetic."""
 
 from fractions import Fraction
+from math import comb, gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qjfrac.exact as exact
 from qjfrac.exact import QPolynomial, QRationalFn, QSeries
 
 from conftest import parse
@@ -153,6 +156,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse("x + 1")
 
+    def test_nesting_cap(self):
+        assert parse("(" * 100 + "q" + ")" * 100) == Q
+        assert parse("-" * 100 + "q") == Q
+        with pytest.raises(ValueError, match="nested deeper than 100"):
+            parse("(" * 101 + "q" + ")" * 101)
+        with pytest.raises(ValueError, match="nested deeper than 100"):
+            parse("-" * 101 + "q")
+
 
 # -- property tests ----------------------------------------------------------
 
@@ -193,3 +204,194 @@ def test_taylor_is_multiplicative(f, g):
 @given(ratfns())
 def test_normalization_idempotent(x):
     assert QRationalFn(x.num, x.den) == x
+
+
+# -- oracles: the Fraction kernel that the integer kernel replaced -------------
+
+
+def schoolbook_mul(a, b):
+    """Product of two coefficient sequences by Fraction schoolbook."""
+    if not a or not b:
+        return QPolynomial.zero()
+    cs = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            if cb != 0:
+                cs[i + j] += ca * cb
+    return QPolynomial(cs)
+
+
+def _to_primitive_int(cs):
+    lcm = 1
+    for c in cs:
+        lcm = lcm // gcd(lcm, c.denominator) * c.denominator
+    ints = [int(c * lcm) for c in cs]
+    cont = 0
+    for c in ints:
+        cont = gcd(cont, c)
+    return [c // cont for c in ints]
+
+
+def prs_gcd(a, b):
+    """Monic gcd by the primitive PRS alone (either operand may be zero)."""
+    if not a and not b:
+        return QPolynomial.zero()
+    if not a:
+        a, b = b, a
+    if not b:
+        return QPolynomial(c / a[-1] for c in a)
+    x, y = _to_primitive_int(a), _to_primitive_int(b)
+    if len(x) < len(y):
+        x, y = y, x
+    while y:
+        x, y = y, exact._int_pseudo_rem(x, y)
+    return QPolynomial(Fraction(c, x[-1]) for c in x)
+
+
+def divmod_normalise(num, den):
+    """(num, den) coefficients reduced by the PRS gcd and divmod, den monic."""
+    if num.is_zero():
+        return (), (Fraction(1),)
+    g = prs_gcd(num.coeffs, den.coeffs)
+    if g.degree > 0:
+        num, den = num.divmod(g)[0], den.divmod(g)[0]
+    lead = den.leading_coefficient
+    return tuple(c / lead for c in num.coeffs), tuple(c / lead for c in den.coeffs)
+
+
+# -- differential tests of the integer kernel against the oracles ----------------
+
+
+def _nonzero(bits, den_bits):
+    """Small fractions, and bits-bit numerators over den_bits-bit denominators."""
+    small = st.builds(Fraction, st.integers(1, 9), st.sampled_from((1, 2, 3, 6)))
+    big = st.builds(Fraction, st.integers(1, 2**bits), st.integers(1, 2**den_bits))
+    return st.builds(lambda x, sign: sign * x, st.one_of(small, big), st.sampled_from((1, -1)))
+
+
+@st.composite
+def polys(draw, min_len=1, max_len=8, bits=70, den_bits=70, lead=None):
+    """Nonzero polynomials; about a third of the lower coefficients, the constant included, are 0."""
+    nonzero = _nonzero(bits, den_bits)
+    coefficient = st.one_of(st.just(Fraction(0)), nonzero, nonzero)
+    cs = draw(st.lists(coefficient, min_size=min_len - 1, max_size=max_len - 1))
+    return QPolynomial(cs + [draw(nonzero if lead is None else lead)])
+
+
+@st.composite
+def sharing_pairs(draw, factor=polys(), cofactor=polys()):
+    """(f·g, f·h): a gcd of degree at least deg f."""
+    f, g, h = draw(factor), draw(cofactor), draw(cofactor)
+    return schoolbook_mul(f.coeffs, g.coeffs), schoolbook_mul(f.coeffs, h.coeffs)
+
+
+def _check_kernel(a, b):
+    product = a * b
+    assert product.coeffs == schoolbook_mul(a.coeffs, b.coeffs).coeffs
+    g = QPolynomial.gcd(a, b)
+    assert g.coeffs == prs_gcd(a.coeffs, b.coeffs).coeffs
+    parts = exact._coprime_parts(a, b)
+    if g.degree > 0:
+        assert [p.coeffs for p in parts] == [a.divmod(g)[0].coeffs, b.divmod(g)[0].coeffs]
+    else:
+        assert parts is None
+    r = QRationalFn(a, b)
+    assert (r.num.coeffs, r.den.coeffs) == divmod_normalise(a, b)
+    # == would let an int pass for a Fraction
+    assert all(type(c) is Fraction for c in product.coeffs + g.coeffs + r.num.coeffs + r.den.coeffs)
+
+
+_pairs = st.one_of(st.tuples(polys(), polys()), sharing_pairs())
+
+
+@settings(max_examples=120, deadline=None)
+@given(_pairs)
+def test_kernel_matches_fraction_oracles(pair):
+    _check_kernel(*pair)
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    sharing_pairs(
+        polys(101, 106, bits=320, den_bits=3, lead=st.integers(2**300, 2**320).map(Fraction)),
+        polys(1, 4, bits=320, den_bits=3),
+    )
+)
+def test_kernel_matches_fraction_oracles_at_degree_100(pair):
+    a, b = pair
+    assert a.degree >= 100 and abs(a.leading_coefficient.numerator).bit_length() > 300
+    _check_kernel(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pairs)
+def test_prs_fallback_when_the_heuristic_gives_up(pair):
+    with mock.patch.object(exact, "_heu_gcd", lambda a, b: None):
+        _check_kernel(*pair)
+
+
+def _primitive_ints(p):
+    return exact._primitive(exact._clear(p.coeffs)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), polys())
+def test_int_exquo_is_division_in_z(a, b):
+    x, y = exact._clear(a.coeffs)[0], _primitive_ints(b)
+    quo, rem = QPolynomial(x).divmod(QPolynomial(y))
+    exact_in_z = rem.is_zero() and all(c.denominator == 1 for c in quo.coeffs)
+    assert exact._int_exquo(x, y) == ([int(c) for c in quo.coeffs] if exact_in_z else None)
+    xy = exact._clear(schoolbook_mul(x, y).coeffs)[0]
+    assert exact._int_exquo(xy, y) == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(sharing_pairs())
+def test_heuristic_gcd_gives_up_or_is_the_gcd(pair):
+    a, b = (_primitive_ints(p) for p in pair)
+    if len(a) == 1 or len(b) == 1:
+        return
+    found = exact._heu_gcd(a, b)
+    if found is not None:
+        g, qa, qb = found
+        assert schoolbook_mul(g, qa) == QPolynomial(a)
+        assert schoolbook_mul(g, qb) == QPolynomial(b)
+        assert QPolynomial(Fraction(c, g[-1]) for c in g) == prs_gcd(*(p.coeffs for p in pair))
+
+
+def test_int_exquo_quotient_larger_than_dividend():
+    # (q^8 - 1)^8 / (q - 1)^8 = (1 + q + ... + q^7)^8: the quotient's
+    # coefficients (up to 6,092,520) dwarf the dividend's (up to 70), so the
+    # digit width must come from a bound on the factors, not from the dividend
+    dividend = [0] * 65
+    for j in range(9):
+        dividend[8 * j] = comb(8, j) * (-1) ** (8 - j)
+    divisor = [comb(8, j) * (-1) ** (8 - j) for j in range(9)]
+    quotient = QPolynomial.one()
+    for _ in range(8):
+        quotient = schoolbook_mul(quotient.coeffs, (1,) * 8)
+    assert exact._int_exquo(dividend, divisor) == [int(c) for c in quotient.coeffs]
+    assert max(quotient.coeffs) > 10**6
+    assert exact._int_exquo(dividend, [2] + divisor[1:]) is None
+
+
+def test_failed_heuristic_candidate_sends_xi_up(monkeypatch):
+    # a candidate that fails the division test must not be accepted: the
+    # next try, at a larger evaluation point, gives the gcd and its cofactors
+    f, g, h = QPolynomial((3, -1, 2)), QPolynomial((1, 5)), QPolynomial((-7, 0, 1))
+    a = _primitive_ints(schoolbook_mul(f.coeffs, g.coeffs))
+    b = _primitive_ints(schoolbook_mul(f.coeffs, h.coeffs))
+    real, calls = exact._int_exquo, []
+
+    def first_division_fails(x, y):
+        calls.append(y)
+        return None if len(calls) == 1 else real(x, y)
+
+    monkeypatch.setattr(exact, "_int_exquo", first_division_fails)
+    gcd_ab, qa, qb = exact._heu_gcd(a, b)
+    assert len(calls) == 3
+    assert schoolbook_mul(gcd_ab, qa) == QPolynomial(a)
+    assert schoolbook_mul(gcd_ab, qb) == QPolynomial(b)
+    assert QPolynomial(Fraction(c, gcd_ab[-1]) for c in gcd_ab) == QPolynomial((Fraction(3, 2), Fraction(-1, 2), 1))
