@@ -5,64 +5,83 @@ q-Pochhammer ratio (a;q)_n/(b;q)_n, specializes it at (a,b) = (q,q^2) to
 produce divisor-function and sums-of-divisors generating functions, and
 verifies the structural expansion identities of the convergent polynomials by
 exact arithmetic against independent brute-force oracles.
+
+The names below are loaded on first use (PEP 562): `import qjfrac` imports no
+submodule, so a CLI command compiles only the modules it runs, and only the
+numeric `convergence` module pulls in mpmath.
 """
 
-from .exact import QPolynomial, QRationalFn, QSeries, Rational, parse_ratfn
-from .jfraction import (
-    ConvergentPair,
-    InversionResult,
-    JFractionSpec,
-    PochhammerParams,
-    cfraction_coefficient,
-    convergent_coefficients,
-    convergent_pairs,
-    convergent_sum_decomposition,
-    convergents,
-    divisor_spec,
-    lambda_closed_form_report,
-    lambda_modulus,
-    pochhammer_spec,
-    series_to_jfraction,
-    substitute_z_to_q,
-    table1_preset,
-    telescoping_residual,
-)
-from .divisors import (
-    DivisorGFRequest,
-    Stirling2Table,
-    congruence_table,
-    divisor_gf,
-    partial_sums,
-    rational_approximant,
-    sigma_gf,
-    sigma_special_case_check,
-    tilde_D0j,
-)
-from .stirling import (
-    NestedSumSpec,
-    StirlingQTriangle,
-    first_column_formula_check,
-    nested_sum,
-    newton_girard_check,
-    triangle_via_products,
-    verify_claim_relations,
-    verify_Ph_expansion,
-    verify_PQ_coefficient_relation,
-    verify_Qh_expansion,
-)
-from .convergence import (
-    numeric_convergence_probe,
-    pringsheim_margins,
-    threshold_radius,
-)
-from .oracles import (
-    lambert_truncated,
-    pochhammer_ratio,
-    q_binomial,
-    q_binomial_theorem_check,
-    q_pochhammer,
-    sigma_alpha,
-)
-from .zalgebra import ZFraction, ZPolynomial, ZSeries
+from importlib import import_module
 
+_EXPORTS = {
+    "exact": ("QPolynomial", "QRationalFn", "QSeries", "Rational", "parse_ratfn"),
+    "jfraction": (
+        "ConvergentPair",
+        "InversionResult",
+        "JFractionSpec",
+        "PochhammerParams",
+        "cfraction_coefficient",
+        "convergent_coefficients",
+        "convergent_pairs",
+        "convergent_sum_decomposition",
+        "convergents",
+        "divisor_spec",
+        "lambda_closed_form_report",
+        "lambda_modulus",
+        "pochhammer_spec",
+        "series_to_jfraction",
+        "substitute_z_to_q",
+        "table1_preset",
+        "telescoping_residual",
+    ),
+    "divisors": (
+        "DivisorGFRequest",
+        "Stirling2Table",
+        "congruence_table",
+        "divisor_gf",
+        "partial_sums",
+        "rational_approximant",
+        "sigma_gf",
+        "sigma_special_case_check",
+        "tilde_D0j",
+    ),
+    "stirling": (
+        "NestedSumSpec",
+        "StirlingQTriangle",
+        "first_column_formula_check",
+        "nested_sum",
+        "newton_girard_check",
+        "triangle_via_products",
+        "verify_claim_relations",
+        "verify_Ph_expansion",
+        "verify_PQ_coefficient_relation",
+        "verify_Qh_expansion",
+    ),
+    "convergence": ("numeric_convergence_probe", "pringsheim_margins", "threshold_radius"),
+    "oracles": (
+        "lambert_truncated",
+        "pochhammer_ratio",
+        "q_binomial",
+        "q_binomial_theorem_check",
+        "q_pochhammer",
+        "sigma_alpha",
+    ),
+    "zalgebra": ("ZFraction", "ZPolynomial", "ZSeries"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # a submodule (qjfrac.stirling) or a name it exports (qjfrac.nested_sum)
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -23,13 +23,27 @@ import csv
 import io
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import convergence, divisors, jfraction, oracles, stirling
-from .exact import QRationalFn
+if TYPE_CHECKING:
+    from .exact import QRationalFn
+
+# Each command imports the library modules it runs, so a process compiles only
+# those; the parser's choices are spelled out here for the same reason, in the
+# order of jfraction.TABLE1_ROWS and sorted(jfraction.INVERSION_TARGETS).
+_PRESETS = (
+    "pochhammer_a",
+    "reciprocal_qq",
+    "pochhammer_zqn",
+    "reciprocal_pochhammer_zqn",
+    "pochhammer_ratio",
+)
+_TARGETS = ("n2_over_1mqn", "n_over_1mqn", "one_over_1mqn")
 
 
 def _ratfn(text: str) -> QRationalFn:
+    from .exact import QRationalFn
+
     try:
         return QRationalFn.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -132,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     jf_sub = jf.add_subparsers(dest="subcommand", required=True)
 
     expand = jf_sub.add_parser("expand", help="expand a sequence family")
-    expand.add_argument("--preset", choices=jfraction.TABLE1_ROWS, help="named sequence family")
+    expand.add_argument("--preset", choices=_PRESETS, help="named sequence family")
     expand.add_argument("--a", type=_ratfn, help="parameter a (rational function of q)")
     expand.add_argument("--b", type=_ratfn, help="parameter b (rational function of q)")
     expand.add_argument("--z", type=_ratfn, help="parameter z for the families that need one")
@@ -145,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     invert.add_argument(
         "--target",
         required=True,
-        choices=sorted(jfraction.INVERSION_TARGETS),
+        choices=_TARGETS,
         help="named target series",
     )
     invert.add_argument("--depth", type=_positive_depth_int, required=True)
@@ -155,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     triangle = jf_sub.add_parser(
         "triangle", help="dump the coefficient triangle of a sequence family"
     )
-    triangle.add_argument("--preset", choices=jfraction.TABLE1_ROWS)
+    triangle.add_argument("--preset", choices=_PRESETS)
     triangle.add_argument("--a", type=_ratfn)
     triangle.add_argument("--b", type=_ratfn)
     triangle.add_argument("--z", type=_ratfn)
@@ -227,6 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_expand(args) -> int:
+    from . import jfraction
+
     spec = _spec_from_flags(args)
     if spec is None:
         print("error: need --preset or both --a and --b", file=sys.stderr)
@@ -250,6 +266,8 @@ def _cmd_expand(args) -> int:
 
 
 def _spec_from_flags(args) -> Optional[object]:
+    from . import jfraction
+
     if args.preset:
         return jfraction.table1_preset(args.preset, a=args.a, b=args.b, z=args.z)
     if args.a is not None and args.b is not None:
@@ -275,6 +293,8 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    from . import jfraction
+
     order = 2 * args.depth
     target = jfraction.INVERSION_TARGETS[args.target](order)
     result = jfraction.series_to_jfraction(target, args.depth)
@@ -291,6 +311,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
+    from . import jfraction, stirling
+
     if args.spec == "qq2":
         spec = jfraction.divisor_spec()
     else:
@@ -326,7 +348,9 @@ def _cmd_lemmas(args) -> int:
     ]
     if args.spec == "qq2":
         checker_reports.append(stirling.first_column_formula_check(spec, args.h).to_json())
-        checker_reports.append(divisors.tilde_D0j(1).to_json())
+        from .divisors import tilde_D0j
+
+        checker_reports.append(tilde_D0j(1).to_json())
     payload = {
         "schema": "qjfrac/verify-lemmas/1",
         "spec": spec.name,
@@ -340,6 +364,8 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_divisor_table(args) -> int:
+    from . import divisors
+
     req = divisors.DivisorGFRequest(args.alpha, args.h, args.order, args.mod)
     if args.mod is not None:
         rows = [
@@ -380,6 +406,8 @@ def _cmd_divisor_table(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from . import convergence
+
     z = args.z if args.z is not None else args.q
     report = convergence.numeric_convergence_probe(args.q, z, args.hmax)
     payload = report.to_json()
@@ -392,6 +420,8 @@ def _cmd_radius(args) -> int:
     if args.tol <= 0:
         print("error: --tol must be > 0", file=sys.stderr)
         return 2
+    from . import convergence
+
     value = convergence.threshold_radius(args.tol)
     payload = {"schema": "qjfrac/converge-radius/1", "tolerance": args.tol, "radius": value}
     _emit(payload, args.format, args.output)
@@ -399,6 +429,8 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_margins(args) -> int:
+    from . import convergence
+
     report = convergence.pringsheim_margins(args.q, args.hmax)
     payload = report.to_json()
     csv_rows = [[r.h, f"{r.abs_a:.6e}", f"{r.abs_b:.6e}", f"{r.margin:.6e}"] for r in report.rows]
@@ -409,6 +441,8 @@ def _cmd_margins(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracles
+
     if args.subcommand == "sigma":
         print(oracles.sigma_alpha(args.alpha, args.n))
     elif args.subcommand == "lambert":
@@ -429,12 +463,10 @@ def _cmd_oracle(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the exit code is 0 on success, 1 on a verification
+    mismatch, 2 on a usage error and 3 on an internal error."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "jfrac" and args.subcommand == "expand":
             return _cmd_expand(args)
         if args.command == "jfrac" and args.subcommand == "invert":
@@ -453,9 +485,14 @@ def run(argv=None) -> int:
             return _cmd_margins(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
     except (ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print("error: unknown command", file=sys.stderr)
     return 2
 

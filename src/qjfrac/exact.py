@@ -576,10 +576,7 @@ class QRationalFn:
     __radd__ = __add__
 
     def __neg__(self) -> "QRationalFn":
-        r = QRationalFn.__new__(QRationalFn)
-        object.__setattr__(r, "num", -self.num)
-        object.__setattr__(r, "den", self.den)
-        return r
+        return _qr(-self.num, self.den)
 
     def __sub__(self, other) -> "QRationalFn":
         other = _coerce_ratfn(other)
@@ -599,10 +596,13 @@ class QRationalFn:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return _QR_ZERO
-        # cross-reduce before multiplying to keep degrees down
+        # cross-reduce before multiplying to keep degrees down; the product is
+        # then canonical as it stands: a_num and b_num are coprime to both
+        # a_den and b_den, and those are monic (monic denominators divided by
+        # monic gcds), so no gcd is left to take
         a_num, b_den = _coprime_parts(self.num, other.den) or (self.num, other.den)
         b_num, a_den = _coprime_parts(other.num, self.den) or (other.num, self.den)
-        return QRationalFn(a_num * b_num, a_den * b_den)
+        return _qr(a_num * b_num, a_den * b_den)
 
     __rmul__ = __mul__
 
@@ -695,15 +695,17 @@ def _coerce_ratfn(x):
     return NotImplemented
 
 
-_QR_ZERO = QRationalFn.__new__(QRationalFn)
-object.__setattr__(_QR_ZERO, "num", _QP_ZERO)
-object.__setattr__(_QR_ZERO, "den", _QP_ONE)
-_QR_ONE = QRationalFn.__new__(QRationalFn)
-object.__setattr__(_QR_ONE, "num", _QP_ONE)
-object.__setattr__(_QR_ONE, "den", _QP_ONE)
-_QR_Q = QRationalFn.__new__(QRationalFn)
-object.__setattr__(_QR_Q, "num", _QP_Q)
-object.__setattr__(_QR_Q, "den", _QP_ONE)
+def _qr(num: QPolynomial, den: QPolynomial) -> QRationalFn:
+    """A QRationalFn on a pair that is already canonical (coprime, den monic)."""
+    r = QRationalFn.__new__(QRationalFn)
+    object.__setattr__(r, "num", num)
+    object.__setattr__(r, "den", den)
+    return r
+
+
+_QR_ZERO = _qr(_QP_ZERO, _QP_ONE)
+_QR_ONE = _qr(_QP_ONE, _QP_ONE)
+_QR_Q = _qr(_QP_Q, _QP_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -877,6 +879,9 @@ def format_poly(coeffs: Sequence[Fraction], var: str = "q") -> str:
 # deepest nesting of parentheses and unary signs the parser accepts; each level
 # costs a few Python frames, so this stays well inside the recursion limit
 _MAX_NESTING = 100
+# largest |n| the parser accepts in x^n: `jfrac expand --a q^256 --b q^2 --h 4`
+# takes about 1 s, and the cost grows 4-7x with each doubling of the exponent
+_MAX_EXPONENT = 256
 
 
 class _Tokenizer:
@@ -912,8 +917,8 @@ def parse_ratfn(text: str) -> QRationalFn:
 
     Grammar: integers, the variable q, and the operators + - * / ^ with
     parentheses; ^ takes an (optionally negative) integer exponent.  Input
-    nested deeper than _MAX_NESTING parentheses and unary signs raises
-    ValueError.
+    nested deeper than _MAX_NESTING parentheses and unary signs, or an
+    exponent above _MAX_EXPONENT in absolute value, raises ValueError.
     """
     tok = _Tokenizer(text)
     value = _parse_sum(tok)
@@ -976,6 +981,8 @@ def _parse_power(tok: _Tokenizer) -> QRationalFn:
             tok.take()
             sign = -1
         exp = sign * tok.take_int()
+        if abs(exp) > _MAX_EXPONENT:
+            raise ValueError(f"exponent {exp} exceeds {_MAX_EXPONENT} in absolute value")
         return base ** exp
     return base
 

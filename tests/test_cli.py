@@ -175,7 +175,6 @@ class TestVerify:
         assert code == 0
 
     def test_exit_one_on_mismatch(self, capsys, monkeypatch):
-        import qjfrac.cli as cli
         import qjfrac.stirling as stirling_mod
 
         real = stirling_mod.verify_Qh_expansion
@@ -185,7 +184,7 @@ class TestVerify:
             rep.ok = False
             return rep
 
-        monkeypatch.setattr(cli.stirling, "verify_Qh_expansion", broken)
+        monkeypatch.setattr(stirling_mod, "verify_Qh_expansion", broken)
         code, out = run_capture(capsys, ["verify", "lemmas", "--h", "2"])
         assert code == 1
         assert json.loads(out)["status"] == "mismatch"
@@ -301,6 +300,60 @@ class TestUsage:
     def test_no_command(self):
         assert run([]) == 2
 
+    def test_exponent_above_the_cap_is_a_usage_error(self, capsys):
+        assert run(["jfrac", "expand", "--a", "q^257", "--b", "q^2", "--h", "2"]) == 2
+        assert "exponent 257 exceeds 256" in capsys.readouterr().err
+
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        # exit 1 is kept for a verification mismatch; a crash gets 3 and one line
+        import qjfrac.cli as cli
+
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_oracle", crash)
+        assert run(["oracle", "sigma", "--alpha", "1", "--n", "6"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize(
+        "argv, stream, digest",
+        [
+            (["--help"], "out", "fd0ad2fadce8c8a394f0cf873e29b8b4877ab9df20e50d18754ef828509c3c4e"),
+            (
+                ["jfrac", "expand", "--help"],
+                "out",
+                "53d9a30dd9db8f9a2696e06e7f49c307c90dd4e14268f706bf5288d7469a6b4e",
+            ),
+            (
+                ["jfrac", "invert", "--help"],
+                "out",
+                "cc1518114ccf2140c8b9449a6d122c5d43651d3778739bb4e94b26e0a91c7497",
+            ),
+            (
+                ["jfrac", "expand", "--preset", "bogus", "--h", "2"],
+                "err",
+                "aea38a2b2968a020ac4cedc2fec37775be41f35cf2937b3990c1f11fb27313df",
+            ),
+        ],
+        ids=["help", "expand-help", "invert-help", "bad-preset"],
+    )
+    def test_golden_help_and_usage(self, capsys, monkeypatch, argv, stream, digest):
+        # pinned from the build whose parser read its choices from jfraction;
+        # argparse wraps at $COLUMNS - 2
+        monkeypatch.setenv("COLUMNS", "80")
+        run(argv)
+        text = getattr(capsys.readouterr(), stream)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_parser_choices_match_the_library(self):
+        import qjfrac.cli as cli
+        from qjfrac import jfraction
+
+        assert cli._PRESETS == jfraction.TABLE1_ROWS
+        assert list(cli._TARGETS) == sorted(jfraction.INVERSION_TARGETS)
+
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "out.json"
         code = run(["oracle", "sigma", "--alpha", "0", "--n", "9"])
@@ -311,3 +364,61 @@ class TestUsage:
         assert code == 0
         data = json.loads(path.read_text())
         assert data["schema"] == "qjfrac/divisor-table/1"
+
+
+class TestLazyLoading:
+    """`import qjfrac` loads nothing, and each command loads only what it runs."""
+
+    PROBE = """
+import contextlib, io, json, sys
+import qjfrac.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = qjfrac.cli.run(sys.argv[1:])
+print(json.dumps([rc, sorted(m for m in sys.modules if m == "mpmath" or m.split(".")[0] == "qjfrac")]))
+"""
+    NUMERIC = ["qjfrac.convergence", "mpmath"]
+    ORACLE = ["qjfrac.exact", "qjfrac.oracles"]
+    EXACT = ORACLE + ["qjfrac.jfraction", "qjfrac.zalgebra"]
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["converge", "radius", "--tol", "1e-8"], NUMERIC),
+            (["converge", "probe", "--q", "0.15", "--hmax", "5"], NUMERIC),
+            (["converge", "margins", "--q", "0.1", "--hmax", "5"], NUMERIC),
+            (["oracle", "sigma", "--alpha", "1", "--n", "6"], ORACLE),
+            (["oracle", "qpochhammer", "--x", "q", "--n", "2"], ORACLE),
+            (["jfrac", "expand", "--a", "q", "--b", "q^2", "--h", "2"], EXACT),
+            (["jfrac", "invert", "--target", "one_over_1mqn", "--depth", "2"], EXACT),
+            (["jfrac", "triangle", "--a", "q", "--b", "q^2", "--h", "2"], EXACT + ["qjfrac.stirling"]),
+            (["verify", "lemmas", "--h", "2", "--spec", "random"], EXACT + ["qjfrac.stirling"]),
+            (["verify", "lemmas", "--h", "2"], EXACT + ["qjfrac.divisors", "qjfrac.stirling"]),
+            (["divisor", "table", "--alpha", "0", "--h", "3", "--order", "3"], EXACT + ["qjfrac.divisors", "qjfrac.stirling"]),
+            (["--help"], []),
+        ],
+        ids=[
+            "radius", "probe", "margins", "sigma", "qpochhammer", "expand",
+            "invert", "triangle", "lemmas-random", "lemmas-qq2", "divisor", "help",
+        ],
+    )
+    def test_command_loads_only_its_modules(self, argv, extra):
+        src = os.path.dirname(os.path.dirname(qjfrac.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, sorted(["qjfrac", "qjfrac.cli", *extra])]
+
+    def test_exports_resolve(self):
+        namespace = {}
+        exec("from qjfrac import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(qjfrac.__all__)
+        for name in qjfrac.__all__:
+            assert namespace[name] is getattr(qjfrac, name)
+        assert qjfrac.nested_sum is qjfrac.stirling.nested_sum
+        assert qjfrac.QRationalFn.__module__ == "qjfrac.exact"
+        with pytest.raises(AttributeError):
+            qjfrac.no_such_name

@@ -164,6 +164,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="nested deeper than 100"):
             parse("-" * 101 + "q")
 
+    def test_exponent_cap(self):
+        # q^100000000 used to exhaust memory inside __pow__ while parsing
+        assert parse("q^256") == QRationalFn.qpow(256)
+        assert parse("q^-256") == QRationalFn.qpow(-256)
+        with pytest.raises(ValueError, match="exponent 257 exceeds 256"):
+            parse("q^257")
+        with pytest.raises(ValueError, match="exponent -257 exceeds 256"):
+            parse("(1-q)^-257")
+
 
 # -- property tests ----------------------------------------------------------
 
@@ -395,3 +404,26 @@ def test_failed_heuristic_candidate_sends_xi_up(monkeypatch):
     assert schoolbook_mul(gcd_ab, qa) == QPolynomial(a)
     assert schoolbook_mul(gcd_ab, qb) == QPolynomial(b)
     assert QPolynomial(Fraction(c, gcd_ab[-1]) for c in gcd_ab) == QPolynomial((Fraction(3, 2), Fraction(-1, 2), 1))
+
+
+@st.composite
+def cross_reducible_pairs(draw):
+    """(f·g/h, k/(f·m)): the product cancels f across the two operands."""
+    small = polys(max_len=4, bits=20, den_bits=8)
+    f, g, h, k, m = (draw(small) for _ in range(5))
+    x = QRationalFn(schoolbook_mul(f.coeffs, g.coeffs), h)
+    y = QRationalFn(k, schoolbook_mul(f.coeffs, m.coeffs))
+    return x, y
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(cross_reducible_pairs(), st.tuples(ratfns(), ratfns())))
+def test_product_is_canonical_without_a_final_gcd(pair):
+    # __mul__ builds its result straight from the cross-reduced parts
+    x, y = pair
+    expected = divmod_normalise(
+        schoolbook_mul(x.num.coeffs, y.num.coeffs), schoolbook_mul(x.den.coeffs, y.den.coeffs)
+    )
+    for r in (x * y, y * x):
+        assert (r.num.coeffs, r.den.coeffs) == expected
+        assert all(type(c) is Fraction for c in r.num.coeffs + r.den.coeffs)
