@@ -57,6 +57,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Size caps, measured on 2 CPUs with CPython 3.11.7: at its cap each size takes
+# 1-2 s with the other sizes small, and the cost grows steeply past it.
+_MAX_ORDER = 1024  # divisor table --alpha 0 --h 12 --order 1024: 1.5 s; --h 4 --order 4000: 15.7 s
+_MAX_ALPHA = 32  # divisor table --alpha 32 --h 4 --order 8: 1.2 s; --alpha 80: 18.9 s
+_MAX_ZORDER = 64  # jfrac expand --preset reciprocal_qq --h 4 --zorder 64: 1.8 s; --zorder 96: 8.8 s
+_MAX_MARGIN_LEVELS = 500  # converge margins --q=0.1 --hmax 500: 1.0 s; --hmax 1000: 3.7 s
+_MAX_PROBE_LEVELS = 100  # converge probe --q=0.1 --hmax 100: 1.3 s; --hmax 400: 17.7 s
+
+
+def _int_in(low: int, high: int):
+    """An argparse type for the integers low..high."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {low}..{high}, got {text}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
+
+
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -151,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--b", type=_ratfn, help="parameter b (rational function of q)")
     expand.add_argument("--z", type=_ratfn, help="parameter z for the families that need one")
     expand.add_argument("--h", type=_depth_int, required=True, help="convergent depth")
-    expand.add_argument("--zorder", type=_positive_int, default=None, help="series order (default 2h)")
+    expand.add_argument(
+        "--zorder", type=_int_in(1, _MAX_ZORDER), default=None, help="series order (default 2h)"
+    )
     expand.add_argument("--format", choices=("json", "pretty"), default="json")
     expand.add_argument("--output", default=None)
 
@@ -191,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     div = top.add_parser("divisor", help="divisor-function tables")
     div_sub = div.add_subparsers(dest="subcommand", required=True)
     table = div_sub.add_parser("table", help="sigma_alpha(n) table from the J-fraction")
-    table.add_argument("--alpha", type=_nonneg_int, required=True)
+    table.add_argument("--alpha", type=_int_in(0, _MAX_ALPHA), required=True)
     table.add_argument("--h", type=_depth_int, required=True)
-    table.add_argument("--order", type=_positive_int, required=True)
+    table.add_argument("--order", type=_int_in(1, _MAX_ORDER), required=True)
     table.add_argument("--mod", type=_modulus_int, default=None)
     table.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     table.add_argument("--output", default=None)
@@ -203,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe = conv_sub.add_parser("probe", help="convergent-vs-target gaps")
     probe.add_argument("--q", type=_complex_arg, required=True, help="RE or RE,IM with |q|<1")
     probe.add_argument("--z", type=_complex_arg, default=None, help="defaults to q")
-    probe.add_argument("--hmax", type=_positive_int, default=20)
+    probe.add_argument("--hmax", type=_int_in(1, _MAX_PROBE_LEVELS), default=20)
     probe.add_argument("--format", choices=("json", "csv", "pretty"), default="csv")
     probe.add_argument("--output", default=None)
     radius = conv_sub.add_parser("radius", help="threshold radius of the margin inequality")
@@ -212,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     radius.add_argument("--output", default=None)
     margins = conv_sub.add_parser("margins", help="per-level margin report")
     margins.add_argument("--q", type=_complex_arg, required=True)
-    margins.add_argument("--hmax", type=_positive_int, default=100)
+    margins.add_argument("--hmax", type=_int_in(2, _MAX_MARGIN_LEVELS), default=100)
     margins.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     margins.add_argument("--output", default=None)
 
@@ -249,6 +273,12 @@ def _cmd_expand(args) -> int:
         return 2
     h = args.h
     zorder = args.zorder if args.zorder is not None else max(2 * h, 1)
+    if zorder > _MAX_ZORDER:
+        print(
+            f"error: --zorder {zorder} (default 2h) exceeds {_MAX_ZORDER}; pass a smaller --zorder",
+            file=sys.stderr,
+        )
+        return 2
     pair = jfraction.convergents(spec, h)
     coeffs = jfraction.convergent_coefficients(pair, zorder)
     tabulated = spec.to_json(max(h, 1))
@@ -410,6 +440,12 @@ def _cmd_probe(args) -> int:
 
     z = args.z if args.z is not None else args.q
     report = convergence.numeric_convergence_probe(args.q, z, args.hmax)
+    if not report.target_converged and args.format != "json":
+        print(
+            "warning: target not converged: the direct sum stopped at its term limit,"
+            " so the gaps are measured against a truncated sum",
+            file=sys.stderr,
+        )
     payload = report.to_json()
     csv_rows = [[r.h, f"{r.gap:.6e}", r.overflow] for r in report.rows]
     _emit(payload, args.format, args.output, csv_rows=csv_rows, csv_header=["h", "gap", "overflow"])

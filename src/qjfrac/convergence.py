@@ -201,6 +201,7 @@ class ProbeReport:
     q: complex
     z: complex
     target: complex
+    target_converged: bool  # False when the direct sum hit _MAX_TERMS
     precision_bits: int
     rows: list[ProbeRow] = field(default_factory=list)
 
@@ -210,6 +211,7 @@ class ProbeReport:
             "q": [float(self.q.real), float(self.q.imag)],
             "z": [float(self.z.real), float(self.z.imag)],
             "target": [float(self.target.real), float(self.target.imag)],
+            "target_converged": self.target_converged,
             "precision_bits": self.precision_bits,
             "rows": [
                 {"h": r.h, "gap": r.gap, "overflow": r.overflow} for r in self.rows
@@ -217,21 +219,24 @@ class ProbeReport:
         }
 
 
-def _direct_sum(q: mpc, z: mpc) -> mpc:
-    """(1-q) * sum_{n >= 0} z^n/(1-q^(n+1a)) to numerically negligible tail."""
+# terms the direct sum takes at most; at q = 0.1, z = 0.9999 the tail left
+# after them is about 0.4
+_MAX_TERMS = 100_000
+
+
+def _direct_sum(q: mpc, z: mpc) -> tuple[mpc, bool]:
+    """((1-q) * sum_{n >= 0} z^n/(1-q^(n+1)), converged): the sum is taken to a
+    numerically negligible tail, or to _MAX_TERMS terms, and then converged is
+    False."""
     total = mpc(0)
     zn = mpc(1)
     eps = mpf(2) ** (-mp.prec - 8)
-    n = 0
-    while True:
-        total += zn / (1 - q ** (n + 1))
+    for n in range(1, _MAX_TERMS + 1):
+        total += zn / (1 - q ** n)
         zn *= z
-        n += 1
         if abs(zn) / (1 - abs(z)) < eps * max(abs(total), 1) and n > 4:
-            break
-        if n > 100000:
-            break
-    return (1 - q) * total
+            return (1 - q) * total, True
+    return (1 - q) * total, False
 
 
 def numeric_convergence_probe(q: complex, z: complex, h_max: int = 20) -> ProbeReport:
@@ -245,8 +250,8 @@ def numeric_convergence_probe(q: complex, z: complex, h_max: int = 20) -> ProbeR
     bits = precision_bits()
     with _prec(bits):
         qq, zz = mpc(q), mpc(z)
-        target = _direct_sum(qq, zz) if q != 0 else mpc(1) / (1 - zz) * (1 - qq)
-        report = ProbeReport(complex(qq), complex(zz), complex(target), bits)
+        target, converged = _direct_sum(qq, zz) if q != 0 else (mpc(1) / (1 - zz) * (1 - qq), True)
+        report = ProbeReport(complex(qq), complex(zz), complex(target), converged, bits)
         for h in range(1, h_max + 1):
             tail = mpc(0)
             overflow = False

@@ -3,8 +3,13 @@
 Everything downstream (convergents, triangle recurrences, divisor tables)
 reduces to three value types defined here:
 
-  * QPolynomial  -- dense polynomial in q with Fraction coefficients,
-                    canonical form: no trailing zero coefficients.
+  * QPolynomial  -- dense polynomial in q over Q, stored as content times
+                    primitive part: a reduced rational n/d (d > 0) times an
+                    integer tuple p with gcd 1 and p[-1] > 0; the zero
+                    polynomial is 0/1 times ().  The form is canonical, so
+                    equality compares (n, d, p).  `.coeffs`, the tuple of
+                    reduced Fraction coefficients with no trailing zero, is
+                    built on first use and cached.
   * QRationalFn  -- quotient of two QPolynomials, canonical form: fully
                     reduced with a monic denominator, so equality is a
                     plain structural comparison.
@@ -40,44 +45,21 @@ def _as_fraction(x) -> Fraction:
 # integer kernel for Q[q]
 # ---------------------------------------------------------------------------
 #
-# The ring operations run on Python ints.  A coefficient tuple is cleared to
-# integers over one common denominator, multiplied by Kronecker substitution
-# (Schönhage 1982; Harvey 2009: pack the coefficients as the digits of one big
-# integer, multiply once, unpack), and reduced by the heuristic gcd GCDHEU
-# (Char, Geddes & Gonnet 1989) with a primitive-PRS fallback.  Results go
-# back to reduced Fractions once per output coefficient.
-
-
-def _clear(cs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, d) with cs[i] == ints[i] / d and d the lcm of the denominators."""
-    d = _int_lcm(*[c.denominator for c in cs])
-    if d == 1:
-        return [c.numerator for c in cs], 1
-    return [c.numerator * (d // c.denominator) for c in cs], d
+# The ring operations run on the primitive parts, as Python ints, and on the
+# contents, as pairs of ints (Geddes, Czapor & Labahn 1992, ch. 2).  Products
+# multiply the contents and the primitive parts; the latter by Kronecker
+# substitution (Schönhage 1982; Harvey 2009: pack the coefficients as the
+# digits of one big integer, multiply once, unpack).  By Gauss's lemma the
+# product of primitive polynomials is primitive, so a product takes no gcd.
+# Sums bring the two contents to one denominator and take the content of the
+# integer result.  Gcds run the heuristic GCDHEU (Char, Geddes & Gonnet 1989)
+# with a primitive-PRS fallback on the primitive parts.  Fractions are built
+# only when `.coeffs` is read.
 
 
 def _primitive(cs: list[int]) -> list[int]:
     cont = _int_gcd(*cs)
     return cs if cont == 1 else [c // cont for c in cs]
-
-
-def _split(cs: Sequence[Fraction]) -> tuple[list[int], int, int]:
-    """(p, c, d) with cs[i] == c·p[i] / d and p primitive in Z[q]."""
-    ints, d = _clear(cs)
-    c = _int_gcd(*ints)
-    return (ints if c == 1 else [x // c for x in ints]), c, d
-
-
-def _scaled(cs: Sequence[int], num: int, den: int) -> tuple[Fraction, ...]:
-    """The reduced Fractions cs[i] * num / den."""
-    g = _int_gcd(num, den)
-    if den < 0:
-        g = -g
-    num //= g
-    den //= g
-    if den == 1:
-        return tuple(Fraction(c * num) for c in cs)
-    return tuple(Fraction(c * num, den) for c in cs)
 
 
 def _bias(n: int, nbytes: int) -> int:
@@ -107,7 +89,7 @@ def _int_strip(cs: list[int]) -> list[int]:
     return cs
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two nonzero integer polynomials by Kronecker substitution."""
     if len(b) == 1:
         a, b = b, a
@@ -121,7 +103,7 @@ def _int_mul(a: list[int], b: list[int]) -> list[int]:
     return _unpack(_pack(a, nbytes) * _pack(b, nbytes), len(a) + len(b) - 1, nbytes)
 
 
-def _int_exquo(a: list[int], b: list[int]) -> Optional[list[int]]:
+def _int_exquo(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
     """a / b in Z[q] for nonzero a, b, or None when b does not divide a."""
     n = len(a) - len(b) + 1
     if n <= 0 or a[-1] % b[-1]:
@@ -149,7 +131,7 @@ def _int_exquo(a: list[int], b: list[int]) -> Optional[list[int]]:
 _HEU_TRIES = 6
 
 
-def _heu_gcd(a: list[int], b: list[int]) -> Optional[tuple[list[int], list[int], list[int]]]:
+def _heu_gcd(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[list[int], list[int], list[int]]]:
     """(g, a/g, b/g) with g = gcd(a, b) for primitive a, b of degree >= 1, or None.
 
     GCDHEU: at ξ = 2^(8·nbytes) >= 2·max(||a||_inf, ||b||_inf) + 2 (so that
@@ -177,7 +159,7 @@ def _heu_gcd(a: list[int], b: list[int]) -> Optional[tuple[list[int], list[int],
     return None
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+def _int_pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Pseudo-remainder of a by b (b nonzero), content-stripped."""
     a = list(a)
     db = len(b) - 1
@@ -196,7 +178,7 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _prim_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+def _prim_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
     """(g, a/g, b/g) for primitive a, b of degree >= 1; g = gcd(a, b) up to sign."""
     found = _heu_gcd(a, b)
     if found is not None:
@@ -207,39 +189,56 @@ def _prim_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[in
     return x, _int_exquo(a, x), _int_exquo(b, x)
 
 
-def _poly_gcd_coeffs(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd of two coefficient sequences (either may be empty = zero)."""
-    if not a and not b:
-        return []
-    if not a:
-        a, b = b, a
-    if not b:
-        lead = a[-1]
-        return [c / lead for c in a]
-    if len(a) == 1 or len(b) == 1:
-        return [Fraction(1)]
-    g = _prim_gcd(_split(a)[0], _split(b)[0])[0]
-    return list(_scaled(g, 1, g[-1]))
-
-
 # ---------------------------------------------------------------------------
 # QPolynomial
 # ---------------------------------------------------------------------------
 
 
 class QPolynomial:
-    """Dense polynomial in q over Fraction; zero polynomial has no coefficients."""
+    """Dense polynomial in q over Q: the content _n/_d times the primitive _p.
 
-    __slots__ = ("coeffs",)
+    _d > 0 and gcd(_n, _d) = 1; _p is a tuple of ints with gcd 1 and
+    _p[-1] > 0, or () for the zero polynomial, whose content is 0/1.  The
+    slot _cs caches `.coeffs` and stays unset until that is first read.
+    """
+
+    __slots__ = ("_n", "_d", "_p", "_cs")
 
     def __init__(self, coeffs: Iterable[_Scalar] = ()):
         cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        n, d, p = 0, 1, ()
+        if cs:
+            # the lcm of the denominators and the gcd of the numerators it
+            # scales to are coprime: each prime of d leaves some numerator
+            d = _int_lcm(*[c.denominator for c in cs])
+            ints = [c.numerator * (d // c.denominator) for c in cs]
+            n = _int_gcd(*ints)
+            if ints[-1] < 0:
+                n = -n
+            p = tuple(x // n for x in ints) if n != 1 else tuple(ints)
+        _set_n(self, n)
+        _set_d(self, d)
+        _set_p(self, p)
+        _set_cs(self, tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("QPolynomial is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The reduced Fraction coefficients, ascending in q, no trailing zero."""
+        try:
+            return self._cs
+        except AttributeError:
+            n, d = self._n, self._d
+            if d == 1:
+                cs = tuple([Fraction(n * x) for x in self._p])
+            else:
+                cs = tuple([Fraction(n * x, d) for x in self._p])
+            _set_cs(self, cs)
+            return cs
 
     # -- constructors ------------------------------------------------------
 
@@ -257,50 +256,51 @@ class QPolynomial:
 
     @classmethod
     def constant(cls, c: _Scalar) -> "QPolynomial":
-        return cls((c,))
+        c = _as_fraction(c)
+        return _qpp(c.numerator, c.denominator, (1,)) if c else _QP_ZERO
 
     @classmethod
     def monomial(cls, k: int, c: _Scalar = 1) -> "QPolynomial":
         if k < 0:
             raise ValueError("monomial exponent must be >= 0")
-        return cls((0,) * k + (c,))
+        c = _as_fraction(c)
+        return _qpp(c.numerator, c.denominator, (0,) * k + (1,)) if c else _QP_ZERO
 
     # -- structure ---------------------------------------------------------
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self._p) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._p
 
     def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
+        return self._n == 1 and self._d == 1 and self._p == (1,)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        cs = self.coeffs
+        if 0 <= k < len(cs):
+            return cs[k]
         return Fraction(0)
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self._n * self._p[-1], self._d) if self._p else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._p)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QPolynomial):
-            return self.coeffs == other.coeffs
+            return self._n == other._n and self._d == other._d and self._p == other._p
         if isinstance(other, (int, Fraction)):
             return self == QPolynomial.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("QPolynomial", self.coeffs))
+        return hash(("QPolynomial", self._n, self._d, self._p))
 
     # -- ring operations ----------------------------------------------------
 
@@ -308,40 +308,44 @@ class QPolynomial:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] += c
-        return QPolynomial(cs)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPolynomial":
-        return QPolynomial(tuple(-c for c in self.coeffs))
+        return _qpp(-self._n, self._d, self._p) if self._p else self
 
     def __sub__(self, other) -> "QPolynomial":
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other) -> "QPolynomial":
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return _sum(other, self, -1)
 
     def __mul__(self, other) -> "QPolynomial":
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._p, other._p
         if not a or not b:
             return _QP_ZERO
-        (ai, da), (bi, db) = _clear(a), _clear(b)
-        return _qp(_scaled(_int_mul(ai, bi), 1, da * db))
+        n, d = self._n * other._n, self._d * other._d
+        g = _int_gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        # a primitive constant is (1,); by Gauss's lemma a·b is primitive, and
+        # its leading coefficient is > 0
+        if len(a) == 1:
+            return _qpp(n, d, b)
+        if len(b) == 1:
+            return _qpp(n, d, a)
+        return _qpp(n, d, tuple(_int_mul(a, b)))
 
     __rmul__ = __mul__
 
@@ -388,14 +392,24 @@ class QPolynomial:
     @staticmethod
     def gcd(a: "QPolynomial", b: "QPolynomial") -> "QPolynomial":
         """Monic greatest common divisor (gcd(0,0) = 0)."""
-        return QPolynomial(_poly_gcd_coeffs(a.coeffs, b.coeffs))
+        if not a._p:
+            a, b = b, a
+        if not a._p:
+            return _QP_ZERO
+        if not b._p:
+            g = a._p
+        elif len(a._p) == 1 or len(b._p) == 1:
+            return _QP_ONE
+        else:
+            g = _prim_gcd(a._p, b._p)[0]
+        return _poly(1, g[-1], g)
 
     def evaluate(self, x: _Scalar) -> Fraction:
         x = _as_fraction(x)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self._p):
             acc = acc * x + c
-        return acc
+        return acc * self._n / self._d
 
     # -- serialization -------------------------------------------------------
 
@@ -421,6 +435,13 @@ class QPolynomial:
         return r.num
 
 
+_set_n = QPolynomial._n.__set__
+_set_d = QPolynomial._d.__set__
+_set_p = QPolynomial._p.__set__
+_set_cs = QPolynomial._cs.__set__
+_new = object.__new__
+
+
 def _coerce_poly(x):
     if isinstance(x, QPolynomial):
         return x
@@ -429,28 +450,73 @@ def _coerce_poly(x):
     return NotImplemented
 
 
-def _qp(cs: tuple[Fraction, ...]) -> QPolynomial:
-    """A QPolynomial on Fractions that are already canonical (no trailing zero)."""
-    p = QPolynomial.__new__(QPolynomial)
-    object.__setattr__(p, "coeffs", cs)
-    return p
+def _qpp(n: int, d: int, p: tuple[int, ...]) -> QPolynomial:
+    """The QPolynomial n/d · p on a triple that is already canonical."""
+    poly = _new(QPolynomial)
+    _set_n(poly, n)
+    _set_d(poly, d)
+    _set_p(poly, p)
+    return poly
+
+
+def _poly(n: int, d: int, p: Sequence[int]) -> QPolynomial:
+    """n/d · p for nonzero n, d and a nonzero p that is primitive up to sign."""
+    if p[-1] < 0:
+        p = [-x for x in p]
+        n = -n
+    if d < 0:
+        n, d = -n, -d
+    g = _int_gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return _qpp(n, d, tuple(p))
+
+
+def _sum(a: QPolynomial, b: QPolynomial, sign: int) -> QPolynomial:
+    """a + sign·b for sign = ±1."""
+    if not b._p:
+        return a
+    bn = sign * b._n
+    if not a._p:
+        return b if sign == 1 else _qpp(bn, b._d, b._p)
+    # over the lcm m of the denominators, a + b = g·(x·pa + y·pb)/m with
+    # x, y coprime; the content of x·pa + y·pb is all that can be left
+    ad, bd = a._d, b._d
+    k = _int_gcd(ad, bd)
+    x, y = a._n * (bd // k), bn * (ad // k)
+    g = _int_gcd(x, y)
+    if g != 1:
+        x //= g
+        y //= g
+    pa, pb = a._p, b._p
+    if len(pa) < len(pb):
+        pa, pb, x, y = pb, pa, y, x
+    cs = [x * c for c in pa] if x != 1 else list(pa)
+    for i, c in enumerate(pb):
+        cs[i] += y * c
+    if not _int_strip(cs):
+        return _QP_ZERO
+    cont = _int_gcd(*cs)
+    if cont != 1:
+        cs = [c // cont for c in cs]
+    return _poly(g * cont, ad // k * bd, cs)
 
 
 def _coprime_parts(p: QPolynomial, q: QPolynomial) -> Optional[tuple[QPolynomial, QPolynomial]]:
     """(p/g, q/g) for the monic g = gcd(p, q) of nonzero p, q, or None when g = 1."""
-    if len(p.coeffs) == 1 or len(q.coeffs) == 1:
+    if len(p._p) == 1 or len(q._p) == 1:
         return None
-    (pi, cp, dp), (qi, cq, dq) = _split(p.coeffs), _split(q.coeffs)
-    g, pi, qi = _prim_gcd(pi, qi)
+    g, pi, qi = _prim_gcd(p._p, q._p)
     if len(g) == 1:
         return None
-    # p = cp·g·pi / dp, and g is g[-1] times the monic gcd
-    return _qp(_scaled(pi, cp * g[-1], dp)), _qp(_scaled(qi, cq * g[-1], dq))
+    # p = (n/d)·g·pi, and g is g[-1] times the monic gcd
+    return _poly(p._n * g[-1], p._d, pi), _poly(q._n * g[-1], q._d, qi)
 
 
-_QP_ZERO = _qp(())
-_QP_ONE = _qp((Fraction(1),))
-_QP_Q = _qp((Fraction(0), Fraction(1)))
+_QP_ZERO = _qpp(0, 1, ())
+_QP_ONE = _qpp(1, 1, (1,))
+_QP_Q = _qpp(1, 1, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -474,23 +540,22 @@ class QRationalFn:
             den = _coerce_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
+        pn, pd = num._p, den._p
+        if not pn:
             num, den = _QP_ZERO, _QP_ONE
-        elif len(num.coeffs) == 1 or len(den.coeffs) == 1:
-            # gcd 1: only the denominator's leading coefficient goes
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num = _qp(tuple(c / lead for c in num.coeffs))
-                den = _qp(tuple(c / lead for c in den.coeffs))
         else:
-            # num/den = (cn·pn·dd) / (cd·pd·nd) with pn, pd primitive in Z[q]
-            (pn, cn, nd), (pd, cd, dd) = _split(num.coeffs), _split(den.coeffs)
-            _, pn, pd = _prim_gcd(pn, pd)
+            if len(pn) > 1 and len(pd) > 1:
+                _, pn, pd = _prim_gcd(pn, pd)
+                if pd[-1] < 0:
+                    pn, pd = [-x for x in pn], [-x for x in pd]
             lead = pd[-1]
-            num = _qp(_scaled(pn, cn * dd, lead * cd * nd))
-            den = _qp(_scaled(pd, 1, lead))
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            # unless the gcd is 1 (_heu_gcd then hands pd back) and den is
+            # already monic: num/den = (nn/nd)·pn / ((dn/dd)·pd) over pd/lead
+            if pd is not den._p or den._n != 1 or den._d != lead:
+                num = _poly(num._n * den._d, num._d * den._n * lead, pn)
+                den = _qpp(1, lead, tuple(pd))
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("QRationalFn is immutable")
@@ -550,7 +615,7 @@ class QRationalFn:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(("QRationalFn", self.num.coeffs, self.den.coeffs))
+        return hash(("QRationalFn", self.num, self.den))
 
     # -- field operations ------------------------------------------------------
 
@@ -697,10 +762,14 @@ def _coerce_ratfn(x):
 
 def _qr(num: QPolynomial, den: QPolynomial) -> QRationalFn:
     """A QRationalFn on a pair that is already canonical (coprime, den monic)."""
-    r = QRationalFn.__new__(QRationalFn)
-    object.__setattr__(r, "num", num)
-    object.__setattr__(r, "den", den)
+    r = _new(QRationalFn)
+    _set_num(r, num)
+    _set_den(r, den)
     return r
+
+
+_set_num = QRationalFn.num.__set__
+_set_den = QRationalFn.den.__set__
 
 
 _QR_ZERO = _qr(_QP_ZERO, _QP_ONE)
@@ -882,6 +951,10 @@ _MAX_NESTING = 100
 # largest |n| the parser accepts in x^n: `jfrac expand --a q^256 --b q^2 --h 4`
 # takes about 1 s, and the cost grows 4-7x with each doubling of the exponent
 _MAX_EXPONENT = 256
+# largest degree (of the numerator or the denominator) of any value the parser
+# builds, so that nested powers and chains of products stay inside the same
+# budget: `--a "q^256*q^256"` took 4.2 s in the command above
+_MAX_DEGREE = 256
 
 
 class _Tokenizer:
@@ -917,13 +990,25 @@ def parse_ratfn(text: str) -> QRationalFn:
 
     Grammar: integers, the variable q, and the operators + - * / ^ with
     parentheses; ^ takes an (optionally negative) integer exponent.  Input
-    nested deeper than _MAX_NESTING parentheses and unary signs, or an
-    exponent above _MAX_EXPONENT in absolute value, raises ValueError.
+    nested deeper than _MAX_NESTING parentheses and unary signs, an exponent
+    above _MAX_EXPONENT in absolute value, or a value of degree above
+    _MAX_DEGREE raises ValueError.
     """
     tok = _Tokenizer(text)
     value = _parse_sum(tok)
     if tok.peek():
         raise ValueError(f"trailing input at position {tok.pos} in {text!r}")
+    return value
+
+
+def _degree(value: QRationalFn) -> int:
+    return max(value.num.degree, value.den.degree)
+
+
+def _bounded(value: QRationalFn) -> QRationalFn:
+    degree = _degree(value)
+    if degree > _MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds {_MAX_DEGREE}")
     return value
 
 
@@ -933,10 +1018,10 @@ def _parse_sum(tok: _Tokenizer) -> QRationalFn:
         ch = tok.peek()
         if ch == "+":
             tok.take()
-            value = value + _parse_product(tok)
+            value = _bounded(value + _parse_product(tok))
         elif ch == "-":
             tok.take()
-            value = value - _parse_product(tok)
+            value = _bounded(value - _parse_product(tok))
         else:
             return value
 
@@ -947,10 +1032,10 @@ def _parse_product(tok: _Tokenizer) -> QRationalFn:
         ch = tok.peek()
         if ch == "*":
             tok.take()
-            value = value * _parse_unary(tok)
+            value = _bounded(value * _parse_unary(tok))
         elif ch == "/":
             tok.take()
-            value = value / _parse_unary(tok)
+            value = _bounded(value / _parse_unary(tok))
         else:
             return value
 
@@ -983,6 +1068,9 @@ def _parse_power(tok: _Tokenizer) -> QRationalFn:
         exp = sign * tok.take_int()
         if abs(exp) > _MAX_EXPONENT:
             raise ValueError(f"exponent {exp} exceeds {_MAX_EXPONENT} in absolute value")
+        degree = _degree(base) * abs(exp)
+        if degree > _MAX_DEGREE:
+            raise ValueError(f"degree {degree} exceeds {_MAX_DEGREE}")
         return base ** exp
     return base
 

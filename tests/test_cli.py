@@ -88,6 +88,55 @@ class TestDivisorTable:
         assert run(["divisor", "table", "--alpha", "0", "--h", "4", "--order", "4", "--mod", "1"]) == 2
 
 
+class TestSizeCaps:
+    # each of these ran past a 15 s timeout before its cap; the parser now
+    # rejects them, so the command never starts
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["divisor", "table", "--alpha", "0", "--h", "4", "--order", "200000"], "--order: expected 1..1024"),
+            (["divisor", "table", "--alpha", "300", "--h", "4", "--order", "8"], "--alpha: expected 0..32"),
+            (["jfrac", "expand", "--preset", "reciprocal_qq", "--h", "4", "--zorder", "100000"], "--zorder: expected 1..64"),
+            (["converge", "margins", "--q=0.1", "--hmax", "10000000"], "--hmax: expected 2..500"),
+            (["converge", "probe", "--q=0.1", "--hmax", "100000"], "--hmax: expected 1..100"),
+        ],
+        ids=["order", "alpha", "zorder", "margins-hmax", "probe-hmax"],
+    )
+    def test_size_above_the_cap_is_a_usage_error(self, capsys, argv, message):
+        from qjfrac.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert run(argv) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["divisor", "table", "--alpha", "32", "--h", "4", "--order", "1024"],
+            ["jfrac", "expand", "--preset", "reciprocal_qq", "--h", "4", "--zorder", "64"],
+            ["converge", "margins", "--q=0.1", "--hmax", "500"],
+            ["converge", "probe", "--q=0.1", "--hmax", "100"],
+        ],
+    )
+    def test_size_at_the_cap_parses(self, argv):
+        from qjfrac.cli import build_parser
+
+        build_parser().parse_args(argv)
+
+    def test_default_zorder_above_the_cap_is_a_usage_error(self, capsys, monkeypatch):
+        # the default zorder is 2h, so h > 32 needs an explicit --zorder
+        import qjfrac.jfraction as jfraction
+
+        def never(*args):
+            raise AssertionError("convergents must not run")
+
+        monkeypatch.setattr(jfraction, "convergents", never)
+        assert run(["jfrac", "expand", "--preset", "reciprocal_qq", "--h", "33"]) == 2
+        assert "--zorder 66 (default 2h) exceeds 64" in capsys.readouterr().err
+
+
 class TestInvert:
     def test_golden_ab2(self, capsys):
         code, out = run_capture(capsys, ["jfrac", "invert", "--target", "one_over_1mqn", "--depth", "2"])
@@ -242,6 +291,28 @@ class TestConverge:
         data = json.loads(out)
         assert all(row["margin"] > 0 for row in data["rows"])
 
+    def test_probe_flags_a_truncated_target(self, capsys, monkeypatch):
+        # the direct sum stops at its term limit (lowered here to keep the test
+        # fast) with a tail left: JSON says so, csv keeps stdout and adds one
+        # stderr line
+        import qjfrac.convergence as convergence
+
+        monkeypatch.setattr(convergence, "_MAX_TERMS", 1000)
+        argv = ["converge", "probe", "--q", "0.1", "--z", "0.999", "--hmax", "1"]
+        code, out = run_capture(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert json.loads(out)["target_converged"] is False
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "h,gap,overflow" and len(captured.out.splitlines()) == 2
+        assert captured.err.count("\n") == 1 and "not converged" in captured.err
+
+    def test_probe_converged_target_is_silent(self, capsys):
+        code, out = run_capture(capsys, ["converge", "probe", "--q", "0.15", "--hmax", "3", "--format", "json"])
+        assert code == 0 and json.loads(out)["target_converged"] is True
+        assert run(["converge", "probe", "--q", "0.15", "--hmax", "3"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_bad_q(self):
         assert run(["converge", "probe", "--q", "abc"]) == 2
         assert run(["converge", "probe", "--q", "1.5"]) == 2
@@ -303,6 +374,13 @@ class TestUsage:
     def test_exponent_above_the_cap_is_a_usage_error(self, capsys):
         assert run(["jfrac", "expand", "--a", "q^257", "--b", "q^2", "--h", "2"]) == 2
         assert "exponent 257 exceeds 256" in capsys.readouterr().err
+
+    def test_degree_above_the_cap_is_a_usage_error(self, capsys):
+        assert run(["jfrac", "expand", "--a=q^256*q", "--b=q^2", "--h", "2"]) == 2
+        assert "degree 257 exceeds 256" in capsys.readouterr().err
+        # ((1+q)^256)^256 has degree 65,536; it ran past a 15 s timeout
+        assert run(["jfrac", "expand", "--a=((1+q)^256)^256", "--b=q^2", "--h", "2"]) == 2
+        assert "degree 65536 exceeds 256" in capsys.readouterr().err
 
     def test_internal_error_exits_three(self, capsys, monkeypatch):
         # exit 1 is kept for a verification mismatch; a crash gets 3 and one line

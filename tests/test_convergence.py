@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import qjfrac.convergence as convergence
 from qjfrac.convergence import (
     numeric_convergence_probe,
     precision_bits,
@@ -96,6 +97,17 @@ class TestProbe:
         qv = complex(0.0356, -0.1285)
         rep = numeric_convergence_probe(qv, qv, 20)
         assert rep.rows[-1].gap < 1e-10
+
+    def test_target_converged_flag(self, monkeypatch):
+        # the direct sum stops after _MAX_TERMS terms (100,000; at z = 0.9999
+        # the tail it drops is about 0.4); with 1000 terms, z = 0.999 leaves a
+        # tail, so the target is flagged and not trusted
+        monkeypatch.setattr(convergence, "_MAX_TERMS", 1000)
+        rep = numeric_convergence_probe(0.1, 0.999, 1)
+        assert rep.target_converged is False
+        assert rep.to_json()["target_converged"] is False
+        assert numeric_convergence_probe(0.15, 0.15, 1).target_converged is True
+        assert numeric_convergence_probe(0.0, 0.5, 1).target_converged is True
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

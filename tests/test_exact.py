@@ -1,7 +1,7 @@
 """Exact scalar/polynomial/rational-function/series arithmetic."""
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from unittest import mock
 
 import pytest
@@ -173,6 +173,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="exponent -257 exceeds 256"):
             parse("(1-q)^-257")
 
+    def test_degree_cap(self):
+        # a power is checked before it is taken, every other operation after
+        with pytest.raises(ValueError, match="degree 257 exceeds 256"):
+            parse("q^256*q")
+        with pytest.raises(ValueError, match="degree 512 exceeds 256"):
+            parse("q^256 + 1/q^256")
+        with pytest.raises(ValueError, match="degree 257 exceeds 256"):
+            parse("q^-256/q")
+        with pytest.raises(ValueError, match="degree 512 exceeds 256"):
+            parse("(1/(1-q)^256)^-2")
+        with pytest.raises(ValueError, match="degree 65536 exceeds 256"):
+            parse("((1+q)^256)^256")
+        assert parse("(1+q)^128*(1-q)^128").num.degree == 256
+        assert parse("(q^16)^16") == QRationalFn.qpow(256)
+        assert parse("(q^2-1)^64/(1+q)^64") == parse("(q-1)^64")
+
 
 # -- property tests ----------------------------------------------------------
 
@@ -342,17 +358,17 @@ def test_prs_fallback_when_the_heuristic_gives_up(pair):
 
 
 def _primitive_ints(p):
-    return exact._primitive(exact._clear(p.coeffs)[0])
+    return _split(p.coeffs)[0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(polys(), polys())
 def test_int_exquo_is_division_in_z(a, b):
-    x, y = exact._clear(a.coeffs)[0], _primitive_ints(b)
+    x, y = _clear(a.coeffs)[0], _primitive_ints(b)
     quo, rem = QPolynomial(x).divmod(QPolynomial(y))
     exact_in_z = rem.is_zero() and all(c.denominator == 1 for c in quo.coeffs)
     assert exact._int_exquo(x, y) == ([int(c) for c in quo.coeffs] if exact_in_z else None)
-    xy = exact._clear(schoolbook_mul(x, y).coeffs)[0]
+    xy = _clear(schoolbook_mul(x, y).coeffs)[0]
     assert exact._int_exquo(xy, y) == x
 
 
@@ -427,3 +443,173 @@ def test_product_is_canonical_without_a_final_gcd(pair):
     for r in (x * y, y * x):
         assert (r.num.coeffs, r.den.coeffs) == expected
         assert all(type(c) is Fraction for c in r.num.coeffs + r.den.coeffs)
+
+
+# -- oracle: the Fraction-tuple kernel that content × primitive storage replaced --
+#
+# Each ring operation cleared its Fraction operands to integers over one
+# common denominator, ran the integer kernel, and built one reduced Fraction
+# per output coefficient.
+
+
+def _clear(cs):
+    """(ints, d) with cs[i] == ints[i] / d and d the lcm of the denominators."""
+    d = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _split(cs):
+    """(p, c, d) with cs[i] == c·p[i] / d and p primitive in Z[q]."""
+    ints, d = _clear(cs)
+    c = gcd(*ints)
+    return [x // c for x in ints], c, d
+
+
+def _scaled(cs, num, den):
+    """The reduced Fractions cs[i] * num / den."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return tuple(Fraction(c * (num // g), den // g) for c in cs)
+
+
+def fraction_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    cs = list(a)
+    for i, c in enumerate(b):
+        cs[i] += c
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def fraction_neg(a):
+    return tuple(-c for c in a)
+
+
+def fraction_mul(a, b):
+    if not a or not b:
+        return ()
+    (ai, da), (bi, db) = _clear(a), _clear(b)
+    return _scaled(exact._int_mul(ai, bi), 1, da * db)
+
+
+def fraction_coprime_parts(p, q):
+    if len(p) == 1 or len(q) == 1:
+        return None
+    (pi, cp, dp), (qi, cq, dq) = _split(p), _split(q)
+    g, pi, qi = exact._prim_gcd(pi, qi)
+    if len(g) == 1:
+        return None
+    return _scaled(pi, cp * g[-1], dp), _scaled(qi, cq * g[-1], dq)
+
+
+def fraction_normalise(num, den):
+    """The reduced (num, den) with den monic, as QRationalFn.__init__ built it."""
+    if not num:
+        return (), (Fraction(1),)
+    if len(num) == 1 or len(den) == 1:
+        lead = den[-1]
+        return tuple(c / lead for c in num), tuple(c / lead for c in den)
+    (pn, cn, nd), (pd, cd, dd) = _split(num), _split(den)
+    _, pn, pd = exact._prim_gcd(pn, pd)
+    lead = pd[-1]
+    return _scaled(pn, cn * dd, lead * cd * nd), _scaled(pd, 1, lead)
+
+
+# -- differential tests of content × primitive storage against that oracle ------
+
+
+def assert_canonical(p):
+    """p's stored triple is the canonical one, and .coeffs is its value."""
+    n, d, prim = p._n, p._d, p._p
+    assert type(prim) is tuple and all(type(x) is int for x in (n, d) + prim)
+    if prim:
+        assert n != 0 and d > 0 and gcd(n, d) == 1
+        assert gcd(*prim) == 1 and prim[-1] > 0
+    else:
+        assert (n, d) == (0, 1)
+    cs = p.coeffs
+    assert type(cs) is tuple and cs == tuple(Fraction(n * x, d) for x in prim)
+    assert all(type(c) is Fraction and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1 for c in cs)
+
+
+# zero, constants and polynomials of unequal lengths, with negative and zero
+# coefficients, built from Fractions and (coeffs not yet built) by a product
+_any_poly = st.one_of(
+    st.just(QPolynomial.zero()),
+    polys(max_len=1),
+    polys(bits=40, den_bits=40),
+    polys(bits=40, den_bits=40).map(lambda p: p * QPolynomial.one()),
+    polys(max_len=3, bits=8, den_bits=4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_poly, _any_poly)
+def test_ring_ops_match_the_fraction_tuple_kernel(a, b):
+    ac, bc = a.coeffs, b.coeffs
+    for result, expected in (
+        (a + b, fraction_add(ac, bc)),
+        (a - b, fraction_add(ac, fraction_neg(bc))),
+        (a * b, fraction_mul(ac, bc)),
+        (-a, fraction_neg(ac)),
+        (a + 3, fraction_add(ac, (Fraction(3),))),
+        (Fraction(-2, 3) - a, fraction_add((Fraction(-2, 3),), fraction_neg(ac))),
+    ):
+        assert_canonical(result)
+        assert result.coeffs == expected
+        from_fractions = QPolynomial(expected)
+        assert_canonical(from_fractions)
+        assert result == from_fractions and hash(result) == hash(from_fractions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_any_poly.filter(bool), _any_poly.filter(bool), polys(max_len=4, bits=30, den_bits=30))
+def test_normalisation_matches_the_fraction_tuple_kernel(a, b, f):
+    # f·a and f·b share at least f, so the gcd is nontrivial about half the time
+    for x, y in ((a, b), (f * a, f * b), (a, f * b)):
+        parts = exact._coprime_parts(x, y)
+        expected = fraction_coprime_parts(x.coeffs, y.coeffs)
+        if expected is None:
+            assert parts is None
+        else:
+            for part in parts:
+                assert_canonical(part)
+            assert tuple(part.coeffs for part in parts) == expected
+        r = QRationalFn(x, y)
+        assert_canonical(r.num)
+        assert_canonical(r.den)
+        assert (r.num.coeffs, r.den.coeffs) == fraction_normalise(x.coeffs, y.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_any_poly, _any_poly, _any_poly)
+def test_equal_values_by_different_routes_compare_and_hash_equal(a, b, c):
+    routes = [
+        (a + b) * c,
+        a * c + b * c,
+        c * a - (-b) * c,
+        QPolynomial(fraction_mul(fraction_add(a.coeffs, b.coeffs), c.coeffs)),
+    ]
+    if routes[0]:
+        routes.append(QPolynomial.parse(str(routes[0])))
+    for r in routes:
+        assert_canonical(r)
+        assert r == routes[0] and hash(r) == hash(routes[0])
+    x = QRationalFn(a * c, c) if c else QRationalFn(a)
+    assert x == QRationalFn(a) and hash(x) == hash(QRationalFn(a))
+
+
+def test_coeffs_are_reduced_fractions_built_once():
+    p = QPolynomial((Fraction(4, 6), -2, 0)) * QPolynomial((3, Fraction(1, 2)))
+    assert not hasattr(p, "_cs")  # a product builds no Fractions until asked
+    cs = p.coeffs
+    assert cs == (Fraction(2), Fraction(-17, 3), Fraction(-1)) and p.coeffs is cs
+    assert [type(c) for c in cs] == [Fraction] * 3
+    assert (p._n, p._d, p._p) == (-1, 3, (-6, 17, 3))
+    assert hash(p) == hash(QPolynomial(cs))
+    q = QPolynomial((1, 1)) * QPolynomial((-1, 1))
+    assert hash(q) == hash(QPolynomial((-1, 0, 1))) and q == QPolynomial((-1, 0, 1)) and q != p
+    assert not hasattr(q, "_cs")  # neither hash nor == builds them
