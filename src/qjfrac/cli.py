@@ -50,20 +50,23 @@ def _ratfn(text: str) -> QRationalFn:
         raise argparse.ArgumentTypeError(f"bad rational-function expression {text!r}: {exc}")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
 # Size caps, measured on 2 CPUs with CPython 3.11.7: at its cap each size takes
 # 1-2 s with the other sizes small, and the cost grows steeply past it.
 _MAX_ORDER = 1024  # divisor table --alpha 0 --h 12 --order 1024: 1.5 s; --h 4 --order 4000: 15.7 s
+# also the --alpha of oracle sigma and oracle lambert, whose --n and --order caps
+# below are measured at alpha 32
 _MAX_ALPHA = 32  # divisor table --alpha 32 --h 4 --order 8: 1.2 s; --alpha 80: 18.9 s
 _MAX_ZORDER = 64  # jfrac expand --preset reciprocal_qq --h 4 --zorder 64: 1.8 s; --zorder 96: 8.8 s
 _MAX_MARGIN_LEVELS = 500  # converge margins --q=0.1 --hmax 500: 1.0 s; --hmax 1000: 3.7 s
 _MAX_PROBE_LEVELS = 100  # converge probe --q=0.1 --hmax 100: 1.3 s; --hmax 400: 17.7 s
+_MAX_DEPTH = 64  # --h and --depth; older than the caps above, and not sized by cost
+_MAX_SIGMA_N = 10**14  # oracle sigma --alpha 32 --n 10^14: 2.0 s; the time grows with sqrt(n)
+_MAX_LAMBERT_ORDER = 200_000  # oracle lambert --alpha 32 --order 200000: 1.9 s; --alpha 2 --order 10^6: 7.8 s
+_MAX_QBINOMIAL_N = 80  # oracle qbinomial --n 80 --k 40: 1.7 s; --n 100 --k 50: 4.0 s
+# oracle qpochhammer --x "(1+q)/(1-2*q)" --n 128: 1.1 s (--x q: 0.6 s); --x q --n 300: 6.8 s
+_MAX_POCHHAMMER_N = 128
+# oracle qbinomialtheorem --a "q^2/(1-3*q)" --z "2*q/(1+q)" --order 64: 1.9 s; --order 100: 7.6 s
+_MAX_QBT_ORDER = 64
 
 
 def _int_in(low: int, high: int):
@@ -79,24 +82,17 @@ def _int_in(low: int, high: int):
     return parse
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
-
-
 def _depth_int(text: str) -> int:
     value = int(text)
-    if not 0 <= value <= 64:
-        raise argparse.ArgumentTypeError("depth/h must be between 0 and 64")
+    if not 0 <= value <= _MAX_DEPTH:
+        raise argparse.ArgumentTypeError(f"depth/h must be between 0 and {_MAX_DEPTH}")
     return value
 
 
 def _positive_depth_int(text: str) -> int:
     value = _depth_int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("depth must be between 1 and 64")
+        raise argparse.ArgumentTypeError(f"depth must be between 1 and {_MAX_DEPTH}")
     return value
 
 
@@ -243,23 +239,23 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = top.add_parser("oracle", help="brute-force reference values")
     oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
     o_sigma = oracle_sub.add_parser("sigma", help="sigma_alpha(n) by trial division")
-    o_sigma.add_argument("--alpha", type=_nonneg_int, required=True)
-    o_sigma.add_argument("--n", type=_positive_int, required=True)
+    o_sigma.add_argument("--alpha", type=_int_in(0, _MAX_ALPHA), required=True)
+    o_sigma.add_argument("--n", type=_int_in(1, _MAX_SIGMA_N), required=True)
     o_lambert = oracle_sub.add_parser("lambert", help="truncated Lambert series coefficients")
-    o_lambert.add_argument("--alpha", type=_nonneg_int, required=True)
-    o_lambert.add_argument("--order", type=_positive_int, required=True)
+    o_lambert.add_argument("--alpha", type=_int_in(0, _MAX_ALPHA), required=True)
+    o_lambert.add_argument("--order", type=_int_in(1, _MAX_LAMBERT_ORDER), required=True)
     o_qbin = oracle_sub.add_parser("qbinomial", help="Gaussian binomial coefficient")
-    o_qbin.add_argument("--n", type=_nonneg_int, required=True)
-    o_qbin.add_argument("--k", type=_nonneg_int, required=True)
+    o_qbin.add_argument("--n", type=_int_in(0, _MAX_QBINOMIAL_N), required=True)
+    o_qbin.add_argument("--k", type=_int_in(0, _MAX_QBINOMIAL_N), required=True)
     o_poch = oracle_sub.add_parser("qpochhammer", help="(x; q)_n as a rational function")
     o_poch.add_argument("--x", type=_ratfn, required=True)
-    o_poch.add_argument("--n", type=_nonneg_int, required=True)
+    o_poch.add_argument("--n", type=_int_in(0, _MAX_POCHHAMMER_N), required=True)
     o_qbt = oracle_sub.add_parser(
         "qbinomialtheorem", help="truncated sum-vs-product comparison"
     )
     o_qbt.add_argument("--a", type=_ratfn, required=True)
     o_qbt.add_argument("--z", type=_ratfn, required=True)
-    o_qbt.add_argument("--order", type=_positive_int, required=True)
+    o_qbt.add_argument("--order", type=_int_in(1, _MAX_QBT_ORDER), required=True)
 
     return parser
 

@@ -1,7 +1,7 @@
 """Exact arithmetic over Q and the rational-function field Q(q).
 
 Everything downstream (convergents, triangle recurrences, divisor tables)
-reduces to three value types defined here:
+reduces to the value types defined here:
 
   * QPolynomial  -- dense polynomial in q over Q, stored as content times
                     primitive part: a reduced rational n/d (d > 0) times an
@@ -13,9 +13,12 @@ reduces to three value types defined here:
   * QRationalFn  -- quotient of two QPolynomials, canonical form: fully
                     reduced with a monic denominator, so equality is a
                     plain structural comparison.
-  * QSeries      -- truncated power series in q; every value carries its
-                    own order and binary operations take the min, so a
-                    result never claims more accuracy than its inputs.
+  * TruncatedSeries -- truncated power series over one coefficient field,
+                    with the one product loop and the one division
+                    recurrence of the library.  Every value carries its own
+                    order and binary operations take the min, so a result
+                    never claims more accuracy than its inputs.
+  * QSeries      -- the subclass over Q; zalgebra.ZSeries is the one over Q(q).
 
 All values are immutable; operations are pure functions.  The scalar
 field is fractions.Fraction (arbitrary precision, always reduced).
@@ -39,6 +42,18 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational scalar, got {type(x).__name__}")
+
+
+def _power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply, in the ring whose unit is one."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +367,7 @@ class QPolynomial:
     def __pow__(self, n: int) -> "QPolynomial":
         if n < 0:
             raise ValueError("negative power of a QPolynomial; use QRationalFn")
-        result = _QP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, _QP_ONE)
 
     def divmod(self, other: "QPolynomial") -> tuple["QPolynomial", "QPolynomial"]:
         """Exact polynomial division with remainder: self = q*other + r, deg r < deg other."""
@@ -379,15 +387,6 @@ class QPolynomial:
             while rem and rem[-1] == 0:
                 rem.pop()
         return QPolynomial(quo), QPolynomial(rem)
-
-    def __divmod__(self, other):
-        return self.divmod(_coerce_poly(other))
-
-    def __floordiv__(self, other) -> "QPolynomial":
-        return self.divmod(_coerce_poly(other))[0]
-
-    def __mod__(self, other) -> "QPolynomial":
-        return self.divmod(_coerce_poly(other))[1]
 
     @staticmethod
     def gcd(a: "QPolynomial", b: "QPolynomial") -> "QPolynomial":
@@ -579,10 +578,6 @@ class QRationalFn:
         return cls(QPolynomial.constant(c))
 
     @classmethod
-    def from_poly(cls, p: QPolynomial) -> "QRationalFn":
-        return cls(p)
-
-    @classmethod
     def qpow(cls, k: int) -> "QRationalFn":
         """q**k for any integer k (negative k gives 1/q**|k|)."""
         if k >= 0:
@@ -597,16 +592,8 @@ class QRationalFn:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.is_one()
-
-    def as_fraction(self) -> Fraction:
-        if not self.den.is_one() or self.num.degree > 0:
-            raise ValueError(f"not a constant: {self}")
-        return self.num.coefficient(0)
-
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.num._p)
 
     def __eq__(self, other) -> bool:
         other = _coerce_ratfn(other)
@@ -692,34 +679,17 @@ class QRationalFn:
 
     def __pow__(self, n: int) -> "QRationalFn":
         if n < 0:
-            return self.reciprocal() ** (-n)
-        result = _QR_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+            return _power(self.reciprocal(), -n, _QR_ONE)
+        return _power(self, n, _QR_ONE)
 
     # -- analysis ---------------------------------------------------------------
 
     def taylor(self, order: int) -> "QSeries":
         """Maclaurin expansion to the given order; requires den(0) != 0."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        d0 = self.den.coefficient(0)
-        if d0 == 0:
+        den = self.den.coeffs
+        if not den[0]:
             raise ValueError("pole at q=0: denominator has zero constant term")
-        cs: list[Fraction] = []
-        for n in range(order):
-            acc = self.num.coefficient(n)
-            for i in range(1, n + 1):
-                di = self.den.coefficient(i)
-                if di != 0:
-                    acc -= di * cs[n - i]
-            cs.append(acc / d0)
-        return QSeries(order, cs)
+        return QSeries._quotient(self.num.coeffs, den, order)
 
     def evaluate(self, x: _Scalar) -> Fraction:
         x = _as_fraction(x)
@@ -778,122 +748,185 @@ _QR_Q = _qr(_QP_Q, _QP_ONE)
 
 
 # ---------------------------------------------------------------------------
-# QSeries
+# truncated power series
 # ---------------------------------------------------------------------------
 
 
-class QSeries:
-    """Truncated power series in q: coefficients for q^0 .. q^(order-1).
+def _convolution(terms: Sequence[tuple], xs: Sequence, k: int):
+    """Σ y·xs[k−i] over the (i, y) of terms with i <= k, or None for an empty sum.
+
+    terms holds one operand's nonzero coefficients by ascending index; xs
+    holds the other's, with None for a zero coefficient.  The sum starts from
+    its first product, so no zero is ever added."""
+    s = None
+    for i, y in terms:
+        if i > k:
+            break
+        x = xs[k - i]
+        if x is not None:
+            t = y * x
+            s = t if s is None else s + t
+    return s
+
+
+class TruncatedSeries:
+    """Truncated power series: the coefficients of x^0 .. x^(order-1).
 
     Binary operations return a series at the min of the operand orders; the
     truncation order is part of the value, so accuracy never silently grows.
+    A subclass names its coefficient field: `_coerce` maps a scalar into it,
+    `_zero` and `_one` are its units, `_scalars` are the operand types that
+    act coefficientwise, and an operand of type `_poly` is truncated to a
+    series.
     """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: Iterable[_Scalar] = ()):
+    def __init__(self, order: int, coeffs: Iterable = ()):
         if order < 0:
             raise ValueError("order must be >= 0")
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [self._coerce(c) for c in coeffs]
         if len(cs) > order:
             raise ValueError("more coefficients than the stated order")
-        cs.extend(Fraction(0) for _ in range(order - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs += [self._zero] * (order - len(cs))
+        _set_order(self, order)
+        _set_coeffs(self, tuple(cs))
 
     def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def one(cls, order: int) -> "QSeries":
-        return cls(order, (1,) if order > 0 else ())
+    def _make(cls, order: int, coeffs: tuple):
+        """The series on a tuple of order field elements, taken as it is."""
+        s = _new(cls)
+        _set_order(s, order)
+        _set_coeffs(s, coeffs)
+        return s
 
     @classmethod
-    def zero(cls, order: int) -> "QSeries":
+    def zero(cls, order: int):
         return cls(order)
 
-    def __getitem__(self, n: int) -> Fraction:
+    @classmethod
+    def one(cls, order: int):
+        return cls(order, (cls._one,) if order > 0 else ())
+
+    def __getitem__(self, n: int):
         if not 0 <= n < self.order:
             raise IndexError(f"coefficient {n} beyond series order {self.order}")
         return self.coeffs[n]
 
-    def __iter__(self) -> Iterator[Fraction]:
+    def __iter__(self) -> Iterator:
         return iter(self.coeffs)
 
     def __len__(self) -> int:
         return self.order
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QSeries):
+        if type(other) is type(self):
             return self.order == other.order and self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("QSeries", self.order, self.coeffs))
+        return hash((type(self).__name__, self.order, self.coeffs))
 
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(order, self.coeffs[:order])
+    def _series(self, x):
+        """x as a series of this type: a scalar or a polynomial at self.order."""
+        if isinstance(x, type(self)):
+            return x
+        if isinstance(x, self._scalars):
+            return type(self)(self.order, (x,) if self.order > 0 else ())
+        if isinstance(x, self._poly):
+            return type(self)(self.order, x.coeffs[: self.order])
+        raise TypeError(f"cannot combine {type(self).__name__} with {type(x).__name__}")
 
-    def __add__(self, other) -> "QSeries":
-        other = _coerce_series(other, self.order)
+    def __add__(self, other):
+        other = self._series(other)
         n = min(self.order, other.order)
-        return QSeries(n, tuple(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])))
+        return self._make(n, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.order, tuple(-c for c in self.coeffs))
+    def __neg__(self):
+        return self._make(self.order, tuple([-c for c in self.coeffs]))
 
-    def __sub__(self, other) -> "QSeries":
-        return self + (-_coerce_series(other, self.order))
+    def __sub__(self, other):
+        return self + (-self._series(other))
 
-    def __rsub__(self, other) -> "QSeries":
-        return _coerce_series(other, self.order) - self
+    def __rsub__(self, other):
+        return self._series(other) - self
 
-    def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return QSeries(self.order, tuple(c * x for x in self.coeffs))
-        other = _coerce_series(other, self.order)
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            c = self._coerce(other)
+            return self._make(self.order, tuple([c * x for x in self.coeffs]))
+        other = self._series(other)
         n = min(self.order, other.order)
-        cs = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    cs[i + j] += a * b
-        return QSeries(n, cs)
+        terms = [(i, x) for i, x in enumerate(self.coeffs[:n]) if x]
+        ys = [y if y else None for y in other.coeffs[:n]]
+        sums = [_convolution(terms, ys, k) for k in range(n)]
+        return self._make(n, tuple([self._zero if s is None else s for s in sums]))
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "QSeries":
-        if self.order == 0:
-            return self
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("reciprocal of a series with zero constant term")
-        cs = [1 / c0]
-        for n in range(1, self.order):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                ci = self.coeffs[i] if i < self.order else Fraction(0)
-                if ci != 0:
-                    acc += ci * cs[n - i]
-            cs.append(-acc / c0)
-        return QSeries(self.order, cs)
+    def __truediv__(self, other):
+        if isinstance(other, self._scalars):
+            return self._quotient(self.coeffs, (self._coerce(other),), self.order)
+        other = self._series(other)
+        return self._quotient(self.coeffs, other.coeffs, min(self.order, other.order))
 
-    def __truediv__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                raise ZeroDivisionError("division by zero")
-            return QSeries(self.order, tuple(x / c for x in self.coeffs))
-        other = _coerce_series(other, self.order)
-        return self * other.reciprocal()
+    def reciprocal(self):
+        """1/self; requires a nonzero constant term."""
+        return self._quotient((self._one,), self.coeffs, self.order)
+
+    @classmethod
+    def _quotient(cls, a: Sequence, b: Sequence, n: int):
+        """The series a/b at order n, from coefficient sequences of field elements.
+
+        One pass of j_k = (a_k − Σ_{1<=i<=k} b_i·j_{k−i})·(1/b_0) (Knuth,
+        TAOCP Vol. 2, §4.7); coefficients past the end of a or b are zero.
+        Zero a_k, b_i and j_k are skipped, 1/b_0 is taken once (not at all
+        when b_0 is one), and nothing is coerced.  Raises ZeroDivisionError
+        when b_0 is zero, unless n = 0 and b is empty."""
+        if n < 0:
+            raise ValueError("order must be >= 0")
+        if not (b and b[0]):
+            if b or n:
+                raise ZeroDivisionError("division by a series with zero constant term")
+            return cls._make(0, ())
+        one = cls._one
+        inv = None if b[0] == one else one / b[0]
+        neg_inv = None if inv is None else -inv
+        terms = [(i, y) for i, y in enumerate(b[1:n], 1) if y]
+        la = len(a)
+        js: list = []  # None for a zero coefficient
+        for k in range(n):
+            s = _convolution(terms, js, k)
+            x = (a[k] or None) if k < la else None
+            if s is None:
+                j = x if x is None or inv is None else x * inv
+            elif x is None:
+                j = -s if inv is None else s * neg_inv
+            else:
+                j = x - s if inv is None else (x - s) * inv
+            js.append(j or None)
+        zero = cls._zero
+        return cls._make(n, tuple([zero if j is None else j for j in js]))
+
+
+_set_order = TruncatedSeries.order.__set__
+_set_coeffs = TruncatedSeries.coeffs.__set__
+
+
+class QSeries(TruncatedSeries):
+    """Truncated power series in q over Q."""
+
+    __slots__ = ()
+    _coerce = staticmethod(_as_fraction)
+    _zero = Fraction(0)
+    _one = Fraction(1)
+    _scalars = (int, Fraction)
+    _poly = QPolynomial
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q**k (k >= 0); top coefficients fall off the truncation."""
@@ -909,16 +942,6 @@ class QSeries:
 
     def __repr__(self) -> str:
         return f"QSeries({self.order}, {list(self.coeffs)!r})"
-
-
-def _coerce_series(x, order: int) -> QSeries:
-    if isinstance(x, QSeries):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QSeries(order, (x,) if order > 0 else ())
-    if isinstance(x, QPolynomial):
-        return QSeries(order, x.coeffs[:order])
-    raise TypeError(f"cannot combine QSeries with {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------

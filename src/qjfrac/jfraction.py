@@ -12,6 +12,7 @@ sequence families.
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 from dataclasses import dataclass
@@ -245,18 +246,14 @@ def pochhammer_ab_closed_form(a: QRationalFn, b: QRationalFn, i: int) -> QRation
     return num / den
 
 
-_DIVISOR_SPEC: Optional[JFractionSpec] = None
-
-
+@functools.cache
 def divisor_spec() -> JFractionSpec:
     """The (a, b) = (q, q^2) instance: convergent coefficients are (1-q)/(1-q^(n+1)).
 
-    Returns a shared instance so that its memoized sequences and convergents
-    are reused across callers (all cached values are immutable)."""
-    global _DIVISOR_SPEC
-    if _DIVISOR_SPEC is None:
-        _DIVISOR_SPEC = pochhammer_spec(PochhammerParams(_Q, _Q * _Q))
-    return _DIVISOR_SPEC
+    Returns one shared instance per process, so that its memoized sequences
+    and convergents are reused across callers (all cached values are
+    immutable)."""
+    return pochhammer_spec(PochhammerParams(_Q, _Q * _Q))
 
 
 def random_rational_spec(seed: int, length: int = 18) -> JFractionSpec:
@@ -337,15 +334,7 @@ def convergent_coefficients(pair: ConvergentPair, n_max: int) -> ZSeries:
     valid because Q(0) = 1."""
     if not pair.Q.coefficient(0).is_one():
         raise ValueError("Q must have unit constant term")
-    js: list[QRationalFn] = []
-    for n in range(n_max):
-        acc = pair.P.coefficient(n)
-        for i in range(1, min(n, pair.Q.degree) + 1):
-            qi = pair.Q.coefficient(i)
-            if not qi.is_zero():
-                acc = acc - qi * js[n - i]
-        js.append(acc)
-    return ZSeries(n_max, js)
+    return ZSeries._quotient(pair.P.coeffs, pair.Q.coeffs, n_max)
 
 
 def lambda_modulus(spec: JFractionSpec, h: int) -> QRationalFn:

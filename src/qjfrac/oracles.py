@@ -116,7 +116,7 @@ def q_binomial_theorem_check(a: QRationalFn, z_val: QRationalFn, order: int) -> 
     for _ in range(order):
         if not az.is_zero():
             rhs = rhs * (one - az).taylor(order)
-        rhs = rhs * (one - zz).taylor(order).reciprocal()
+        rhs = rhs / (one - zz).taylor(order)
         az = az * q
         zz = zz * q
 

@@ -1,6 +1,7 @@
 """Polynomials, truncated series, and unreduced fractions in z over Q(q).
 
-The coefficient field is QRationalFn, so everything here is exact.  ZFraction
+The coefficient field is QRationalFn, so everything here is exact.  ZSeries
+is the exact.TruncatedSeries over that field, plus `divide_z`.  ZFraction
 deliberately performs no gcd reduction: identity checks clear denominators and
 compare polynomials instead, which avoids bivariate gcd entirely.
 """
@@ -10,19 +11,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exact import QPolynomial, QRationalFn
+from .exact import QPolynomial, QRationalFn, TruncatedSeries, _coerce_ratfn, _power
 
 _Coeff = Union[int, Fraction, QPolynomial, QRationalFn]
+_SCALARS = (int, Fraction, QPolynomial, QRationalFn)
 
 
 def _as_ratfn(x: _Coeff) -> QRationalFn:
-    if isinstance(x, QRationalFn):
-        return x
-    if isinstance(x, QPolynomial):
-        return QRationalFn(x)
-    if isinstance(x, (int, Fraction)):
-        return QRationalFn.from_fraction(x)
-    raise TypeError(f"expected a Q(q) coefficient, got {type(x).__name__}")
+    r = _coerce_ratfn(x)
+    if r is NotImplemented:
+        raise TypeError(f"expected a Q(q) coefficient, got {type(x).__name__}")
+    return r
 
 
 _ZERO = QRationalFn.zero()
@@ -84,7 +83,7 @@ class ZPolynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, ZPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, QPolynomial, QRationalFn)):
+        if isinstance(other, _SCALARS):
             return self == ZPolynomial.constant(other)
         return NotImplemented
 
@@ -113,7 +112,7 @@ class ZPolynomial:
         return _coerce_zpoly(other) - self
 
     def __mul__(self, other) -> "ZPolynomial":
-        if isinstance(other, (int, Fraction, QPolynomial, QRationalFn)):
+        if isinstance(other, _SCALARS):
             c = _as_ratfn(other)
             if c.is_zero():
                 return ZPolynomial()
@@ -136,14 +135,7 @@ class ZPolynomial:
     def __pow__(self, n: int) -> "ZPolynomial":
         if n < 0:
             raise ValueError("negative power of a ZPolynomial")
-        result = ZPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, ZPolynomial.one())
 
     def shift(self, k: int) -> "ZPolynomial":
         """Multiply by z**k."""
@@ -188,116 +180,20 @@ class ZPolynomial:
 def _coerce_zpoly(x) -> ZPolynomial:
     if isinstance(x, ZPolynomial):
         return x
-    if isinstance(x, (int, Fraction, QPolynomial, QRationalFn)):
+    if isinstance(x, _SCALARS):
         return ZPolynomial.constant(x)
     raise TypeError(f"cannot combine ZPolynomial with {type(x).__name__}")
 
 
-class ZSeries:
+class ZSeries(TruncatedSeries):
     """Truncated power series in z over Q(q); length always equals order."""
 
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable[_Coeff] = ()):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        cs = [_as_ratfn(c) for c in coeffs]
-        if len(cs) > order:
-            raise ValueError("more coefficients than the stated order")
-        cs.extend(_ZERO for _ in range(order - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZSeries is immutable")
-
-    @classmethod
-    def one(cls, order: int) -> "ZSeries":
-        return cls(order, (_ONE,) if order > 0 else ())
-
-    def __getitem__(self, n: int) -> QRationalFn:
-        if not 0 <= n < self.order:
-            raise IndexError(f"coefficient {n} beyond series order {self.order}")
-        return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return self.order
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ZSeries):
-            return self.order == other.order and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("ZSeries", self.order, self.coeffs))
-
-    def truncate(self, order: int) -> "ZSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return ZSeries(order, self.coeffs[:order])
-
-    def __add__(self, other) -> "ZSeries":
-        other = _coerce_zseries(other, self.order)
-        n = min(self.order, other.order)
-        return ZSeries(n, tuple(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ZSeries":
-        return ZSeries(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "ZSeries":
-        return self + (-_coerce_zseries(other, self.order))
-
-    def __rsub__(self, other) -> "ZSeries":
-        return _coerce_zseries(other, self.order) - self
-
-    def __mul__(self, other) -> "ZSeries":
-        if isinstance(other, (int, Fraction, QPolynomial, QRationalFn)):
-            c = _as_ratfn(other)
-            return ZSeries(self.order, tuple(c * x for x in self.coeffs))
-        other = _coerce_zseries(other, self.order)
-        n = min(self.order, other.order)
-        cs = [_ZERO] * n
-        for i in range(n):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    cs[i + j] = cs[i + j] + a * b
-        return ZSeries(n, cs)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "ZSeries":
-        """1/self; requires a nonzero constant term."""
-        if self.order == 0:
-            return self
-        c0 = self.coeffs[0]
-        if c0.is_zero():
-            raise ZeroDivisionError("reciprocal of a series with zero constant term")
-        inv0 = c0.reciprocal()
-        cs = [inv0]
-        for n in range(1, self.order):
-            acc = _ZERO
-            for i in range(1, n + 1):
-                ci = self.coeffs[i]
-                if not ci.is_zero():
-                    acc = acc + ci * cs[n - i]
-            cs.append(-acc * inv0)
-        return ZSeries(self.order, cs)
-
-    def __truediv__(self, other) -> "ZSeries":
-        if isinstance(other, (int, Fraction, QPolynomial, QRationalFn)):
-            c = _as_ratfn(other)
-            if c.is_zero():
-                raise ZeroDivisionError("division by zero")
-            inv = c.reciprocal()
-            return ZSeries(self.order, tuple(x * inv for x in self.coeffs))
-        other = _coerce_zseries(other, self.order)
-        return self * other.reciprocal()
+    __slots__ = ()
+    _coerce = staticmethod(_as_ratfn)
+    _zero = _ZERO
+    _one = _ONE
+    _scalars = _SCALARS
+    _poly = ZPolynomial
 
     def divide_z(self) -> "ZSeries":
         """Divide by z; the constant term must be zero.  Drops one order."""
@@ -305,7 +201,7 @@ class ZSeries:
             return self
         if not self.coeffs[0].is_zero():
             raise ValueError("series not divisible by z (nonzero constant term)")
-        return ZSeries(self.order - 1, self.coeffs[1:])
+        return self._make(self.order - 1, self.coeffs[1:])
 
     def __str__(self) -> str:
         parts = [f"({c})*z^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero()]
@@ -314,16 +210,6 @@ class ZSeries:
 
     def __repr__(self) -> str:
         return f"ZSeries({self.order}, [{', '.join(str(c) for c in self.coeffs)}])"
-
-
-def _coerce_zseries(x, order: int) -> ZSeries:
-    if isinstance(x, ZSeries):
-        return x
-    if isinstance(x, ZPolynomial):
-        return x.series(order)
-    if isinstance(x, (int, Fraction, QPolynomial, QRationalFn)):
-        return ZSeries(order, (x,) if order > 0 else ())
-    raise TypeError(f"cannot combine ZSeries with {type(x).__name__}")
 
 
 class ZFraction:
@@ -371,7 +257,7 @@ class ZFraction:
         return self.num * other.den == other.num * self.den
 
     def series(self, order: int) -> ZSeries:
-        return self.num.series(order) * self.den.series(order).reciprocal()
+        return ZSeries._quotient(self.num.coeffs[:order], self.den.coeffs[:order], order)
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,8 +100,33 @@ class TestSizeCaps:
             (["jfrac", "expand", "--preset", "reciprocal_qq", "--h", "4", "--zorder", "100000"], "--zorder: expected 1..64"),
             (["converge", "margins", "--q=0.1", "--hmax", "10000000"], "--hmax: expected 2..500"),
             (["converge", "probe", "--q=0.1", "--hmax", "100000"], "--hmax: expected 1..100"),
+            (["oracle", "qbinomial", "--n", "81", "--k", "40"], "--n: expected 0..80"),
+            (["oracle", "qbinomial", "--n", "80", "--k", "81"], "--k: expected 0..80"),
+            (["oracle", "qpochhammer", "--x", "q", "--n", "129"], "--n: expected 0..128"),
+            (
+                ["oracle", "qbinomialtheorem", "--a", "q", "--z", "q", "--order", "65"],
+                "--order: expected 1..64",
+            ),
+            (["oracle", "sigma", "--alpha", "1", "--n", "100000000000001"], "--n: expected 1..100000000000000"),
+            (["oracle", "sigma", "--alpha", "33", "--n", "12"], "--alpha: expected 0..32"),
+            (["oracle", "lambert", "--alpha", "2", "--order", "200001"], "--order: expected 1..200000"),
+            (["oracle", "lambert", "--alpha", "33", "--order", "10"], "--alpha: expected 0..32"),
         ],
-        ids=["order", "alpha", "zorder", "margins-hmax", "probe-hmax"],
+        ids=[
+            "order",
+            "alpha",
+            "zorder",
+            "margins-hmax",
+            "probe-hmax",
+            "qbinomial-n",
+            "qbinomial-k",
+            "qpochhammer-n",
+            "qbinomialtheorem-order",
+            "sigma-n",
+            "sigma-alpha",
+            "lambert-order",
+            "lambert-alpha",
+        ],
     )
     def test_size_above_the_cap_is_a_usage_error(self, capsys, argv, message):
         from qjfrac.cli import build_parser
@@ -118,12 +144,45 @@ class TestSizeCaps:
             ["jfrac", "expand", "--preset", "reciprocal_qq", "--h", "4", "--zorder", "64"],
             ["converge", "margins", "--q=0.1", "--hmax", "500"],
             ["converge", "probe", "--q=0.1", "--hmax", "100"],
+            ["oracle", "qbinomial", "--n", "80", "--k", "80"],
+            ["oracle", "qpochhammer", "--x", "q", "--n", "128"],
+            ["oracle", "qbinomialtheorem", "--a", "q", "--z", "q", "--order", "64"],
+            ["oracle", "sigma", "--alpha", "32", "--n", "100000000000000"],
+            ["oracle", "lambert", "--alpha", "32", "--order", "200000"],
         ],
     )
     def test_size_at_the_cap_parses(self, argv):
         from qjfrac.cli import build_parser
 
         build_parser().parse_args(argv)
+
+    def test_readme_caps_table_matches_the_code(self):
+        from qjfrac import cli, exact
+
+        constants = {
+            "exponent in `^`, in absolute value": exact._MAX_EXPONENT,
+            "degree of any parsed value (numerator or denominator)": exact._MAX_DEGREE,
+            "`divisor table --order`": cli._MAX_ORDER,
+            "`divisor table --alpha`": cli._MAX_ALPHA,
+            "`jfrac expand --zorder` (default 2h, so `--h` above 32 needs `--zorder`)": cli._MAX_ZORDER,
+            "`converge probe --hmax`": cli._MAX_PROBE_LEVELS,
+            "`converge margins --hmax`": cli._MAX_MARGIN_LEVELS,
+            "`oracle sigma --n`": cli._MAX_SIGMA_N,
+            "`oracle sigma --alpha`, `oracle lambert --alpha`": cli._MAX_ALPHA,
+            "`oracle lambert --order`": cli._MAX_LAMBERT_ORDER,
+            "`oracle qbinomial --n`, `--k`": cli._MAX_QBINOMIAL_N,
+            "`oracle qpochhammer --n`": cli._MAX_POCHHAMMER_N,
+            "`oracle qbinomialtheorem --order`": cli._MAX_QBT_ORDER,
+            "`--h`, `--depth`": cli._MAX_DEPTH,
+        }
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| size | cap |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        listed = {}
+        for line in table.splitlines():
+            size, cap = (cell.strip() for cell in line.strip("|").split("|"))
+            base, _, exponent = cap.partition("^")
+            listed[size] = int(base) ** int(exponent) if exponent else int(base)
+        assert listed == constants
 
     def test_default_zorder_above_the_cap_is_a_usage_error(self, capsys, monkeypatch):
         # the default zorder is 2h, so h > 32 needs an explicit --zorder

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qjfrac.exact import QRationalFn
+from qjfrac.exact import QPolynomial, QRationalFn, QSeries
 from qjfrac.jfraction import (
     ConvergentPair,
     JFractionSpec,
@@ -33,7 +33,7 @@ from qjfrac.jfraction import (
     telescoping_residual,
 )
 from qjfrac.oracles import pochhammer_ratio, q_pochhammer
-from qjfrac.zalgebra import ZPolynomial, ZSeries
+from qjfrac.zalgebra import ZFraction, ZPolynomial, ZSeries
 
 from conftest import parse, random_pochhammer_params
 
@@ -45,9 +45,201 @@ _small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 _small_nonzero_fraction = _small_fraction.filter(lambda v: v != 0)
 
 
+# -- oracles: the series loops that the one quotient kernel replaced ----------
+#
+# QSeries and ZSeries each carried a product loop, a reciprocal loop, and a
+# division built as reciprocal-then-multiply; QRationalFn.taylor and
+# convergent_coefficients each ran the division recurrence once more.  The
+# reciprocal and product loops below serve both coefficient fields.
+
+
+def product_by_loop(a, b):
+    """a·b for two series of one type, by the product loop of the old series types."""
+    n = min(a.order, b.order)
+    cs = [type(a).zero(1)[0]] * n
+    for i in range(n):
+        x = a.coeffs[i]
+        if not x:
+            continue
+        for j in range(n - i):
+            y = b.coeffs[j]
+            if y:
+                cs[i + j] = cs[i + j] + x * y
+    return type(a)(n, cs)
+
+
+def reciprocal_by_loop(s):
+    """1/s by the reciprocal loop of the old series types."""
+    if s.order == 0:
+        return s
+    c0 = s.coeffs[0]
+    if not c0:
+        raise ZeroDivisionError("reciprocal of a series with zero constant term")
+    inv0 = type(s).one(1)[0] / c0
+    cs = [inv0]
+    for n in range(1, s.order):
+        acc = type(s).zero(1)[0]
+        for i in range(1, n + 1):
+            ci = s.coeffs[i]
+            if ci:
+                acc = acc + ci * cs[n - i]
+        cs.append(-acc * inv0)
+    return type(s)(s.order, cs)
+
+
+def divide_by_reciprocal(a, b):
+    """a / b as the old series types divided: by a scalar coefficientwise, by a
+    polynomial or a series as a times the reciprocal of b truncated to a's order."""
+    if isinstance(b, type(a)):
+        return product_by_loop(a, reciprocal_by_loop(b))
+    if isinstance(b, (QPolynomial, ZPolynomial)):
+        return product_by_loop(a, reciprocal_by_loop(type(a)(a.order, b.coeffs[: a.order])))
+    if not b:
+        raise ZeroDivisionError("division by zero")
+    return type(a)(a.order, [x / b for x in a.coeffs])
+
+
+def taylor_by_loop(r: QRationalFn, order: int) -> QSeries:
+    """The Maclaurin expansion by the loop of the old QRationalFn.taylor."""
+    d0 = r.den.coefficient(0)
+    if d0 == 0:
+        raise ValueError("pole at q=0: denominator has zero constant term")
+    cs = []
+    for n in range(order):
+        acc = r.num.coefficient(n)
+        for i in range(1, n + 1):
+            di = r.den.coefficient(i)
+            if di != 0:
+                acc -= di * cs[n - i]
+        cs.append(acc / d0)
+    return QSeries(order, cs)
+
+
+def convergent_coefficients_by_recurrence(pair: ConvergentPair, n_max: int) -> ZSeries:
+    """The coefficients of P/Q by the loop of the old convergent_coefficients (Q(0) = 1)."""
+    js = []
+    for n in range(n_max):
+        acc = pair.P.coefficient(n)
+        for i in range(1, min(n, pair.Q.degree) + 1):
+            qi = pair.Q.coefficient(i)
+            if not qi.is_zero():
+                acc = acc - qi * js[n - i]
+        js.append(acc)
+    return ZSeries(n_max, js)
+
+
 def convergent_coefficients_by_division(pair: ConvergentPair, n_max: int) -> ZSeries:
     """Same coefficients through full series division; cross-validation path."""
-    return pair.P.series(n_max) * pair.Q.series(n_max).reciprocal()
+    return divide_by_reciprocal(pair.P.series(n_max), pair.Q.series(n_max))
+
+
+def assert_same(got, want):
+    """got() == want(), with the same types throughout, or both raise ZeroDivisionError."""
+    try:
+        expected = want()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            got()
+        return
+    result = got()
+    assert type(result) is type(expected)
+    assert result == expected and hash(result) == hash(expected)
+    assert [type(c) for c in result.coeffs] == [type(c) for c in expected.coeffs]
+
+
+# -- differential tests of the quotient kernel against the oracles ---------------
+
+_fraction_coefficient = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(1)), st.fractions(-5, 5, max_denominator=4)
+)
+
+
+@st.composite
+def _small_polys(draw, max_len=3):
+    return QPolynomial(draw(st.lists(_fraction_coefficient, max_size=max_len)))
+
+
+@st.composite
+def _ratfn_coefficients(draw):
+    """Elements of Q(q) of degree <= 2 over <= 2; zero and one come up often."""
+    den = draw(_small_polys())
+    r = QRationalFn(draw(_small_polys()), den if den else QPolynomial.one())
+    return draw(st.sampled_from((r, r, QRationalFn.zero(), QRationalFn.one())))
+
+
+def _series(series_type, coefficient):
+    """Series of order 0..8 whose coefficients, b_0 included, are often 0 or 1."""
+    return st.integers(0, 8).flatmap(
+        lambda order: st.lists(coefficient, min_size=order, max_size=order).map(
+            lambda cs: series_type(order, cs)
+        )
+    )
+
+
+_fields = st.sampled_from(
+    [
+        (QSeries, _fraction_coefficient, _small_polys()),
+        (ZSeries, _ratfn_coefficients(), st.lists(_ratfn_coefficients(), max_size=4).map(ZPolynomial)),
+    ]
+)
+
+
+@st.composite
+def _operands(draw):
+    """(series, divisor): the divisor is a series of another order, a scalar, or a polynomial."""
+    series_type, coefficient, polynomial = draw(_fields)
+    a = draw(_series(series_type, coefficient))
+    b = draw(st.one_of(_series(series_type, coefficient), coefficient, polynomial))
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operands())
+def test_series_division_matches_reciprocal_then_multiply(operands):
+    a, b = operands
+    assert_same(lambda: a / b, lambda: divide_by_reciprocal(a, b))
+    assert_same(a.reciprocal, lambda: reciprocal_by_loop(a))
+    if isinstance(b, type(a)):
+        assert_same(lambda: a * b, lambda: product_by_loop(a, b))
+        assert_same(b.reciprocal, lambda: reciprocal_by_loop(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_polys(4), _small_polys(4), st.integers(0, 8))
+def test_taylor_matches_the_loop(num, den, order):
+    if not den:
+        return
+    r = QRationalFn(num, den)
+    if r.den.coefficient(0) == 0:
+        with pytest.raises(ValueError, match="pole at q=0"):
+            r.taylor(order)
+    else:
+        assert_same(lambda: r.taylor(order), lambda: taylor_by_loop(r, order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_ratfn_coefficients(), max_size=5).map(ZPolynomial),
+    st.lists(_ratfn_coefficients(), max_size=5),
+    st.integers(0, 8),
+)
+def test_convergent_coefficients_and_zfraction_series_match_the_loops(P, q_tail, n_max):
+    # a unit constant term, as every convergent denominator has
+    pair = ConvergentPair(max(P.degree + 1, len(q_tail), 1), P, ZPolynomial([ONE, *q_tail]))
+    assert_same(
+        lambda: convergent_coefficients(pair, n_max),
+        lambda: convergent_coefficients_by_recurrence(pair, n_max),
+    )
+    assert_same(
+        lambda: convergent_coefficients(pair, n_max),
+        lambda: convergent_coefficients_by_division(pair, n_max),
+    )
+    for den in (pair.Q, ZPolynomial(q_tail)):
+        if den:
+            assert_same(
+                lambda: ZFraction(P, den).series(n_max),
+                lambda: divide_by_reciprocal(P.series(n_max), den.series(n_max)),
+            )
 
 
 def monomial_spec() -> JFractionSpec:
