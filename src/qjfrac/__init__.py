@@ -51,7 +51,6 @@ _EXPORTS = {
         "first_column_formula_check",
         "nested_sum",
         "newton_girard_check",
-        "triangle_via_products",
         "verify_claim_relations",
         "verify_Ph_expansion",
         "verify_PQ_coefficient_relation",

@@ -59,7 +59,8 @@ _MAX_ALPHA = 32  # divisor table --alpha 32 --h 4 --order 8: 1.2 s; --alpha 80: 
 _MAX_ZORDER = 64  # jfrac expand --preset reciprocal_qq --h 4 --zorder 64: 1.8 s; --zorder 96: 8.8 s
 _MAX_MARGIN_LEVELS = 500  # converge margins --q=0.1 --hmax 500: 1.0 s; --hmax 1000: 3.7 s
 _MAX_PROBE_LEVELS = 100  # converge probe --q=0.1 --hmax 100: 1.3 s; --hmax 400: 17.7 s
-_MAX_DEPTH = 64  # --h and --depth; older than the caps above, and not sized by cost
+_MAX_LEMMA_H = 8  # verify lemmas --h 8: 4.0 s (--spec random --h 10: 1.1 s); --h 9: 13.7 s
+_MAX_DEPTH = 64  # the other --h and --depth; older than the caps above, and not sized by cost
 _MAX_SIGMA_N = 10**14  # oracle sigma --alpha 32 --n 10^14: 2.0 s; the time grows with sqrt(n)
 _MAX_LAMBERT_ORDER = 200_000  # oracle lambert --alpha 32 --order 200000: 1.9 s; --alpha 2 --order 10^6: 7.8 s
 _MAX_QBINOMIAL_N = 80  # oracle qbinomial --n 80 --k 40: 1.7 s; --n 100 --k 50: 4.0 s
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = top.add_parser("verify", help="exact identity verification")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
     lemmas = verify_sub.add_parser("lemmas", help="run the expansion-identity suite")
-    lemmas.add_argument("--h", type=_depth_int, default=4, help="max depth (default 4)")
+    lemmas.add_argument("--h", type=_int_in(0, _MAX_LEMMA_H), default=4, help="max depth (default 4)")
     lemmas.add_argument(
         "--spec", choices=("qq2", "random"), default="qq2", help="sequence source"
     )

@@ -8,8 +8,10 @@ Q(q)[z]; no two-variable gcd is ever needed.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import prod
 from typing import Callable, Optional
 
 from .exact import QRationalFn
@@ -64,19 +66,6 @@ class StirlingQTriangle:
         if h > self.h_max:
             self.extend(h)
         return list(self._rows[h])
-
-
-def triangle_via_products(c_source: Callable[[int], QRationalFn], h: int, k: int) -> QRationalFn:
-    """[z^k] of (1-c_1 z)...(1-c_h z); the empty product at h=0 gives 1 at k=0.
-
-    Must agree with the recurrence triangle everywhere (the Iverson seed of
-    the recurrence corresponds to the empty product)."""
-    if not 0 <= k <= h:
-        return _ZERO
-    prod = ZPolynomial.one()
-    for i in range(1, h + 1):
-        prod = prod * ZPolynomial.linear_factor(c_source(i))
-    return prod.coefficient(k)
 
 
 def power_sum(c_source: Callable[[int], QRationalFn], h: int, m: int) -> QRationalFn:
@@ -152,17 +141,17 @@ def _spaced_tuples(h: int, m: int):
         yield tuple(j + p for p, j in enumerate(js))
 
 
-def _term(spec: JFractionSpec, ks: tuple[int, ...]) -> tuple[QRationalFn, set[int]]:
-    """(prod ab_{k_p}, factor indices {k_p - 1, k_p}) of one spaced tuple."""
+def _term(spec: JFractionSpec, ks: tuple[int, ...]) -> tuple[QRationalFn, list[int]]:
+    """(prod ab_{k_p}, factor indices k_p - 1, k_p, repeated if adjacent) of one index tuple."""
     w = _ONE
-    fs: set[int] = set()
+    fs: list[int] = []
     for k in ks:
         w = w * spec.ab(k)
-        fs.update((k - 1, k))
+        fs += (k - 1, k)
     return w, fs
 
 
-def _cofactor(w: QRationalFn, fs: set[int], lin: dict[int, ZPolynomial]) -> ZPolynomial:
+def _cofactor(w: QRationalFn, fs: list[int], lin: dict[int, ZPolynomial]) -> ZPolynomial:
     """w times every linear factor of lin outside fs."""
     cof = ZPolynomial.constant(w)
     for i, f in lin.items():
@@ -189,12 +178,8 @@ def nested_sum(spec: JFractionSpec, nss: NestedSumSpec) -> ZFraction:
         return ZFraction.zero()
     used = sorted(set().union(*(fs for _, fs in terms)))
     lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in used}
-    den = ZPolynomial.one()
-    for f in lin.values():
-        den = den * f
-    num = ZPolynomial.zero()
-    for w, fs in terms:
-        num = num + _cofactor(w, fs, lin)
+    den = prod(lin.values(), start=ZPolynomial.one())
+    num = sum((_cofactor(w, fs, lin) for w, fs in terms), ZPolynomial.zero())
     return ZFraction(num, den)
 
 
@@ -242,9 +227,7 @@ def _verify_expansion(
          as N_m times the one series reciprocal of D.
     """
     lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in range(1, h + 1)}
-    D = ZPolynomial.one()
-    for f in lin.values():
-        D = D * f
+    D = prod(lin.values(), start=ZPolynomial.one())
     numerators: dict[int, ZPolynomial] = {}
     for m in range(1, h // 2 + 1):
         N = ZPolynomial.zero()
@@ -314,7 +297,7 @@ class ClaimReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": "qjfrac/claim-report/1",
+            "schema": "qjfrac/claim-report/2",
             "h": self.h,
             "k": self.k,
             "triangle_residual": str(self.triangle_residual),
@@ -327,58 +310,75 @@ def claim_triangle_residual(spec: JFractionSpec, h: int, k: int) -> QRationalFn:
     """Residual of entry_P(h,k) = entry(h-1,k) + (c_1 - c_h) [z^(k-1)] prod_{i=2}^{h-1}(1-c_i z)."""
     if not 1 <= k <= h:
         raise ValueError("need 1 <= k <= h")
-    shifted = spec.shifted()
-    entry_P = StirlingQTriangle(shifted.c, h - 1).entry(h - 1, k)
+    tri_P = StirlingQTriangle(spec.shifted().c, h - 1)
     entry_c = StirlingQTriangle(spec.c, h - 1).entry(h - 1, k)
-    prod = ZPolynomial.one()
-    for i in range(2, h):
-        prod = prod * ZPolynomial.linear_factor(spec.c(i))
-    correction = (spec.c(1) - spec.c(h)) * prod.coefficient(k - 1)
-    return entry_P - entry_c - correction
+    # [z^(k-1)] prod_{i=2}^{h-1}(1-c_i z) is the shifted triangle's entry(h-2,k-1)
+    correction = (spec.c(1) - spec.c(h)) * tri_P.entry(h - 2, k - 1)
+    return tri_P.entry(h - 1, k) - entry_c - correction
 
 
-def claim_nested_difference_residual(
-    spec: JFractionSpec, h: int, m: int, s: int
-) -> tuple[ZFraction, bool]:
-    """Residual of the conjectured difference formula
+def _power_product(exponents: Counter) -> ZPolynomial:
+    """prod (1 - c z)^e over the items c: e of exponents."""
+    return prod(map(ZPolynomial.linear_factor, exponents.elements()), start=ZPolynomial.one())
 
-        S_{h-1,m,s} - S^[P]_{h,m,s} =
-            sum over 2 <= i_1 < ... < i_m <= h with sum i = s of
-            prod ab_{i_k} / ((1 - c_{i_k - 1} z)(1 - c_{i_k} z)),
 
-    where the right side allows adjacent indices (so factors may repeat).
-    Returns (residual, is_zero); measured, never asserted."""
-    lhs = nested_sum(spec, NestedSumSpec(h - 1, m, s)) - nested_sum(
-        spec.shifted(), NestedSumSpec(h, m, s - m)
-    )
-    rhs = ZFraction.zero()
-    for idx in combinations(range(2, h + 1), m):
-        if sum(idx) == s:
-            num = _ONE
-            den = ZPolynomial.one()
-            for i in idx:
-                num = num * spec.ab(i)
-                den = den * ZPolynomial.linear_factor(spec.c(i - 1))
-                den = den * ZPolynomial.linear_factor(spec.c(i))
-            rhs = rhs + ZFraction(ZPolynomial.constant(num), den)
-    residual = lhs - rhs
-    return residual, residual.num.is_zero()
+def _reduced_sum(terms) -> ZFraction:
+    """The sum of w / prod(1 - c z) over (w, cs) in terms, reduced, with
+    den(0) = 1, which makes it canonical.  Terms with equal denominators
+    (factors grouped by the value of c; c = 0 gives 1) are summed first, the
+    rest go over the lcm L of their denominators, and each factor of L that
+    divides the numerator is divided out."""
+    merged: dict[frozenset, QRationalFn] = defaultdict(lambda: _ZERO)
+    for w, cs in terms:
+        merged[frozenset(Counter(c for c in cs if not c.is_zero()).items())] += w
+    dens = [(w, Counter(dict(key))) for key, w in merged.items() if not w.is_zero()]
+    lcm = Counter()
+    for _, den in dens:
+        lcm |= den
+    num = sum((_power_product(lcm - den) * w for w, den in dens), ZPolynomial.zero())
+    for c, e in lcm.items():
+        lin = ZPolynomial.linear_factor(c)
+        # at z = 1/c only the terms with the full power of lin survive, so with
+        # one such term lin cannot divide num; num/lin as a series is a
+        # polynomial exactly when its z^deg(num) coefficient vanishes
+        while num and lcm[c] and sum(d[c] == e for _, d in dens) > 1:
+            quotient = ZFraction(num, lin).series(len(num.coeffs)).coeffs
+            if not quotient[-1].is_zero():
+                break
+            num, lcm[c] = ZPolynomial(quotient), lcm[c] - 1
+    return ZFraction(num, _power_product(lcm)) if num else ZFraction.zero()
 
 
 def verify_claim_relations(spec: JFractionSpec, h: int, k: int) -> ClaimReport:
     """Evaluate both displayed index-shift relations exactly.
 
-    The triangle relation is provable and its residual is expected to vanish;
-    the nested-sum difference formula is a conjecture in the source material,
-    so its residuals are reported for the full (m, s) grid without assertion."""
+    The triangle relation is provable and its residual is expected to vanish.
+    The nested-sum difference formula, a conjecture in the source material,
+
+        S_{h-1,m,s} - S^[P]_{h,m,s} =
+            sum over 2 <= i_1 < ... < i_m <= h with sum i = s of
+            prod ab_{i_k} / ((1 - c_{i_k - 1} z)(1 - c_{i_k} z)),
+
+    where the right side allows adjacent indices (so factors may repeat), is
+    reported as its reduced residual on the full (m, s) grid, without
+    assertion."""
     tri_res = claim_triangle_residual(spec, h, k)
     nested = []
     for m in range(1, h // 2 + 1):
+        # the terms of the three sums, as (signed weight, c of each factor)
+        buckets = defaultdict(list)
+        for sign, sp, tuples, offset in (
+            (1, spec, _spaced_tuples(h - 1, m), 0),
+            (-1, spec.shifted(), _spaced_tuples(h, m), m),
+            (-1, spec, combinations(range(2, h + 1), m), 0),
+        ):
+            for ks in tuples:
+                w, fs = _term(sp, ks)
+                buckets[sum(ks) + offset].append((sign * w, [sp.c(i) for i in fs]))
         for s in range(0, m * h + 1):
-            residual, is_zero = claim_nested_difference_residual(spec, h, m, s)
-            nested.append(
-                {"m": m, "s": s, "zero": is_zero, "residual": str(residual.num) if not is_zero else "0"}
-            )
+            residual = _reduced_sum(buckets[s])
+            zero = residual.is_zero()
+            nested.append({"m": m, "s": s, "zero": zero, "residual": "0" if zero else str(residual)})
     return ClaimReport(h, k, tri_res, tri_res.is_zero(), nested)
 
 

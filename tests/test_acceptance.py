@@ -42,14 +42,13 @@ from qjfrac.stirling import (
     StirlingQTriangle,
     first_column_formula_check,
     newton_girard_check,
-    triangle_via_products,
     verify_claim_relations,
     verify_Ph_expansion,
     verify_PQ_coefficient_relation,
     verify_Qh_expansion,
 )
 
-from conftest import parse, random_pochhammer_params
+from conftest import parse, random_pochhammer_params, triangle_via_products
 
 ONE = QRationalFn.one()
 Q = QRationalFn.q()
@@ -271,7 +270,7 @@ def test_criterion_10_conjecture_checkers_report():
         assert {"adopted_residual", "printed_residual", "adopted_ok"} <= set(ng)
 
         claim = verify_claim_relations(qq2, 4, 2).to_json()
-        assert claim["schema"] == "qjfrac/claim-report/1"
+        assert claim["schema"] == "qjfrac/claim-report/2"
         assert isinstance(claim["nested_residuals"], list) and claim["nested_residuals"]
         assert all({"m", "s", "zero", "residual"} == set(r) for r in claim["nested_residuals"])
 

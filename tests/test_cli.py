@@ -111,6 +111,7 @@ class TestSizeCaps:
             (["oracle", "sigma", "--alpha", "33", "--n", "12"], "--alpha: expected 0..32"),
             (["oracle", "lambert", "--alpha", "2", "--order", "200001"], "--order: expected 1..200000"),
             (["oracle", "lambert", "--alpha", "33", "--order", "10"], "--alpha: expected 0..32"),
+            (["verify", "lemmas", "--h", "9"], "--h: expected 0..8"),
         ],
         ids=[
             "order",
@@ -126,6 +127,7 @@ class TestSizeCaps:
             "sigma-alpha",
             "lambert-order",
             "lambert-alpha",
+            "lemmas-h",
         ],
     )
     def test_size_above_the_cap_is_a_usage_error(self, capsys, argv, message):
@@ -149,6 +151,7 @@ class TestSizeCaps:
             ["oracle", "qbinomialtheorem", "--a", "q", "--z", "q", "--order", "64"],
             ["oracle", "sigma", "--alpha", "32", "--n", "100000000000000"],
             ["oracle", "lambert", "--alpha", "32", "--order", "200000"],
+            ["verify", "lemmas", "--h", "8"],
         ],
     )
     def test_size_at_the_cap_parses(self, argv):
@@ -173,7 +176,8 @@ class TestSizeCaps:
             "`oracle qbinomial --n`, `--k`": cli._MAX_QBINOMIAL_N,
             "`oracle qpochhammer --n`": cli._MAX_POCHHAMMER_N,
             "`oracle qbinomialtheorem --order`": cli._MAX_QBT_ORDER,
-            "`--h`, `--depth`": cli._MAX_DEPTH,
+            "`verify lemmas --h`": cli._MAX_LEMMA_H,
+            "`jfrac expand --h`, `jfrac triangle --h`, `jfrac invert --depth`, `divisor table --h`": cli._MAX_DEPTH,
         }
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = readme.split("| size | cap |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
@@ -302,21 +306,23 @@ class TestVerify:
         [
             (
                 ["--h", "4"],
-                "1905d5dc7a5805da03e48d47e52cb5f5becfae5282b8bbfc5e3fa3a8fa6738d1",
+                "92cbe892479f5de927569211b2cb34725446e665ecce1bc51cacda0023adba50",
             ),
             (
                 ["--h", "5"],
-                "0781fbf9f0e2e92533466438a87462a34a2486f6173a4069257e5c148e3c469b",
+                "7752ff6f6a92e01506c961cc6e6c0c24c8e02d7927b64d5435e5204245a7c527",
             ),
             (
                 ["--spec", "random", "--seed", "0", "--h", "6"],
-                "5245f3e3d83e0cd0a9ec0b354946869bef0b3ca99a3ffb983f62d4764faaaaa5",
+                "b94a90bfcefae997f18ac888c4ca7a9c927cab8aa7d20bd006f7636f6ed76af4",
             ),
         ],
         ids=["qq2-h4", "qq2-h5", "random-seed0-h6"],
     )
     def test_lemmas_golden_output(self, capsys, argv, digest):
-        # pinned stdout: refactors of the lemma layer must not change a byte
+        # pinned stdout: refactors of the lemma layer must not change a byte.
+        # The claim residuals were pinned from the per-(m, s) route's
+        # residuals, reduced to the canonical form of claim-report/2
         code, out = run_capture(capsys, ["verify", "lemmas", *argv])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,29 +1,31 @@
 """Triangle recurrences, nested sums, and the expansion-identity checkers."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from qjfrac import stirling
 from qjfrac.exact import QRationalFn
 from qjfrac.jfraction import ConvergentPair, JFractionSpec, convergents, random_rational_spec
 from qjfrac.stirling import (
     NestedSumSpec,
     StirlingQTriangle,
-    claim_nested_difference_residual,
     claim_triangle_residual,
     first_column_formula_check,
     nested_sum,
     newton_girard_check,
     power_sum,
-    triangle_via_products,
     verify_claim_relations,
     verify_Ph_expansion,
     verify_PQ_coefficient_relation,
     verify_Qh_expansion,
 )
 from qjfrac.zalgebra import ZFraction, ZPolynomial
+
+from conftest import triangle_via_products
 
 
 ONE = QRationalFn.one()
@@ -62,6 +64,30 @@ def shifted_nested_sum_reference(spec: JFractionSpec, h: int, m: int, s: int) ->
                 cof = cof * lin[i]
         num = num + cof
     return ZFraction(num, den)
+
+
+def claim_nested_difference_residual(
+    spec: JFractionSpec, h: int, m: int, s: int
+) -> tuple[ZFraction, bool]:
+    """The per-(m, s) route for the residual of the conjectured difference
+    formula: S_{h-1,m,s} - S^[P]_{h,m,s} minus the sum over the
+    adjacent-allowed m-subsets of 2..h with sum s, as an unreduced ZFraction,
+    with whether it is zero."""
+    lhs = nested_sum(spec, NestedSumSpec(h - 1, m, s)) - nested_sum(
+        spec.shifted(), NestedSumSpec(h, m, s - m)
+    )
+    rhs = ZFraction.zero()
+    for idx in combinations(range(2, h + 1), m):
+        if sum(idx) == s:
+            num = ONE
+            den = ZPolynomial.one()
+            for i in idx:
+                num = num * spec.ab(i)
+                den = den * ZPolynomial.linear_factor(spec.c(i - 1))
+                den = den * ZPolynomial.linear_factor(spec.c(i))
+            rhs = rhs + ZFraction(ZPolynomial.constant(num), den)
+    residual = lhs - rhs
+    return residual, residual.num.is_zero()
 
 
 def per_slice_coefficients(spec: JFractionSpec, h: int) -> tuple:
@@ -327,11 +353,53 @@ class TestClaim:
     def test_full_report_well_formed(self, qq2_spec):
         rep = verify_claim_relations(qq2_spec, 4, 2)
         data = rep.to_json()
-        assert data["schema"] == "qjfrac/claim-report/1"
+        assert data["schema"] == "qjfrac/claim-report/2"
         assert rep.triangle_ok
         assert len(rep.nested_residuals) > 0
         for row in rep.nested_residuals:
             assert set(row) == {"m", "s", "zero", "residual"}
+
+    @pytest.mark.parametrize(
+        "seed, h_max", [(None, 6), (3, 8), (11, 8), (29, 8), (47, 8), (61, 8)]
+    )
+    def test_one_pass_matches_the_per_slice_route(self, qq2_spec, monkeypatch, seed, h_max):
+        # each residual equals the oracle's, is zero exactly when it is, and
+        # is reduced: den(0) = 1 and no factor 1 - c z of den divides num
+        spec = qq2_spec if seed is None else random_rational_spec(seed)
+        real = stirling._reduced_sum
+        residuals = []
+        monkeypatch.setattr(stirling, "_reduced_sum", lambda terms: residuals.append(real(terms)) or residuals[-1])
+        for h in range(2, h_max + 1):
+            residuals.clear()
+            rows = verify_claim_relations(spec, h, 2).nested_residuals
+            roots = {ONE / spec.c(i) for i in range(1, h + 2) if not spec.c(i).is_zero()}
+            for row, got in zip(rows, residuals, strict=True):
+                ref, ref_zero = claim_nested_difference_residual(spec, h, row["m"], row["s"])
+                assert row["zero"] == got.is_zero() == ref_zero, (h, row)
+                assert got.equals(ref), (h, row)
+                if not ref_zero:
+                    assert row["residual"] == str(got)
+                    assert got.den.coefficient(0) == ONE
+                    assert all(not got.num.evaluate(r).is_zero() for r in roots if got.den.evaluate(r).is_zero())
+
+    @pytest.mark.parametrize("seed, h", [(None, 5), (7, 8)])
+    def test_residual_text_does_not_depend_on_term_order(self, qq2_spec, monkeypatch, seed, h):
+        spec = qq2_spec if seed is None else random_rational_spec(seed)
+        forward = json.dumps(verify_claim_relations(spec, h, 2).to_json())
+        real = stirling._reduced_sum
+        monkeypatch.setattr(stirling, "_reduced_sum", lambda terms: real(terms[::-1]))
+        assert json.dumps(verify_claim_relations(spec, h, 2).to_json()) == forward
+
+    def test_reduced_sum_cancels_common_factors(self):
+        # a/(a-b)/(1-az)^2 - 1/((1-az)^2 (1-bz)) = b/(a-b) / ((1-az)(1-bz)),
+        # with a factor c = 0 (that is, 1) in one term
+        a, b = Q, Q * Q
+        lin_a, lin_b = ZPolynomial.linear_factor(a), ZPolynomial.linear_factor(b)
+        got = stirling._reduced_sum([(a / (a - b), [a, a]), (-ONE, [a, ZERO, b, a])])
+        assert str(got) == str(ZFraction(ZPolynomial.constant(b / (a - b)), lin_a * lin_b))
+        assert stirling._reduced_sum([(ONE, [a]), (-ONE, [ZERO, a])]).is_zero()
+        got = stirling._reduced_sum([(ONE, [a, a]), (-ONE, [a])])
+        assert (got.num, got.den) == (ZPolynomial.monomial(1, a), lin_a * lin_a)
 
 
 class TestPQRelation:
