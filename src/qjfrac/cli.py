@@ -56,9 +56,14 @@ _MAX_ORDER = 1024  # divisor table --alpha 0 --h 12 --order 1024: 1.5 s; --h 4 -
 # also the --alpha of oracle sigma and oracle lambert, whose --n and --order caps
 # below are measured at alpha 32
 _MAX_ALPHA = 32  # divisor table --alpha 32 --h 4 --order 8: 1.2 s; --alpha 80: 18.9 s
+# divisor table's joint cap: its cost grows about like h^5.5 * (alpha + 2)^3, so
+# (alpha + 2) * h^2 bounds it; along the bound it takes 1.6-3.8 s (--alpha 4
+# --h 18: 1.6 s; --alpha 32 --h 7: 3.8 s), and --alpha 0 --h 32, the large-h
+# case, 6.5 s; above it, --alpha 16 --h 12 takes 9 s and --alpha 32 --h 12 over 60 s
+_MAX_DIVISOR_COST = 2048
 _MAX_ZORDER = 64  # jfrac expand --preset reciprocal_qq --h 4 --zorder 64: 1.8 s; --zorder 96: 8.8 s
 _MAX_MARGIN_LEVELS = 500  # converge margins --q=0.1 --hmax 500: 1.0 s; --hmax 1000: 3.7 s
-_MAX_PROBE_LEVELS = 100  # converge probe --q=0.1 --hmax 100: 1.3 s; --hmax 400: 17.7 s
+_MAX_PROBE_LEVELS = 100  # converge probe --q=0.1 --hmax 100: 0.3 s; --hmax 400: 2.1 s
 _MAX_LEMMA_H = 8  # verify lemmas --h 8: 4.0 s (--spec random --h 10: 1.1 s); --h 9: 13.7 s
 _MAX_DEPTH = 64  # the other --h and --depth; older than the caps above, and not sized by cost
 _MAX_SIGMA_N = 10**14  # oracle sigma --alpha 32 --n 10^14: 2.0 s; the time grows with sqrt(n)
@@ -391,6 +396,14 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_divisor_table(args) -> int:
+    cost = (args.alpha + 2) * args.h ** 2
+    if cost > _MAX_DIVISOR_COST:
+        print(
+            f"error: --alpha {args.alpha} with --h {args.h}: (alpha + 2)*h^2 = {cost} exceeds "
+            f"{_MAX_DIVISOR_COST}; pass a smaller --alpha or --h",
+            file=sys.stderr,
+        )
+        return 2
     from . import divisors
 
     req = divisors.DivisorGFRequest(args.alpha, args.h, args.order, args.mod)

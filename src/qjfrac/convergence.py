@@ -11,7 +11,6 @@ through QJFRAC_PRECISION_BITS), not interval-arithmetic proofs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -63,23 +62,27 @@ def _abseq(q: mpc, i: int) -> mpc:
     )
 
 
-@dataclass
 class PringsheimRow:
-    h: int
-    abs_a: float
-    abs_b: float
-    margin: float  # |b_h| - |a_h| - 1
+    __slots__ = ("h", "abs_a", "abs_b", "margin")
+
+    def __init__(self, h: int, abs_a: float, abs_b: float, margin: float):
+        self.h = h
+        self.abs_a = abs_a
+        self.abs_b = abs_b
+        self.margin = margin  # |b_h| - |a_h| - 1
 
 
-@dataclass
 class PringsheimReport:
     """Per-level margins of the elementwise convergence criterion at z = q."""
 
-    q: complex
-    z: complex
-    precision_bits: int
-    reading_note: str
-    rows: list[PringsheimRow] = field(default_factory=list)
+    __slots__ = ("q", "z", "precision_bits", "reading_note", "rows")
+
+    def __init__(self, q: complex, z: complex, precision_bits: int, reading_note: str):
+        self.q = q
+        self.z = z
+        self.precision_bits = precision_bits
+        self.reading_note = reading_note
+        self.rows: list[PringsheimRow] = []
 
     def min_margin(self) -> float:
         return min(r.margin for r in self.rows)
@@ -188,22 +191,33 @@ def threshold_radius(tolerance: float = 1e-10) -> float:
     return (lo + hi) / 2
 
 
-@dataclass
 class ProbeRow:
-    h: int
-    convergent: complex
-    gap: float  # |Conv_h - direct sum|
-    overflow: bool = False
+    __slots__ = ("h", "convergent", "gap", "overflow")
+
+    def __init__(self, h: int, convergent: complex, gap: float, overflow: bool = False):
+        self.h = h
+        self.convergent = convergent
+        self.gap = gap  # |Conv_h - direct sum|
+        self.overflow = overflow
 
 
-@dataclass
 class ProbeReport:
-    q: complex
-    z: complex
-    target: complex
-    target_converged: bool  # False when the direct sum hit _MAX_TERMS
-    precision_bits: int
-    rows: list[ProbeRow] = field(default_factory=list)
+    __slots__ = ("q", "z", "target", "target_converged", "precision_bits", "rows")
+
+    def __init__(
+        self,
+        q: complex,
+        z: complex,
+        target: complex,
+        target_converged: bool,  # False when the direct sum hit _MAX_TERMS
+        precision_bits: int,
+    ):
+        self.q = q
+        self.z = z
+        self.target = target
+        self.target_converged = target_converged
+        self.precision_bits = precision_bits
+        self.rows: list[ProbeRow] = []
 
     def to_json(self) -> dict:
         return {
@@ -252,13 +266,22 @@ def numeric_convergence_probe(q: complex, z: complex, h_max: int = 20) -> ProbeR
         qq, zz = mpc(q), mpc(z)
         target, converged = _direct_sum(qq, zz) if q != 0 else (mpc(1) / (1 - zz) * (1 - qq), True)
         report = ProbeReport(complex(qq), complex(zz), complex(target), converged, bits)
+        # c_i z and ab_i z^2 of the levels reached so far, each evaluated once
+        # (the Nones pad the unused indices 0 and 1); a level that fails stays
+        # missing, so every later h retries it and is flagged too
+        cz: list = [None]
+        abz: list = [None, None]
         for h in range(1, h_max + 1):
             tail = mpc(0)
             overflow = False
             try:
+                while len(cz) <= h:
+                    cz.append(_cseq(qq, len(cz)) * zz)
+                while len(abz) <= h:
+                    abz.append(_abseq(qq, len(abz)) * zz ** 2)
                 for i in range(h, 1, -1):
-                    tail = _abseq(qq, i) * zz ** 2 / (1 - _cseq(qq, i) * zz - tail)
-                conv = 1 / (1 - _cseq(qq, 1) * zz - tail)
+                    tail = abz[i] / (1 - cz[i] - tail)
+                conv = 1 / (1 - cz[1] - tail)
                 gap = float(abs(conv - target))
             except (ZeroDivisionError, OverflowError):
                 conv, gap, overflow = mpc(0), float("inf"), True

@@ -27,7 +27,6 @@ flagged as empirical; anything beyond is untrusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Optional
 
@@ -39,7 +38,6 @@ from .jfraction import (
     divisor_spec,
     lambda_modulus,
 )
-from .stirling import NestedSumSpec, StirlingQTriangle, nested_sum
 from .zalgebra import ZPolynomial, ZSeries
 
 _ONE = QRationalFn.one()
@@ -69,24 +67,24 @@ class Stirling2Table:
         return list(self._rows[n])
 
 
-@dataclass(frozen=True)
 class DivisorGFRequest:
     """Parameters of one generating-function computation."""
 
-    alpha: int
-    h: int
-    order: int
-    modulus: Optional[int] = None
+    __slots__ = ("alpha", "h", "order", "modulus")
 
-    def __post_init__(self):
-        if self.alpha < 0:
+    def __init__(self, alpha: int, h: int, order: int, modulus: Optional[int] = None):
+        if alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.h < 2:
+        if h < 2:
             raise ValueError("h must be >= 2")
-        if self.order < 1:
+        if order < 1:
             raise ValueError("order must be >= 1")
-        if self.modulus is not None and self.modulus < 2:
+        if modulus is not None and modulus < 2:
             raise ValueError("modulus must be >= 2")
+        self.alpha = alpha
+        self.h = h
+        self.order = order
+        self.modulus = modulus
 
     @property
     def certified_below(self) -> int:
@@ -99,11 +97,18 @@ class DivisorGFRequest:
         return 2 * self.h
 
 
-@dataclass(frozen=True)
 class GFResult:
-    request: DivisorGFRequest
-    series: QSeries
-    generator: QRationalFn  # the reduced rational function whose expansion is `series`
+    __slots__ = ("request", "series", "generator")
+
+    def __init__(
+        self,
+        request: DivisorGFRequest,
+        series: QSeries,
+        generator: QRationalFn,  # the reduced rational function whose expansion is `series`
+    ):
+        self.request = request
+        self.series = series
+        self.generator = generator
 
     def rows(self) -> list[dict]:
         req = self.request
@@ -230,7 +235,6 @@ def congruence_table(req: DivisorGFRequest) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TildeDReport:
     """Comparison of the tabulated quadruple-sum denominator block against the
     product Q_j(q,z) Q_{j+1}(q,z) computed from the recurrence.
@@ -238,12 +242,23 @@ class TildeDReport:
     `proportional_factor` is set when the two differ by a z-independent
     rational function of q only (measured, not asserted)."""
 
-    j: int
-    quad_sum: ZPolynomial
-    product: ZPolynomial
-    equal: bool
-    residual: ZPolynomial
-    proportional_factor: Optional[QRationalFn]
+    __slots__ = ("j", "quad_sum", "product", "equal", "residual", "proportional_factor")
+
+    def __init__(
+        self,
+        j: int,
+        quad_sum: ZPolynomial,
+        product: ZPolynomial,
+        equal: bool,
+        residual: ZPolynomial,
+        proportional_factor: Optional[QRationalFn],
+    ):
+        self.j = j
+        self.quad_sum = quad_sum
+        self.product = product
+        self.equal = equal
+        self.residual = residual
+        self.proportional_factor = proportional_factor
 
     def to_json(self) -> dict:
         return {
@@ -268,6 +283,8 @@ def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
     an assertion."""
     if j < 1:
         raise ValueError("j must be >= 1")
+    from .stirling import NestedSumSpec, StirlingQTriangle, nested_sum
+
     if spec is None:
         spec = divisor_spec()
     tri = StirlingQTriangle.from_spec(spec, j + 1)
@@ -364,7 +381,6 @@ def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SpecialCaseReport:
     """Cross-check of sigma_gf against the telescoped convergent-block sum and
     against the verbatim printed special-case realization.
@@ -376,14 +392,30 @@ class SpecialCaseReport:
     leading term and coefficient set) on the polynomials Q_j(q, z) and is
     reported as-is."""
 
-    alpha: int
-    h: int
-    order: int
-    primary: QSeries
-    telescoped: QSeries
-    printed: QSeries
-    telescoped_residual_zero: bool
-    printed_residual: QSeries
+    __slots__ = (
+        "alpha", "h", "order", "primary", "telescoped", "printed",
+        "telescoped_residual_zero", "printed_residual",
+    )
+
+    def __init__(
+        self,
+        alpha: int,
+        h: int,
+        order: int,
+        primary: QSeries,
+        telescoped: QSeries,
+        printed: QSeries,
+        telescoped_residual_zero: bool,
+        printed_residual: QSeries,
+    ):
+        self.alpha = alpha
+        self.h = h
+        self.order = order
+        self.primary = primary
+        self.telescoped = telescoped
+        self.printed = printed
+        self.telescoped_residual_zero = telescoped_residual_zero
+        self.printed_residual = printed_residual
 
     def to_json(self) -> dict:
         return {

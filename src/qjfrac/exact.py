@@ -26,6 +26,8 @@ field is fractions.Fraction (arbitrary precision, always reduced).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
@@ -82,20 +84,53 @@ def _bias(n: int, nbytes: int) -> int:
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
 
 
+# the array type code of each machine-word digit width; digits of these widths
+# convert all at once, wider ones one by one
+_WORD_CODES = {array(code).itemsize: code for code in "qihb"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _digit_width(nbytes: int) -> int:
+    """nbytes rounded up to 1, 2, 4 or 8 bytes when at most 8, else nbytes.
+
+    A wider digit only strengthens the bounds that fix a width below."""
+    return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
+
+
 def _pack(cs: Sequence[int], nbytes: int) -> int:
-    """Σ cs[i]·2^(8·nbytes·i), for |cs[i]| < 2^(8·nbytes − 1)."""
-    half = 1 << (8 * nbytes - 1)
-    raw = b"".join((c + half).to_bytes(nbytes, "little") for c in cs)
-    return int.from_bytes(raw, "little") - _bias(len(cs), nbytes)
+    """Σ cs[i]·2^(8·nbytes·i), for |cs[i]| < 2^(8·nbytes − 1).
+
+    At a word width the bytes of the two's-complement words read as one int
+    give Σ (cs[i] mod 2^(8·nbytes))·2^(8·nbytes·i); flipping the top bit of
+    each word (XOR with the bias) makes every digit cs[i] + half, and
+    subtracting the bias leaves cs[i]."""
+    bias = _bias(len(cs), nbytes)
+    code = _WORD_CODES.get(nbytes)
+    if code is None:
+        half = 1 << (8 * nbytes - 1)
+        raw = b"".join((c + half).to_bytes(nbytes, "little") for c in cs)
+        return int.from_bytes(raw, "little") - bias
+    words = array(code, cs)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return (int.from_bytes(words, "little") ^ bias) - bias
 
 
 def _unpack(x: int, n: int, nbytes: int) -> list[int]:
     """The n balanced digits d_i of x = Σ d_i·2^(8·nbytes·i), |d_i| < 2^(8·nbytes − 1).
 
     Raises OverflowError when x has no such n-digit form."""
-    half = 1 << (8 * nbytes - 1)
-    raw = (x + _bias(n, nbytes)).to_bytes(n * nbytes, "little")
-    return [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, n * nbytes, nbytes)]
+    bias = _bias(n, nbytes)
+    code = _WORD_CODES.get(nbytes)
+    if code is None:
+        half = 1 << (8 * nbytes - 1)
+        raw = (x + bias).to_bytes(n * nbytes, "little")
+        return [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, n * nbytes, nbytes)]
+    # x + bias has the digits d_i + half; the XOR turns them into two's complement
+    words = array(code, ((x + bias) ^ bias).to_bytes(n * nbytes, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
 
 
 def _int_strip(cs: list[int]) -> list[int]:
@@ -114,7 +149,7 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     # every product coefficient is at most this in absolute value; a sign bit
     # on top makes the packed digits independent
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    nbytes = bound.bit_length() // 8 + 1
+    nbytes = _digit_width(bound.bit_length() // 8 + 1)
     return _unpack(_pack(a, nbytes) * _pack(b, nbytes), len(a) + len(b) - 1, nbytes)
 
 
@@ -132,7 +167,7 @@ def _int_exquo(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
     # and its coefficients are below half a digit.
     top = max(map(abs, a))
     bound = (top * len(a)) << (n - 1)
-    nbytes = (bound * sum(map(abs, b)) + top).bit_length() // 8 + 1
+    nbytes = _digit_width((bound * sum(map(abs, b)) + top).bit_length() // 8 + 1)
     quo, rem = divmod(_pack(a, nbytes), _pack(b, nbytes))
     if rem:
         return None
@@ -159,7 +194,7 @@ def _heu_gcd(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[list[int], li
     which divides both, has |f(ξ)| > (ξ/2)^deg(f) >= ξ/2.  Hence f = ±1.
     A candidate that fails the division test sends ξ up; None after
     _HEU_TRIES tries."""
-    nbytes = (2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() // 8 + 1
+    nbytes = _digit_width((2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() // 8 + 1)
     for _ in range(_HEU_TRIES):
         gamma = _int_gcd(_pack(a, nbytes), _pack(b, nbytes))
         g = _primitive(_int_strip(_unpack(gamma, gamma.bit_length() // (8 * nbytes) + 2, nbytes)))
@@ -170,7 +205,7 @@ def _heu_gcd(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[list[int], li
             qb = _int_exquo(b, g)
             if qb is not None:
                 return g, qa, qb
-        nbytes += nbytes // 4 + 1
+        nbytes = _digit_width(nbytes + nbytes // 4 + 1)
     return None
 
 

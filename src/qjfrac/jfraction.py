@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import random
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -126,18 +125,18 @@ class JFractionSpec:
         return cls.from_tables(data.get("name", "json"), c_vals, ab_vals)
 
 
-@dataclass(frozen=True)
 class PochhammerParams:
     """Nonzero parameters (a, b) of the q-Pochhammer ratio family; b = 1 is a pole of c_1."""
 
-    a: QRationalFn
-    b: QRationalFn
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a.is_zero() or self.b.is_zero():
+    def __init__(self, a: QRationalFn, b: QRationalFn):
+        if a.is_zero() or b.is_zero():
             raise ValueError("parameters a, b must be nonzero")
-        if self.b.is_one():
+        if b.is_one():
             raise ValueError("b = 1 makes c_1 = (a-1)/(b-1) undefined")
+        self.a = a
+        self.b = b
 
 
 def cfraction_coefficient(a: QRationalFn, b: QRationalFn, k: int) -> QRationalFn:
@@ -280,17 +279,17 @@ def random_rational_spec(seed: int, length: int = 18) -> JFractionSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConvergentPair:
     """Numerator/denominator polynomials of the depth-h convergent P_h/Q_h."""
 
-    h: int
-    P: ZPolynomial
-    Q: ZPolynomial
+    __slots__ = ("h", "P", "Q")
 
-    def __post_init__(self):
-        if self.h >= 1 and (self.P.degree > self.h - 1 or self.Q.degree > self.h):
+    def __init__(self, h: int, P: ZPolynomial, Q: ZPolynomial):
+        if h >= 1 and (P.degree > h - 1 or Q.degree > h):
             raise ValueError("convergent degree bounds violated")
+        self.h = h
+        self.P = P
+        self.Q = Q
 
 
 def convergent_pairs(spec: JFractionSpec, h: int) -> list[ConvergentPair]:
@@ -353,15 +352,24 @@ def telescoping_residual(pairs: Sequence[ConvergentPair], lam: QRationalFn, h: i
     return det - ZPolynomial.monomial(2 * h - 2, lam)
 
 
-@dataclass(frozen=True)
 class SumDecomposition:
     """Conv_h written as sum_i lambda_i z^(2i-2) / (Q_{i-1} Q_i), with verification."""
 
-    h: int
-    lambdas: list[QRationalFn]
-    terms: list[tuple[ZPolynomial, ZPolynomial]]  # (Q_{i-1}, Q_i) blocks
-    verified: bool
-    first_failure: Optional[int]
+    __slots__ = ("h", "lambdas", "terms", "verified", "first_failure")
+
+    def __init__(
+        self,
+        h: int,
+        lambdas: list[QRationalFn],
+        terms: list[tuple[ZPolynomial, ZPolynomial]],  # (Q_{i-1}, Q_i) blocks
+        verified: bool,
+        first_failure: Optional[int],
+    ):
+        self.h = h
+        self.lambdas = lambdas
+        self.terms = terms
+        self.verified = verified
+        self.first_failure = first_failure
 
 
 def convergent_sum_decomposition(spec: JFractionSpec, h: int) -> SumDecomposition:
@@ -426,14 +434,24 @@ def _poch_step(x: QRationalFn, step: QRationalFn, n: int) -> QRationalFn:
     return acc
 
 
-@dataclass(frozen=True)
 class LambdaReport:
-    h: int
-    product: QRationalFn
-    closed_form: QRationalFn
-    ratio: QRationalFn  # closed_form / product
-    expected_ratio: QRationalFn  # q^(h-1) / a^(h-2), the flagged leading factor
-    proportional: bool
+    __slots__ = ("h", "product", "closed_form", "ratio", "expected_ratio", "proportional")
+
+    def __init__(
+        self,
+        h: int,
+        product: QRationalFn,
+        closed_form: QRationalFn,
+        ratio: QRationalFn,  # closed_form / product
+        expected_ratio: QRationalFn,  # q^(h-1) / a^(h-2), the flagged leading factor
+        proportional: bool,
+    ):
+        self.h = h
+        self.product = product
+        self.closed_form = closed_form
+        self.ratio = ratio
+        self.expected_ratio = expected_ratio
+        self.proportional = proportional
 
 
 def lambda_closed_form_report(params: PochhammerParams, h: int) -> LambdaReport:
@@ -455,11 +473,18 @@ def lambda_closed_form_report(params: PochhammerParams, h: int) -> LambdaReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class InversionResult:
-    c: list[QRationalFn]  # c_1 .. c_depth
-    ab: list[QRationalFn]  # ab_2 .. ab_depth
-    terminated: bool  # an ab vanished before the requested depth
+    __slots__ = ("c", "ab", "terminated")
+
+    def __init__(
+        self,
+        c: list[QRationalFn],  # c_1 .. c_depth
+        ab: list[QRationalFn],  # ab_2 .. ab_depth
+        terminated: bool,  # an ab vanished before the requested depth
+    ):
+        self.c = c
+        self.ab = ab
+        self.terminated = terminated
 
     @property
     def depth(self) -> int:

@@ -9,7 +9,6 @@ Q(q)[z]; no two-variable gcd is ever needed.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import prod
 from typing import Callable, Optional
@@ -76,13 +75,22 @@ def power_sum(c_source: Callable[[int], QRationalFn], h: int, m: int) -> QRation
     return acc
 
 
-@dataclass(frozen=True)
 class NewtonGirardReport:
-    h: int
-    k: int
-    adopted_residual: QRationalFn  # k*entry(h,k) + sum_m S_m entry(h,k-m); zero when valid
-    printed_residual: QRationalFn  # the display read verbatim, entries at index m-k
-    adopted_ok: bool
+    __slots__ = ("h", "k", "adopted_residual", "printed_residual", "adopted_ok")
+
+    def __init__(
+        self,
+        h: int,
+        k: int,
+        adopted_residual: QRationalFn,  # k*entry(h,k) + sum_m S_m entry(h,k-m); zero when valid
+        printed_residual: QRationalFn,  # the display read verbatim, entries at index m-k
+        adopted_ok: bool,
+    ):
+        self.h = h
+        self.k = k
+        self.adopted_residual = adopted_residual
+        self.printed_residual = printed_residual
+        self.adopted_ok = adopted_ok
 
     def to_json(self) -> dict:
         return {
@@ -120,17 +128,17 @@ def newton_girard_check(c_source: Callable[[int], QRationalFn], h: int, k: int) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NestedSumSpec:
     """Index data for the paired nested sums S_{h,m,s}."""
 
-    h: int
-    m: int
-    s: int
+    __slots__ = ("h", "m", "s")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, h: int, m: int, s: int):
+        if m < 1:
             raise ValueError("m must be >= 1")
+        self.h = h
+        self.m = m
+        self.s = s
 
 
 def _spaced_tuples(h: int, m: int):
@@ -188,15 +196,16 @@ def nested_sum(spec: JFractionSpec, nss: NestedSumSpec) -> ZFraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LemmaReport:
     """Outcome of one exact identity check; failures carry the first bad index."""
 
-    name: str
-    h: int
-    ok: bool
-    first_failure: Optional[tuple] = None
-    notes: dict = field(default_factory=dict)
+    __slots__ = ("name", "h", "ok", "first_failure")
+
+    def __init__(self, name: str, h: int, ok: bool, first_failure: Optional[tuple] = None):
+        self.name = name
+        self.h = h
+        self.ok = ok
+        self.first_failure = first_failure
 
     def to_json(self) -> dict:
         return {
@@ -205,7 +214,6 @@ class LemmaReport:
             "h": self.h,
             "status": "ok" if self.ok else "mismatch",
             "first_failure": list(self.first_failure) if self.first_failure else None,
-            **{k: str(v) for k, v in self.notes.items()},
         }
 
 
@@ -287,13 +295,22 @@ def verify_Ph_expansion(spec: JFractionSpec, h: int) -> LemmaReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ClaimReport:
-    h: int
-    k: int
-    triangle_residual: QRationalFn  # provable relation; expected zero
-    triangle_ok: bool
-    nested_residuals: list[dict]  # measured conjecture; zero not asserted
+    __slots__ = ("h", "k", "triangle_residual", "triangle_ok", "nested_residuals")
+
+    def __init__(
+        self,
+        h: int,
+        k: int,
+        triangle_residual: QRationalFn,  # provable relation; expected zero
+        triangle_ok: bool,
+        nested_residuals: list[dict],  # measured conjecture; zero not asserted
+    ):
+        self.h = h
+        self.k = k
+        self.triangle_residual = triangle_residual
+        self.triangle_ok = triangle_ok
+        self.nested_residuals = nested_residuals
 
     def to_json(self) -> dict:
         return {
@@ -411,14 +428,24 @@ def verify_PQ_coefficient_relation(spec: JFractionSpec, h: int) -> LemmaReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FirstColumnReport:
-    h: int
-    formula_value: QRationalFn
-    triangle_value: QRationalFn
-    residual: QRationalFn
-    ok: bool
-    matches_display_variant: bool  # zero residual against the single-fraction c display
+    __slots__ = ("h", "formula_value", "triangle_value", "residual", "ok", "matches_display_variant")
+
+    def __init__(
+        self,
+        h: int,
+        formula_value: QRationalFn,
+        triangle_value: QRationalFn,
+        residual: QRationalFn,
+        ok: bool,
+        matches_display_variant: bool,  # zero residual against the single-fraction c display
+    ):
+        self.h = h
+        self.formula_value = formula_value
+        self.triangle_value = triangle_value
+        self.residual = residual
+        self.ok = ok
+        self.matches_display_variant = matches_display_variant
 
     def to_json(self) -> dict:
         return {

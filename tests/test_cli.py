@@ -167,6 +167,7 @@ class TestSizeCaps:
             "degree of any parsed value (numerator or denominator)": exact._MAX_DEGREE,
             "`divisor table --order`": cli._MAX_ORDER,
             "`divisor table --alpha`": cli._MAX_ALPHA,
+            "`divisor table` joint cost (`--alpha` + 2)·`--h`²": cli._MAX_DIVISOR_COST,
             "`jfrac expand --zorder` (default 2h, so `--h` above 32 needs `--zorder`)": cli._MAX_ZORDER,
             "`converge probe --hmax`": cli._MAX_PROBE_LEVELS,
             "`converge margins --hmax`": cli._MAX_MARGIN_LEVELS,
@@ -187,6 +188,36 @@ class TestSizeCaps:
             base, _, exponent = cap.partition("^")
             listed[size] = int(base) ** int(exponent) if exponent else int(base)
         assert listed == constants
+
+    @pytest.mark.parametrize(
+        "alpha, h", [(32, 12), (16, 12), (32, 8), (16, 11), (3, 26), (1, 27), (0, 33), (0, 64)]
+    )
+    def test_divisor_table_above_the_joint_cap_is_a_usage_error(self, capsys, monkeypatch, alpha, h):
+        # each size is inside its own cap, but --alpha 32 --h 12 ran past 60 s
+        # and --alpha 16 --h 12 took 9 s; the command must not start
+        import qjfrac.divisors as divisors
+
+        def never(*args):
+            raise AssertionError("the generator must not run")
+
+        monkeypatch.setattr(divisors, "generating_series", never)
+        monkeypatch.setattr(divisors, "congruence_table", never)
+        argv = ["divisor", "table", "--alpha", str(alpha), "--h", str(h), "--order", str(2 * h)]
+        assert run(argv) == 2
+        assert run(argv + ["--mod", "5"]) == 2
+        assert f"(alpha + 2)*h^2 = {(alpha + 2) * h * h} exceeds 2048" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha, h", [(0, 32), (3, 20), (3, 12), (16, 10), (32, 7), (32, 2)])
+    def test_divisor_table_at_the_joint_cap_runs(self, monkeypatch, alpha, h):
+        # the benchmark's sizes (alpha <= 3 at h <= 12) stay legal
+        import qjfrac.divisors as divisors
+        from qjfrac.exact import QRationalFn, QSeries
+
+        def stub(req):
+            return divisors.GFResult(req, QSeries.zero(2), QRationalFn.zero())
+
+        monkeypatch.setattr(divisors, "generating_series", stub)
+        assert run(["divisor", "table", "--alpha", str(alpha), "--h", str(h), "--order", "1"]) == 0
 
     def test_default_zorder_above_the_cap_is_a_usage_error(self, capsys, monkeypatch):
         # the default zorder is 2h, so h > 32 needs an explicit --zorder
@@ -510,14 +541,17 @@ class TestUsage:
 
 
 class TestLazyLoading:
-    """`import qjfrac` loads nothing, and each command loads only what it runs."""
+    """`import qjfrac` loads nothing, and each command loads only what it runs.
+
+    No command loads `dataclasses` or, through it, `inspect`: the records are
+    plain classes, so start-up compiles and execs none of their methods."""
 
     PROBE = """
 import contextlib, io, json, sys
 import qjfrac.cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = qjfrac.cli.run(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in sys.modules if m == "mpmath" or m.split(".")[0] == "qjfrac")]))
+print(json.dumps([rc, sorted(m for m in sys.modules if m in ("mpmath", "dataclasses", "inspect") or m.split(".")[0] == "qjfrac")]))
 """
     NUMERIC = ["qjfrac.convergence", "mpmath"]
     ORACLE = ["qjfrac.exact", "qjfrac.oracles"]
@@ -536,7 +570,7 @@ print(json.dumps([rc, sorted(m for m in sys.modules if m == "mpmath" or m.split(
             (["jfrac", "triangle", "--a", "q", "--b", "q^2", "--h", "2"], EXACT + ["qjfrac.stirling"]),
             (["verify", "lemmas", "--h", "2", "--spec", "random"], EXACT + ["qjfrac.stirling"]),
             (["verify", "lemmas", "--h", "2"], EXACT + ["qjfrac.divisors", "qjfrac.stirling"]),
-            (["divisor", "table", "--alpha", "0", "--h", "3", "--order", "3"], EXACT + ["qjfrac.divisors", "qjfrac.stirling"]),
+            (["divisor", "table", "--alpha", "0", "--h", "3", "--order", "3"], EXACT + ["qjfrac.divisors"]),
             (["--help"], []),
         ],
         ids=[
@@ -565,3 +599,72 @@ print(json.dumps([rc, sorted(m for m in sys.modules if m == "mpmath" or m.split(
         assert qjfrac.QRationalFn.__module__ == "qjfrac.exact"
         with pytest.raises(AttributeError):
             qjfrac.no_such_name
+
+
+class TestPlainRecords:
+    """The records are plain `__slots__` classes, so that start-up needs no
+    `dataclasses`; each `__init__` keeps the checks of the old `__post_init__`.
+    No caller compares or hashes a record, so none defines `__eq__`."""
+
+    @staticmethod
+    def records():
+        from qjfrac import convergence, divisors, jfraction, stirling
+
+        return [
+            jfraction.PochhammerParams, jfraction.ConvergentPair, jfraction.SumDecomposition,
+            jfraction.LambdaReport, jfraction.InversionResult, stirling.NewtonGirardReport,
+            stirling.NestedSumSpec, stirling.LemmaReport, stirling.ClaimReport,
+            stirling.FirstColumnReport, divisors.DivisorGFRequest, divisors.GFResult,
+            divisors.TildeDReport, divisors.SpecialCaseReport, convergence.PringsheimRow,
+            convergence.PringsheimReport, convergence.ProbeRow, convergence.ProbeReport,
+        ]
+
+    def test_records_are_slotted_plain_classes(self):
+        for cls in self.records():
+            assert "__slots__" in vars(cls) and "__dataclass_fields__" not in vars(cls), cls
+            assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+
+    @staticmethod
+    def invalid_builds():
+        from qjfrac.divisors import DivisorGFRequest
+        from qjfrac.exact import QRationalFn
+        from qjfrac.jfraction import ConvergentPair, PochhammerParams
+        from qjfrac.stirling import NestedSumSpec
+        from qjfrac.zalgebra import ZPolynomial
+
+        one, zero, q = QRationalFn.one(), QRationalFn.zero(), QRationalFn.q()
+        return [
+            (lambda: PochhammerParams(zero, q), "parameters a, b must be nonzero"),
+            (lambda: PochhammerParams(q, zero), "parameters a, b must be nonzero"),
+            (lambda: PochhammerParams(q, one), "b = 1 makes c_1"),
+            (lambda: ConvergentPair(1, ZPolynomial([one, q]), ZPolynomial.one()), "degree bounds"),
+            (lambda: ConvergentPair(2, ZPolynomial.one(), ZPolynomial([one, q, q, q])), "degree bounds"),
+            (lambda: NestedSumSpec(4, 0, 3), "m must be >= 1"),
+            (lambda: DivisorGFRequest(-1, 4, 4), "alpha must be >= 0"),
+            (lambda: DivisorGFRequest(0, 1, 4), "h must be >= 2"),
+            (lambda: DivisorGFRequest(0, 4, 0), "order must be >= 1"),
+            (lambda: DivisorGFRequest(0, 4, 4, 1), "modulus must be >= 2"),
+        ]
+
+    def test_init_keeps_the_checks(self):
+        for build, message in self.invalid_builds():
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_valid_records_keep_their_fields(self):
+        from qjfrac.divisors import DivisorGFRequest
+        from qjfrac.exact import QRationalFn
+        from qjfrac.jfraction import ConvergentPair, PochhammerParams
+        from qjfrac.stirling import NestedSumSpec
+        from qjfrac.zalgebra import ZPolynomial
+
+        q = QRationalFn.q()
+        params = PochhammerParams(q, q * q)
+        assert (params.a, params.b) == (q, q * q)
+        pair = ConvergentPair(0, ZPolynomial.zero(), ZPolynomial.one())
+        assert (pair.h, pair.P, pair.Q) == (0, ZPolynomial.zero(), ZPolynomial.one())
+        nss = NestedSumSpec(4, 1, 5)
+        assert (nss.h, nss.m, nss.s) == (4, 1, 5)
+        req = DivisorGFRequest(1, 6, 12)
+        assert (req.alpha, req.h, req.order, req.modulus) == (1, 6, 12, None)
+        assert (req.certified_below, req.empirical_below) == (6, 12)

@@ -613,3 +613,151 @@ def test_coeffs_are_reduced_fractions_built_once():
     q = QPolynomial((1, 1)) * QPolynomial((-1, 1))
     assert hash(q) == hash(QPolynomial((-1, 0, 1))) and q == QPolynomial((-1, 0, 1)) and q != p
     assert not hasattr(q, "_cs")  # neither hash nor == builds them
+
+
+# -- oracle: the byte-join Kronecker packing that word-sized digits replaced -----
+#
+# Each digit was offset by half a digit and converted by its own to_bytes or
+# from_bytes call, at the unrounded width that the bounds ask for.
+
+
+def byte_join_pack(cs, nbytes):
+    half = 1 << (8 * nbytes - 1)
+    raw = b"".join((c + half).to_bytes(nbytes, "little") for c in cs)
+    return int.from_bytes(raw, "little") - exact._bias(len(cs), nbytes)
+
+
+def byte_join_unpack(x, n, nbytes):
+    half = 1 << (8 * nbytes - 1)
+    raw = (x + exact._bias(n, nbytes)).to_bytes(n * nbytes, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, n * nbytes, nbytes)]
+
+
+def byte_join_kernel(fn, *args):
+    """fn(*args) run on the byte-join packing at unrounded widths."""
+    with mock.patch.multiple(exact, _pack=byte_join_pack, _unpack=byte_join_unpack, _digit_width=lambda n: n):
+        return fn(*args)
+
+
+def convolution(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+WORD_WIDTHS = (1, 2, 4, 8)
+OTHER_WIDTHS = (3, 5, 9, 16)
+
+
+@st.composite
+def digit_lists(draw, widths):
+    """(digits, width): digits of one width, the extremes ±(2^(8·width−1) − 1) among them."""
+    nbytes = draw(st.sampled_from(widths))
+    top = (1 << (8 * nbytes - 1)) - 1
+    digit = st.one_of(st.sampled_from((top, -top, 0, 1, -1)), st.integers(-top, top))
+    return draw(st.lists(digit, min_size=1, max_size=12)), nbytes
+
+
+def _check_pack_round_trip(cs, nbytes):
+    x = exact._pack(cs, nbytes)
+    assert x == byte_join_pack(cs, nbytes) == sum(c << (8 * nbytes * i) for i, c in enumerate(cs))
+    assert exact._unpack(x, len(cs), nbytes) == byte_join_unpack(x, len(cs), nbytes) == cs
+
+
+def test_widths_up_to_a_word_round_up_to_one():
+    assert [exact._digit_width(n) for n in range(1, 12)] == [1, 2, 4, 4, 8, 8, 8, 8, 9, 10, 11]
+    assert sorted(exact._WORD_CODES) == list(WORD_WIDTHS)
+
+
+@pytest.mark.parametrize("nbytes", WORD_WIDTHS)
+def test_word_digits_at_the_extremes(nbytes):
+    top = (1 << (8 * nbytes - 1)) - 1
+    for cs in ([top], [-top], [top, -top, top], [-top, top, 0, -top], [-1] * 5, [0, 0, top]):
+        _check_pack_round_trip(cs, nbytes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digit_lists(WORD_WIDTHS))
+def test_word_digits_match_the_byte_join_oracle(digits):
+    _check_pack_round_trip(*digits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(digit_lists(OTHER_WIDTHS))
+def test_other_widths_match_the_byte_join_oracle(digits):
+    _check_pack_round_trip(*digits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WORD_WIDTHS + OTHER_WIDTHS), st.integers(1, 6), st.data())
+def test_unpack_overflows_exactly_where_the_oracle_does(nbytes, n, data):
+    # the n-digit forms cover [-bias, 2^(8·nbytes·n) − bias); probe both ends
+    bias = exact._bias(n, nbytes)
+    edge = data.draw(st.sampled_from((-bias, -bias - 1, (1 << (8 * nbytes * n)) - bias, (1 << (8 * nbytes * n)) - bias - 1)))
+    x = data.draw(st.one_of(st.just(edge), st.integers(-2 * bias, 4 * bias)))
+    try:
+        want = byte_join_unpack(x, n, nbytes)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            exact._unpack(x, n, nbytes)
+    else:
+        assert exact._unpack(x, n, nbytes) == want
+
+
+@pytest.mark.parametrize("nbytes", WORD_WIDTHS + OTHER_WIDTHS)
+def test_unpack_raises_without_an_n_digit_form(nbytes):
+    half = 1 << (8 * nbytes - 1)
+    for n in (1, 2, 3):
+        low, high = -exact._bias(n, nbytes), (1 << (8 * nbytes * n)) - exact._bias(n, nbytes)
+        # the smallest and largest n-digit forms: every digit -half, or half − 1
+        assert exact._unpack(low, n, nbytes) == [-half] * n
+        assert exact._unpack(high - 1, n, nbytes) == [half - 1] * n
+        for x in (low - 1, high):
+            with pytest.raises(OverflowError):
+                byte_join_unpack(x, n, nbytes)
+            with pytest.raises(OverflowError):
+                exact._unpack(x, n, nbytes)
+
+
+def _int_polys(max_len=8):
+    """Nonzero integer polynomials whose coefficients sit at the digit-width edges."""
+    edges = [s * ((1 << (8 * w - 1)) - d) for w in (1, 2, 4, 8) for d in (1, 0) for s in (1, -1)]
+    coefficient = st.one_of(st.sampled_from(edges), st.integers(-(2**140), 2**140))
+    return st.lists(coefficient, min_size=1, max_size=max_len).filter(lambda cs: cs[-1] != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_polys(), _int_polys())
+def test_int_mul_matches_the_byte_join_kernel(a, b):
+    assert exact._int_mul(a, b) == byte_join_kernel(exact._int_mul, a, b) == convolution(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_int_polys(), _int_polys(max_len=5).filter(lambda cs: len(cs) >= 2))
+def test_int_exquo_matches_the_byte_join_kernel(a, b):
+    ab = convolution(a, b)
+    assert exact._int_exquo(ab, b) == byte_join_kernel(exact._int_exquo, ab, b) == a
+    # b has degree >= 1, so it cannot divide a·b + 1
+    ab[0] += 1
+    assert exact._int_exquo(ab, b) is None
+    assert byte_join_kernel(exact._int_exquo, ab, b) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(_int_polys(max_len=4), _int_polys(max_len=4), _int_polys(max_len=4))
+def test_heu_gcd_matches_the_byte_join_kernel(f, g, h):
+    a, b = (exact._primitive(convolution(f, x)) for x in (g, h))
+    if len(a) == 1 or len(b) == 1:
+        return
+    a, b = ([-c for c in p] if p[-1] < 0 else p for p in (a, b))
+    found, want = exact._heu_gcd(a, b), byte_join_kernel(exact._heu_gcd, a, b)
+    if found is not None:
+        g_ab, qa, qb = found
+        assert convolution(g_ab, qa) == a and convolution(g_ab, qb) == b
+        # the byte-join route falls back to the PRS when its heuristic gives up
+        g = list(byte_join_kernel(exact._prim_gcd, a, b)[0])
+        assert g_ab in (g, [-c for c in g])
+        if want is not None:
+            assert found == want
