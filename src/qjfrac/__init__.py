@@ -14,23 +14,24 @@ numeric `convergence` module pulls in mpmath.
 from importlib import import_module
 
 _EXPORTS = {
-    "exact": ("QPolynomial", "QRationalFn", "QSeries", "Rational", "parse_ratfn"),
-    "jfraction": (
-        "ConvergentPair",
-        "InversionResult",
+    "exact": ("QPolynomial", "QRationalFn", "QSeries", "Rational"),
+    "parse": ("parse_ratfn",),
+    "sequences": (
         "JFractionSpec",
         "PochhammerParams",
         "cfraction_coefficient",
+        "divisor_spec",
+        "pochhammer_spec",
+    ),
+    "jfraction": (
+        "ConvergentPair",
+        "InversionResult",
         "convergent_coefficients",
         "convergent_pairs",
         "convergent_sum_decomposition",
         "convergents",
-        "divisor_spec",
-        "lambda_closed_form_report",
         "lambda_modulus",
-        "pochhammer_spec",
         "series_to_jfraction",
-        "substitute_z_to_q",
         "table1_preset",
         "telescoping_residual",
     ),
@@ -38,12 +39,7 @@ _EXPORTS = {
         "DivisorGFRequest",
         "Stirling2Table",
         "congruence_table",
-        "divisor_gf",
-        "partial_sums",
-        "rational_approximant",
-        "sigma_gf",
-        "sigma_special_case_check",
-        "tilde_D0j",
+        "generating_series",
     ),
     "stirling": (
         "NestedSumSpec",
@@ -51,6 +47,7 @@ _EXPORTS = {
         "first_column_formula_check",
         "nested_sum",
         "newton_girard_check",
+        "tilde_D0j",
         "verify_claim_relations",
         "verify_Ph_expansion",
         "verify_PQ_coefficient_relation",

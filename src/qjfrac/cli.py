@@ -19,8 +19,6 @@ operators + - * / ^ with parentheses, e.g. --a "q^2/(1-3*q)".
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from typing import TYPE_CHECKING, Optional
@@ -28,8 +26,9 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:
     from .exact import QRationalFn
 
-# Each command imports the library modules it runs, so a process compiles only
-# those; the parser's choices are spelled out here for the same reason, in the
+# Each command imports the library modules it runs, and `run` builds the
+# parser of that command alone, so a process compiles and builds only what it
+# runs; the parser's choices are spelled out here for the same reason, in the
 # order of jfraction.TABLE1_ROWS and sorted(jfraction.INVERSION_TARGETS).
 _PRESETS = (
     "pochhammer_a",
@@ -42,10 +41,10 @@ _TARGETS = ("n2_over_1mqn", "n_over_1mqn", "one_over_1mqn")
 
 
 def _ratfn(text: str) -> QRationalFn:
-    from .exact import QRationalFn
+    from .parse import parse_ratfn
 
     try:
-        return QRationalFn.parse(text)
+        return parse_ratfn(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational-function expression {text!r}: {exc}")
 
@@ -56,10 +55,12 @@ _MAX_ORDER = 1024  # divisor table --alpha 0 --h 12 --order 1024: 1.5 s; --h 4 -
 # also the --alpha of oracle sigma and oracle lambert, whose --n and --order caps
 # below are measured at alpha 32
 _MAX_ALPHA = 32  # divisor table --alpha 32 --h 4 --order 8: 1.2 s; --alpha 80: 18.9 s
-# divisor table's joint cap: its cost grows about like h^5.5 * (alpha + 2)^3, so
-# (alpha + 2) * h^2 bounds it; along the bound it takes 1.6-3.8 s (--alpha 4
-# --h 18: 1.6 s; --alpha 32 --h 7: 3.8 s), and --alpha 0 --h 32, the large-h
-# case, 6.5 s; above it, --alpha 16 --h 12 takes 9 s and --alpha 32 --h 12 over 60 s
+# divisor table's joint cap: its cost grew about like h^5.5 * (alpha + 2)^3, so
+# (alpha + 2) * h^2 bounds it; along the bound it took 1.6-3.8 s when the cap was
+# set (--alpha 4 --h 18: 1.6 s; --alpha 32 --h 7: 3.8 s), and --alpha 0 --h 32,
+# the large-h case, 6.5 s; above it, --alpha 16 --h 12 took 9 s and --alpha 32
+# --h 12 over 60 s.  Since exact division tries the narrow width first these
+# take 0.8 s, 1.5 s, 0.9 s and 1.8 s (--alpha 16 --h 12); the cap is unchanged.
 _MAX_DIVISOR_COST = 2048
 _MAX_ZORDER = 64  # jfrac expand --preset reciprocal_qq --h 4 --zorder 64: 1.8 s; --zorder 96: 8.8 s
 _MAX_MARGIN_LEVELS = 500  # converge margins --q=0.1 --hmax 500: 1.0 s; --hmax 1000: 3.7 s
@@ -127,6 +128,9 @@ def _emit(payload, fmt: str, output: Optional[str], csv_rows=None, csv_header=No
     elif fmt == "csv":
         if csv_rows is None:
             raise ValueError("csv format not supported for this subcommand")
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header)
@@ -157,113 +161,95 @@ def _pretty(payload, indent: int = 0) -> str:
     return f"{pad}{payload}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qjfrac",
-        description="Exact Jacobi-type continued fractions over Q(q).",
-        epilog=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    top = parser.add_subparsers(dest="command", required=True)
+def _add_output_flags(parser: argparse.ArgumentParser, formats=("json", "pretty"), default="json") -> None:
+    parser.add_argument("--format", choices=formats, default=default)
+    parser.add_argument("--output", default=None)
 
-    jf = top.add_parser("jfrac", help="J-fraction construction and inversion")
-    jf_sub = jf.add_subparsers(dest="subcommand", required=True)
 
-    expand = jf_sub.add_parser("expand", help="expand a sequence family")
-    expand.add_argument("--preset", choices=_PRESETS, help="named sequence family")
-    expand.add_argument("--a", type=_ratfn, help="parameter a (rational function of q)")
-    expand.add_argument("--b", type=_ratfn, help="parameter b (rational function of q)")
-    expand.add_argument("--z", type=_ratfn, help="parameter z for the families that need one")
-    expand.add_argument("--h", type=_depth_int, required=True, help="convergent depth")
-    expand.add_argument(
+def _args_expand(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--preset", choices=_PRESETS, help="named sequence family")
+    p.add_argument("--a", type=_ratfn, help="parameter a (rational function of q)")
+    p.add_argument("--b", type=_ratfn, help="parameter b (rational function of q)")
+    p.add_argument("--z", type=_ratfn, help="parameter z for the families that need one")
+    p.add_argument("--h", type=_depth_int, required=True, help="convergent depth")
+    p.add_argument(
         "--zorder", type=_int_in(1, _MAX_ZORDER), default=None, help="series order (default 2h)"
     )
-    expand.add_argument("--format", choices=("json", "pretty"), default="json")
-    expand.add_argument("--output", default=None)
+    _add_output_flags(p)
 
-    invert = jf_sub.add_parser("invert", help="series -> (c, ab) inversion")
-    invert.add_argument(
-        "--target",
-        required=True,
-        choices=_TARGETS,
-        help="named target series",
-    )
-    invert.add_argument("--depth", type=_positive_depth_int, required=True)
-    invert.add_argument("--format", choices=("json", "pretty"), default="json")
-    invert.add_argument("--output", default=None)
 
-    triangle = jf_sub.add_parser(
-        "triangle", help="dump the coefficient triangle of a sequence family"
-    )
-    triangle.add_argument("--preset", choices=_PRESETS)
-    triangle.add_argument("--a", type=_ratfn)
-    triangle.add_argument("--b", type=_ratfn)
-    triangle.add_argument("--z", type=_ratfn)
-    triangle.add_argument("--h", type=_depth_int, required=True, help="number of rows")
-    triangle.add_argument("--format", choices=("json", "pretty"), default="json")
-    triangle.add_argument("--output", default=None)
+def _args_invert(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", required=True, choices=_TARGETS, help="named target series")
+    p.add_argument("--depth", type=_positive_depth_int, required=True)
+    _add_output_flags(p)
 
-    verify = top.add_parser("verify", help="exact identity verification")
-    verify_sub = verify.add_subparsers(dest="subcommand", required=True)
-    lemmas = verify_sub.add_parser("lemmas", help="run the expansion-identity suite")
-    lemmas.add_argument("--h", type=_int_in(0, _MAX_LEMMA_H), default=4, help="max depth (default 4)")
-    lemmas.add_argument(
-        "--spec", choices=("qq2", "random"), default="qq2", help="sequence source"
-    )
-    lemmas.add_argument("--seed", type=int, default=0, help="seed for --spec random")
-    lemmas.add_argument("--format", choices=("json", "pretty"), default="json")
-    lemmas.add_argument("--output", default=None)
 
-    div = top.add_parser("divisor", help="divisor-function tables")
-    div_sub = div.add_subparsers(dest="subcommand", required=True)
-    table = div_sub.add_parser("table", help="sigma_alpha(n) table from the J-fraction")
-    table.add_argument("--alpha", type=_int_in(0, _MAX_ALPHA), required=True)
-    table.add_argument("--h", type=_depth_int, required=True)
-    table.add_argument("--order", type=_int_in(1, _MAX_ORDER), required=True)
-    table.add_argument("--mod", type=_modulus_int, default=None)
-    table.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    table.add_argument("--output", default=None)
+def _args_triangle(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--preset", choices=_PRESETS)
+    p.add_argument("--a", type=_ratfn)
+    p.add_argument("--b", type=_ratfn)
+    p.add_argument("--z", type=_ratfn)
+    p.add_argument("--h", type=_depth_int, required=True, help="number of rows")
+    _add_output_flags(p)
 
-    conv = top.add_parser("converge", help="numeric convergence diagnostics")
-    conv_sub = conv.add_subparsers(dest="subcommand", required=True)
-    probe = conv_sub.add_parser("probe", help="convergent-vs-target gaps")
-    probe.add_argument("--q", type=_complex_arg, required=True, help="RE or RE,IM with |q|<1")
-    probe.add_argument("--z", type=_complex_arg, default=None, help="defaults to q")
-    probe.add_argument("--hmax", type=_int_in(1, _MAX_PROBE_LEVELS), default=20)
-    probe.add_argument("--format", choices=("json", "csv", "pretty"), default="csv")
-    probe.add_argument("--output", default=None)
-    radius = conv_sub.add_parser("radius", help="threshold radius of the margin inequality")
-    radius.add_argument("--tol", type=float, default=1e-8)
-    radius.add_argument("--format", choices=("json", "pretty"), default="json")
-    radius.add_argument("--output", default=None)
-    margins = conv_sub.add_parser("margins", help="per-level margin report")
-    margins.add_argument("--q", type=_complex_arg, required=True)
-    margins.add_argument("--hmax", type=_int_in(2, _MAX_MARGIN_LEVELS), default=100)
-    margins.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    margins.add_argument("--output", default=None)
 
-    oracle = top.add_parser("oracle", help="brute-force reference values")
-    oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
-    o_sigma = oracle_sub.add_parser("sigma", help="sigma_alpha(n) by trial division")
-    o_sigma.add_argument("--alpha", type=_int_in(0, _MAX_ALPHA), required=True)
-    o_sigma.add_argument("--n", type=_int_in(1, _MAX_SIGMA_N), required=True)
-    o_lambert = oracle_sub.add_parser("lambert", help="truncated Lambert series coefficients")
-    o_lambert.add_argument("--alpha", type=_int_in(0, _MAX_ALPHA), required=True)
-    o_lambert.add_argument("--order", type=_int_in(1, _MAX_LAMBERT_ORDER), required=True)
-    o_qbin = oracle_sub.add_parser("qbinomial", help="Gaussian binomial coefficient")
-    o_qbin.add_argument("--n", type=_int_in(0, _MAX_QBINOMIAL_N), required=True)
-    o_qbin.add_argument("--k", type=_int_in(0, _MAX_QBINOMIAL_N), required=True)
-    o_poch = oracle_sub.add_parser("qpochhammer", help="(x; q)_n as a rational function")
-    o_poch.add_argument("--x", type=_ratfn, required=True)
-    o_poch.add_argument("--n", type=_int_in(0, _MAX_POCHHAMMER_N), required=True)
-    o_qbt = oracle_sub.add_parser(
-        "qbinomialtheorem", help="truncated sum-vs-product comparison"
-    )
-    o_qbt.add_argument("--a", type=_ratfn, required=True)
-    o_qbt.add_argument("--z", type=_ratfn, required=True)
-    o_qbt.add_argument("--order", type=_int_in(1, _MAX_QBT_ORDER), required=True)
+def _args_lemmas(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--h", type=_int_in(0, _MAX_LEMMA_H), default=4, help="max depth (default 4)")
+    p.add_argument("--spec", choices=("qq2", "random"), default="qq2", help="sequence source")
+    p.add_argument("--seed", type=int, default=0, help="seed for --spec random")
+    _add_output_flags(p)
 
-    return parser
+
+def _args_table(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=_int_in(0, _MAX_ALPHA), required=True)
+    p.add_argument("--h", type=_depth_int, required=True)
+    p.add_argument("--order", type=_int_in(1, _MAX_ORDER), required=True)
+    p.add_argument("--mod", type=_modulus_int, default=None)
+    _add_output_flags(p, ("json", "csv", "pretty"))
+
+
+def _args_probe(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=_complex_arg, required=True, help="RE or RE,IM with |q|<1")
+    p.add_argument("--z", type=_complex_arg, default=None, help="defaults to q")
+    p.add_argument("--hmax", type=_int_in(1, _MAX_PROBE_LEVELS), default=20)
+    _add_output_flags(p, ("json", "csv", "pretty"), "csv")
+
+
+def _args_radius(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=float, default=1e-8)
+    _add_output_flags(p)
+
+
+def _args_margins(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=_complex_arg, required=True)
+    p.add_argument("--hmax", type=_int_in(2, _MAX_MARGIN_LEVELS), default=100)
+    _add_output_flags(p, ("json", "csv", "pretty"))
+
+
+def _args_sigma(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=_int_in(0, _MAX_ALPHA), required=True)
+    p.add_argument("--n", type=_int_in(1, _MAX_SIGMA_N), required=True)
+
+
+def _args_lambert(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=_int_in(0, _MAX_ALPHA), required=True)
+    p.add_argument("--order", type=_int_in(1, _MAX_LAMBERT_ORDER), required=True)
+
+
+def _args_qbinomial(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_int_in(0, _MAX_QBINOMIAL_N), required=True)
+    p.add_argument("--k", type=_int_in(0, _MAX_QBINOMIAL_N), required=True)
+
+
+def _args_qpochhammer(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--x", type=_ratfn, required=True)
+    p.add_argument("--n", type=_int_in(0, _MAX_POCHHAMMER_N), required=True)
+
+
+def _args_qbinomialtheorem(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--a", type=_ratfn, required=True)
+    p.add_argument("--z", type=_ratfn, required=True)
+    p.add_argument("--order", type=_int_in(1, _MAX_QBT_ORDER), required=True)
 
 
 def _cmd_expand(args) -> int:
@@ -380,9 +366,7 @@ def _cmd_lemmas(args) -> int:
     ]
     if args.spec == "qq2":
         checker_reports.append(stirling.first_column_formula_check(spec, args.h).to_json())
-        from .divisors import tilde_D0j
-
-        checker_reports.append(tilde_D0j(1).to_json())
+        checker_reports.append(stirling.tilde_D0j(1).to_json())
     payload = {
         "schema": "qjfrac/verify-lemmas/1",
         "spec": spec.name,
@@ -486,51 +470,112 @@ def _cmd_margins(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    from . import oracles
+def _cmd_sigma(args) -> int:
+    from .oracles import sigma_alpha
 
-    if args.subcommand == "sigma":
-        print(oracles.sigma_alpha(args.alpha, args.n))
-    elif args.subcommand == "lambert":
-        series = oracles.lambert_truncated(args.alpha, args.order)
-        print(json.dumps([str(c) for c in series]))
-    elif args.subcommand == "qbinomial":
-        if args.k > args.n:
-            print("error: need k <= n", file=sys.stderr)
-            return 2
-        print(oracles.q_binomial(args.n, args.k))
-    elif args.subcommand == "qpochhammer":
-        print(oracles.q_pochhammer(args.x, args.n))
-    elif args.subcommand == "qbinomialtheorem":
-        ok = oracles.q_binomial_theorem_check(args.a, args.z, args.order)
-        print("equal" if ok else "MISMATCH")
-        return 0 if ok else 1
+    print(sigma_alpha(args.alpha, args.n))
     return 0
+
+
+def _cmd_lambert(args) -> int:
+    from .oracles import lambert_truncated
+
+    series = lambert_truncated(args.alpha, args.order)
+    print(json.dumps([str(c) for c in series]))
+    return 0
+
+
+def _cmd_qbinomial(args) -> int:
+    if args.k > args.n:
+        print("error: need k <= n", file=sys.stderr)
+        return 2
+    from .oracles import q_binomial
+
+    print(q_binomial(args.n, args.k))
+    return 0
+
+
+def _cmd_qpochhammer(args) -> int:
+    from .oracles import q_pochhammer
+
+    print(q_pochhammer(args.x, args.n))
+    return 0
+
+
+def _cmd_qbinomialtheorem(args) -> int:
+    from .oracles import q_binomial_theorem_check
+
+    ok = q_binomial_theorem_check(args.a, args.z, args.order)
+    print("equal" if ok else "MISMATCH")
+    return 0 if ok else 1
+
+
+# The one table of commands, in --help order: group -> help, and
+# (group, subcommand) -> (help, argument builder, handler).
+_GROUPS = {
+    "jfrac": "J-fraction construction and inversion",
+    "verify": "exact identity verification",
+    "divisor": "divisor-function tables",
+    "converge": "numeric convergence diagnostics",
+    "oracle": "brute-force reference values",
+}
+_COMMANDS = {
+    ("jfrac", "expand"): ("expand a sequence family", _args_expand, _cmd_expand),
+    ("jfrac", "invert"): ("series -> (c, ab) inversion", _args_invert, _cmd_invert),
+    ("jfrac", "triangle"): (
+        "dump the coefficient triangle of a sequence family", _args_triangle, _cmd_triangle
+    ),
+    ("verify", "lemmas"): ("run the expansion-identity suite", _args_lemmas, _cmd_lemmas),
+    ("divisor", "table"): ("sigma_alpha(n) table from the J-fraction", _args_table, _cmd_divisor_table),
+    ("converge", "probe"): ("convergent-vs-target gaps", _args_probe, _cmd_probe),
+    ("converge", "radius"): ("threshold radius of the margin inequality", _args_radius, _cmd_radius),
+    ("converge", "margins"): ("per-level margin report", _args_margins, _cmd_margins),
+    ("oracle", "sigma"): ("sigma_alpha(n) by trial division", _args_sigma, _cmd_sigma),
+    ("oracle", "lambert"): ("truncated Lambert series coefficients", _args_lambert, _cmd_lambert),
+    ("oracle", "qbinomial"): ("Gaussian binomial coefficient", _args_qbinomial, _cmd_qbinomial),
+    ("oracle", "qpochhammer"): ("(x; q)_n as a rational function", _args_qpochhammer, _cmd_qpochhammer),
+    ("oracle", "qbinomialtheorem"): (
+        "truncated sum-vs-product comparison", _args_qbinomialtheorem, _cmd_qbinomialtheorem
+    ),
+}
+
+
+def build_parser(command: Optional[tuple[str, str]] = None) -> argparse.ArgumentParser:
+    """The parser of every command or, given a key of _COMMANDS, of that one.
+
+    A one-command parser builds only that command's subparser, and it prints
+    what the full parser prints for that command's arguments: its one error
+    of its own, on an unrecognized argument, shows the top-level usage line,
+    so that line names every group, as the full parser's does."""
+    parser = argparse.ArgumentParser(
+        prog="qjfrac",
+        description="Exact Jacobi-type continued fractions over Q(q).",
+        epilog=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    metavar = "{" + ",".join(_GROUPS) + "}" if command else None
+    top = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    groups = {}
+    for (group, name), (text, add_arguments, _) in _COMMANDS.items():
+        if command is not None and (group, name) != command:
+            continue
+        if group not in groups:
+            groups[group] = top.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="subcommand", required=True
+            )
+        add_arguments(groups[group].add_parser(name, help=text))
+    return parser
 
 
 def run(argv=None) -> int:
     """Run one command; the exit code is 0 on success, 1 on a verification
     mismatch, 2 on a usage error and 3 on an internal error."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = tuple(argv[:2])
     try:
-        args = build_parser().parse_args(argv)
-        if args.command == "jfrac" and args.subcommand == "expand":
-            return _cmd_expand(args)
-        if args.command == "jfrac" and args.subcommand == "invert":
-            return _cmd_invert(args)
-        if args.command == "jfrac" and args.subcommand == "triangle":
-            return _cmd_triangle(args)
-        if args.command == "verify":
-            return _cmd_lemmas(args)
-        if args.command == "divisor":
-            return _cmd_divisor_table(args)
-        if args.command == "converge" and args.subcommand == "probe":
-            return _cmd_probe(args)
-        if args.command == "converge" and args.subcommand == "radius":
-            return _cmd_radius(args)
-        if args.command == "converge" and args.subcommand == "margins":
-            return _cmd_margins(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
+        args = build_parser(command if command in _COMMANDS else None).parse_args(argv)
+        return _COMMANDS[args.command, args.subcommand][2](args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     except (ValueError, ZeroDivisionError, IndexError) as exc:
@@ -539,8 +584,6 @@ def run(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print("error: unknown command", file=sys.stderr)
-    return 2
 
 
 def main() -> None:

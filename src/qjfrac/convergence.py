@@ -84,12 +84,6 @@ class PringsheimReport:
         self.reading_note = reading_note
         self.rows: list[PringsheimRow] = []
 
-    def min_margin(self) -> float:
-        return min(r.margin for r in self.rows)
-
-    def all_positive(self) -> bool:
-        return all(r.margin > 0 for r in self.rows)
-
     def to_json(self) -> dict:
         return {
             "schema": "qjfrac/pringsheim/1",

@@ -1,6 +1,6 @@
 """Divisor-function and sums-of-divisors generating functions built on the
-(q, q^2) J-fraction, their single-rational-function approximants, residue
-tables modulo an integer, and partial-sum series.
+(q, q^2) J-fraction: each table series together with the single reduced
+rational function that generates it, and residue tables modulo an integer.
 
 Conventions.  The depth-h convergent C_h(q, z) has [z^n] C_h = (1-q)/(1-q^(n+1))
 for n < 2h, so q*C_h(q, q)/(1-q) = sum over m >= 1 of q^m/(1-q^m) + error terms,
@@ -31,14 +31,8 @@ from math import factorial
 from typing import Optional
 
 from .exact import QRationalFn, QSeries
-from .jfraction import (
-    JFractionSpec,
-    _poch_step,
-    convergent_pairs,
-    divisor_spec,
-    lambda_modulus,
-)
-from .zalgebra import ZPolynomial, ZSeries
+from .sequences import divisor_spec
+from .zalgebra import ZSeries
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
@@ -165,39 +159,11 @@ def _generator(alpha: int, h: int) -> QRationalFn:
     return _ONE + gen if alpha == 0 else gen
 
 
-def divisor_gf(req: DivisorGFRequest) -> GFResult:
-    """Divisor-count series: [q^n] = d(n) for 1 <= n inside the window, constant 1."""
-    if req.alpha != 0:
-        raise ValueError("divisor_gf is the alpha = 0 case; use sigma_gf")
-    return generating_series(req)
-
-
-def sigma_gf(req: DivisorGFRequest) -> GFResult:
-    """Sums-of-divisors series: [q^n] = sigma_alpha(n) inside the window, [q^0] = 0."""
-    if req.alpha < 1:
-        raise ValueError("sigma_gf requires alpha >= 1; use divisor_gf")
-    return generating_series(req)
-
-
 def generating_series(req: DivisorGFRequest) -> GFResult:
+    """The request's series, [q^n] = sigma_alpha(n) inside the window (d(n) at
+    alpha = 0, whose series keeps the constant-1 artifact), together with the
+    reduced rational function that it expands."""
     gen = _generator(req.alpha, req.h)
-    return GFResult(req, gen.taylor(req.order), gen)
-
-
-def rational_approximant(req: DivisorGFRequest) -> QRationalFn:
-    """Single reduced rational function in q whose expansion is the request's series."""
-    return _generator(req.alpha, req.h)
-
-
-def partial_sums(req: DivisorGFRequest) -> GFResult:
-    """Running totals: [q^x] = sum_{n <= x} sigma_alpha(n) inside the window.
-
-    One extra 1/(1-q) factor over the plain series; the alpha = 0 case drops
-    the constant-1 artifact first so that [q^0] = 0."""
-    gen = _generator(req.alpha, req.h)
-    if req.alpha == 0:
-        gen = gen - _ONE
-    gen = gen / (_ONE - _Q)
     return GFResult(req, gen.taylor(req.order), gen)
 
 
@@ -228,275 +194,3 @@ def congruence_table(req: DivisorGFRequest) -> list[dict]:
             row["flagged"] = False
         rows.append(row)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# the quadruple-sum block and its comparison against Q_j Q_{j+1}
-# ---------------------------------------------------------------------------
-
-
-class TildeDReport:
-    """Comparison of the tabulated quadruple-sum denominator block against the
-    product Q_j(q,z) Q_{j+1}(q,z) computed from the recurrence.
-
-    `proportional_factor` is set when the two differ by a z-independent
-    rational function of q only (measured, not asserted)."""
-
-    __slots__ = ("j", "quad_sum", "product", "equal", "residual", "proportional_factor")
-
-    def __init__(
-        self,
-        j: int,
-        quad_sum: ZPolynomial,
-        product: ZPolynomial,
-        equal: bool,
-        residual: ZPolynomial,
-        proportional_factor: Optional[QRationalFn],
-    ):
-        self.j = j
-        self.quad_sum = quad_sum
-        self.product = product
-        self.equal = equal
-        self.residual = residual
-        self.proportional_factor = proportional_factor
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "qjfrac/tilde-d/1",
-            "j": self.j,
-            "equal": self.equal,
-            "proportional_factor": (
-                str(self.proportional_factor) if self.proportional_factor is not None else None
-            ),
-            "quad_sum_degree": self.quad_sum.degree,
-            "product_degree": self.product.degree,
-        }
-
-
-def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
-    """Evaluate the four printed sum blocks verbatim and compare with Q_j Q_{j+1}.
-
-    Block 1 pairs entries along the anti-diagonal sum(2j); blocks 2-4 weight
-    triangle entries by series coefficients of the nested sums.  The display
-    is internally garbled (the comparison documents how far it lands from the
-    denominator block it is said to restate), so this is a measurement, never
-    an assertion."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    from .stirling import NestedSumSpec, StirlingQTriangle, nested_sum
-
-    if spec is None:
-        spec = divisor_spec()
-    tri = StirlingQTriangle.from_spec(spec, j + 1)
-    order = 2 * j + 2
-
-    series: dict[tuple[int, int, int], ZSeries] = {}
-
-    def s_series(h: int, m: int, s: int) -> ZSeries:
-        key = (h, m, s)
-        if key not in series:
-            series[key] = nested_sum(spec, NestedSumSpec(h, m, s)).series(order)
-        return series[key]
-
-    coeffs = [_ZERO] * (2 * j + 2)
-
-    # block 1: sum_{n=0}^{2j} entry(j+1, n) entry(j, 2j-n) z^n
-    for n in range(0, 2 * j + 1):
-        coeffs[n] = coeffs[n] + tri.entry(j + 1, n) * tri.entry(j, 2 * j - n)
-
-    # block 2: double-(m, s, k) cross terms
-    for n in range(0, 2 * j + 2):
-        acc = _ZERO
-        for m1 in range(1, j // 2 + 1):
-            for m2 in range(1, (j + 1) // 2 + 1):
-                for s1 in range(1, m1 * j + 1):
-                    ser1 = s_series(j, m1, s1)
-                    for s2 in range(1, m2 * (j + 1) + 1):
-                        ser2 = s_series(j + 1, m2, s2)
-                        for k1 in range(1, s1 + 1):
-                            if not (0 <= k1 - 2 * m1 < order):
-                                continue
-                            c1 = ser1[k1 - 2 * m1]
-                            if c1.is_zero():
-                                continue
-                            e1 = tri.entry(j, 2 * j + 1 - n - k1)
-                            if e1.is_zero():
-                                continue
-                            for k2 in range(1, s2 + 1):
-                                if not (0 <= k2 - 2 * m2 < order):
-                                    continue
-                                c2 = ser2[k2 - 2 * m2]
-                                if c2.is_zero():
-                                    continue
-                                e2 = tri.entry(j + 1, n - k2)
-                                if e2.is_zero():
-                                    continue
-                                term = e2 * e1 * c1 * c2
-                                acc = acc + term if (m1 + m2) % 2 == 0 else acc - term
-        coeffs[n] = coeffs[n] + acc
-
-    def single_block(h: int, fixed: int) -> None:
-        # single nested sum: entry(h, n-k) entry(fixed, 2j+1-n) against S_{h,m,s}
-        for n in range(0, 2 * j + 2):
-            e_fix = tri.entry(fixed, 2 * j + 1 - n)
-            if e_fix.is_zero():
-                continue
-            acc = _ZERO
-            for m in range(1, h // 2 + 1):
-                for s in range(0, m * h + 1):
-                    ser = s_series(h, m, s)
-                    for k in range(0, s + 1):
-                        if not (0 <= k - 2 * m < order):
-                            continue
-                        c = ser[k - 2 * m]
-                        if c.is_zero():
-                            continue
-                        term = tri.entry(h, n - k) * c
-                        acc = acc + term if m % 2 == 0 else acc - term
-            coeffs[n] = coeffs[n] + e_fix * acc
-
-    # block 3 against S_{j+1,m,s}; block 4 against S_{j,m,s}
-    single_block(j + 1, j)
-    single_block(j, j + 1)
-
-    quad = ZPolynomial(coeffs)
-    pairs = convergent_pairs(spec, j + 1)
-    product = pairs[j].Q * pairs[j + 1].Q
-    residual = quad - product
-    factor: Optional[QRationalFn] = None
-    if not quad.is_zero() and not product.is_zero():
-        # z-independent ratio iff quad == r * product with r from any nonzero column
-        for k in range(max(quad.degree, product.degree) + 1):
-            pk = product.coefficient(k)
-            if not pk.is_zero():
-                r = quad.coefficient(k) / pk
-                if quad == product * r:
-                    factor = r
-                break
-    return TildeDReport(j, quad, product, residual.is_zero(), residual, factor)
-
-
-# ---------------------------------------------------------------------------
-# explicit low-order sums-of-divisors realizations (cross-check paths)
-# ---------------------------------------------------------------------------
-
-
-class SpecialCaseReport:
-    """Cross-check of sigma_gf against the telescoped convergent-block sum and
-    against the verbatim printed special-case realization.
-
-    The telescoped path rewrites z*C_h as sum_i lambda_i z^(2i-1)/(Q_{i-1}Q_i)
-    and transforms termwise on the same jets at z = q as sigma_gf; it is
-    algebraically identical to sigma_gf and its residual must vanish.  The
-    printed path evaluates the tabulated special-case display (with its own
-    leading term and coefficient set) on the polynomials Q_j(q, z) and is
-    reported as-is."""
-
-    __slots__ = (
-        "alpha", "h", "order", "primary", "telescoped", "printed",
-        "telescoped_residual_zero", "printed_residual",
-    )
-
-    def __init__(
-        self,
-        alpha: int,
-        h: int,
-        order: int,
-        primary: QSeries,
-        telescoped: QSeries,
-        printed: QSeries,
-        telescoped_residual_zero: bool,
-        printed_residual: QSeries,
-    ):
-        self.alpha = alpha
-        self.h = h
-        self.order = order
-        self.primary = primary
-        self.telescoped = telescoped
-        self.printed = printed
-        self.telescoped_residual_zero = telescoped_residual_zero
-        self.printed_residual = printed_residual
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "qjfrac/sigma-special-case/1",
-            "alpha": self.alpha,
-            "h": self.h,
-            "order": self.order,
-            "telescoped_residual_zero": self.telescoped_residual_zero,
-            "printed_residual": [str(c) for c in self.printed_residual],
-        }
-
-
-def _printed_block_coefficient(j: int) -> QRationalFn:
-    """q * q^(j^2) (q;q)_j^4 / ((q;q^2)_j^2 (q^2;q^2)_j^2), the tabulated weight."""
-    q2 = _Q * _Q
-    num = _Q * QRationalFn.qpow(j * j) * _poch_step(_Q, _Q, j) ** 4
-    den = _poch_step(_Q, q2, j) ** 2 * _poch_step(q2, q2, j) ** 2
-    return num / den
-
-
-def sigma_special_case_check(alpha: int, h: int, order: Optional[int] = None) -> SpecialCaseReport:
-    """Compare the alpha in {1,2} sums-of-divisors series along three routes.
-
-    primary    : sigma_gf (transform of z*C_h, one quotient of jets at z = q)
-    telescoped : termwise transform of lambda_i z^(2i-1)/((1-q) Q_{i-1} Q_i),
-                 one block per level, each block a quotient of the same jets
-    printed    : the tabulated explicit display, with G_j realized as the
-                 recurrence product Q_j(q, z) Q_{j+1}(q, z) of bivariate
-                 polynomials, differentiated in z and evaluated at z = q (the
-                 quadruple-sum realization is measured separately by tilde_D0j)
-    """
-    if alpha not in (1, 2):
-        raise ValueError("explicit displays exist for alpha in {1, 2} only")
-    if order is None:
-        order = h + 1
-    req = DivisorGFRequest(alpha, h, order)
-    primary = sigma_gf(req).series
-
-    spec = divisor_spec()
-    one_minus_q = _ONE - _Q
-
-    z = _z_jet(alpha)
-    Q = [Q_i for _, Q_i in _convergent_jets(z, h)]
-    telescoped = QSeries.zero(order)
-    z_power = z  # z^(2i-1)
-    for i in range(1, h + 1):
-        block = z_power * lambda_modulus(spec, i) / (Q[i - 1] * Q[i])
-        telescoped = telescoped + (_transform_at_q(block, alpha) / one_minus_q).taylor(order)
-        z_power = z_power * z * z
-
-    pairs = convergent_pairs(spec, h)
-
-    printed = QSeries.zero(order)
-    if alpha == 1:
-        lead = _Q * _Q * (_ONE + _Q) / one_minus_q
-    else:
-        lead = _Q * _Q * (_ONE + _Q) * (_ONE + 2 * _Q) / one_minus_q
-    printed = printed + lead.taylor(order)
-    for j in range(1, h):
-        Gpoly = pairs[j].Q * pairs[j + 1].Q
-        Gq = Gpoly.evaluate(_Q)
-        Gp = Gpoly.derivative().evaluate(_Q)
-        coeff = _printed_block_coefficient(j)
-        if alpha == 1:
-            inner = (2 * j) * QRationalFn.qpow(2 * j) / Gq - QRationalFn.qpow(2 * j + 1) * Gp / Gq ** 2
-        else:
-            Gpp = Gpoly.derivative().derivative().evaluate(_Q)
-            inner = (
-                (4 * j * j) * QRationalFn.qpow(2 * j) / Gq
-                - (4 * j + 1) * QRationalFn.qpow(2 * j + 1) * Gp / Gq ** 2
-                - QRationalFn.qpow(2 * j + 1) * (Gq * Gpp - 2 * Gp ** 2) / Gq ** 3
-            )
-        printed = printed + (coeff * inner).taylor(order)
-
-    return SpecialCaseReport(
-        alpha,
-        h,
-        order,
-        primary,
-        telescoped,
-        printed,
-        (primary - telescoped) == QSeries.zero(order),
-        primary - printed,
-    )

@@ -80,7 +80,11 @@ def _primitive(cs: list[int]) -> list[int]:
 
 
 def _bias(n: int, nbytes: int) -> int:
-    """Σ_{i<n} 2^(8·nbytes·(i+1) − 1): half a digit in each of n digits."""
+    """Σ_{i<n} 2^(8·nbytes·(i+1) − 1): half a digit in each of n digits.
+
+    All its digits are equal, so its top m digits are _bias(m, nbytes): a
+    kernel builds one per digit width, for its longest operand, and each
+    `_pack`/`_unpack` shifts it down to its own length."""
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
 
 
@@ -97,14 +101,15 @@ def _digit_width(nbytes: int) -> int:
     return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
 
 
-def _pack(cs: Sequence[int], nbytes: int) -> int:
-    """Σ cs[i]·2^(8·nbytes·i), for |cs[i]| < 2^(8·nbytes − 1).
+def _pack(cs: Sequence[int], nbytes: int, bias: int) -> int:
+    """Σ cs[i]·2^(8·nbytes·i), for |cs[i]| < 2^(8·nbytes − 1); bias is
+    _bias(m, nbytes) for some m >= len(cs).
 
     At a word width the bytes of the two's-complement words read as one int
     give Σ (cs[i] mod 2^(8·nbytes))·2^(8·nbytes·i); flipping the top bit of
     each word (XOR with the bias) makes every digit cs[i] + half, and
     subtracting the bias leaves cs[i]."""
-    bias = _bias(len(cs), nbytes)
+    bias >>= bias.bit_length() - 8 * nbytes * len(cs)
     code = _WORD_CODES.get(nbytes)
     if code is None:
         half = 1 << (8 * nbytes - 1)
@@ -116,11 +121,12 @@ def _pack(cs: Sequence[int], nbytes: int) -> int:
     return (int.from_bytes(words, "little") ^ bias) - bias
 
 
-def _unpack(x: int, n: int, nbytes: int) -> list[int]:
-    """The n balanced digits d_i of x = Σ d_i·2^(8·nbytes·i), |d_i| < 2^(8·nbytes − 1).
+def _unpack(x: int, n: int, nbytes: int, bias: int) -> list[int]:
+    """The n balanced digits d_i of x = Σ d_i·2^(8·nbytes·i), |d_i| < 2^(8·nbytes − 1);
+    bias is _bias(m, nbytes) for some m >= n.
 
     Raises OverflowError when x has no such n-digit form."""
-    bias = _bias(n, nbytes)
+    bias >>= bias.bit_length() - 8 * nbytes * n
     code = _WORD_CODES.get(nbytes)
     if code is None:
         half = 1 << (8 * nbytes - 1)
@@ -150,17 +156,47 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     # on top makes the packed digits independent
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     nbytes = _digit_width(bound.bit_length() // 8 + 1)
-    return _unpack(_pack(a, nbytes) * _pack(b, nbytes), len(a) + len(b) - 1, nbytes)
+    n = len(a) + len(b) - 1
+    bias = _bias(n, nbytes)
+    return _unpack(_pack(a, nbytes, bias) * _pack(b, nbytes, bias), n, nbytes, bias)
 
 
 def _int_exquo(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
-    """a / b in Z[q] for nonzero a, b, or None when b does not divide a."""
+    """a / b in Z[q] for nonzero a, b, or None when b does not divide a.
+
+    The first try packs at the narrow width ξ that holds the digits of a,
+    ξ > 2·max|a_i|·||b||_1 + 2.  Since b | a in Z[q] gives b(ξ) | a(ξ), a
+    nonzero remainder there proves that b does not divide a.  A zero
+    remainder proves nothing by itself: its quotient counts only when it
+    unpacks to digits q_i with 2·max|q_i|·||b||_1 < ξ.  Then every
+    coefficient of q·b, like every a_i, is below ξ/2 in absolute value, and
+    (q·b)(ξ) = a(ξ), so the balanced digits agree: q·b == a with no
+    multiplication.  Otherwise the division runs again at Mignotte's width."""
     n = len(a) - len(b) + 1
     if n <= 0 or a[-1] % b[-1]:
         return None
     if len(b) == 1:
         c = b[0]
         return None if any(x % c for x in a) else [x // c for x in a]
+    norm = sum(map(abs, b))
+    nbytes = _digit_width((2 * max(map(abs, a)) * norm + 2).bit_length() // 8 + 1)
+    bias = _bias(len(a), nbytes)
+    quo, rem = divmod(_pack(a, nbytes, bias), _pack(b, nbytes, bias))
+    if rem:
+        return None
+    try:
+        q = _unpack(quo, n, nbytes, bias)
+    except OverflowError:
+        q = None
+    if q is not None and 2 * max(map(abs, q)) * norm < 1 << (8 * nbytes):
+        return q
+    return _mignotte_exquo(a, b)
+
+
+def _mignotte_exquo(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
+    """a / b in Z[q], or None, for deg a >= deg b >= 1 and b[-1] | a[-1]:
+    one packed division at a width from Mignotte's bound."""
+    n = len(a) - len(b) + 1
     # Mignotte's bound holds every factor f of a, the quotient included:
     # max|f_i| <= 2^deg(f)·||a||_2.  Digits wider than bound·||b||_1 + max|a_i|
     # then make Q·B == A equivalent to q·b == a: q·b − a vanishes at the base
@@ -168,11 +204,12 @@ def _int_exquo(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
     top = max(map(abs, a))
     bound = (top * len(a)) << (n - 1)
     nbytes = _digit_width((bound * sum(map(abs, b)) + top).bit_length() // 8 + 1)
-    quo, rem = divmod(_pack(a, nbytes), _pack(b, nbytes))
+    bias = _bias(len(a), nbytes)
+    quo, rem = divmod(_pack(a, nbytes, bias), _pack(b, nbytes, bias))
     if rem:
         return None
     try:
-        q = _unpack(quo, n, nbytes)
+        q = _unpack(quo, n, nbytes, bias)
     except OverflowError:
         return None
     return q if max(map(abs, q)) <= bound else None
@@ -196,8 +233,11 @@ def _heu_gcd(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[list[int], li
     _HEU_TRIES tries."""
     nbytes = _digit_width((2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() // 8 + 1)
     for _ in range(_HEU_TRIES):
-        gamma = _int_gcd(_pack(a, nbytes), _pack(b, nbytes))
-        g = _primitive(_int_strip(_unpack(gamma, gamma.bit_length() // (8 * nbytes) + 2, nbytes)))
+        # gamma <= |a(ξ)| < ξ^len(a), and likewise for b, so its digits
+        # number at most min(len(a), len(b)) + 2
+        bias = _bias(max(len(a), len(b)) + 2, nbytes)
+        gamma = _int_gcd(_pack(a, nbytes, bias), _pack(b, nbytes, bias))
+        g = _primitive(_int_strip(_unpack(gamma, gamma.bit_length() // (8 * nbytes) + 2, nbytes, bias)))
         if len(g) == 1:
             return [1], a, b
         qa = _int_exquo(a, g)
@@ -752,6 +792,9 @@ class QRationalFn:
 
     @classmethod
     def parse(cls, text: str) -> "QRationalFn":
+        """See parse.parse_ratfn; the parser module loads on first use."""
+        from .parse import parse_ratfn
+
         return parse_ratfn(text)
 
 
@@ -980,7 +1023,7 @@ class QSeries(TruncatedSeries):
 
 
 # ---------------------------------------------------------------------------
-# formatting and parsing
+# formatting
 # ---------------------------------------------------------------------------
 
 
@@ -1001,150 +1044,3 @@ def format_poly(coeffs: Sequence[Fraction], var: str = "q") -> str:
         else:
             terms.append(f"- {body}" if c < 0 else f"+ {body}")
     return " ".join(terms) if terms else "0"
-
-
-# deepest nesting of parentheses and unary signs the parser accepts; each level
-# costs a few Python frames, so this stays well inside the recursion limit
-_MAX_NESTING = 100
-# largest |n| the parser accepts in x^n: `jfrac expand --a q^256 --b q^2 --h 4`
-# takes about 1 s, and the cost grows 4-7x with each doubling of the exponent
-_MAX_EXPONENT = 256
-# largest degree (of the numerator or the denominator) of any value the parser
-# builds, so that nested powers and chains of products stay inside the same
-# budget: `--a "q^256*q^256"` took 4.2 s in the command above
-_MAX_DEGREE = 256
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def take_int(self) -> int:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ValueError(f"expected an integer at position {start} in {self.text!r}")
-        return int(self.text[start : self.pos])
-
-
-def parse_ratfn(text: str) -> QRationalFn:
-    """Parse a rational-function expression in q.
-
-    Grammar: integers, the variable q, and the operators + - * / ^ with
-    parentheses; ^ takes an (optionally negative) integer exponent.  Input
-    nested deeper than _MAX_NESTING parentheses and unary signs, an exponent
-    above _MAX_EXPONENT in absolute value, or a value of degree above
-    _MAX_DEGREE raises ValueError.
-    """
-    tok = _Tokenizer(text)
-    value = _parse_sum(tok)
-    if tok.peek():
-        raise ValueError(f"trailing input at position {tok.pos} in {text!r}")
-    return value
-
-
-def _degree(value: QRationalFn) -> int:
-    return max(value.num.degree, value.den.degree)
-
-
-def _bounded(value: QRationalFn) -> QRationalFn:
-    degree = _degree(value)
-    if degree > _MAX_DEGREE:
-        raise ValueError(f"degree {degree} exceeds {_MAX_DEGREE}")
-    return value
-
-
-def _parse_sum(tok: _Tokenizer) -> QRationalFn:
-    value = _parse_product(tok)
-    while True:
-        ch = tok.peek()
-        if ch == "+":
-            tok.take()
-            value = _bounded(value + _parse_product(tok))
-        elif ch == "-":
-            tok.take()
-            value = _bounded(value - _parse_product(tok))
-        else:
-            return value
-
-
-def _parse_product(tok: _Tokenizer) -> QRationalFn:
-    value = _parse_unary(tok)
-    while True:
-        ch = tok.peek()
-        if ch == "*":
-            tok.take()
-            value = _bounded(value * _parse_unary(tok))
-        elif ch == "/":
-            tok.take()
-            value = _bounded(value / _parse_unary(tok))
-        else:
-            return value
-
-
-def _parse_unary(tok: _Tokenizer) -> QRationalFn:
-    # every nesting level, a parenthesis or a unary sign, passes through here
-    if tok.depth > _MAX_NESTING:
-        raise ValueError(f"expression nested deeper than {_MAX_NESTING} levels at position {tok.pos}")
-    tok.depth += 1
-    if tok.peek() == "-":
-        tok.take()
-        value = -_parse_unary(tok)
-    elif tok.peek() == "+":
-        tok.take()
-        value = _parse_unary(tok)
-    else:
-        value = _parse_power(tok)
-    tok.depth -= 1
-    return value
-
-
-def _parse_power(tok: _Tokenizer) -> QRationalFn:
-    base = _parse_atom(tok)
-    if tok.peek() == "^":
-        tok.take()
-        sign = 1
-        if tok.peek() == "-":
-            tok.take()
-            sign = -1
-        exp = sign * tok.take_int()
-        if abs(exp) > _MAX_EXPONENT:
-            raise ValueError(f"exponent {exp} exceeds {_MAX_EXPONENT} in absolute value")
-        degree = _degree(base) * abs(exp)
-        if degree > _MAX_DEGREE:
-            raise ValueError(f"degree {degree} exceeds {_MAX_DEGREE}")
-        return base ** exp
-    return base
-
-
-def _parse_atom(tok: _Tokenizer) -> QRationalFn:
-    ch = tok.peek()
-    if ch == "(":
-        tok.take()
-        value = _parse_sum(tok)
-        if tok.peek() != ")":
-            raise ValueError(f"missing ')' at position {tok.pos}")
-        tok.take()
-        return value
-    if ch == "q":
-        tok.take()
-        return QRationalFn.q()
-    if ch.isdigit():
-        return QRationalFn.from_fraction(tok.take_int())
-    raise ValueError(f"unexpected character {ch!r} at position {tok.pos}")

@@ -121,16 +121,3 @@ def q_binomial_theorem_check(a: QRationalFn, z_val: QRationalFn, order: int) -> 
         zz = zz * q
 
     return lhs == rhs
-
-
-def bell_numbers(n_max: int) -> list[int]:
-    """Bell numbers B_0..B_n via the Bell triangle."""
-    bells = [1]
-    row = [1]
-    for _ in range(n_max):
-        new_row = [row[-1]]
-        for x in row:
-            new_row.append(new_row[-1] + x)
-        bells.append(new_row[0])
-        row = new_row
-    return bells[: n_max + 1]

@@ -1,0 +1,260 @@
+"""The coefficient sequences of a J-fraction.
+
+A J-fraction
+    1 / (1 - c_1 z - ab_2 z^2 / (1 - c_2 z - ab_3 z^2 / ...))
+is described by its two implicit coefficient sequences.  This module holds
+the sequence pair with its memos (`JFractionSpec`), the parametrized family
+whose convergents generate the q-Pochhammer ratio (a;q)_n/(b;q)_n, its
+(q, q^2) instance behind the divisor tables, and seeded random specs.  The
+convergents, the inversion and the tabulated families live in `jfraction`;
+`divisors` needs only this layer.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+import threading
+from fractions import Fraction
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
+
+from .exact import QRationalFn
+
+if TYPE_CHECKING:
+    from .jfraction import ConvergentPair
+
+_ONE = QRationalFn.one()
+_Q = QRationalFn.q()
+_qpow = QRationalFn.qpow
+
+
+class JFractionSpec:
+    """The sequence pair <c_i> (i >= 1) and <ab_i> (i >= 2) defining a J-fraction.
+
+    Values are computed lazily from the generating callables and memoized;
+    all returned values are immutable, so sharing a spec across threads is
+    safe (at worst a value is computed twice).
+    """
+
+    def __init__(
+        self,
+        name: str,
+        c_fn: Callable[[int], QRationalFn],
+        ab_fn: Callable[[int], QRationalFn],
+    ):
+        self.name = name
+        self._c_fn = c_fn
+        self._ab_fn = ab_fn
+        self._c_memo: dict[int, QRationalFn] = {}
+        self._ab_memo: dict[int, QRationalFn] = {}
+        # sequence memos tolerate racy duplicate computation (values are
+        # immutable and equal); the convergent-pair list is extended under a
+        # lock so concurrent callers cannot interleave appends
+        self._pairs: list["ConvergentPair"] = []
+        self._pairs_lock = threading.Lock()
+        self._shifted: Optional["JFractionSpec"] = None
+
+    def c(self, i: int) -> QRationalFn:
+        if i < 1:
+            raise ValueError("c is indexed from 1")
+        v = self._c_memo.get(i)
+        if v is None:
+            v = self._c_fn(i)
+            self._c_memo[i] = v
+        return v
+
+    def ab(self, i: int) -> QRationalFn:
+        if i < 2:
+            raise ValueError("ab is indexed from 2")
+        v = self._ab_memo.get(i)
+        if v is None:
+            v = self._ab_fn(i)
+            self._ab_memo[i] = v
+        return v
+
+    def shifted(self) -> "JFractionSpec":
+        """Same fraction with c_i -> c_{i+1}, ab_i -> ab_{i+1}.
+
+        Memoized on the spec, so the shifted spec's own memos (sequence values
+        and convergent pairs) outlive each call.  Two racing first calls may
+        each build one; that is harmless, because both read the same
+        immutable values and the spec kept is as good as the other."""
+        shifted = self._shifted
+        if shifted is None:
+            shifted = JFractionSpec(
+                f"{self.name}<<1",
+                lambda i: self.c(i + 1),
+                lambda i: self.ab(i + 1),
+            )
+            self._shifted = shifted
+        return shifted
+
+    @classmethod
+    def from_tables(
+        cls, name: str, c_values: Sequence[QRationalFn], ab_values: Sequence[QRationalFn]
+    ) -> "JFractionSpec":
+        """Finitely tabulated spec: c_values holds c_1.., ab_values holds ab_2.."""
+        c_list = list(c_values)
+        ab_list = list(ab_values)
+
+        def c_fn(i: int) -> QRationalFn:
+            if i - 1 >= len(c_list):
+                raise IndexError(f"c_{i} not tabulated for spec {name!r}")
+            return c_list[i - 1]
+
+        def ab_fn(i: int) -> QRationalFn:
+            if i - 2 >= len(ab_list):
+                raise IndexError(f"ab_{i} not tabulated for spec {name!r}")
+            return ab_list[i - 2]
+
+        return cls(name, c_fn, ab_fn)
+
+    def to_json(self, h: int) -> dict:
+        """Tabulate c_1..c_h and ab_2..ab_h in the documented JSON shape."""
+        return {
+            "schema": "qjfrac/jfraction-spec/1",
+            "name": self.name,
+            "c": [str(self.c(i)) for i in range(1, h + 1)],
+            "ab": [str(self.ab(i)) for i in range(2, h + 1)],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "JFractionSpec":
+        c_vals = [QRationalFn.parse(s) for s in data["c"]]
+        ab_vals = [QRationalFn.parse(s) for s in data["ab"]]
+        return cls.from_tables(data.get("name", "json"), c_vals, ab_vals)
+
+
+class PochhammerParams:
+    """Nonzero parameters (a, b) of the q-Pochhammer ratio family; b = 1 is a pole of c_1."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: QRationalFn, b: QRationalFn):
+        if a.is_zero() or b.is_zero():
+            raise ValueError("parameters a, b must be nonzero")
+        if b.is_one():
+            raise ValueError("b = 1 makes c_1 = (a-1)/(b-1) undefined")
+        self.a = a
+        self.b = b
+
+
+def cfraction_coefficient(a: QRationalFn, b: QRationalFn, k: int) -> QRationalFn:
+    """Coefficient g_k of the regular C-fraction underlying the ratio family.
+
+    The series sum_n (a;q)_n/(b;q)_n z^n equals
+    1/(1 - g_1 z/(1 - g_2 z/(1 - g_3 z/...))) with
+
+        g_1      = (1-a)/(1-b)
+        g_{2m}   = q^(m-1) (a - b q^(m-1)) (1 - q^m)
+                   / ((1 - b q^(2m-2)) (1 - b q^(2m-1)))
+        g_{2m+1} = q^m (1 - b q^(m-1)) (1 - a q^m)
+                   / ((1 - b q^(2m-1)) (1 - b q^(2m)))
+
+    (derived from the contiguous relations of the basic hypergeometric series
+    behind the ratio, and verified by exact inversion of the target series).
+    The parametrized J-fraction is the even contraction of this C-fraction.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k == 1:
+        return (_ONE - a) / (_ONE - b)
+    if k % 2 == 0:
+        m = k // 2
+        num = _qpow(m - 1) * (a - b * _qpow(m - 1)) * (_ONE - _qpow(m))
+        den = (_ONE - b * _qpow(2 * m - 2)) * (_ONE - b * _qpow(2 * m - 1))
+        return num / den
+    m = (k - 1) // 2
+    num = _qpow(m) * (_ONE - b * _qpow(m - 1)) * (_ONE - a * _qpow(m))
+    den = (_ONE - b * _qpow(2 * m - 1)) * (_ONE - b * _qpow(2 * m))
+    return num / den
+
+
+def pochhammer_spec(params: PochhammerParams) -> JFractionSpec:
+    """The sequence family whose convergents generate (a;q)_n/(b;q)_n.
+
+    The J-fraction is the even contraction of the C-fraction in
+    cfraction_coefficient: c_1 = g_1 = (a-1)/(b-1) and, for i >= 2,
+
+        c_i  = g_{2i-2} + g_{2i-1}
+        ab_i = g_{2i-3} * g_{2i-2}
+             = q^(2i-4) (1 - b q^(i-3)) (1 - a q^(i-2)) (a - b q^(i-2)) (1 - q^(i-1))
+               / ((1 - b q^(2i-5)) (1 - b q^(2i-4))^2 (1 - b q^(2i-3))).
+
+    The tabulated single-fraction display for c_i (i >= 3) disagrees with the
+    contraction; the contraction is what actually reproduces the target
+    coefficients to the full 2h window, so it is used here.
+    """
+    return _contraction_spec(f"pochhammer_ratio(a={params.a}, b={params.b})", params.a, params.b)
+
+
+def _contraction_spec(name: str, a: QRationalFn, b: QRationalFn) -> JFractionSpec:
+    # c_i and ab_i share g_{2i-2}, and ab_{i+1} reuses g_{2i-1}: the two
+    # closures share one memo of the g_k, so each is computed once per spec
+    gs: dict[int, QRationalFn] = {}
+
+    def g(k: int) -> QRationalFn:
+        v = gs.get(k)
+        if v is None:
+            v = gs[k] = cfraction_coefficient(a, b, k)
+        return v
+
+    def c_fn(i: int) -> QRationalFn:
+        if i == 1:
+            return (a - _ONE) / (b - _ONE)
+        return g(2 * i - 2) + g(2 * i - 1)
+
+    def ab_fn(i: int) -> QRationalFn:
+        # g-product form; regular even where the factored display degenerates
+        return g(2 * i - 3) * g(2 * i - 2)
+
+    return JFractionSpec(name, c_fn, ab_fn)
+
+
+def pochhammer_c_display_form(a: QRationalFn, b: QRationalFn, i: int) -> QRationalFn:
+    """The tabulated single-fraction display of c_i for the ratio family:
+
+        q^(i-2) (q + a b q^(2i-3) + a(1 - q^(i-1) - q^i) + b(q^i - 1 - q))
+        / ((1 - b q^(2i-4)) (1 - b q^(2i-2)))
+
+    It agrees with the contraction value at i = 1, 2 but diverges from it for
+    i >= 3, where it no longer reproduces the target coefficients; kept only
+    for diagnostics (e.g. the first-column finite-sum formula was evidently
+    derived from this variant)."""
+    if i == 1:
+        return (a - _ONE) / (b - _ONE)
+    num = _qpow(i - 2) * (
+        _Q + a * b * _qpow(2 * i - 3) + a * (_ONE - _qpow(i - 1) - _qpow(i))
+        + b * (_qpow(i) - _ONE - _Q)
+    )
+    den = (_ONE - b * _qpow(2 * i - 4)) * (_ONE - b * _qpow(2 * i - 2))
+    return num / den
+
+
+@functools.cache
+def divisor_spec() -> JFractionSpec:
+    """The (a, b) = (q, q^2) instance: convergent coefficients are (1-q)/(1-q^(n+1)).
+
+    Returns one shared instance per process, so that its memoized sequences
+    and convergents are reused across callers (all cached values are
+    immutable)."""
+    return pochhammer_spec(PochhammerParams(_Q, _Q * _Q))
+
+
+def random_rational_spec(seed: int, length: int = 18) -> JFractionSpec:
+    """Tabulated spec with small random rational c_i and nonzero ab_i.
+
+    All values come from one seeded stream, the c draws before the ab draws,
+    so the spec for a given seed depends on `length` too."""
+    rng = random.Random(seed)
+    cs = [
+        QRationalFn.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        for _ in range(length)
+    ]
+    abs_ = [
+        QRationalFn.from_fraction(
+            Fraction(rng.choice([v for v in range(-4, 5) if v]), rng.randint(1, 3))
+        )
+        for _ in range(length)
+    ]
+    return JFractionSpec.from_tables(f"random(seed={seed})", cs, abs_)

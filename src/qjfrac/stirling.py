@@ -1,6 +1,8 @@
 """Triangles of signed elementary-symmetric coefficients of the c-sequence,
 the paired nested sums over the ab-sequence, and exact verification of the
-expansion identities for the convergent numerator and denominator polynomials.
+expansion identities for the convergent numerator and denominator polynomials,
+and the measured comparison of the tabulated quadruple-sum block with
+Q_j Q_{j+1} (`tilde_D0j`).
 
 Every check here clears denominators down to a ZPolynomial identity over
 Q(q)[z]; no two-variable gcd is ever needed.
@@ -14,8 +16,9 @@ from math import prod
 from typing import Callable, Optional
 
 from .exact import QRationalFn
-from .jfraction import JFractionSpec, convergent_pairs, pochhammer_c_display_form
-from .zalgebra import ZFraction, ZPolynomial
+from .jfraction import convergent_pairs
+from .sequences import JFractionSpec, divisor_spec, pochhammer_c_display_form
+from .zalgebra import ZFraction, ZPolynomial, ZSeries
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
@@ -493,3 +496,147 @@ def first_column_formula_check(spec: JFractionSpec, h: int) -> FirstColumnReport
     return FirstColumnReport(
         h, value, triangle, residual, residual.is_zero(), (value - qq2_display).is_zero()
     )
+
+
+# ---------------------------------------------------------------------------
+# the quadruple-sum block and its comparison against Q_j Q_{j+1}
+# ---------------------------------------------------------------------------
+
+
+class TildeDReport:
+    """Comparison of the tabulated quadruple-sum denominator block against the
+    product Q_j(q,z) Q_{j+1}(q,z) computed from the recurrence.
+
+    `proportional_factor` is set when the two differ by a z-independent
+    rational function of q only (measured, not asserted)."""
+
+    __slots__ = ("j", "quad_sum", "product", "equal", "residual", "proportional_factor")
+
+    def __init__(
+        self,
+        j: int,
+        quad_sum: ZPolynomial,
+        product: ZPolynomial,
+        equal: bool,
+        residual: ZPolynomial,
+        proportional_factor: Optional[QRationalFn],
+    ):
+        self.j = j
+        self.quad_sum = quad_sum
+        self.product = product
+        self.equal = equal
+        self.residual = residual
+        self.proportional_factor = proportional_factor
+
+    def to_json(self) -> dict:
+        return {
+            "schema": "qjfrac/tilde-d/1",
+            "j": self.j,
+            "equal": self.equal,
+            "proportional_factor": (
+                str(self.proportional_factor) if self.proportional_factor is not None else None
+            ),
+            "quad_sum_degree": self.quad_sum.degree,
+            "product_degree": self.product.degree,
+        }
+
+
+def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
+    """Evaluate the four printed sum blocks verbatim and compare with Q_j Q_{j+1}.
+
+    Block 1 pairs entries along the anti-diagonal sum(2j); blocks 2-4 weight
+    triangle entries by series coefficients of the nested sums.  The display
+    is internally garbled (the comparison documents how far it lands from the
+    denominator block it is said to restate), so this is a measurement, never
+    an assertion."""
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    if spec is None:
+        spec = divisor_spec()
+    tri = StirlingQTriangle.from_spec(spec, j + 1)
+    order = 2 * j + 2
+
+    series: dict[tuple[int, int, int], ZSeries] = {}
+
+    def s_series(h: int, m: int, s: int) -> ZSeries:
+        key = (h, m, s)
+        if key not in series:
+            series[key] = nested_sum(spec, NestedSumSpec(h, m, s)).series(order)
+        return series[key]
+
+    coeffs = [_ZERO] * (2 * j + 2)
+
+    # block 1: sum_{n=0}^{2j} entry(j+1, n) entry(j, 2j-n) z^n
+    for n in range(0, 2 * j + 1):
+        coeffs[n] = coeffs[n] + tri.entry(j + 1, n) * tri.entry(j, 2 * j - n)
+
+    # block 2: double-(m, s, k) cross terms
+    for n in range(0, 2 * j + 2):
+        acc = _ZERO
+        for m1 in range(1, j // 2 + 1):
+            for m2 in range(1, (j + 1) // 2 + 1):
+                for s1 in range(1, m1 * j + 1):
+                    ser1 = s_series(j, m1, s1)
+                    for s2 in range(1, m2 * (j + 1) + 1):
+                        ser2 = s_series(j + 1, m2, s2)
+                        for k1 in range(1, s1 + 1):
+                            if not (0 <= k1 - 2 * m1 < order):
+                                continue
+                            c1 = ser1[k1 - 2 * m1]
+                            if c1.is_zero():
+                                continue
+                            e1 = tri.entry(j, 2 * j + 1 - n - k1)
+                            if e1.is_zero():
+                                continue
+                            for k2 in range(1, s2 + 1):
+                                if not (0 <= k2 - 2 * m2 < order):
+                                    continue
+                                c2 = ser2[k2 - 2 * m2]
+                                if c2.is_zero():
+                                    continue
+                                e2 = tri.entry(j + 1, n - k2)
+                                if e2.is_zero():
+                                    continue
+                                term = e2 * e1 * c1 * c2
+                                acc = acc + term if (m1 + m2) % 2 == 0 else acc - term
+        coeffs[n] = coeffs[n] + acc
+
+    def single_block(h: int, fixed: int) -> None:
+        # single nested sum: entry(h, n-k) entry(fixed, 2j+1-n) against S_{h,m,s}
+        for n in range(0, 2 * j + 2):
+            e_fix = tri.entry(fixed, 2 * j + 1 - n)
+            if e_fix.is_zero():
+                continue
+            acc = _ZERO
+            for m in range(1, h // 2 + 1):
+                for s in range(0, m * h + 1):
+                    ser = s_series(h, m, s)
+                    for k in range(0, s + 1):
+                        if not (0 <= k - 2 * m < order):
+                            continue
+                        c = ser[k - 2 * m]
+                        if c.is_zero():
+                            continue
+                        term = tri.entry(h, n - k) * c
+                        acc = acc + term if m % 2 == 0 else acc - term
+            coeffs[n] = coeffs[n] + e_fix * acc
+
+    # block 3 against S_{j+1,m,s}; block 4 against S_{j,m,s}
+    single_block(j + 1, j)
+    single_block(j, j + 1)
+
+    quad = ZPolynomial(coeffs)
+    pairs = convergent_pairs(spec, j + 1)
+    product = pairs[j].Q * pairs[j + 1].Q
+    residual = quad - product
+    factor: Optional[QRationalFn] = None
+    if not quad.is_zero() and not product.is_zero():
+        # z-independent ratio iff quad == r * product with r from any nonzero column
+        for k in range(max(quad.degree, product.degree) + 1):
+            pk = product.coefficient(k)
+            if not pk.is_zero():
+                r = quad.coefficient(k) / pk
+                if quad == product * r:
+                    factor = r
+                break
+    return TildeDReport(j, quad, product, residual.is_zero(), residual, factor)

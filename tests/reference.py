@@ -1,0 +1,358 @@
+"""Reference routes that no command reaches, kept as test oracles.
+
+Each one was library code until the library kept one route per computation:
+the thin divisor-table wrappers and the alpha in {1, 2} special-case
+realizations, the factored and closed-form displays of the ratio family, the
+direct Table 1 targets, the z -> q substitution, the margin summaries of a
+convergence report, and the Bell numbers.  The tests import them from here.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from qjfrac.divisors import (
+    DivisorGFRequest,
+    GFResult,
+    _convergent_jets,
+    _generator,
+    _transform_at_q,
+    _z_jet,
+    generating_series,
+)
+from qjfrac.exact import QRationalFn, QSeries
+from qjfrac.jfraction import (
+    PochhammerParams,
+    convergent_pairs,
+    divisor_spec,
+    lambda_modulus,
+    pochhammer_spec,
+)
+from qjfrac.oracles import q_pochhammer
+from qjfrac.zalgebra import ZSeries
+
+_ONE = QRationalFn.one()
+_Q = QRationalFn.q()
+_qpow = QRationalFn.qpow
+
+
+# -- divisor tables: the wrappers over divisors.generating_series --------------
+
+
+def divisor_gf(req: DivisorGFRequest) -> GFResult:
+    """Divisor-count series: [q^n] = d(n) for 1 <= n inside the window, constant 1."""
+    if req.alpha != 0:
+        raise ValueError("divisor_gf is the alpha = 0 case; use sigma_gf")
+    return generating_series(req)
+
+
+def sigma_gf(req: DivisorGFRequest) -> GFResult:
+    """Sums-of-divisors series: [q^n] = sigma_alpha(n) inside the window, [q^0] = 0."""
+    if req.alpha < 1:
+        raise ValueError("sigma_gf requires alpha >= 1; use divisor_gf")
+    return generating_series(req)
+
+
+def rational_approximant(req: DivisorGFRequest) -> QRationalFn:
+    """Single reduced rational function in q whose expansion is the request's series."""
+    return _generator(req.alpha, req.h)
+
+
+def partial_sums(req: DivisorGFRequest) -> GFResult:
+    """Running totals: [q^x] = sum_{n <= x} sigma_alpha(n) inside the window.
+
+    One extra 1/(1-q) factor over the plain series; the alpha = 0 case drops
+    the constant-1 artifact first so that [q^0] = 0."""
+    gen = _generator(req.alpha, req.h)
+    if req.alpha == 0:
+        gen = gen - _ONE
+    gen = gen / (_ONE - _Q)
+    return GFResult(req, gen.taylor(req.order), gen)
+
+
+# -- divisor tables: the alpha in {1, 2} special cases along three routes ------
+
+
+class SpecialCaseReport:
+    """Cross-check of sigma_gf against the telescoped convergent-block sum and
+    against the verbatim printed special-case realization.
+
+    The telescoped path rewrites z*C_h as sum_i lambda_i z^(2i-1)/(Q_{i-1}Q_i)
+    and transforms termwise on the same jets at z = q as sigma_gf; it is
+    algebraically identical to sigma_gf and its residual must vanish.  The
+    printed path evaluates the tabulated special-case display (with its own
+    leading term and coefficient set) on the polynomials Q_j(q, z) and is
+    reported as-is."""
+
+    __slots__ = (
+        "alpha", "h", "order", "primary", "telescoped", "printed",
+        "telescoped_residual_zero", "printed_residual",
+    )
+
+    def __init__(
+        self,
+        alpha: int,
+        h: int,
+        order: int,
+        primary: QSeries,
+        telescoped: QSeries,
+        printed: QSeries,
+        telescoped_residual_zero: bool,
+        printed_residual: QSeries,
+    ):
+        self.alpha = alpha
+        self.h = h
+        self.order = order
+        self.primary = primary
+        self.telescoped = telescoped
+        self.printed = printed
+        self.telescoped_residual_zero = telescoped_residual_zero
+        self.printed_residual = printed_residual
+
+    def to_json(self) -> dict:
+        return {
+            "schema": "qjfrac/sigma-special-case/1",
+            "alpha": self.alpha,
+            "h": self.h,
+            "order": self.order,
+            "telescoped_residual_zero": self.telescoped_residual_zero,
+            "printed_residual": [str(c) for c in self.printed_residual],
+        }
+
+
+def _printed_block_coefficient(j: int) -> QRationalFn:
+    """q * q^(j^2) (q;q)_j^4 / ((q;q^2)_j^2 (q^2;q^2)_j^2), the tabulated weight."""
+    q2 = _Q * _Q
+    num = _Q * QRationalFn.qpow(j * j) * _poch_step(_Q, _Q, j) ** 4
+    den = _poch_step(_Q, q2, j) ** 2 * _poch_step(q2, q2, j) ** 2
+    return num / den
+
+
+def sigma_special_case_check(alpha: int, h: int, order: Optional[int] = None) -> SpecialCaseReport:
+    """Compare the alpha in {1,2} sums-of-divisors series along three routes.
+
+    primary    : sigma_gf (transform of z*C_h, one quotient of jets at z = q)
+    telescoped : termwise transform of lambda_i z^(2i-1)/((1-q) Q_{i-1} Q_i),
+                 one block per level, each block a quotient of the same jets
+    printed    : the tabulated explicit display, with G_j realized as the
+                 recurrence product Q_j(q, z) Q_{j+1}(q, z) of bivariate
+                 polynomials, differentiated in z and evaluated at z = q (the
+                 quadruple-sum realization is measured separately by tilde_D0j)
+    """
+    if alpha not in (1, 2):
+        raise ValueError("explicit displays exist for alpha in {1, 2} only")
+    if order is None:
+        order = h + 1
+    req = DivisorGFRequest(alpha, h, order)
+    primary = sigma_gf(req).series
+
+    spec = divisor_spec()
+    one_minus_q = _ONE - _Q
+
+    z = _z_jet(alpha)
+    Q = [Q_i for _, Q_i in _convergent_jets(z, h)]
+    telescoped = QSeries.zero(order)
+    z_power = z  # z^(2i-1)
+    for i in range(1, h + 1):
+        block = z_power * lambda_modulus(spec, i) / (Q[i - 1] * Q[i])
+        telescoped = telescoped + (_transform_at_q(block, alpha) / one_minus_q).taylor(order)
+        z_power = z_power * z * z
+
+    pairs = convergent_pairs(spec, h)
+
+    printed = QSeries.zero(order)
+    if alpha == 1:
+        lead = _Q * _Q * (_ONE + _Q) / one_minus_q
+    else:
+        lead = _Q * _Q * (_ONE + _Q) * (_ONE + 2 * _Q) / one_minus_q
+    printed = printed + lead.taylor(order)
+    for j in range(1, h):
+        Gpoly = pairs[j].Q * pairs[j + 1].Q
+        Gq = Gpoly.evaluate(_Q)
+        Gp = Gpoly.derivative().evaluate(_Q)
+        coeff = _printed_block_coefficient(j)
+        if alpha == 1:
+            inner = (2 * j) * QRationalFn.qpow(2 * j) / Gq - QRationalFn.qpow(2 * j + 1) * Gp / Gq ** 2
+        else:
+            Gpp = Gpoly.derivative().derivative().evaluate(_Q)
+            inner = (
+                (4 * j * j) * QRationalFn.qpow(2 * j) / Gq
+                - (4 * j + 1) * QRationalFn.qpow(2 * j + 1) * Gp / Gq ** 2
+                - QRationalFn.qpow(2 * j + 1) * (Gq * Gpp - 2 * Gp ** 2) / Gq ** 3
+            )
+        printed = printed + (coeff * inner).taylor(order)
+
+    return SpecialCaseReport(
+        alpha,
+        h,
+        order,
+        primary,
+        telescoped,
+        printed,
+        (primary - telescoped) == QSeries.zero(order),
+        primary - printed,
+    )
+
+
+# -- the ratio family: factored displays, closed forms and direct targets ------
+
+
+def pochhammer_ab_closed_form(a: QRationalFn, b: QRationalFn, i: int) -> QRationalFn:
+    """The factored display of ab_i for the ratio family (i >= 2):
+
+        q^(2i-4) (1 - b q^(i-3)) (1 - a q^(i-2)) (a - b q^(i-2)) (1 - q^(i-1))
+        / ((1 - b q^(2i-5)) (1 - b q^(2i-4))^2 (1 - b q^(2i-3)))
+
+    Equal to the g-product used by pochhammer_spec wherever both are defined."""
+    if i < 2:
+        raise ValueError("ab is indexed from 2")
+    num = (
+        _qpow(2 * i - 4)
+        * (_ONE - b * _qpow(i - 3))
+        * (_ONE - a * _qpow(i - 2))
+        * (a - b * _qpow(i - 2))
+        * (_ONE - _qpow(i - 1))
+    )
+    den = (
+        (_ONE - b * _qpow(2 * i - 5))
+        * (_ONE - b * _qpow(2 * i - 4)) ** 2
+        * (_ONE - b * _qpow(2 * i - 3))
+    )
+    return num / den
+
+
+def lambda_closed_form(params: PochhammerParams, h: int) -> QRationalFn:
+    """The tabulated closed form for the h-th modulus,
+
+        a q^((h-1)^2) (b/q;q)_{h-1} (a;q)_{h-1} (b/a;q)_{h-1} (q;q)_{h-1}
+        / ((b/q;q^2)_{h-1} (b;q^2)_{h-1}^2 (b q;q^2)_{h-1}),
+
+    which carries a spurious leading factor q^(h-1)/a^(h-2) relative to the
+    product ab_2...ab_h (the empty product at h=1 is 1, the closed form gives
+    a).  Compare via lambda_closed_form_report."""
+    a, b = params.a, params.b
+    n = h - 1
+    num = a * _qpow((h - 1) ** 2) * (
+        _poch_step(b / _Q, _Q, n) * _poch_step(a, _Q, n) * _poch_step(b / a, _Q, n)
+        * _poch_step(_Q, _Q, n)
+    )
+    q2 = _Q * _Q
+    den = (
+        _poch_step(b / _Q, q2, n)
+        * _poch_step(b, q2, n) ** 2
+        * _poch_step(b * _Q, q2, n)
+    )
+    return num / den
+
+
+def _poch_step(x: QRationalFn, step: QRationalFn, n: int) -> QRationalFn:
+    """(x; step)_n: product of (1 - x*step^k) for 0 <= k < n."""
+    acc = _ONE
+    xs = x
+    for _ in range(n):
+        acc = acc * (_ONE - xs)
+        xs = xs * step
+    return acc
+
+
+class LambdaReport:
+    __slots__ = ("h", "product", "closed_form", "ratio", "expected_ratio", "proportional")
+
+    def __init__(
+        self,
+        h: int,
+        product: QRationalFn,
+        closed_form: QRationalFn,
+        ratio: QRationalFn,  # closed_form / product
+        expected_ratio: QRationalFn,  # q^(h-1) / a^(h-2), the flagged leading factor
+        proportional: bool,
+    ):
+        self.h = h
+        self.product = product
+        self.closed_form = closed_form
+        self.ratio = ratio
+        self.expected_ratio = expected_ratio
+        self.proportional = proportional
+
+
+def lambda_closed_form_report(params: PochhammerParams, h: int) -> LambdaReport:
+    """Measure the closed-form modulus against the plain ab-product.
+
+    The closed form is off by exactly q^(h-1)/a^(h-2) (= q for (a,b)=(q,q^2));
+    the product convention with lambda_1 = 1 is the one forced by the
+    telescoping identity, so that is what the library uses everywhere."""
+    spec = pochhammer_spec(params)
+    prod = lambda_modulus(spec, h)
+    closed = lambda_closed_form(params, h)
+    ratio = closed / prod
+    expected = _qpow(h - 1) / params.a ** (h - 2)
+    return LambdaReport(h, prod, closed, ratio, expected, ratio == expected)
+
+
+def table1_target(
+    row: str,
+    n: int,
+    a: Optional[QRationalFn] = None,
+    b: Optional[QRationalFn] = None,
+    z: Optional[QRationalFn] = None,
+) -> QRationalFn:
+    """Directly computed [z^n] target for a preset row (the oracle side)."""
+    if row == "pochhammer_a":
+        return q_pochhammer(a, n)
+    if row == "reciprocal_qq":
+        return q_pochhammer(_Q, n).reciprocal()
+    if row == "pochhammer_zqn":
+        return q_pochhammer(z * _qpow(-n), n)
+    if row == "reciprocal_pochhammer_zqn":
+        return q_pochhammer(z * _qpow(-n), n).reciprocal()
+    if row == "pochhammer_ratio":
+        return q_pochhammer(a, n) / q_pochhammer(b, n)
+    raise ValueError(f"unknown preset row {row!r}")
+
+
+def substitute_z_to_q(pair, order: int, z_multiplier: Optional[QRationalFn] = None):
+    """Substitute z := z_multiplier (default q) and expand to a q-series.
+
+    Accepts either a ConvergentPair (P and Q are evaluated and the ratio is
+    Taylor-expanded; raises on a pole at q=0, which cannot happen for the
+    divisor-spec convergents) or a ZSeries of coefficients (the truncated sum
+    of coeff_n * z_multiplier^n is expanded termwise)."""
+    zval = _Q if z_multiplier is None else z_multiplier
+    if isinstance(pair, ZSeries):
+        total = QSeries.zero(order)
+        zpow = _ONE
+        for n in range(pair.order):
+            term = pair[n] * zpow
+            if not term.is_zero():
+                total = total + term.taylor(order)
+            zpow = zpow * zval
+        return total
+    Pq = pair.P.evaluate(zval)
+    Qq = pair.Q.evaluate(zval)
+    return (Pq / Qq).taylor(order)
+
+
+# -- convergence reports and combinatorics -------------------------------------
+
+
+def min_margin(report) -> float:
+    """The smallest margin of a convergence.PringsheimReport."""
+    return min(r.margin for r in report.rows)
+
+
+def all_positive(report) -> bool:
+    """Whether every margin of a convergence.PringsheimReport is positive."""
+    return all(r.margin > 0 for r in report.rows)
+
+
+def bell_numbers(n_max: int) -> list[int]:
+    """Bell numbers B_0..B_n via the Bell triangle."""
+    bells = [1]
+    row = [1]
+    for _ in range(n_max):
+        new_row = [row[-1]]
+        for x in row:
+            new_row.append(new_row[-1] + x)
+        bells.append(new_row[0])
+        row = new_row
+    return bells[: n_max + 1]

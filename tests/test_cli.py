@@ -1,6 +1,8 @@
 """Exit codes, schemas, and determinism of the command-line front end."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -160,11 +162,11 @@ class TestSizeCaps:
         build_parser().parse_args(argv)
 
     def test_readme_caps_table_matches_the_code(self):
-        from qjfrac import cli, exact
+        from qjfrac import cli, parse
 
         constants = {
-            "exponent in `^`, in absolute value": exact._MAX_EXPONENT,
-            "degree of any parsed value (numerator or denominator)": exact._MAX_DEGREE,
+            "exponent in `^`, in absolute value": parse._MAX_EXPONENT,
+            "degree of any parsed value (numerator or denominator)": parse._MAX_DEGREE,
             "`divisor table --order`": cli._MAX_ORDER,
             "`divisor table --alpha`": cli._MAX_ALPHA,
             "`divisor table` joint cost (`--alpha` + 2)·`--h`²": cli._MAX_DIVISOR_COST,
@@ -485,7 +487,8 @@ class TestUsage:
         def crash(args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "_cmd_oracle", crash)
+        text, add_arguments, _ = cli._COMMANDS["oracle", "sigma"]
+        monkeypatch.setitem(cli._COMMANDS, ("oracle", "sigma"), (text, add_arguments, crash))
         assert run(["oracle", "sigma", "--alpha", "1", "--n", "6"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -539,9 +542,104 @@ class TestUsage:
         data = json.loads(path.read_text())
         assert data["schema"] == "qjfrac/divisor-table/1"
 
+class TestOneCommandParser:
+    """`run` builds the parser of the one command that argv[:2] names, and the
+    full tree for anything else; either way, every output is the full
+    parser's.  Each case hashes the exit code, stdout and stderr; the digests
+    are pinned from the parser that always built the full tree (argparse
+    wraps at $COLUMNS - 2)."""
+
+    DIGESTS = {
+            "--help": "f4e45a286c44cdf97dbc16c24275a5d26ddb8a357044ddf39f91fa32239cf862",
+            "": "39b533c69a951f54855a58efe79a631880d19018fc90d161ad290df51d8e17fe",
+            "bogus": "e6237d311d0adeff779622c97080c5589931af1bd6cb8d9bcd54d6e63162019d",
+            "jfrac --help": "f1cb5b0f343ccb65aeb88e7aa0da5dfc32840bedd6b3ac1fd115d1c1771c52ce",
+            "jfrac": "1adfccdbc44f192ed63601adcb1ee90200af6d3a4fc6a827274f9b95537ad839",
+            "jfrac bogus": "927097ada9b3accc23a5ca6add7556331624f0b87918ad5ab51a0016b0f516bb",
+            "jfrac expand --help": "006e9caceabfe5569c1c3be5ba9c0b8602889cb61ecf24aebc5b8308541ef72d",
+            "jfrac expand --no-such-flag": "fd037a65ef952ef263f638a03cfe855750d9f7944c2b0184b843e9bf8d5b568e",
+            "jfrac invert --help": "94c8d53395c91849ac57d76646e6ce7e64dc9739f34a6716c1f2d8b288b632ab",
+            "jfrac invert --no-such-flag": "8cbb4a560d5e79ff4266e240e9624dca8d5668fd52ef37bd9bc286b8ffc87955",
+            "jfrac triangle --help": "d69d030624ed2708f0d46aefed5f318274d43d140375658ee857003d1d616c27",
+            "jfrac triangle --no-such-flag": "2718f798319116bae2a803071f87ff8978cdda82bb28acedec3065440cbbd574",
+            "verify --help": "9ac98c74e6c56b0b2ce70d54707fc347f051dddf285755e4085dfb0db9c71fa4",
+            "verify": "fa320b34ce64f1e659c4c39dd375c03f9a424f30770701ed9dd6489ba2c0d0fd",
+            "verify bogus": "564650ce228912ecfac400b02c9e49bf0a8160c25410627ad68db276a4ec7fea",
+            "verify lemmas --help": "b874bee1c5915de6adf325ab0129d7693af611156ec8117e298eb503b52db002",
+            "verify lemmas --no-such-flag": "f89144691d8434457fce80f3947b565bb5646de1218642c342bdb3c797007204",
+            "divisor --help": "47e49105a13c8464d512e0090fcd78d0b6560523b87672037ec78c941029d7b7",
+            "divisor": "f1e230dc4d80c09b5df330b4637613b35f96e597bac4afd8501f77babd69bcdc",
+            "divisor bogus": "c9b28a52e36c0e7129206c0ecfa7de385e8e6b720e83064b7f2a8644808eef60",
+            "divisor table --help": "6ed480ee2d1c210dd16299208ae794a6f2581bf206dc0acf69849bc4693e290a",
+            "divisor table --no-such-flag": "a3ad2b567314215ee44129a5be19f4fcfc3ca9ec1e8607d0f4b35063e9b64aef",
+            "converge --help": "0a3a01cf39c1c226bbd47a5d3a15b886f0e3857494dcbedb2ccc4b56f225f10d",
+            "converge": "c033dd97cff7afc5e0fac11355a4a3e234c0fa545df65c5141bcbfe9b983aca6",
+            "converge bogus": "1944d46e0df427cd52edb5d140885e3deb8436d2461ed944a93c22fcecf35e98",
+            "converge probe --help": "6545950f2c9c26bdd7a5acf706b35832ed0504810bc995f74930c11ec7dd65f8",
+            "converge probe --no-such-flag": "11eb6260e3690daae30ab6b2e5c863d84341cb18c097a81bb2ece048d009e352",
+            "converge radius --help": "7f98c1d8b80f02561d717fdfe9eb5b83ebcfdce53a932befde4d8ba5e3840c92",
+            "converge radius --no-such-flag": "f89144691d8434457fce80f3947b565bb5646de1218642c342bdb3c797007204",
+            "converge margins --help": "608ed05b82cbd4b2797fc933e308ed71bd11433b4d9284ab4271d6089bd053fa",
+            "converge margins --no-such-flag": "07b35749822c6de7ddc7f8e4ef13ca6d6d3e56226aa819d0ed229336f17257c1",
+            "oracle --help": "63919f1f5f9b417eda67c8efc3e65e76d8914a209178546c06699fcc24eca747",
+            "oracle": "31ea88fc7165f8f22d2a9a4b2730c3f6c41e8a678b9928708e18ea64d5001740",
+            "oracle bogus": "63a604df9c798aa4037b924553f152999602f7530a7bb1f4dc89f38dcc0c30fe",
+            "oracle sigma --help": "42d8f76a3f7113ee5a83e7ce00395b49a18f0da1478314370c090f0dfedfe95c",
+            "oracle sigma --no-such-flag": "ee53b323be87a53f907568204577fb55d9be649f5df1b00436f3cc1fc50450dd",
+            "oracle lambert --help": "a9c5c3b7ccd77e2074a03c92020e15185fd2df7feaccfb6506e32c154b6307de",
+            "oracle lambert --no-such-flag": "b27be5c2b99a6cdd7021dce2e254e661c9e0f7b457b16c85ef59b3504f6a0928",
+            "oracle qbinomial --help": "afe439c56d50d8b445cb5c813494f62815e6cb7f5592fe00df36ca6d3571dc6d",
+            "oracle qbinomial --no-such-flag": "d8249b7a5d2d6ad69d93fa23b448ea675af09a14385a6a19ef33f4df6d3049c8",
+            "oracle qpochhammer --help": "b761f5d54c3817154cf97568384e637c485b02dd07ac0c0ae287e3f3d98b125a",
+            "oracle qpochhammer --no-such-flag": "c3289f3ea8643351438ca8170f60ecaa3b1dcf587fba06d2f6f08c6211574824",
+            "oracle qbinomialtheorem --help": "5fa99406ad95f0b441349949b2557cb11a55ac109865ced4691b794d1f0a68a3",
+            "oracle qbinomialtheorem --no-such-flag": "d6eacca7b0cf4884f7e28f8c5214b2a63639bf4e926e6a58f6c838beb5f0ad72",
+    }
+
+    @staticmethod
+    def outcome(call, argv) -> str:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = call(argv)
+            except SystemExit as exc:
+                rc = 0 if exc.code in (0, None) else 2
+        return hashlib.sha256(f"{rc}\n{out.getvalue()}\n{err.getvalue()}".encode()).hexdigest()
+
+    @pytest.mark.parametrize("command", list(DIGESTS))
+    def test_outputs_match_the_full_parser(self, monkeypatch, command):
+        from qjfrac.cli import build_parser
+
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = command.split()
+        digest = self.outcome(run, argv)
+        assert digest == self.outcome(build_parser().parse_args, argv)
+        assert digest == self.DIGESTS[command]
+
+    def test_a_named_command_builds_only_its_subparser(self):
+        import argparse
+
+        from qjfrac.cli import _COMMANDS, _GROUPS, build_parser
+
+        def tree(parser):
+            (top,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return {
+                group: sorted(sub.choices)
+                for group, p in top.choices.items()
+                for sub in p._actions
+                if isinstance(sub, argparse._SubParsersAction)
+            }
+
+        full = tree(build_parser())
+        assert list(full) == list(_GROUPS)
+        assert sorted((g, s) for g, subs in full.items() for s in subs) == sorted(_COMMANDS)
+        for group, name in _COMMANDS:
+            assert tree(build_parser((group, name))) == {group: [name]}
+
 
 class TestLazyLoading:
-    """`import qjfrac` loads nothing, and each command loads only what it runs.
+    """`import qjfrac` loads nothing, and each command loads only what it runs;
+    `csv` loads only for csv output.
 
     No command loads `dataclasses` or, through it, `inspect`: the records are
     plain classes, so start-up compiles and execs none of their methods."""
@@ -551,31 +649,38 @@ import contextlib, io, json, sys
 import qjfrac.cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = qjfrac.cli.run(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in sys.modules if m in ("mpmath", "dataclasses", "inspect") or m.split(".")[0] == "qjfrac")]))
+print(json.dumps([rc, sorted(m for m in sys.modules if m in ("mpmath", "dataclasses", "inspect", "csv") or m.split(".")[0] == "qjfrac")]))
 """
     NUMERIC = ["qjfrac.convergence", "mpmath"]
     ORACLE = ["qjfrac.exact", "qjfrac.oracles"]
-    EXACT = ORACLE + ["qjfrac.jfraction", "qjfrac.zalgebra"]
+    # the sequence layer and the convergents; only --a/--b/--z/--x load the parser
+    EXACT = ["qjfrac.exact", "qjfrac.sequences", "qjfrac.jfraction", "qjfrac.zalgebra"]
+    PARSE = ["qjfrac.parse"]
+    DIVISOR = ["qjfrac.exact", "qjfrac.sequences", "qjfrac.zalgebra", "qjfrac.divisors"]
 
     @pytest.mark.parametrize(
         "argv, extra",
         [
             (["converge", "radius", "--tol", "1e-8"], NUMERIC),
-            (["converge", "probe", "--q", "0.15", "--hmax", "5"], NUMERIC),
+            (["converge", "probe", "--q", "0.15", "--hmax", "5"], NUMERIC + ["csv"]),  # csv by default
             (["converge", "margins", "--q", "0.1", "--hmax", "5"], NUMERIC),
             (["oracle", "sigma", "--alpha", "1", "--n", "6"], ORACLE),
-            (["oracle", "qpochhammer", "--x", "q", "--n", "2"], ORACLE),
-            (["jfrac", "expand", "--a", "q", "--b", "q^2", "--h", "2"], EXACT),
+            (["oracle", "qpochhammer", "--x", "q", "--n", "2"], ORACLE + PARSE),
+            (["oracle", "qbinomialtheorem", "--a", "q", "--z", "q", "--order", "3"], ORACLE + PARSE),
+            (["jfrac", "expand", "--a", "q", "--b", "q^2", "--h", "2"], EXACT + PARSE),
+            (["jfrac", "expand", "--preset", "reciprocal_qq", "--h", "2"], EXACT),
             (["jfrac", "invert", "--target", "one_over_1mqn", "--depth", "2"], EXACT),
-            (["jfrac", "triangle", "--a", "q", "--b", "q^2", "--h", "2"], EXACT + ["qjfrac.stirling"]),
+            (["jfrac", "triangle", "--a", "q", "--b", "q^2", "--h", "2"], EXACT + PARSE + ["qjfrac.stirling"]),
             (["verify", "lemmas", "--h", "2", "--spec", "random"], EXACT + ["qjfrac.stirling"]),
-            (["verify", "lemmas", "--h", "2"], EXACT + ["qjfrac.divisors", "qjfrac.stirling"]),
-            (["divisor", "table", "--alpha", "0", "--h", "3", "--order", "3"], EXACT + ["qjfrac.divisors"]),
+            (["verify", "lemmas", "--h", "2"], EXACT + ["qjfrac.stirling"]),
+            (["divisor", "table", "--alpha", "0", "--h", "3", "--order", "3"], DIVISOR),
+            (["divisor", "table", "--alpha", "1", "--h", "3", "--order", "3", "--format", "csv"], DIVISOR + ["csv"]),
             (["--help"], []),
         ],
         ids=[
-            "radius", "probe", "margins", "sigma", "qpochhammer", "expand",
-            "invert", "triangle", "lemmas-random", "lemmas-qq2", "divisor", "help",
+            "radius", "probe", "margins", "sigma", "qpochhammer", "qbinomialtheorem", "expand",
+            "expand-preset", "invert", "triangle", "lemmas-random", "lemmas-qq2", "divisor",
+            "divisor-csv", "help",
         ],
     )
     def test_command_loads_only_its_modules(self, argv, extra):
@@ -608,14 +713,16 @@ class TestPlainRecords:
 
     @staticmethod
     def records():
-        from qjfrac import convergence, divisors, jfraction, stirling
+        from qjfrac import convergence, divisors, jfraction, sequences, stirling
+
+        import reference
 
         return [
-            jfraction.PochhammerParams, jfraction.ConvergentPair, jfraction.SumDecomposition,
-            jfraction.LambdaReport, jfraction.InversionResult, stirling.NewtonGirardReport,
+            sequences.PochhammerParams, jfraction.ConvergentPair, jfraction.SumDecomposition,
+            reference.LambdaReport, jfraction.InversionResult, stirling.NewtonGirardReport,
             stirling.NestedSumSpec, stirling.LemmaReport, stirling.ClaimReport,
             stirling.FirstColumnReport, divisors.DivisorGFRequest, divisors.GFResult,
-            divisors.TildeDReport, divisors.SpecialCaseReport, convergence.PringsheimRow,
+            stirling.TildeDReport, reference.SpecialCaseReport, convergence.PringsheimRow,
             convergence.PringsheimReport, convergence.ProbeRow, convergence.ProbeReport,
         ]
 

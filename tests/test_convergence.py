@@ -14,6 +14,8 @@ from qjfrac.convergence import (
     threshold_radius,
 )
 
+from reference import all_positive, min_margin
+
 
 class TestThresholdRadius:
     def test_value(self):
@@ -37,7 +39,7 @@ class TestThresholdRadius:
 class TestMargins:
     def test_q_01_h50_all_positive(self):
         rep = pringsheim_margins(0.1, 50)
-        assert rep.all_positive()
+        assert all_positive(rep)
         assert len(rep.rows) == 49  # levels 2..50
 
     def test_random_real_q_h100(self):
@@ -45,12 +47,12 @@ class TestMargins:
         for _ in range(10):
             qv = 0.02 + 0.18 * rng.random()
             rep = pringsheim_margins(qv, 100)
-            assert rep.all_positive(), (qv, rep.min_margin())
+            assert all_positive(rep), (qv, min_margin(rep))
 
     def test_small_q_margins_approach_zero_from_above(self):
         rep = pringsheim_margins(1e-6, 10)
-        assert rep.all_positive()
-        assert rep.min_margin() < 1e-5
+        assert all_positive(rep)
+        assert min_margin(rep) < 1e-5
 
     def test_q_05_recorded_not_asserted(self):
         # outside the provable region the margins are only recorded

@@ -3,23 +3,22 @@ congruence tables, partial sums, and the cross-check paths."""
 
 import pytest
 
-from qjfrac.divisors import (
-    DivisorGFRequest,
-    Stirling2Table,
-    congruence_table,
+from qjfrac.divisors import DivisorGFRequest, Stirling2Table, congruence_table
+from qjfrac.exact import QRationalFn
+from qjfrac.jfraction import JFractionSpec, convergent_pairs, divisor_spec
+from qjfrac.oracles import sigma_alpha
+from qjfrac.stirling import tilde_D0j
+from qjfrac.zalgebra import ZPolynomial
+
+from conftest import parse
+from reference import (
+    bell_numbers,
     divisor_gf,
     partial_sums,
     rational_approximant,
     sigma_gf,
     sigma_special_case_check,
-    tilde_D0j,
 )
-from qjfrac.exact import QRationalFn
-from qjfrac.jfraction import JFractionSpec, convergent_pairs, divisor_spec
-from qjfrac.oracles import bell_numbers, sigma_alpha
-from qjfrac.zalgebra import ZPolynomial
-
-from conftest import parse
 
 ONE = QRationalFn.one()
 ZERO = QRationalFn.zero()

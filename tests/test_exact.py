@@ -341,7 +341,9 @@ def test_kernel_matches_fraction_oracles(pair):
 @given(
     sharing_pairs(
         polys(101, 106, bits=320, den_bits=3, lead=st.integers(2**300, 2**320).map(Fraction)),
-        polys(1, 4, bits=320, den_bits=3),
+        # an integer lead, so that the product's lead keeps the 300 bits asserted
+        # below (a lead of 1/2 times 2^300 would not)
+        polys(1, 4, bits=320, den_bits=3, lead=st.integers(1, 2**20).map(Fraction)),
     )
 )
 def test_kernel_matches_fraction_oracles_at_degree_100(pair):
@@ -621,13 +623,13 @@ def test_coeffs_are_reduced_fractions_built_once():
 # from_bytes call, at the unrounded width that the bounds ask for.
 
 
-def byte_join_pack(cs, nbytes):
+def byte_join_pack(cs, nbytes, bias=None):
     half = 1 << (8 * nbytes - 1)
     raw = b"".join((c + half).to_bytes(nbytes, "little") for c in cs)
     return int.from_bytes(raw, "little") - exact._bias(len(cs), nbytes)
 
 
-def byte_join_unpack(x, n, nbytes):
+def byte_join_unpack(x, n, nbytes, bias=None):
     half = 1 << (8 * nbytes - 1)
     raw = (x + exact._bias(n, nbytes)).to_bytes(n * nbytes, "little")
     return [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, n * nbytes, nbytes)]
@@ -661,9 +663,11 @@ def digit_lists(draw, widths):
 
 
 def _check_pack_round_trip(cs, nbytes):
-    x = exact._pack(cs, nbytes)
-    assert x == byte_join_pack(cs, nbytes) == sum(c << (8 * nbytes * i) for i, c in enumerate(cs))
-    assert exact._unpack(x, len(cs), nbytes) == byte_join_unpack(x, len(cs), nbytes) == cs
+    # the kernels hand _pack and _unpack the bias of a longer operand
+    for bias in (exact._bias(len(cs), nbytes), exact._bias(len(cs) + 3, nbytes)):
+        x = exact._pack(cs, nbytes, bias)
+        assert x == byte_join_pack(cs, nbytes) == sum(c << (8 * nbytes * i) for i, c in enumerate(cs))
+        assert exact._unpack(x, len(cs), nbytes, bias) == byte_join_unpack(x, len(cs), nbytes) == cs
 
 
 def test_widths_up_to_a_word_round_up_to_one():
@@ -701,9 +705,9 @@ def test_unpack_overflows_exactly_where_the_oracle_does(nbytes, n, data):
         want = byte_join_unpack(x, n, nbytes)
     except OverflowError:
         with pytest.raises(OverflowError):
-            exact._unpack(x, n, nbytes)
+            exact._unpack(x, n, nbytes, bias)
     else:
-        assert exact._unpack(x, n, nbytes) == want
+        assert exact._unpack(x, n, nbytes, bias) == want
 
 
 @pytest.mark.parametrize("nbytes", WORD_WIDTHS + OTHER_WIDTHS)
@@ -712,13 +716,14 @@ def test_unpack_raises_without_an_n_digit_form(nbytes):
     for n in (1, 2, 3):
         low, high = -exact._bias(n, nbytes), (1 << (8 * nbytes * n)) - exact._bias(n, nbytes)
         # the smallest and largest n-digit forms: every digit -half, or half − 1
-        assert exact._unpack(low, n, nbytes) == [-half] * n
-        assert exact._unpack(high - 1, n, nbytes) == [half - 1] * n
+        bias = exact._bias(n + 1, nbytes)
+        assert exact._unpack(low, n, nbytes, bias) == [-half] * n
+        assert exact._unpack(high - 1, n, nbytes, bias) == [half - 1] * n
         for x in (low - 1, high):
             with pytest.raises(OverflowError):
                 byte_join_unpack(x, n, nbytes)
             with pytest.raises(OverflowError):
-                exact._unpack(x, n, nbytes)
+                exact._unpack(x, n, nbytes, bias)
 
 
 def _int_polys(max_len=8):
@@ -761,3 +766,94 @@ def test_heu_gcd_matches_the_byte_join_kernel(f, g, h):
         assert g_ab in (g, [-c for c in g])
         if want is not None:
             assert found == want
+
+
+# -- the bias: one per kernel call, shifted down to each operand -----------------
+
+
+@pytest.mark.parametrize("nbytes", (1, 2, 4, 8, 9))
+def test_bias_is_the_byte_pattern_and_shifts_down(nbytes):
+    for n in range(1, 65):
+        assert exact._bias(n, nbytes) == int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+        # all its digits are equal, so the top n digits of a longer bias are _bias(n)
+        assert exact._bias(64, nbytes) >> (8 * nbytes * (64 - n)) == exact._bias(n, nbytes)
+
+
+# -- exact division: narrow width first, Mignotte's width as the fallback --------
+
+
+def fraction_exquo(a, b):
+    """a / b in Z[q] by Fraction long division, or None."""
+    quo, rem = QPolynomial(a).divmod(QPolynomial(b))
+    if rem.is_zero() and all(c.denominator == 1 for c in quo.coeffs):
+        return [int(c) for c in quo.coeffs]
+    return None
+
+
+def narrow_division(a, b):
+    """(remainder, n-digit quotient or None) of a(ξ) by b(ξ) at the narrow width."""
+    nbytes = exact._digit_width((2 * max(map(abs, a)) * sum(map(abs, b)) + 2).bit_length() // 8 + 1)
+    bias = exact._bias(len(a), nbytes)
+    quo, rem = divmod(exact._pack(a, nbytes, bias), exact._pack(b, nbytes, bias))
+    try:
+        return rem, exact._unpack(quo, len(a) - len(b) + 1, nbytes, bias)
+    except OverflowError:
+        return rem, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(_int_polys(), _int_polys(max_len=5).filter(lambda cs: len(cs) >= 2), st.booleans())
+def test_int_exquo_matches_the_mignotte_route_and_the_fraction_oracle(x, b, divisible):
+    a = convolution(x, b) if divisible else x
+    want = fraction_exquo(a, b)
+    assert exact._int_exquo(a, b) == want
+    if len(a) >= len(b) and a[-1] % b[-1] == 0:
+        assert exact._mignotte_exquo(a, b) == want
+    if divisible:
+        assert want == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 400), st.sampled_from((1, -1)))
+def test_non_divisor_with_a_zero_narrow_remainder(c, m, sign):
+    # b = q − c divides a(ξ) exactly when ξ − c divides a(c); the narrow base
+    # here is ξ = 256, so a's digits in base c spell a multiple of 256 − c
+    b, a, v = [-c, 1], [], m * (256 - c)
+    while v:
+        v, digit = divmod(v, c)
+        a.append(sign * digit)
+    rem, quotient = narrow_division(a, b)
+    assert rem == 0 and quotient is not None  # the narrow division alone would accept it
+    assert fraction_exquo(a, b) is None
+    assert exact._int_exquo(a, b) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 9))
+def test_quotient_too_wide_for_the_narrow_digits(k, j):
+    # (q^k − 1)^j / (q − 1)^j = (1 + q + ... + q^(k−1))^j: a and b have
+    # binomial coefficients, the quotient's grow like k^j
+    a = [1]
+    b = [1]
+    for _ in range(j):
+        a = convolution(a, [-1] + [0] * (k - 1) + [1])
+        b = convolution(b, [-1, 1])
+    want = [1]
+    for _ in range(j):
+        want = convolution(want, [1] * k)
+    assert exact._int_exquo(a, b) == want == fraction_exquo(a, b)
+    assert exact._mignotte_exquo(a, b) == want
+
+
+def test_wide_quotients_take_the_fallback():
+    # at k = 16 the quotient unpacks at the narrow width but fails its bound;
+    # at k = 32 its coefficients no longer fit the narrow digits at all
+    for k, unpacks in ((16, True), (32, False)):
+        a, b, want = [1], [1], [1]
+        for _ in range(8):
+            a = convolution(a, [-1] + [0] * (k - 1) + [1])
+            b = convolution(b, [-1, 1])
+            want = convolution(want, [1] * k)
+        rem, quotient = narrow_division(a, b)
+        assert rem == 0 and (quotient == want) is unpacks
+        assert exact._int_exquo(a, b) == want

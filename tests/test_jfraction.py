@@ -19,23 +19,25 @@ from qjfrac.jfraction import (
     convergent_sum_decomposition,
     convergents,
     divisor_spec,
-    lambda_closed_form_report,
     lambda_modulus,
     lambert_ratio_target,
-    pochhammer_ab_closed_form,
     pochhammer_c_display_form,
     pochhammer_spec,
     random_rational_spec,
     series_to_jfraction,
-    substitute_z_to_q,
     table1_preset,
-    table1_target,
     telescoping_residual,
 )
 from qjfrac.oracles import pochhammer_ratio, q_pochhammer
 from qjfrac.zalgebra import ZFraction, ZPolynomial, ZSeries
 
 from conftest import parse, random_pochhammer_params
+from reference import (
+    lambda_closed_form_report,
+    pochhammer_ab_closed_form,
+    substitute_z_to_q,
+    table1_target,
+)
 
 ONE = QRationalFn.one()
 ZERO = QRationalFn.zero()
@@ -320,6 +322,27 @@ class TestPochhammerSpec:
             assert rep.proportional  # off by exactly q^(h-1)/a^(h-2)
         rep_qq2 = lambda_closed_form_report(PochhammerParams(Q, Q * Q), 3)
         assert rep_qq2.ratio == Q
+
+    @pytest.mark.parametrize("a, b", [("q", "q^2"), ("2/3*q", "-1/2*q^2")])
+    def test_each_g_is_computed_once_per_spec(self, monkeypatch, a, b):
+        # c_i and ab_i share g_{2i-2}, and ab_{i+1} reuses g_{2i-1}
+        from qjfrac import sequences
+
+        a, b = parse(a), parse(b)
+        calls = []
+
+        def counted(a, b, k):
+            calls.append(k)
+            return cfraction_coefficient(a, b, k)
+
+        monkeypatch.setattr(sequences, "cfraction_coefficient", counted)
+        spec = pochhammer_spec(PochhammerParams(a, b))
+        h = 8
+        for i in range(h, 1, -1):
+            assert spec.ab(i) == cfraction_coefficient(a, b, 2 * i - 3) * cfraction_coefficient(a, b, 2 * i - 2)
+            assert spec.c(i) == cfraction_coefficient(a, b, 2 * i - 2) + cfraction_coefficient(a, b, 2 * i - 1)
+        assert spec.c(1) == (a - ONE) / (b - ONE)
+        assert sorted(calls) == list(range(1, 2 * h))
 
 
 def _poch_step2(x: QRationalFn, n: int) -> QRationalFn:

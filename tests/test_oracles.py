@@ -5,7 +5,6 @@ import pytest
 
 from qjfrac.exact import QPolynomial, QRationalFn
 from qjfrac.oracles import (
-    bell_numbers,
     lambert_truncated,
     pochhammer_ratio,
     q_binomial,
@@ -15,6 +14,7 @@ from qjfrac.oracles import (
 )
 
 from conftest import parse
+from reference import bell_numbers
 
 ONE = QRationalFn.one()
 Q = QRationalFn.q()
