@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from .exact import QRationalFn
+    from .sequences import JFractionSpec
 
 # Each command imports the library modules it runs, and `run` builds the
 # parser of that command alone, so a process compiles and builds only what it
@@ -256,9 +257,6 @@ def _cmd_expand(args) -> int:
     from . import jfraction
 
     spec = _spec_from_flags(args)
-    if spec is None:
-        print("error: need --preset or both --a and --b", file=sys.stderr)
-        return 2
     h = args.h
     zorder = args.zorder if args.zorder is not None else max(2 * h, 1)
     if zorder > _MAX_ZORDER:
@@ -283,21 +281,18 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _spec_from_flags(args) -> Optional[object]:
+def _spec_from_flags(args) -> JFractionSpec:
     from . import jfraction
 
     if args.preset:
         return jfraction.table1_preset(args.preset, a=args.a, b=args.b, z=args.z)
     if args.a is not None and args.b is not None:
         return jfraction.pochhammer_spec(jfraction.PochhammerParams(args.a, args.b))
-    return None
+    raise ValueError("need --preset or both --a and --b")
 
 
 def _cmd_triangle(args) -> int:
     spec = _spec_from_flags(args)
-    if spec is None:
-        print("error: need --preset or both --a and --b", file=sys.stderr)
-        return 2
     from .stirling import StirlingQTriangle
 
     tri = StirlingQTriangle.from_spec(spec, args.h)

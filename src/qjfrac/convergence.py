@@ -31,20 +31,6 @@ def precision_bits() -> int:
     return max(bits, 64)
 
 
-class _prec:
-    """Temporarily pin mpmath precision."""
-
-    def __init__(self, bits: int):
-        self.bits = bits
-
-    def __enter__(self):
-        self.saved = mp.prec
-        mp.prec = self.bits
-
-    def __exit__(self, *exc):
-        mp.prec = self.saved
-
-
 def _cseq(q: mpc, i: int) -> mpc:
     """c_i of the divisor spec, numerically: 2 q^(i-1) / ((1+q^(i-1))(1+q^i)); c_1 = 1/(1+q)."""
     if i == 1:
@@ -116,7 +102,7 @@ def pringsheim_margins(q: complex, h_max: int = 100) -> PringsheimReport:
 
     needed = int(2 * h_max * math.log2(1 / abs(q))) + 64
     bits = max(precision_bits(), needed)
-    with _prec(bits):
+    with mp.workprec(bits):
         qq = mpc(q)
         z = qq
         report = PringsheimReport(complex(qq), complex(z), bits, _B_READING_NOTE)
@@ -146,7 +132,7 @@ def threshold_inequality_gap(t: float) -> float:
         (1-t)^2/(1+t^2)  >=  sqrt(((1-t)^4 + t^2 (1+t)^2) / (1+t+t^2+t^3)),
 
     positive inside the provable region."""
-    with _prec(precision_bits()):
+    with mp.workprec(precision_bits()):
         tt = mpf(t)
         lhs = (1 - tt) ** 2 / (1 + tt ** 2)
         rhs = mpmath.sqrt(((1 - tt) ** 4 + tt ** 2 * (1 + tt) ** 2) / (1 + tt + tt ** 2 + tt ** 3))
@@ -256,7 +242,7 @@ def numeric_convergence_probe(q: complex, z: complex, h_max: int = 20) -> ProbeR
     if abs(q) >= 1 or abs(z) >= 1:
         raise ValueError("need |q| < 1 and |z| < 1")
     bits = precision_bits()
-    with _prec(bits):
+    with mp.workprec(bits):
         qq, zz = mpc(q), mpc(z)
         target, converged = _direct_sum(qq, zz) if q != 0 else (mpc(1) / (1 - zz) * (1 - qq), True)
         report = ProbeReport(complex(qq), complex(zz), complex(target), converged, bits)

@@ -266,6 +266,13 @@ def table1_preset(
       reciprocal_pochhammer_zqn  1/(z q^-n; q)_n          requires z
       pochhammer_ratio           (a;q)_n/(b;q)_n          requires a, b
 
+    Every row is the even contraction of one C-fraction, the ratio family's
+    (cfraction_coefficient), at (a, b) = (a, 0), (0, q), (z/q, 0), (0, z/q)
+    and (a, b); the two z rows take it in base 1/q, because
+    (z q^-n; q)_n = (z/q; 1/q)_n.  The g-products keep every ab_i regular
+    where a factored display degenerates (ab_2 of reciprocal_qq; ab_2 of
+    reciprocal_pochhammer_zqn at z = 1).
+
     The q^binom(n,2)/(q;q)_n family is excluded: its tabulated c-entries are
     ambiguous in the source.
     """
@@ -274,81 +281,19 @@ def table1_preset(
     if row == "pochhammer_a":
         if a is None:
             raise ValueError("row pochhammer_a requires parameter a")
-        return _preset_pochhammer_a(a)
+        return _contraction_spec(f"pochhammer_a(a={a})", a, _ZERO)
     if row == "reciprocal_qq":
-        return _preset_reciprocal_qq()
+        return _contraction_spec("reciprocal_qq", _ZERO, _Q)
     if row == "pochhammer_zqn":
         if z is None:
             raise ValueError("row pochhammer_zqn requires parameter z")
-        return _preset_pochhammer_zqn(z)
+        return _contraction_spec(f"pochhammer_zqn(z={z})", z / _Q, _ZERO, -1)
     if row == "reciprocal_pochhammer_zqn":
         if z is None:
             raise ValueError("row reciprocal_pochhammer_zqn requires parameter z")
-        return _preset_reciprocal_pochhammer_zqn(z)
+        return _contraction_spec(f"reciprocal_pochhammer_zqn(z={z})", _ZERO, z / _Q, -1)
     if row == "pochhammer_ratio":
         if a is None or b is None:
             raise ValueError("row pochhammer_ratio requires parameters a and b")
         return pochhammer_spec(PochhammerParams(a, b))
     raise ValueError(f"unknown preset row {row!r}; choose from {TABLE1_ROWS}")
-
-
-def _preset_pochhammer_a(a: QRationalFn) -> JFractionSpec:
-    def c_fn(i: int) -> QRationalFn:
-        if i == 1:
-            return _ONE - a
-        return _qpow(i - 1) - a * _qpow(i - 2) * (_qpow(i) + _qpow(i - 1) - _ONE)
-
-    def ab_fn(i: int) -> QRationalFn:
-        return a * _qpow(2 * i - 4) * (a * _qpow(i - 2) - _ONE) * (_qpow(i - 1) - _ONE)
-
-    return JFractionSpec(f"pochhammer_a(a={a})", c_fn, ab_fn)
-
-
-def _preset_reciprocal_qq() -> JFractionSpec:
-    # the ratio family evaluated at (a, b) = (0, q); the g-product form keeps
-    # ab_2 regular where the factored ab display degenerates
-    return _contraction_spec("reciprocal_qq", _ZERO, _Q)
-
-
-def _preset_pochhammer_zqn(z: QRationalFn) -> JFractionSpec:
-    def c_fn(i: int) -> QRationalFn:
-        if i == 1:
-            return (_Q - z) / _Q
-        return (_qpow(i) - z - _Q * z + _qpow(i) * z) / _qpow(2 * i - 1)
-
-    def ab_fn(i: int) -> QRationalFn:
-        return (_qpow(i - 1) - _ONE) * (_qpow(i - 1) - z) * z / _qpow(4 * i - 5)
-
-    return JFractionSpec(f"pochhammer_zqn(z={z})", c_fn, ab_fn)
-
-
-def _preset_reciprocal_pochhammer_zqn(z: QRationalFn) -> JFractionSpec:
-    # Underlying C-fraction (recovered by exact inversion of the target):
-    #   g_{2m}   = z q^m (1-q^m) / ((q^(2m-1)-z)(q^(2m)-z))
-    #   g_{2m+1} = q^(2m+1) (q^m-z) / ((q^(2m)-z)(q^(2m+1)-z))
-    # Its even contraction gives the tabulated ab_h verbatim; the tabulated
-    # single-fraction c_h display is garbled for h >= 2 (it misses the middle
-    # denominator factor), so c is built from the contraction instead.
-    def g_even(m: int) -> QRationalFn:
-        return z * _qpow(m) * (_ONE - _qpow(m)) / ((_qpow(2 * m - 1) - z) * (_qpow(2 * m) - z))
-
-    def g_odd(m: int) -> QRationalFn:
-        return _qpow(2 * m + 1) * (_qpow(m) - z) / ((_qpow(2 * m) - z) * (_qpow(2 * m + 1) - z))
-
-    def c_fn(i: int) -> QRationalFn:
-        if i == 1:
-            return _Q / (_Q - z)
-        return g_even(i - 1) + g_odd(i - 1)
-
-    def ab_fn(i: int) -> QRationalFn:
-        # equals g_odd(i-2) * g_even(i-1); the tabulated factored display,
-        # with the q-bracket [i-1]_q times (1-q) collapsed to (1 - q^(i-1))
-        num = (_ONE - _qpow(i - 1)) * _qpow(3 * i - 4) * (_qpow(i - 2) - z) * z
-        den = (
-            (_qpow(2 * i - 4) - z)
-            * (_qpow(2 * i - 3) - z) ** 2
-            * (_qpow(2 * i - 2) - z)
-        )
-        return num / den
-
-    return JFractionSpec(f"reciprocal_pochhammer_zqn(z={z})", c_fn, ab_fn)

@@ -7,7 +7,12 @@ beyond the exact arithmetic primitives.
 
 from __future__ import annotations
 
-from .exact import QPolynomial, QRationalFn, QSeries
+from typing import TYPE_CHECKING
+
+# `exact` is imported by the functions that use it, so `oracle sigma`, which
+# sums over ints, does not load it
+if TYPE_CHECKING:
+    from .exact import QPolynomial, QRationalFn, QSeries
 
 
 def sigma_alpha(alpha: int, n: int) -> int:
@@ -34,6 +39,8 @@ def divisor_count(n: int) -> int:
 
 def q_pochhammer(x: QRationalFn, n: int) -> QRationalFn:
     """(x; q)_n = product of (1 - x*q^k) for 0 <= k < n; the empty product is 1."""
+    from .exact import QRationalFn
+
     if n < 0:
         raise ValueError("n must be >= 0")
     q = QRationalFn.q()
@@ -52,6 +59,8 @@ def pochhammer_ratio(a: QRationalFn, b: QRationalFn, n: int) -> QRationalFn:
 
 def lambert_truncated(alpha: int, order: int) -> QSeries:
     """Double-sum expansion of sum_n n^alpha * q^n/(1-q^n); coefficient m is sigma_alpha(m)."""
+    from .exact import QSeries
+
     if order < 1:
         raise ValueError("order must be >= 1")
     coeffs = [0] * order
@@ -64,6 +73,8 @@ def lambert_truncated(alpha: int, order: int) -> QSeries:
 
 def q_binomial(n: int, k: int) -> QPolynomial:
     """Gaussian binomial coefficient via the q-Pascal recurrence."""
+    from .exact import QPolynomial
+
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     # row[j] holds [i choose j]_q while i sweeps upward
@@ -93,6 +104,8 @@ def q_binomial_theorem_check(a: QRationalFn, z_val: QRationalFn, order: int) -> 
     z_val must vanish at q=0 (e.g. q times a unit), so that both sides are
     power series in q and every factor beyond index `order` is 1 + O(q^order).
     """
+    from .exact import QRationalFn, QSeries
+
     if order < 1:
         raise ValueError("order must be >= 1")
     if z_val.is_zero() or _series_valuation(z_val) < 1:

@@ -4,10 +4,10 @@ A J-fraction
     1 / (1 - c_1 z - ab_2 z^2 / (1 - c_2 z - ab_3 z^2 / ...))
 is described by its two implicit coefficient sequences.  This module holds
 the sequence pair with its memos (`JFractionSpec`), the parametrized family
-whose convergents generate the q-Pochhammer ratio (a;q)_n/(b;q)_n, its
-(q, q^2) instance behind the divisor tables, and seeded random specs.  The
-convergents, the inversion and the tabulated families live in `jfraction`;
-`divisors` needs only this layer.
+whose convergents generate the q-Pochhammer ratio (a;p)_n/(b;p)_n in base
+p = q or 1/q, its (q, q^2) instance behind the divisor tables, and seeded
+random specs.  The convergents, the inversion and the tabulated families live
+in `jfraction`; `divisors` needs only this layer.
 """
 
 from __future__ import annotations
@@ -139,21 +139,23 @@ class PochhammerParams:
         self.b = b
 
 
-def cfraction_coefficient(a: QRationalFn, b: QRationalFn, k: int) -> QRationalFn:
+def cfraction_coefficient(a: QRationalFn, b: QRationalFn, k: int, s: int = 1) -> QRationalFn:
     """Coefficient g_k of the regular C-fraction underlying the ratio family.
 
-    The series sum_n (a;q)_n/(b;q)_n z^n equals
-    1/(1 - g_1 z/(1 - g_2 z/(1 - g_3 z/...))) with
+    In base p = q^s (s = 1 or -1), the series sum_n (a;p)_n/(b;p)_n z^n
+    equals 1/(1 - g_1 z/(1 - g_2 z/(1 - g_3 z/...))) with
 
         g_1      = (1-a)/(1-b)
-        g_{2m}   = q^(m-1) (a - b q^(m-1)) (1 - q^m)
-                   / ((1 - b q^(2m-2)) (1 - b q^(2m-1)))
-        g_{2m+1} = q^m (1 - b q^(m-1)) (1 - a q^m)
-                   / ((1 - b q^(2m-1)) (1 - b q^(2m)))
+        g_{2m}   = p^(m-1) (a - b p^(m-1)) (1 - p^m)
+                   / ((1 - b p^(2m-2)) (1 - b p^(2m-1)))
+        g_{2m+1} = p^m (1 - b p^(m-1)) (1 - a p^m)
+                   / ((1 - b p^(2m-1)) (1 - b p^(2m)))
 
     (derived from the contiguous relations of the basic hypergeometric series
     behind the ratio, and verified by exact inversion of the target series).
-    The parametrized J-fraction is the even contraction of this C-fraction.
+    Every power p^e is q^(s e).  The parametrized J-fraction is the even
+    contraction of this C-fraction; base 1/q serves the Table 1 rows in
+    (z q^-n; q)_n = (z/q; 1/q)_n.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -161,12 +163,12 @@ def cfraction_coefficient(a: QRationalFn, b: QRationalFn, k: int) -> QRationalFn
         return (_ONE - a) / (_ONE - b)
     if k % 2 == 0:
         m = k // 2
-        num = _qpow(m - 1) * (a - b * _qpow(m - 1)) * (_ONE - _qpow(m))
-        den = (_ONE - b * _qpow(2 * m - 2)) * (_ONE - b * _qpow(2 * m - 1))
+        num = _qpow(s * (m - 1)) * (a - b * _qpow(s * (m - 1))) * (_ONE - _qpow(s * m))
+        den = (_ONE - b * _qpow(s * (2 * m - 2))) * (_ONE - b * _qpow(s * (2 * m - 1)))
         return num / den
     m = (k - 1) // 2
-    num = _qpow(m) * (_ONE - b * _qpow(m - 1)) * (_ONE - a * _qpow(m))
-    den = (_ONE - b * _qpow(2 * m - 1)) * (_ONE - b * _qpow(2 * m))
+    num = _qpow(s * m) * (_ONE - b * _qpow(s * (m - 1))) * (_ONE - a * _qpow(s * m))
+    den = (_ONE - b * _qpow(s * (2 * m - 1))) * (_ONE - b * _qpow(s * 2 * m))
     return num / den
 
 
@@ -188,7 +190,7 @@ def pochhammer_spec(params: PochhammerParams) -> JFractionSpec:
     return _contraction_spec(f"pochhammer_ratio(a={params.a}, b={params.b})", params.a, params.b)
 
 
-def _contraction_spec(name: str, a: QRationalFn, b: QRationalFn) -> JFractionSpec:
+def _contraction_spec(name: str, a: QRationalFn, b: QRationalFn, s: int = 1) -> JFractionSpec:
     # c_i and ab_i share g_{2i-2}, and ab_{i+1} reuses g_{2i-1}: the two
     # closures share one memo of the g_k, so each is computed once per spec
     gs: dict[int, QRationalFn] = {}
@@ -196,7 +198,7 @@ def _contraction_spec(name: str, a: QRationalFn, b: QRationalFn) -> JFractionSpe
     def g(k: int) -> QRationalFn:
         v = gs.get(k)
         if v is None:
-            v = gs[k] = cfraction_coefficient(a, b, k)
+            v = gs[k] = cfraction_coefficient(a, b, k, s)
         return v
 
     def c_fn(i: int) -> QRationalFn:

@@ -3,8 +3,8 @@
 Each one was library code until the library kept one route per computation:
 the thin divisor-table wrappers and the alpha in {1, 2} special-case
 realizations, the factored and closed-form displays of the ratio family, the
-direct Table 1 targets, the z -> q substitution, the margin summaries of a
-convergence report, and the Bell numbers.  The tests import them from here.
+displayed sequences and direct targets of Table 1, the z -> q substitution,
+the margin summaries of a convergence report, and the Bell numbers.  The tests import them from here.
 """
 
 from __future__ import annotations
@@ -287,6 +287,68 @@ def lambda_closed_form_report(params: PochhammerParams, h: int) -> LambdaReport:
     ratio = closed / prod
     expected = _qpow(h - 1) / params.a ** (h - 2)
     return LambdaReport(h, prod, closed, ratio, expected, ratio == expected)
+
+
+# -- Table 1: the displayed c_i and ab_i of the single-parameter rows ----------
+#
+# The library builds every row from the ratio family's C-fraction; these are
+# the displays that the rows were once copied from, each a function of the
+# row parameter x (a for pochhammer_a, z for the z rows) and of i.
+
+
+def _row1_c(a: QRationalFn, i: int) -> QRationalFn:
+    if i == 1:
+        return _ONE - a
+    return _qpow(i - 1) - a * _qpow(i - 2) * (_qpow(i) + _qpow(i - 1) - _ONE)
+
+
+def _row1_ab(a: QRationalFn, i: int) -> QRationalFn:
+    return a * _qpow(2 * i - 4) * (a * _qpow(i - 2) - _ONE) * (_qpow(i - 1) - _ONE)
+
+
+def _zqn_c(z: QRationalFn, i: int) -> QRationalFn:
+    if i == 1:
+        return (_Q - z) / _Q
+    return (_qpow(i) - z - _Q * z + _qpow(i) * z) / _qpow(2 * i - 1)
+
+
+def _zqn_ab(z: QRationalFn, i: int) -> QRationalFn:
+    return (_qpow(i - 1) - _ONE) * (_qpow(i - 1) - z) * z / _qpow(4 * i - 5)
+
+
+def _reciprocal_zqn_g_even(z: QRationalFn, m: int) -> QRationalFn:
+    """g_{2m} of 1/(z q^-n; q)_n, recovered by exact inversion of the target."""
+    return z * _qpow(m) * (_ONE - _qpow(m)) / ((_qpow(2 * m - 1) - z) * (_qpow(2 * m) - z))
+
+
+def _reciprocal_zqn_g_odd(z: QRationalFn, m: int) -> QRationalFn:
+    """g_{2m+1} of 1/(z q^-n; q)_n, recovered by exact inversion of the target."""
+    return _qpow(2 * m + 1) * (_qpow(m) - z) / ((_qpow(2 * m) - z) * (_qpow(2 * m + 1) - z))
+
+
+def _reciprocal_zqn_c(z: QRationalFn, i: int) -> QRationalFn:
+    # the tabulated single-fraction c_i display is garbled for i >= 2 (it
+    # misses the middle denominator factor), so c_i is the contraction of the
+    # g_k above
+    if i == 1:
+        return _Q / (_Q - z)
+    return _reciprocal_zqn_g_even(z, i - 1) + _reciprocal_zqn_g_odd(z, i - 1)
+
+
+def _reciprocal_zqn_ab(z: QRationalFn, i: int) -> QRationalFn:
+    # the tabulated factored display, with the q-bracket [i-1]_q times (1-q)
+    # collapsed to (1 - q^(i-1)); equal to g_odd(i-2) * g_even(i-1) where
+    # both are defined, and 0/0 at (z, i) = (1, 2)
+    num = (_ONE - _qpow(i - 1)) * _qpow(3 * i - 4) * (_qpow(i - 2) - z) * z
+    den = (_qpow(2 * i - 4) - z) * (_qpow(2 * i - 3) - z) ** 2 * (_qpow(2 * i - 2) - z)
+    return num / den
+
+
+TABLE1_DISPLAYS = {
+    "pochhammer_a": (_row1_c, _row1_ab),
+    "pochhammer_zqn": (_zqn_c, _zqn_ab),
+    "reciprocal_pochhammer_zqn": (_reciprocal_zqn_c, _reciprocal_zqn_ab),
+}
 
 
 def table1_target(

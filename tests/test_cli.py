@@ -279,6 +279,22 @@ class TestExpand:
         data = json.loads(out)
         assert len(data["c"]) == 2
 
+    @pytest.mark.parametrize("h", [4, 5])
+    def test_reciprocal_zqn_row_at_z_one(self, capsys, h):
+        # the tabulated ab_2 display of this row is 0/0 at z = 1; the
+        # contraction's g-product is regular there and reproduces the target
+        from qjfrac.exact import QRationalFn
+        from reference import table1_target
+
+        code, out = run_capture(
+            capsys, ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1", "--h", str(h)]
+        )
+        assert code == 0
+        coeffs = [QRationalFn.parse(c) for c in json.loads(out)["coefficients"]]
+        assert coeffs == [
+            table1_target("reciprocal_pochhammer_zqn", n, z=QRationalFn.one()) for n in range(2 * h)
+        ]
+
     def test_missing_parameters(self, capsys):
         code = run(["jfrac", "expand", "--h", "3"])
         assert code == 2
@@ -664,7 +680,7 @@ print(json.dumps([rc, sorted(m for m in sys.modules if m in ("mpmath", "dataclas
             (["converge", "radius", "--tol", "1e-8"], NUMERIC),
             (["converge", "probe", "--q", "0.15", "--hmax", "5"], NUMERIC + ["csv"]),  # csv by default
             (["converge", "margins", "--q", "0.1", "--hmax", "5"], NUMERIC),
-            (["oracle", "sigma", "--alpha", "1", "--n", "6"], ORACLE),
+            (["oracle", "sigma", "--alpha", "1", "--n", "6"], ["qjfrac.oracles"]),
             (["oracle", "qpochhammer", "--x", "q", "--n", "2"], ORACLE + PARSE),
             (["oracle", "qbinomialtheorem", "--a", "q", "--z", "q", "--order", "3"], ORACLE + PARSE),
             (["jfrac", "expand", "--a", "q", "--b", "q^2", "--h", "2"], EXACT + PARSE),

@@ -33,6 +33,7 @@ from qjfrac.zalgebra import ZFraction, ZPolynomial, ZSeries
 
 from conftest import parse, random_pochhammer_params
 from reference import (
+    TABLE1_DISPLAYS,
     lambda_closed_form_report,
     pochhammer_ab_closed_form,
     substitute_z_to_q,
@@ -331,9 +332,9 @@ class TestPochhammerSpec:
         a, b = parse(a), parse(b)
         calls = []
 
-        def counted(a, b, k):
+        def counted(a, b, k, *rest):
             calls.append(k)
-            return cfraction_coefficient(a, b, k)
+            return cfraction_coefficient(a, b, k, *rest)
 
         monkeypatch.setattr(sequences, "cfraction_coefficient", counted)
         spec = pochhammer_spec(PochhammerParams(a, b))
@@ -691,6 +692,40 @@ class TestTable1Presets:
             / ((Q - z) * (Q ** 3 - z))
         )
         assert spec.c(2) != display_c2
+
+    @pytest.mark.parametrize("row", sorted(TABLE1_DISPLAYS))
+    @pytest.mark.parametrize(
+        "x", ["1/3", "2", "1", "0", "q", "q^2", "q^3", "q^-1", "3*q/(1+q)", "-q^3/2"]
+    )
+    def test_contraction_matches_displays(self, row, x):
+        # each single-parameter row is the ratio family's contraction; it
+        # equals the row's display wherever the display is defined, and where
+        # the contraction divides by zero the display does too.  The one
+        # point where only the display divides by zero is the 0/0 of ab_2
+        # on the reciprocal z-row at z = 1.
+        value = parse(x)
+        spec = table1_preset(row, **{"a" if row == "pochhammer_a" else "z": value})
+        c_display, ab_display = TABLE1_DISPLAYS[row]
+        display_only_poles = []
+        for kind, seq, display, first in (("c", spec.c, c_display, 1), ("ab", spec.ab, ab_display, 2)):
+            for i in range(first, 11):
+                try:
+                    expect = display(value, i)
+                except ZeroDivisionError:
+                    expect = None
+                try:
+                    got = seq(i)
+                except ZeroDivisionError:
+                    assert expect is None, (kind, i)
+                    continue
+                if expect is None:
+                    display_only_poles.append((kind, i))
+                else:
+                    assert got == expect, (kind, i)
+        if (row, x) == ("reciprocal_pochhammer_zqn", "1"):
+            assert display_only_poles == [("ab", 2)]
+        else:
+            assert display_only_poles == []
 
     def test_pochhammer_ratio_row_is_the_parametrized_family(self):
         a, b = parse("3/2"), parse("2/5")
