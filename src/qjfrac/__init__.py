@@ -14,7 +14,7 @@ numeric `convergence` module pulls in mpmath.
 from importlib import import_module
 
 _EXPORTS = {
-    "exact": ("QPolynomial", "QRationalFn", "QSeries", "Rational"),
+    "exact": ("QPolynomial", "QRationalFn", "QSeries"),
     "parse": ("parse_ratfn",),
     "sequences": (
         "JFractionSpec",
@@ -38,7 +38,6 @@ _EXPORTS = {
     "divisors": (
         "DivisorGFRequest",
         "Stirling2Table",
-        "congruence_table",
         "generating_series",
     ),
     "stirling": (

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
@@ -286,6 +287,8 @@ def _spec_from_flags(args) -> JFractionSpec:
 
     if args.preset:
         return jfraction.table1_preset(args.preset, a=args.a, b=args.b, z=args.z)
+    if args.z is not None:
+        raise ValueError("without --preset the family takes --a and --b, not --z")
     if args.a is not None and args.b is not None:
         return jfraction.pochhammer_spec(jfraction.PochhammerParams(args.a, args.b))
     raise ValueError("need --preset or both --a and --b")
@@ -386,41 +389,16 @@ def _cmd_divisor_table(args) -> int:
     from . import divisors
 
     req = divisors.DivisorGFRequest(args.alpha, args.h, args.order, args.mod)
-    if args.mod is not None:
-        rows = [
-            {
-                "n": r["n"],
-                "value": r["residue"] if not r["flagged"] else r["exact"],
-                "certified": r["certified"],
-                "empirical": r["empirical"],
-                "flagged": r["flagged"],
-            }
-            for r in divisors.congruence_table(req)
-        ]
-        header = ["n", "value", "certified", "empirical", "flagged"]
-        csv_rows = [
-            [r["n"], r["value"], r["certified"], r["empirical"], r["flagged"]] for r in rows
-        ]
-        payload = {
-            "schema": "qjfrac/divisor-table/1",
-            "alpha": args.alpha,
-            "h": args.h,
-            "modulus": args.mod,
-            "rows": rows,
-        }
+    result = divisors.generating_series(req)
+    rows = result.rows()
+    payload = {"schema": "qjfrac/divisor-table/1", "alpha": args.alpha, "h": args.h}
+    if args.mod is None:
+        payload["generator"] = str(result.generator)
     else:
-        result = divisors.generating_series(req)
-        rows = result.rows()
-        header = ["n", "value", "certified", "empirical"]
-        csv_rows = [[r["n"], r["value"], r["certified"], r["empirical"]] for r in rows]
-        payload = {
-            "schema": "qjfrac/divisor-table/1",
-            "alpha": args.alpha,
-            "h": args.h,
-            "generator": str(result.generator),
-            "rows": rows,
-        }
-    _emit(payload, args.format, args.output, csv_rows=csv_rows, csv_header=header)
+        payload["modulus"] = args.mod
+    payload["rows"] = rows
+    csv_rows = [list(r.values()) for r in rows]
+    _emit(payload, args.format, args.output, csv_rows=csv_rows, csv_header=result.columns)
     return 0
 
 
@@ -564,15 +542,25 @@ def build_parser(command: Optional[tuple[str, str]] = None) -> argparse.Argument
 
 def run(argv=None) -> int:
     """Run one command; the exit code is 0 on success, 1 on a verification
-    mismatch, 2 on a usage error and 3 on an internal error."""
+    mismatch, 2 on a usage error, 3 on an internal error and 141 when the
+    reader closed stdout (128 + SIGPIPE)."""
     if argv is None:
         argv = sys.argv[1:]
     command = tuple(argv[:2])
     try:
         args = build_parser(command if command in _COMMANDS else None).parse_args(argv)
-        return _COMMANDS[args.command, args.subcommand][2](args)
+        rc = _COMMANDS[args.command, args.subcommand][2](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at the interpreter's exit
+        return rc
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's last flush stays quiet, and exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

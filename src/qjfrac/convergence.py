@@ -87,8 +87,7 @@ class PringsheimReport:
 def pringsheim_margins(q: complex, h_max: int = 100) -> PringsheimReport:
     """Evaluate the displayed a_h, b_h with z = q and report |b_h| - |a_h| - 1.
 
-    a_h = z^2 q^(2h-3) (1-q^(h-1))^4
-          / ((1-q^(2h-3)) (1-q^(2h-2))^2 (1-q^(2h-1)))
+    a_h = z^2 ab_h, with ab_h as in _abseq
     b_h = (1 + q^(h-1)(2q + q^(2h) + q^(h+2)) - q^(h-1)(q^(2h+1) + q^2 + q^3))
           / ((1-q^(2h-2)) (1-q^(2h)))
 
@@ -107,12 +106,7 @@ def pringsheim_margins(q: complex, h_max: int = 100) -> PringsheimReport:
         z = qq
         report = PringsheimReport(complex(qq), complex(z), bits, _B_READING_NOTE)
         for h in range(2, h_max + 1):
-            a_h = (
-                z ** 2
-                * qq ** (2 * h - 3)
-                * (1 - qq ** (h - 1)) ** 4
-                / ((1 - qq ** (2 * h - 3)) * (1 - qq ** (2 * h - 2)) ** 2 * (1 - qq ** (2 * h - 1)))
-            )
+            a_h = _abseq(qq, h) * z ** 2
             b_num = (
                 1
                 + qq ** (h - 1) * (2 * qq + qq ** (2 * h) + qq ** (h + 2))

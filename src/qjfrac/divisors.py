@@ -1,6 +1,7 @@
 """Divisor-function and sums-of-divisors generating functions built on the
 (q, q^2) J-fraction: each table series together with the single reduced
-rational function that generates it, and residue tables modulo an integer.
+rational function that generates it, and its table rows, plain or modulo an
+integer.
 
 Conventions.  The depth-h convergent C_h(q, z) has [z^n] C_h = (1-q)/(1-q^(n+1))
 for n < 2h, so q*C_h(q, q)/(1-q) = sum over m >= 1 of q^m/(1-q^m) + error terms,
@@ -104,19 +105,30 @@ class GFResult:
         self.series = series
         self.generator = generator
 
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The keys of each row, in order; a modulus adds `flagged`."""
+        cols = ("n", "value", "certified", "empirical")
+        return cols if self.request.modulus is None else cols + ("flagged",)
+
     def rows(self) -> list[dict]:
+        """One row per coefficient 1 <= n < order: its value and window flags.
+
+        With a modulus p the value is the residue mod p, unless p divides the
+        coefficient's reduced denominator: then it cannot be read mod p, and
+        the row keeps the exact rational and is flagged."""
         req = self.request
+        p = req.modulus
         out = []
         for n in range(1, self.series.order):
             c = self.series[n]
-            out.append(
-                {
-                    "n": n,
-                    "value": str(c.numerator) if c.denominator == 1 else str(c),
-                    "certified": n < req.certified_below,
-                    "empirical": req.certified_below <= n < req.empirical_below,
-                }
-            )
+            row = [n, str(c), n < req.certified_below, req.certified_below <= n < req.empirical_below]
+            if p is not None:
+                flagged = c.denominator % p == 0
+                if not flagged:
+                    row[1] = c.numerator * pow(c.denominator, -1, p) % p
+                row.append(flagged)
+            out.append(dict(zip(self.columns, row)))
         return out
 
 
@@ -165,32 +177,3 @@ def generating_series(req: DivisorGFRequest) -> GFResult:
     reduced rational function that it expands."""
     gen = _generator(req.alpha, req.h)
     return GFResult(req, gen.taylor(req.order), gen)
-
-
-def congruence_table(req: DivisorGFRequest) -> list[dict]:
-    """Rows of sigma_alpha(n) mod p (or d(n) mod p) over the request window.
-
-    A coefficient whose reduced denominator is divisible by p cannot be read
-    modulo p; such rows are flagged and keep the exact rational instead."""
-    if req.modulus is None:
-        raise ValueError("congruence_table requires a modulus")
-    p = req.modulus
-    result = generating_series(req)
-    rows = []
-    for n in range(1, result.series.order):
-        c = result.series[n]
-        row = {
-            "n": n,
-            "certified": n < req.certified_below,
-            "empirical": req.certified_below <= n < req.empirical_below,
-        }
-        if c.denominator % p == 0:
-            row["residue"] = None
-            row["exact"] = str(c)
-            row["flagged"] = True
-        else:
-            inv = pow(c.denominator, -1, p)
-            row["residue"] = (c.numerator * inv) % p
-            row["flagged"] = False
-        rows.append(row)
-    return rows

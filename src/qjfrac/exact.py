@@ -33,8 +33,6 @@ from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-Rational = Fraction
-
 _Scalar = Union[int, Fraction]
 
 
@@ -493,14 +491,6 @@ class QPolynomial:
     def __repr__(self) -> str:
         return f"QPolynomial({str(self)!r})"
 
-    def to_pairs(self) -> list[list[int]]:
-        """Coefficients as [numerator, denominator] integer pairs, ascending in q."""
-        return [[c.numerator, c.denominator] for c in self.coeffs]
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[Sequence[int]]) -> "QPolynomial":
-        return cls(Fraction(int(p), int(q)) for p, q in pairs)
-
     @classmethod
     def parse(cls, text: str) -> "QPolynomial":
         r = QRationalFn.parse(text)
@@ -782,13 +772,6 @@ class QRationalFn:
 
     def __repr__(self) -> str:
         return f"QRationalFn({str(self)!r})"
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_pairs(), "den": self.den.to_pairs()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QRationalFn":
-        return cls(QPolynomial.from_pairs(data["num"]), QPolynomial.from_pairs(data["den"]))
 
     @classmethod
     def parse(cls, text: str) -> "QRationalFn":

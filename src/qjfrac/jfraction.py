@@ -23,7 +23,7 @@ from .sequences import (  # noqa: F401  (re-exported)
     pochhammer_spec,
     random_rational_spec,
 )
-from .zalgebra import ZPolynomial, ZSeries
+from .zalgebra import ZPolynomial, ZSeries, linear_product, linear_step
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
@@ -66,14 +66,13 @@ def convergent_pairs(spec: JFractionSpec, h: int) -> list[ConvergentPair]:
         if not pairs:
             pairs.append(ConvergentPair(0, ZPolynomial.zero(), ZPolynomial.one()))
         if h >= 1 and len(pairs) == 1:
-            pairs.append(
-                ConvergentPair(1, ZPolynomial.one(), ZPolynomial.linear_factor(spec.c(1)))
-            )
+            pairs.append(ConvergentPair(1, ZPolynomial.one(), linear_product([spec.c(1)])))
         for i in range(len(pairs), h + 1):
-            lin = ZPolynomial.linear_factor(spec.c(i))
+            c = spec.c(i)
             ab_z2 = ZPolynomial.monomial(2, spec.ab(i))
-            P = lin * pairs[i - 1].P - ab_z2 * pairs[i - 2].P
-            Q = lin * pairs[i - 1].Q - ab_z2 * pairs[i - 2].Q
+            prev, prev2 = pairs[i - 1], pairs[i - 2]
+            P = ZPolynomial(linear_step(prev.P.coeffs, c)) - ab_z2 * prev2.P
+            Q = ZPolynomial(linear_step(prev.Q.coeffs, c)) - ab_z2 * prev2.Q
             pairs.append(ConvergentPair(i, P, Q))
         return pairs[: h + 1]
 
@@ -240,13 +239,15 @@ INVERSION_TARGETS: dict[str, Callable[[int], ZSeries]] = {
 # tabulated sequence families
 # ---------------------------------------------------------------------------
 
-TABLE1_ROWS = (
-    "pochhammer_a",
-    "reciprocal_qq",
-    "pochhammer_zqn",
-    "reciprocal_pochhammer_zqn",
-    "pochhammer_ratio",
-)
+# each row with the parameters it takes; it must be given these and no other
+_ROW_PARAMETERS = {
+    "pochhammer_a": ("a",),
+    "reciprocal_qq": (),
+    "pochhammer_zqn": ("z",),
+    "reciprocal_pochhammer_zqn": ("z",),
+    "pochhammer_ratio": ("a", "b"),
+}
+TABLE1_ROWS = tuple(_ROW_PARAMETERS)
 
 _EXCLUDED_ROWS = ("qbinom_exponent_qq",)
 
@@ -266,6 +267,8 @@ def table1_preset(
       reciprocal_pochhammer_zqn  1/(z q^-n; q)_n          requires z
       pochhammer_ratio           (a;q)_n/(b;q)_n          requires a, b
 
+    A parameter that the row does not take is an error, like a missing one.
+
     Every row is the even contraction of one C-fraction, the ratio family's
     (cfraction_coefficient), at (a, b) = (a, 0), (0, q), (z/q, 0), (0, z/q)
     and (a, b); the two z rows take it in base 1/q, because
@@ -278,22 +281,21 @@ def table1_preset(
     """
     if row in _EXCLUDED_ROWS:
         raise ValueError(f"row {row!r} is ambiguous in source and not provided")
+    if row not in _ROW_PARAMETERS:
+        raise ValueError(f"unknown preset row {row!r}; choose from {TABLE1_ROWS}")
+    takes = _ROW_PARAMETERS[row]
+    for name, value in (("a", a), ("b", b), ("z", z)):
+        if value is None and name in takes:
+            plural = "s" if len(takes) > 1 else ""
+            raise ValueError(f"row {row} requires parameter{plural} {' and '.join(takes)}")
+        if value is not None and name not in takes:
+            raise ValueError(f"row {row} does not take parameter {name}")
     if row == "pochhammer_a":
-        if a is None:
-            raise ValueError("row pochhammer_a requires parameter a")
         return _contraction_spec(f"pochhammer_a(a={a})", a, _ZERO)
     if row == "reciprocal_qq":
         return _contraction_spec("reciprocal_qq", _ZERO, _Q)
     if row == "pochhammer_zqn":
-        if z is None:
-            raise ValueError("row pochhammer_zqn requires parameter z")
         return _contraction_spec(f"pochhammer_zqn(z={z})", z / _Q, _ZERO, -1)
     if row == "reciprocal_pochhammer_zqn":
-        if z is None:
-            raise ValueError("row reciprocal_pochhammer_zqn requires parameter z")
         return _contraction_spec(f"reciprocal_pochhammer_zqn(z={z})", _ZERO, z / _Q, -1)
-    if row == "pochhammer_ratio":
-        if a is None or b is None:
-            raise ValueError("row pochhammer_ratio requires parameters a and b")
-        return pochhammer_spec(PochhammerParams(a, b))
-    raise ValueError(f"unknown preset row {row!r}; choose from {TABLE1_ROWS}")
+    return pochhammer_spec(PochhammerParams(a, b))

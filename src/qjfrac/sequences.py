@@ -118,12 +118,6 @@ class JFractionSpec:
             "ab": [str(self.ab(i)) for i in range(2, h + 1)],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "JFractionSpec":
-        c_vals = [QRationalFn.parse(s) for s in data["c"]]
-        ab_vals = [QRationalFn.parse(s) for s in data["ab"]]
-        return cls.from_tables(data.get("name", "json"), c_vals, ab_vals)
-
 
 class PochhammerParams:
     """Nonzero parameters (a, b) of the q-Pochhammer ratio family; b = 1 is a pole of c_1."""
@@ -203,7 +197,7 @@ def _contraction_spec(name: str, a: QRationalFn, b: QRationalFn, s: int = 1) -> 
 
     def c_fn(i: int) -> QRationalFn:
         if i == 1:
-            return (a - _ONE) / (b - _ONE)
+            return g(1)
         return g(2 * i - 2) + g(2 * i - 1)
 
     def ab_fn(i: int) -> QRationalFn:

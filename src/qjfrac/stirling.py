@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import combinations
-from math import prod
 from typing import Callable, Optional
 
 from .exact import QRationalFn
 from .jfraction import convergent_pairs
 from .sequences import JFractionSpec, divisor_spec, pochhammer_c_display_form
-from .zalgebra import ZFraction, ZPolynomial, ZSeries
+from .zalgebra import ZFraction, ZPolynomial, ZSeries, linear_product, linear_step
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
@@ -46,15 +45,7 @@ class StirlingQTriangle:
 
     def extend(self, h_max: int) -> None:
         while self.h_max < h_max:
-            h = self.h_max + 1
-            ch = self.c_source(h)
-            prev = self._rows[-1]
-            row = [_ONE]
-            for k in range(1, h + 1):
-                up = prev[k] if k <= h - 1 else _ZERO
-                left = prev[k - 1]
-                row.append(up - ch * left)
-            self._rows.append(row)
+            self._rows.append(linear_step(self._rows[-1], self.c_source(self.h_max + 1)))
 
     def entry(self, h: int, k: int) -> QRationalFn:
         """entry(h,k); zero outside the triangle."""
@@ -162,13 +153,9 @@ def _term(spec: JFractionSpec, ks: tuple[int, ...]) -> tuple[QRationalFn, list[i
     return w, fs
 
 
-def _cofactor(w: QRationalFn, fs: list[int], lin: dict[int, ZPolynomial]) -> ZPolynomial:
-    """w times every linear factor of lin outside fs."""
-    cof = ZPolynomial.constant(w)
-    for i, f in lin.items():
-        if i not in fs:
-            cof = cof * f
-    return cof
+def _cofactor(w: QRationalFn, fs: list[int], cs: dict[int, QRationalFn]) -> ZPolynomial:
+    """w times the linear factors 1 - c_i z of cs with i outside fs."""
+    return linear_product((c for i, c in cs.items() if i not in fs), w)
 
 
 def nested_sum(spec: JFractionSpec, nss: NestedSumSpec) -> ZFraction:
@@ -187,11 +174,9 @@ def nested_sum(spec: JFractionSpec, nss: NestedSumSpec) -> ZFraction:
     terms = [_term(spec, ks) for ks in _spaced_tuples(nss.h, nss.m) if sum(ks) == nss.s]
     if not terms:
         return ZFraction.zero()
-    used = sorted(set().union(*(fs for _, fs in terms)))
-    lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in used}
-    den = prod(lin.values(), start=ZPolynomial.one())
-    num = sum((_cofactor(w, fs, lin) for w, fs in terms), ZPolynomial.zero())
-    return ZFraction(num, den)
+    used = {i: spec.c(i) for i in sorted(set().union(*(fs for _, fs in terms)))}
+    num = sum((_cofactor(w, fs, used) for w, fs in terms), ZPolynomial.zero())
+    return ZFraction(num, linear_product(used.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +211,10 @@ def _verify_expansion(
     """Exact check of both expansion identities of Q_h(spec), with target
     standing for Q_h; a failure is reported as name(i) or name(ii) at level.
 
-    With D = (1-c_1 z)...(1-c_h z) and N_m = D S_{h,m}, the sum over the
-    spaced tuples of m indices of ab-weight * (the linear factors the tuple
-    leaves unused), both identities are read from the same D and N_m:
+    With D = (1-c_1 z)...(1-c_h z), row h of the triangle, and N_m = D S_{h,m},
+    the sum over the spaced tuples of m indices of ab-weight * (the linear
+    factors the tuple leaves unused), both identities are read from the same
+    D and N_m:
 
     (i)  Q_h = D + sum_{m=1}^{floor(h/2)} (-z^2)^m N_m, a plain ZPolynomial
          identity (every nested-sum denominator is cleared against D).
@@ -237,13 +223,14 @@ def _verify_expansion(
          for all 0 <= n <= h, where S_{h,m} = sum_s S_{h,m,s} is expanded
          as N_m times the one series reciprocal of D.
     """
-    lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in range(1, h + 1)}
-    D = prod(lin.values(), start=ZPolynomial.one())
+    tri = StirlingQTriangle(spec.c, h)
+    D = ZPolynomial(tri.row(h))
+    cs = {i: spec.c(i) for i in range(1, h + 1)}
     numerators: dict[int, ZPolynomial] = {}
     for m in range(1, h // 2 + 1):
         N = ZPolynomial.zero()
         for ks in _spaced_tuples(h, m):
-            N = N + _cofactor(*_term(spec, ks), lin)
+            N = N + _cofactor(*_term(spec, ks), cs)
         numerators[m] = N
     rhs = D
     for m, N in numerators.items():
@@ -251,7 +238,6 @@ def _verify_expansion(
     if target != rhs:
         return LemmaReport(f"{name}(i)", level, False, (level,))
 
-    tri = StirlingQTriangle(spec.c, h)
     inv_D = D.series(h + 1).reciprocal()
     # (ii) reads [z^j] S_{h,m} only for j <= h - 2m
     series = {m: N.series(h + 1 - 2 * m) * inv_D for m, N in numerators.items()}
@@ -337,11 +323,6 @@ def claim_triangle_residual(spec: JFractionSpec, h: int, k: int) -> QRationalFn:
     return tri_P.entry(h - 1, k) - entry_c - correction
 
 
-def _power_product(exponents: Counter) -> ZPolynomial:
-    """prod (1 - c z)^e over the items c: e of exponents."""
-    return prod(map(ZPolynomial.linear_factor, exponents.elements()), start=ZPolynomial.one())
-
-
 def _reduced_sum(terms) -> ZFraction:
     """The sum of w / prod(1 - c z) over (w, cs) in terms, reduced, with
     den(0) = 1, which makes it canonical.  Terms with equal denominators
@@ -355,7 +336,7 @@ def _reduced_sum(terms) -> ZFraction:
     lcm = Counter()
     for _, den in dens:
         lcm |= den
-    num = sum((_power_product(lcm - den) * w for w, den in dens), ZPolynomial.zero())
+    num = sum((linear_product((lcm - den).elements(), w) for w, den in dens), ZPolynomial.zero())
     for c, e in lcm.items():
         lin = ZPolynomial.linear_factor(c)
         # at z = 1/c only the terms with the full power of lin survive, so with
@@ -366,7 +347,7 @@ def _reduced_sum(terms) -> ZFraction:
             if not quotient[-1].is_zero():
                 break
             num, lcm[c] = ZPolynomial(quotient), lcm[c] - 1
-    return ZFraction(num, _power_product(lcm)) if num else ZFraction.zero()
+    return ZFraction(num, linear_product(lcm.elements())) if num else ZFraction.zero()
 
 
 def verify_claim_relations(spec: JFractionSpec, h: int, k: int) -> ClaimReport:

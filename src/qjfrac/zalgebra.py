@@ -9,7 +9,7 @@ compare polynomials instead, which avoids bivariate gcd entirely.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .exact import QPolynomial, QRationalFn, TruncatedSeries, _coerce_ratfn, _power
 
@@ -175,6 +175,27 @@ class ZPolynomial:
 
     def __repr__(self) -> str:
         return f"ZPolynomial({str(self)!r})"
+
+
+def linear_step(row: Sequence[QRationalFn], c: QRationalFn) -> list[QRationalFn]:
+    """The coefficients of (1 - c z) times the polynomial with coefficients
+    row: r_k - c r_(k-1), the row step of the Stirling q-triangle.  A zero
+    top coefficient is kept, so a triangle row always has h + 1 entries."""
+    if not row:
+        return []
+    out = [row[0]]
+    for k in range(1, len(row)):
+        out.append(row[k] - c * row[k - 1])
+    out.append(-(c * row[-1]))
+    return out
+
+
+def linear_product(cs: Iterable[QRationalFn], w: _Coeff = _ONE) -> ZPolynomial:
+    """w (1 - c_1 z)(1 - c_2 z)... over the c_i of cs, by linear_step."""
+    row = [_as_ratfn(w)]
+    for c in cs:
+        row = linear_step(row, c)
+    return ZPolynomial(row)
 
 
 def _coerce_zpoly(x) -> ZPolynomial:

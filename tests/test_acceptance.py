@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from qjfrac.convergence import numeric_convergence_probe, pringsheim_margins, threshold_radius
-from qjfrac.divisors import DivisorGFRequest, congruence_table
+from qjfrac.divisors import DivisorGFRequest, generating_series
 from qjfrac.exact import QRationalFn
 from qjfrac.jfraction import (
     convergent_coefficients,
@@ -169,15 +169,15 @@ def test_criterion_4_mod5_congruences():
     with criterion(4, "mod-5 tables match both tabulated displays and brute force"):
         for h, order_k, text in _MOD5_DISPLAYS:
             display = parse(text).taylor(order_k + 1)
-            rows = congruence_table(DivisorGFRequest(1, h, order_k + 1, modulus=5))
+            rows = generating_series(DivisorGFRequest(1, h, order_k + 1, modulus=5)).rows()
             assert len(rows) == order_k
             for row in rows:
                 n = row["n"]
                 assert not row["flagged"]
-                assert row["residue"] == sigma_alpha(1, n) % 5
+                assert row["value"] == sigma_alpha(1, n) % 5
                 coeff = display[n]
                 assert coeff.denominator == 1
-                assert int(coeff) % 5 == row["residue"]
+                assert int(coeff) % 5 == row["value"]
 
 
 def test_criterion_5_lemma_suite():

@@ -203,7 +203,6 @@ class TestSizeCaps:
             raise AssertionError("the generator must not run")
 
         monkeypatch.setattr(divisors, "generating_series", never)
-        monkeypatch.setattr(divisors, "congruence_table", never)
         argv = ["divisor", "table", "--alpha", str(alpha), "--h", str(h), "--order", str(2 * h)]
         assert run(argv) == 2
         assert run(argv + ["--mod", "5"]) == 2
@@ -305,6 +304,27 @@ class TestExpand:
     def test_excluded_preset_rejected(self):
         # the excluded family is not even a CLI choice
         assert run(["jfrac", "expand", "--preset", "qbinom_exponent_qq", "--h", "2"]) == 2
+
+    @pytest.mark.parametrize("command", ["expand", "triangle"])
+    @pytest.mark.parametrize(
+        "flags, unused",
+        [
+            (["--preset", "reciprocal_qq", "--z", "5"], "z"),
+            (["--preset", "reciprocal_qq", "--a", "q"], "a"),
+            (["--preset", "pochhammer_a", "--a", "1/3", "--b", "7"], "b"),
+            (["--preset", "pochhammer_zqn", "--z", "1/3", "--a", "q"], "a"),
+            (["--preset", "reciprocal_pochhammer_zqn", "--z", "1", "--b", "q"], "b"),
+            (["--preset", "pochhammer_ratio", "--a", "q", "--b", "q^2", "--z", "5"], "z"),
+            (["--a", "q", "--b", "q^2", "--z", "5"], "z"),
+        ],
+        ids=["qq-z", "qq-a", "a-b", "zqn-a", "rzqn-b", "ratio-z", "no-preset-z"],
+    )
+    def test_a_parameter_the_family_does_not_take_is_a_usage_error(self, capsys, command, flags, unused):
+        # the flag used to be ignored, with exit 0
+        assert run(["jfrac", command, *flags, "--h", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--{unused}" in captured.err or f"parameter {unused}" in captured.err
 
 
 class TestTriangle:
@@ -481,6 +501,23 @@ class TestUsage:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "nested deeper than" in proc.stderr
+
+    def test_closed_stdout_exits_quietly_with_141(self):
+        # the table's JSON is ~105 KB, more than a 64 KB pipe buffer, so the
+        # write meets the closed pipe; that is no internal error (exit 3)
+        src = os.path.dirname(os.path.dirname(qjfrac.__file__))
+        argv = ["divisor", "table", "--alpha", "0", "--h", "12", "--order", "1024"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qjfrac.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_no_command(self):
         assert run([]) == 2

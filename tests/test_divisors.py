@@ -1,10 +1,12 @@
 """Divisor and sums-of-divisors generating functions, approximants,
-congruence tables, partial sums, and the cross-check paths."""
+residue tables, partial sums, and the cross-check paths."""
+
+from fractions import Fraction
 
 import pytest
 
-from qjfrac.divisors import DivisorGFRequest, Stirling2Table, congruence_table
-from qjfrac.exact import QRationalFn
+from qjfrac.divisors import DivisorGFRequest, GFResult, Stirling2Table, generating_series
+from qjfrac.exact import QRationalFn, QSeries
 from qjfrac.jfraction import JFractionSpec, convergent_pairs, divisor_spec
 from qjfrac.oracles import sigma_alpha
 from qjfrac.stirling import tilde_D0j
@@ -166,29 +168,48 @@ class TestPartialSums:
         assert list(res.series) == [0]
 
 
+def _residue_rows(alpha: int, h: int, order: int, p: int) -> list[dict]:
+    return generating_series(DivisorGFRequest(alpha, h, order, modulus=p)).rows()
+
+
 class TestCongruences:
     def test_sigma_mod5_h4(self):
-        rows = congruence_table(DivisorGFRequest(1, 4, 8, modulus=5))
-        assert [r["residue"] for r in rows] == [1, 3, 4, 2, 1, 2, 3]
+        rows = _residue_rows(1, 4, 8, 5)
+        assert [r["value"] for r in rows] == [1, 3, 4, 2, 1, 2, 3]
         assert all(not r["flagged"] for r in rows)
 
     def test_divisor_mod2_square_characterization(self):
-        rows = congruence_table(DivisorGFRequest(0, 11, 21, modulus=2))
+        rows = _residue_rows(0, 11, 21, 2)
         squares = {k * k for k in range(1, 5)}
         for r in rows:
-            assert r["residue"] == (1 if r["n"] in squares else 0)
-
-    def test_modulus_required(self):
-        with pytest.raises(ValueError):
-            congruence_table(DivisorGFRequest(1, 4, 8))
+            assert r["value"] == (1 if r["n"] in squares else 0)
 
     def test_printed_display_h4(self):
         printed = parse("(q+4*q^2+4*q^3+3*q^6)/(1+q+2*q^2+3*q^3+4*q^5)")
-        rows = congruence_table(DivisorGFRequest(1, 4, 8, modulus=5))
+        rows = _residue_rows(1, 4, 8, 5)
         series = printed.taylor(8)
         for r in rows:
             assert series[r["n"]].denominator == 1
-            assert int(series[r["n"]]) % 5 == r["residue"]
+            assert int(series[r["n"]]) % 5 == r["value"]
+
+    def test_plain_and_residue_rows_share_keys_and_flags(self):
+        plain = generating_series(DivisorGFRequest(1, 4, 8)).rows()
+        mod = _residue_rows(1, 4, 8, 5)
+        assert [list(r) for r in plain] == [["n", "value", "certified", "empirical"]] * 7
+        assert [list(r) for r in mod] == [["n", "value", "certified", "empirical", "flagged"]] * 7
+        for a, b in zip(plain, mod):
+            assert (a["n"], a["certified"], a["empirical"]) == (b["n"], b["certified"], b["empirical"])
+            assert int(a["value"]) % 5 == b["value"]
+
+    def test_denominator_divisible_by_p_is_flagged_with_the_exact_value(self):
+        # no real generator has a coefficient with p in its denominator, so the
+        # result is built by hand: 1/3 at n = 1 and 5/2 at n = 2, modulo 3
+        req = DivisorGFRequest(0, 2, 3, modulus=3)
+        res = GFResult(req, QSeries(3, [0, Fraction(1, 3), Fraction(5, 2)]), ZERO)
+        rows = res.rows()
+        assert rows[0] == {"n": 1, "value": "1/3", "certified": True, "empirical": False, "flagged": True}
+        # 5/2 = 5 * 2 = 1 mod 3
+        assert rows[1] == {"n": 2, "value": 1, "certified": False, "empirical": True, "flagged": False}
 
 
 class TestTildeD:

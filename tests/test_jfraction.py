@@ -772,15 +772,6 @@ class TestSubstitution:
 
 
 class TestSpecJSON:
-    def test_round_trip(self, qq2_spec):
-        data = qq2_spec.to_json(4)
-        back = JFractionSpec.from_json(data)
-        for i in range(1, 5):
-            assert back.c(i) == qq2_spec.c(i)
-        for i in range(2, 5):
-            assert back.ab(i) == qq2_spec.ab(i)
-        assert data["schema"] == "qjfrac/jfraction-spec/1"
-
     def test_tabulated_bounds(self):
         spec = JFractionSpec.from_tables("t", [ONE], [])
         assert spec.c(1) == ONE

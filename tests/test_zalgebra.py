@@ -1,9 +1,13 @@
 """Polynomials, truncated series, and unreduced fractions in z over Q(q)."""
 
+from math import prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qjfrac.exact import QRationalFn
-from qjfrac.zalgebra import ZFraction, ZPolynomial, ZSeries
+from qjfrac.zalgebra import ZFraction, ZPolynomial, ZSeries, linear_product, linear_step
 
 from conftest import parse
 
@@ -35,6 +39,31 @@ class TestZPolynomial:
         p = ZPolynomial([ONE]).shift(3)
         assert p.degree == 3
         assert p.coefficient(3).is_one()
+
+
+# c values with zero and repeats likely: a small pool of rational functions of q
+_C_POOL = [QRationalFn.zero(), ONE, -ONE, Q, parse("1/2 - q"), parse("q^2/(1 - 3*q)")]
+_cs = st.lists(st.sampled_from(_C_POOL), max_size=6)
+
+
+class TestLinearProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(_cs, st.sampled_from([ONE, QRationalFn.zero(), -ONE, parse("3/2"), parse("(1+q)/(2-q)")]))
+    def test_matches_product_of_linear_factors(self, cs, w):
+        oracle = prod(map(ZPolynomial.linear_factor, cs), start=ZPolynomial.one()) * w
+        assert linear_product(cs, w) == oracle
+
+    def test_edge_cases(self):
+        assert linear_product([]) == ZPolynomial.one()
+        assert linear_product([], 3) == ZPolynomial.constant(3)
+        assert linear_product([Q, Q], 0).is_zero()
+        assert linear_product([QRationalFn.zero()] * 3) == ZPolynomial.one()
+        assert linear_product([Q, Q]) == ZPolynomial([ONE, -2 * Q, Q * Q])
+
+    def test_step_keeps_the_top_zero(self):
+        # a triangle row keeps h + 1 entries even when c_h = 0
+        assert linear_step([ONE, -Q], QRationalFn.zero()) == [ONE, -Q, QRationalFn.zero()]
+        assert linear_step([], Q) == []
 
 
 class TestZSeries:
