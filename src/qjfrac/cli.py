@@ -67,7 +67,7 @@ _MAX_DIVISOR_COST = 2048
 _MAX_ZORDER = 64  # jfrac expand --preset reciprocal_qq --h 4 --zorder 64: 1.8 s; --zorder 96: 8.8 s
 _MAX_MARGIN_LEVELS = 500  # converge margins --q=0.1 --hmax 500: 1.0 s; --hmax 1000: 3.7 s
 _MAX_PROBE_LEVELS = 100  # converge probe --q=0.1 --hmax 100: 0.3 s; --hmax 400: 2.1 s
-_MAX_LEMMA_H = 8  # verify lemmas --h 8: 4.0 s (--spec random --h 10: 1.1 s); --h 9: 13.7 s
+_MAX_LEMMA_H = 8  # verify lemmas --h 8: 1.5-2.0 s (--spec random --h 10: 0.5 s); --h 9: 5.5 s
 _MAX_DEPTH = 64  # the other --h and --depth; older than the caps above, and not sized by cost
 _MAX_SIGMA_N = 10**14  # oracle sigma --alpha 32 --n 10^14: 2.0 s; the time grows with sqrt(n)
 _MAX_LAMBERT_ORDER = 200_000  # oracle lambert --alpha 32 --order 200000: 1.9 s; --alpha 2 --order 10^6: 7.8 s
@@ -89,27 +89,6 @@ def _int_in(low: int, high: int):
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
     return parse
-
-
-def _depth_int(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= _MAX_DEPTH:
-        raise argparse.ArgumentTypeError(f"depth/h must be between 0 and {_MAX_DEPTH}")
-    return value
-
-
-def _positive_depth_int(text: str) -> int:
-    value = _depth_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"depth must be between 1 and {_MAX_DEPTH}")
-    return value
-
-
-def _modulus_int(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("modulus must be >= 2")
-    return value
 
 
 def _complex_arg(text: str) -> complex:
@@ -173,7 +152,7 @@ def _args_expand(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=_ratfn, help="parameter a (rational function of q)")
     p.add_argument("--b", type=_ratfn, help="parameter b (rational function of q)")
     p.add_argument("--z", type=_ratfn, help="parameter z for the families that need one")
-    p.add_argument("--h", type=_depth_int, required=True, help="convergent depth")
+    p.add_argument("--h", type=_int_in(0, _MAX_DEPTH), required=True, help="convergent depth")
     p.add_argument(
         "--zorder", type=_int_in(1, _MAX_ZORDER), default=None, help="series order (default 2h)"
     )
@@ -182,7 +161,7 @@ def _args_expand(p: argparse.ArgumentParser) -> None:
 
 def _args_invert(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", required=True, choices=_TARGETS, help="named target series")
-    p.add_argument("--depth", type=_positive_depth_int, required=True)
+    p.add_argument("--depth", type=_int_in(1, _MAX_DEPTH), required=True)
     _add_output_flags(p)
 
 
@@ -191,7 +170,7 @@ def _args_triangle(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=_ratfn)
     p.add_argument("--b", type=_ratfn)
     p.add_argument("--z", type=_ratfn)
-    p.add_argument("--h", type=_depth_int, required=True, help="number of rows")
+    p.add_argument("--h", type=_int_in(0, _MAX_DEPTH), required=True, help="number of rows")
     _add_output_flags(p)
 
 
@@ -204,9 +183,9 @@ def _args_lemmas(p: argparse.ArgumentParser) -> None:
 
 def _args_table(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=_int_in(0, _MAX_ALPHA), required=True)
-    p.add_argument("--h", type=_depth_int, required=True)
+    p.add_argument("--h", type=_int_in(0, _MAX_DEPTH), required=True)
     p.add_argument("--order", type=_int_in(1, _MAX_ORDER), required=True)
-    p.add_argument("--mod", type=_modulus_int, default=None)
+    p.add_argument("--mod", type=int, default=None)
     _add_output_flags(p, ("json", "csv", "pretty"))
 
 
@@ -420,9 +399,6 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_radius(args) -> int:
-    if args.tol <= 0:
-        print("error: --tol must be > 0", file=sys.stderr)
-        return 2
     from . import convergence
 
     value = convergence.threshold_radius(args.tol)
@@ -459,9 +435,6 @@ def _cmd_lambert(args) -> int:
 
 
 def _cmd_qbinomial(args) -> int:
-    if args.k > args.n:
-        print("error: need k <= n", file=sys.stderr)
-        return 2
     from .oracles import q_binomial
 
     print(q_binomial(args.n, args.k))

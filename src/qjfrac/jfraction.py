@@ -178,9 +178,6 @@ class InversionResult:
     def depth(self) -> int:
         return len(self.c)
 
-    def spec(self, name: str = "inverted") -> JFractionSpec:
-        return JFractionSpec.from_tables(name, self.c, self.ab)
-
 
 def series_to_jfraction(target: ZSeries, depth: int) -> InversionResult:
     """Recover c_1..c_depth and ab_2..ab_depth from a series with constant term 1.

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from .exact import QRationalFn
 from .jfraction import convergent_pairs
 from .sequences import JFractionSpec, divisor_spec, pochhammer_c_display_form
-from .zalgebra import ZFraction, ZPolynomial, ZSeries, linear_product, linear_step
+from .zalgebra import ZFraction, ZPolynomial, linear_product, linear_quotient, linear_step
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
@@ -338,13 +338,12 @@ def _reduced_sum(terms) -> ZFraction:
         lcm |= den
     num = sum((linear_product((lcm - den).elements(), w) for w, den in dens), ZPolynomial.zero())
     for c, e in lcm.items():
-        lin = ZPolynomial.linear_factor(c)
-        # at z = 1/c only the terms with the full power of lin survive, so with
-        # one such term lin cannot divide num; num/lin as a series is a
-        # polynomial exactly when its z^deg(num) coefficient vanishes
+        # at z = 1/c only the terms with the full power of 1 - c z survive, so
+        # with one such term it cannot divide num; otherwise divide it out while
+        # the synthetic division leaves no remainder
         while num and lcm[c] and sum(d[c] == e for _, d in dens) > 1:
-            quotient = ZFraction(num, lin).series(len(num.coeffs)).coeffs
-            if not quotient[-1].is_zero():
+            quotient, remainder = linear_quotient(num.coeffs, c)
+            if not remainder.is_zero():
                 break
             num, lcm[c] = ZPolynomial(quotient), lcm[c] - 1
     return ZFraction(num, linear_product(lcm.elements())) if num else ZFraction.zero()
@@ -523,90 +522,61 @@ class TildeDReport:
 
 
 def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
-    """Evaluate the four printed sum blocks verbatim and compare with Q_j Q_{j+1}.
+    """Evaluate the four printed sum blocks and compare with Q_j Q_{j+1}.
 
-    Block 1 pairs entries along the anti-diagonal sum(2j); blocks 2-4 weight
-    triangle entries by series coefficients of the nested sums.  The display
-    is internally garbled (the comparison documents how far it lands from the
-    denominator block it is said to restate), so this is a measurement, never
-    an assertion."""
+    With e(h, k) = entry(h, k) and c_{h,m,s}(k) = (-1)^m [z^(k-2m)] S_{h,m,s}
+    (zero for k < 2m), where 1 <= m <= floor(h/2) and s <= m h, the display
+    reads, for 0 <= n <= 2j + 1,
+
+        [z^n] = e(j+1, n) e(j, 2j-n)
+              + sum_{m1,s1>=1} sum_{k1=1}^{s1} sum_{m2,s2>=1} sum_{k2=1}^{s2}
+                  e(j, 2j+1-n-k1) c_{j,m1,s1}(k1) e(j+1, n-k2) c_{j+1,m2,s2}(k2)
+              + e(j, 2j+1-n) sum_{m,s>=0} sum_{k=0}^{s} e(j+1, n-k) c_{j+1,m,s}(k)
+              + e(j+1, 2j+1-n) sum_{m,s>=0} sum_{k=0}^{s} e(j, n-k) c_{j,m,s}(k).
+
+    Block 1 pairs entries along the anti-diagonal; the summand of block 2 is
+    a (k1, m1, s1) factor times a (k2, m2, s2) factor.  Summing over s first,
+    every block reads the same single sum per level h in {j, j+1},
+
+        A_h(k) = sum_{m=1}^{floor(h/2)} sum_{s=k}^{m h} c_{h,m,s}(k),
+
+    the k = 0 terms (and with them the s = 0 terms of blocks 3 and 4)
+    vanishing because k < 2m.  With U_h(n) = sum_k e(h, n-k) A_h(k), the
+    z^n coefficient of (row h of the triangle) times A_h,
+
+        [z^n] = e(j+1, n) e(j, 2j-n) + U_{j+1}(n) (U_j(2j+1-n) + e(j, 2j+1-n))
+              + e(j+1, 2j+1-n) U_j(n).
+
+    U_h(n) reads A_h(k) only for k <= n <= 2j + 1, so each S_{h,m,s} is
+    expanded to order 2j.  The display is internally garbled (the comparison
+    documents how far it lands from the denominator block it is said to
+    restate), so this is a measurement, never an assertion."""
     if j < 1:
         raise ValueError("j must be >= 1")
     if spec is None:
         spec = divisor_spec()
     tri = StirlingQTriangle.from_spec(spec, j + 1)
-    order = 2 * j + 2
+    U: dict[int, ZPolynomial] = {}
+    for h in (j, j + 1):
+        A = [_ZERO] * (2 * j + 2)
+        for m in range(1, h // 2 + 1):
+            for s in range(2 * m, m * h + 1):
+                ser = nested_sum(spec, NestedSumSpec(h, m, s)).series(2 * j)
+                for k in range(2 * m, min(s, 2 * j + 1) + 1):
+                    A[k] = A[k] + ser[k - 2 * m] if m % 2 == 0 else A[k] - ser[k - 2 * m]
+        U[h] = ZPolynomial(tri.row(h)) * ZPolynomial(A)
+    e = tri.entry
+    quad = ZPolynomial(
+        e(j + 1, n) * e(j, 2 * j - n)
+        + U[j + 1].coefficient(n) * (U[j].coefficient(2 * j + 1 - n) + e(j, 2 * j + 1 - n))
+        + e(j + 1, 2 * j + 1 - n) * U[j].coefficient(n)
+        for n in range(2 * j + 2)
+    )
+    return _tilde_d_report(j, spec, quad)
 
-    series: dict[tuple[int, int, int], ZSeries] = {}
 
-    def s_series(h: int, m: int, s: int) -> ZSeries:
-        key = (h, m, s)
-        if key not in series:
-            series[key] = nested_sum(spec, NestedSumSpec(h, m, s)).series(order)
-        return series[key]
-
-    coeffs = [_ZERO] * (2 * j + 2)
-
-    # block 1: sum_{n=0}^{2j} entry(j+1, n) entry(j, 2j-n) z^n
-    for n in range(0, 2 * j + 1):
-        coeffs[n] = coeffs[n] + tri.entry(j + 1, n) * tri.entry(j, 2 * j - n)
-
-    # block 2: double-(m, s, k) cross terms
-    for n in range(0, 2 * j + 2):
-        acc = _ZERO
-        for m1 in range(1, j // 2 + 1):
-            for m2 in range(1, (j + 1) // 2 + 1):
-                for s1 in range(1, m1 * j + 1):
-                    ser1 = s_series(j, m1, s1)
-                    for s2 in range(1, m2 * (j + 1) + 1):
-                        ser2 = s_series(j + 1, m2, s2)
-                        for k1 in range(1, s1 + 1):
-                            if not (0 <= k1 - 2 * m1 < order):
-                                continue
-                            c1 = ser1[k1 - 2 * m1]
-                            if c1.is_zero():
-                                continue
-                            e1 = tri.entry(j, 2 * j + 1 - n - k1)
-                            if e1.is_zero():
-                                continue
-                            for k2 in range(1, s2 + 1):
-                                if not (0 <= k2 - 2 * m2 < order):
-                                    continue
-                                c2 = ser2[k2 - 2 * m2]
-                                if c2.is_zero():
-                                    continue
-                                e2 = tri.entry(j + 1, n - k2)
-                                if e2.is_zero():
-                                    continue
-                                term = e2 * e1 * c1 * c2
-                                acc = acc + term if (m1 + m2) % 2 == 0 else acc - term
-        coeffs[n] = coeffs[n] + acc
-
-    def single_block(h: int, fixed: int) -> None:
-        # single nested sum: entry(h, n-k) entry(fixed, 2j+1-n) against S_{h,m,s}
-        for n in range(0, 2 * j + 2):
-            e_fix = tri.entry(fixed, 2 * j + 1 - n)
-            if e_fix.is_zero():
-                continue
-            acc = _ZERO
-            for m in range(1, h // 2 + 1):
-                for s in range(0, m * h + 1):
-                    ser = s_series(h, m, s)
-                    for k in range(0, s + 1):
-                        if not (0 <= k - 2 * m < order):
-                            continue
-                        c = ser[k - 2 * m]
-                        if c.is_zero():
-                            continue
-                        term = tri.entry(h, n - k) * c
-                        acc = acc + term if m % 2 == 0 else acc - term
-            coeffs[n] = coeffs[n] + e_fix * acc
-
-    # block 3 against S_{j+1,m,s}; block 4 against S_{j,m,s}
-    single_block(j + 1, j)
-    single_block(j, j + 1)
-
-    quad = ZPolynomial(coeffs)
+def _tilde_d_report(j: int, spec: JFractionSpec, quad: ZPolynomial) -> TildeDReport:
+    """Compare a quadruple-sum block with Q_j Q_{j+1} of spec."""
     pairs = convergent_pairs(spec, j + 1)
     product = pairs[j].Q * pairs[j + 1].Q
     residual = quad - product

@@ -60,11 +60,6 @@ class ZPolynomial:
             raise ValueError("monomial exponent must be >= 0")
         return cls((_ZERO,) * k + (_as_ratfn(c),))
 
-    @classmethod
-    def linear_factor(cls, c: QRationalFn) -> "ZPolynomial":
-        """The factor 1 - c*z."""
-        return cls((_ONE, -c))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -188,6 +183,23 @@ def linear_step(row: Sequence[QRationalFn], c: QRationalFn) -> list[QRationalFn]
         out.append(row[k] - c * row[k - 1])
     out.append(-(c * row[-1]))
     return out
+
+
+def linear_quotient(
+    row: Sequence[QRationalFn], c: QRationalFn
+) -> tuple[list[QRationalFn], QRationalFn]:
+    """The inverse of linear_step: synthetic division of the polynomial with
+    coefficients row by (1 - c z) from the constant term up, t_0 = r_0 and
+    t_k = r_k + c t_(k-1).  Returns (t_0 .. t_(n-1), t_n) for n = len(row) - 1:
+    row = (1 - c z)(t_0 + ... + t_(n-1) z^(n-1)) + t_n z^n, so (1 - c z)
+    divides row exactly when the remainder t_n is zero.  An empty row gives
+    ([], 0)."""
+    if not row:
+        return [], _ZERO
+    out = [row[0]]
+    for r in row[1:]:
+        out.append(r + c * out[-1])
+    return out[:-1], out[-1]
 
 
 def linear_product(cs: Iterable[QRationalFn], w: _Coeff = _ONE) -> ZPolynomial:

@@ -21,7 +21,7 @@ def triangle_via_products(c_source, h: int, k: int) -> QRationalFn:
         return QRationalFn.zero()
     prod = ZPolynomial.one()
     for i in range(1, h + 1):
-        prod = prod * ZPolynomial.linear_factor(c_source(i))
+        prod = prod * ZPolynomial([QRationalFn.one(), -c_source(i)])
     return prod.coefficient(k)
 
 

@@ -4,7 +4,8 @@ Each one was library code until the library kept one route per computation:
 the thin divisor-table wrappers and the alpha in {1, 2} special-case
 realizations, the factored and closed-form displays of the ratio family, the
 displayed sequences and direct targets of Table 1, the z -> q substitution,
-the margin summaries of a convergence report, and the Bell numbers.  The tests import them from here.
+the verbatim loop of the quadruple-sum block, the margin summaries of a
+convergence report, and the Bell numbers.  The tests import them from here.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ from qjfrac.jfraction import (
     pochhammer_spec,
 )
 from qjfrac.oracles import q_pochhammer
-from qjfrac.zalgebra import ZSeries
+from qjfrac.sequences import JFractionSpec
+from qjfrac.stirling import NestedSumSpec, StirlingQTriangle, TildeDReport, _tilde_d_report, nested_sum
+from qjfrac.zalgebra import ZPolynomial, ZSeries
 
 _ONE = QRationalFn.one()
+_ZERO = QRationalFn.zero()
 _Q = QRationalFn.q()
 _qpow = QRationalFn.qpow
 
@@ -392,6 +396,94 @@ def substitute_z_to_q(pair, order: int, z_multiplier: Optional[QRationalFn] = No
     Pq = pair.P.evaluate(zval)
     Qq = pair.Q.evaluate(zval)
     return (Pq / Qq).taylor(order)
+
+
+# -- the quadruple-sum block, read verbatim ------------------------------------
+
+
+def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
+    """stirling.tilde_D0j with the four printed sum blocks evaluated verbatim,
+    a seven-deep loop over (n, m1, m2, s1, s2, k1, k2) in block 2.
+
+    Block 1 pairs entries along the anti-diagonal sum(2j); blocks 2-4 weight
+    triangle entries by series coefficients of the nested sums."""
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    if spec is None:
+        spec = divisor_spec()
+    tri = StirlingQTriangle.from_spec(spec, j + 1)
+    order = 2 * j + 2
+
+    series: dict[tuple[int, int, int], ZSeries] = {}
+
+    def s_series(h: int, m: int, s: int) -> ZSeries:
+        key = (h, m, s)
+        if key not in series:
+            series[key] = nested_sum(spec, NestedSumSpec(h, m, s)).series(order)
+        return series[key]
+
+    coeffs = [_ZERO] * (2 * j + 2)
+
+    # block 1: sum_{n=0}^{2j} entry(j+1, n) entry(j, 2j-n) z^n
+    for n in range(0, 2 * j + 1):
+        coeffs[n] = coeffs[n] + tri.entry(j + 1, n) * tri.entry(j, 2 * j - n)
+
+    # block 2: double-(m, s, k) cross terms
+    for n in range(0, 2 * j + 2):
+        acc = _ZERO
+        for m1 in range(1, j // 2 + 1):
+            for m2 in range(1, (j + 1) // 2 + 1):
+                for s1 in range(1, m1 * j + 1):
+                    ser1 = s_series(j, m1, s1)
+                    for s2 in range(1, m2 * (j + 1) + 1):
+                        ser2 = s_series(j + 1, m2, s2)
+                        for k1 in range(1, s1 + 1):
+                            if not (0 <= k1 - 2 * m1 < order):
+                                continue
+                            c1 = ser1[k1 - 2 * m1]
+                            if c1.is_zero():
+                                continue
+                            e1 = tri.entry(j, 2 * j + 1 - n - k1)
+                            if e1.is_zero():
+                                continue
+                            for k2 in range(1, s2 + 1):
+                                if not (0 <= k2 - 2 * m2 < order):
+                                    continue
+                                c2 = ser2[k2 - 2 * m2]
+                                if c2.is_zero():
+                                    continue
+                                e2 = tri.entry(j + 1, n - k2)
+                                if e2.is_zero():
+                                    continue
+                                term = e2 * e1 * c1 * c2
+                                acc = acc + term if (m1 + m2) % 2 == 0 else acc - term
+        coeffs[n] = coeffs[n] + acc
+
+    def single_block(h: int, fixed: int) -> None:
+        # single nested sum: entry(h, n-k) entry(fixed, 2j+1-n) against S_{h,m,s}
+        for n in range(0, 2 * j + 2):
+            e_fix = tri.entry(fixed, 2 * j + 1 - n)
+            if e_fix.is_zero():
+                continue
+            acc = _ZERO
+            for m in range(1, h // 2 + 1):
+                for s in range(0, m * h + 1):
+                    ser = s_series(h, m, s)
+                    for k in range(0, s + 1):
+                        if not (0 <= k - 2 * m < order):
+                            continue
+                        c = ser[k - 2 * m]
+                        if c.is_zero():
+                            continue
+                        term = tri.entry(h, n - k) * c
+                        acc = acc + term if m % 2 == 0 else acc - term
+            coeffs[n] = coeffs[n] + e_fix * acc
+
+    # block 3 against S_{j+1,m,s}; block 4 against S_{j,m,s}
+    single_block(j + 1, j)
+    single_block(j, j + 1)
+
+    return _tilde_d_report(j, spec, ZPolynomial(coeffs))
 
 
 # -- convergence reports and combinatorics -------------------------------------

@@ -90,6 +90,20 @@ class TestDivisorTable:
         assert run(["divisor", "table", "--alpha", "0", "--h", "4", "--order", "0"]) == 2
         assert run(["divisor", "table", "--alpha", "0", "--h", "4", "--order", "4", "--mod", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["divisor", "table", "--alpha", "0", "--h", "x", "--order", "4"], "--h"),
+            (["divisor", "table", "--alpha", "0", "--h", "4", "--order", "4", "--mod", "x"], "--mod"),
+            (["jfrac", "invert", "--target", "one_over_1mqn", "--depth", "x"], "--depth"),
+            (["jfrac", "triangle", "--preset", "reciprocal_qq", "--h", "x"], "--h"),
+        ],
+    )
+    def test_non_integer_names_the_type(self, capsys, argv, flag):
+        # argparse names the type function in the error, so it must read "int"
+        assert run(argv) == 2
+        assert f"argument {flag}: invalid int value: 'x'" in capsys.readouterr().err
+
 
 class TestSizeCaps:
     # each of these ran past a 15 s timeout before its cap; the parser now
@@ -404,6 +418,11 @@ class TestConverge:
         data = json.loads(out)
         assert abs(data["radius"] - 0.206783) < 1e-5
 
+    def test_radius_rejects_nonpositive_tolerance(self, capsys):
+        for tol in ("0", "-1e-8"):
+            assert run(["converge", "radius", f"--tol={tol}"]) == 2
+            assert "tolerance must be > 0" in capsys.readouterr().err
+
     def test_probe_csv(self, capsys):
         code, out = run_capture(capsys, ["converge", "probe", "--q", "0.15", "--hmax", "20"])
         assert code == 0
@@ -466,6 +485,7 @@ class TestOracle:
         code, out = run_capture(capsys, ["oracle", "qbinomial", "--n", "4", "--k", "2"])
         assert code == 0 and out.strip() == "1 + q + 2*q^2 + q^3 + q^4"
         assert run(["oracle", "qbinomial", "--n", "2", "--k", "3"]) == 2
+        assert "need 0 <= k <= n" in capsys.readouterr().err
 
     def test_qpochhammer(self, capsys):
         code, out = run_capture(capsys, ["oracle", "qpochhammer", "--x", "q", "--n", "2"])

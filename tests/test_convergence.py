@@ -2,8 +2,10 @@
 and convergent-vs-target probes."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpc, mpf
 
 import qjfrac.convergence as convergence
 from qjfrac.convergence import (
@@ -14,7 +16,27 @@ from qjfrac.convergence import (
     threshold_radius,
 )
 
+from qjfrac.jfraction import divisor_spec
+
 from reference import all_positive, min_margin
+
+
+class TestNumericSequences:
+    # the numeric c_i and ab_i restate the closed forms of the (q, q^2) spec
+    @pytest.mark.parametrize("q", [Fraction(1, 5), Fraction(-1, 3), Fraction(1, 7)])
+    def test_match_exact_spec(self, q):
+        spec = divisor_spec()
+        bits = precision_bits()
+        with mp.workprec(bits):
+            z = mpc(mpf(q.numerator) / q.denominator)
+            for i in range(1, 13):
+                pairs = [(convergence._cseq(z, i), spec.c(i))]
+                if i >= 2:
+                    pairs.append((convergence._abseq(z, i), spec.ab(i)))
+                for got, exact in pairs:
+                    value = exact.evaluate(q)
+                    want = mpf(value.numerator) / value.denominator
+                    assert abs(got - want) <= abs(want) * mpf(2) ** (8 - bits)
 
 
 class TestThresholdRadius:

@@ -7,7 +7,7 @@ import pytest
 
 from qjfrac.divisors import DivisorGFRequest, GFResult, Stirling2Table, generating_series
 from qjfrac.exact import QRationalFn, QSeries
-from qjfrac.jfraction import JFractionSpec, convergent_pairs, divisor_spec
+from qjfrac.jfraction import JFractionSpec, convergent_pairs, divisor_spec, random_rational_spec
 from qjfrac.oracles import sigma_alpha
 from qjfrac.stirling import tilde_D0j
 from qjfrac.zalgebra import ZPolynomial
@@ -20,6 +20,7 @@ from reference import (
     rational_approximant,
     sigma_gf,
     sigma_special_case_check,
+    tilde_D0j_verbatim,
 )
 
 ONE = QRationalFn.one()
@@ -236,6 +237,24 @@ class TestTildeD:
         rep = tilde_D0j(2, spec)
         assert rep.quad_sum.is_zero()
         assert not rep.product.is_zero()
+
+    @pytest.mark.parametrize(
+        "spec, js",
+        [
+            (divisor_spec(), range(1, 6)),
+            (random_rational_spec(7), range(1, 6)),
+            (JFractionSpec.from_tables("zero-c", [ZERO] * 10, [ONE] * 10), range(1, 4)),
+        ],
+        ids=["qq2", "random-7", "zero-c"],
+    )
+    def test_factored_blocks_match_verbatim_loop(self, spec, js):
+        for j in js:
+            got, want = tilde_D0j(j, spec), tilde_D0j_verbatim(j, spec)
+            assert got.quad_sum == want.quad_sum and str(got.quad_sum) == str(want.quad_sum)
+            assert got.product == want.product and got.residual == want.residual
+            assert got.equal == want.equal
+            assert got.proportional_factor == want.proportional_factor
+            assert got.to_json() == want.to_json()
 
 
 class TestSpecialCases:

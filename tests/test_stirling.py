@@ -49,7 +49,7 @@ def shifted_nested_sum_reference(spec: JFractionSpec, h: int, m: int, s: int) ->
     if not tuples:
         return ZFraction.zero()
     used = sorted({i for t in tuples for k in t for i in (k, k + 1)})
-    lin = {i: ZPolynomial.linear_factor(spec.c(i)) for i in used}
+    lin = {i: ZPolynomial([ONE, -spec.c(i)]) for i in used}
     den = ZPolynomial.one()
     for f in lin.values():
         den = den * f
@@ -83,8 +83,8 @@ def claim_nested_difference_residual(
             den = ZPolynomial.one()
             for i in idx:
                 num = num * spec.ab(i)
-                den = den * ZPolynomial.linear_factor(spec.c(i - 1))
-                den = den * ZPolynomial.linear_factor(spec.c(i))
+                den = den * ZPolynomial([ONE, -spec.c(i - 1)])
+                den = den * ZPolynomial([ONE, -spec.c(i)])
             rhs = rhs + ZFraction(ZPolynomial.constant(num), den)
     residual = lhs - rhs
     return residual, residual.num.is_zero()
@@ -197,8 +197,8 @@ class TestNestedSums:
             got = nested_sum(qq2_spec, NestedSumSpec(4, 1, s))
             expect = ZFraction(
                 ZPolynomial.constant(qq2_spec.ab(s)),
-                ZPolynomial.linear_factor(qq2_spec.c(s - 1))
-                * ZPolynomial.linear_factor(qq2_spec.c(s)),
+                ZPolynomial([ONE, -qq2_spec.c(s - 1)])
+                * ZPolynomial([ONE, -qq2_spec.c(s)]),
             )
             assert got.equals(expect)
 
@@ -210,7 +210,7 @@ class TestNestedSums:
         got = nested_sum(qq2_spec, NestedSumSpec(4, 2, 6))
         den = ZPolynomial.one()
         for i in range(1, 5):
-            den = den * ZPolynomial.linear_factor(qq2_spec.c(i))
+            den = den * ZPolynomial([ONE, -qq2_spec.c(i)])
         expect = ZFraction(ZPolynomial.constant(qq2_spec.ab(2) * qq2_spec.ab(4)), den)
         assert got.equals(expect)
 
@@ -228,7 +228,7 @@ class TestNestedSums:
                 num = ZPolynomial.constant(spec.ab(k1) * spec.ab(k2))
                 den = ZPolynomial.one()
                 for i in (k1 - 1, k1, k2 - 1, k2):
-                    den = den * ZPolynomial.linear_factor(spec.c(i))
+                    den = den * ZPolynomial([ONE, -spec.c(i)])
                 brute = brute + ZFraction(num, den)
         assert total.equals(brute)
 
@@ -237,8 +237,8 @@ class TestNestedSums:
         got = nested_sum(qq2_spec.shifted(), NestedSumSpec(3, 1, 3 - 1))
         expect = ZFraction(
             ZPolynomial.constant(qq2_spec.ab(3)),
-            ZPolynomial.linear_factor(qq2_spec.c(2))
-            * ZPolynomial.linear_factor(qq2_spec.c(3)),
+            ZPolynomial([ONE, -qq2_spec.c(2)])
+            * ZPolynomial([ONE, -qq2_spec.c(3)]),
         )
         assert got.equals(expect)
 
@@ -394,7 +394,7 @@ class TestClaim:
         # a/(a-b)/(1-az)^2 - 1/((1-az)^2 (1-bz)) = b/(a-b) / ((1-az)(1-bz)),
         # with a factor c = 0 (that is, 1) in one term
         a, b = Q, Q * Q
-        lin_a, lin_b = ZPolynomial.linear_factor(a), ZPolynomial.linear_factor(b)
+        lin_a, lin_b = ZPolynomial([ONE, -a]), ZPolynomial([ONE, -b])
         got = stirling._reduced_sum([(a / (a - b), [a, a]), (-ONE, [a, ZERO, b, a])])
         assert str(got) == str(ZFraction(ZPolynomial.constant(b / (a - b)), lin_a * lin_b))
         assert stirling._reduced_sum([(ONE, [a]), (-ONE, [ZERO, a])]).is_zero()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qjfrac.exact import QRationalFn
-from qjfrac.zalgebra import ZFraction, ZPolynomial, ZSeries, linear_product, linear_step
+from qjfrac.zalgebra import ZFraction, ZPolynomial, ZSeries, linear_product, linear_quotient, linear_step
 
 from conftest import parse
 
@@ -18,7 +18,7 @@ Q = QRationalFn.q()
 class TestZPolynomial:
     def test_linear_factor_product(self):
         c1, c2 = Q, Q * Q
-        p = ZPolynomial.linear_factor(c1) * ZPolynomial.linear_factor(c2)
+        p = ZPolynomial([ONE, -c1]) * ZPolynomial([ONE, -c2])
         assert p.coefficient(0).is_one()
         assert p.coefficient(1) == -(c1 + c2)
         assert p.coefficient(2) == c1 * c2
@@ -50,7 +50,7 @@ class TestLinearProduct:
     @settings(max_examples=60, deadline=None)
     @given(_cs, st.sampled_from([ONE, QRationalFn.zero(), -ONE, parse("3/2"), parse("(1+q)/(2-q)")]))
     def test_matches_product_of_linear_factors(self, cs, w):
-        oracle = prod(map(ZPolynomial.linear_factor, cs), start=ZPolynomial.one()) * w
+        oracle = prod((ZPolynomial([ONE, -c]) for c in cs), start=ZPolynomial.one()) * w
         assert linear_product(cs, w) == oracle
 
     def test_edge_cases(self):
@@ -64,6 +64,31 @@ class TestLinearProduct:
         # a triangle row keeps h + 1 entries even when c_h = 0
         assert linear_step([ONE, -Q], QRationalFn.zero()) == [ONE, -Q, QRationalFn.zero()]
         assert linear_step([], Q) == []
+
+
+class TestLinearQuotient:
+    @settings(max_examples=60, deadline=None)
+    @given(_cs, st.sampled_from(_C_POOL))
+    def test_inverts_linear_step(self, row, c):
+        # rows and c drawn from a pool with zero: empty rows, c = 0 and zero
+        # coefficients all occur
+        assert linear_quotient(linear_step(row, c), c) == (row, QRationalFn.zero())
+
+    @settings(max_examples=60, deadline=None)
+    @given(_cs.filter(bool), st.sampled_from(_C_POOL))
+    def test_remainder_completes_the_row(self, row, c):
+        # row = (1 - c z) t + rem z^(len(row) - 1)
+        t, rem = linear_quotient(row, c)
+        expect = ZPolynomial(linear_step(t, c)) + ZPolynomial.monomial(len(row) - 1, rem)
+        assert ZPolynomial(row) == expect
+
+    def test_edge_cases(self):
+        zero = QRationalFn.zero()
+        assert linear_quotient([], Q) == ([], zero)
+        assert linear_quotient([ONE], Q) == ([], ONE)
+        assert linear_quotient([ONE, -Q], Q) == ([ONE], zero)
+        assert linear_quotient([ONE, zero, -Q * Q], Q) == ([ONE, Q], zero)
+        assert linear_quotient([ONE, ONE], Q) == ([ONE], ONE + Q)
 
 
 class TestZSeries:
