@@ -37,16 +37,15 @@ _EXPORTS = {
     ),
     "divisors": (
         "DivisorGFRequest",
-        "Stirling2Table",
         "generating_series",
     ),
     "stirling": (
         "NestedSumSpec",
-        "StirlingQTriangle",
         "first_column_formula_check",
         "nested_sum",
         "newton_girard_check",
         "tilde_D0j",
+        "triangle_row",
         "verify_claim_relations",
         "verify_Ph_expansion",
         "verify_PQ_coefficient_relation",

@@ -68,7 +68,18 @@ _MAX_ZORDER = 64  # jfrac expand --preset reciprocal_qq --h 4 --zorder 64: 1.8 s
 _MAX_MARGIN_LEVELS = 500  # converge margins --q=0.1 --hmax 500: 1.0 s; --hmax 1000: 3.7 s
 _MAX_PROBE_LEVELS = 100  # converge probe --q=0.1 --hmax 100: 0.3 s; --hmax 400: 2.1 s
 _MAX_LEMMA_H = 8  # verify lemmas --h 8: 1.5-2.0 s (--spec random --h 10: 0.5 s); --h 9: 5.5 s
-_MAX_DEPTH = 64  # the other --h and --depth; older than the caps above, and not sized by cost
+# the --h of jfrac expand, jfrac triangle and divisor table, a bound on the
+# argument alone: their joint caps, _MAX_EXPAND_COST and _MAX_DIVISOR_COST,
+# bound the cost and bind first
+_MAX_DEPTH = 64
+# jfrac expand and jfrac triangle: the cost grew about like h^6 times the size
+# of --a, --b and --z, (degree + 1) * bits each (_parameter_size), so the
+# joint cap bounds h^6 * (1 + their sizes).  Along the bound expand takes
+# 1.2-1.8 s (--a "(1+q)^8" --b q^2 --h 10, --preset reciprocal_qq --h 20,
+# --a "(1+q)^256" --b q^2 --h 3) and triangle no more; above it, expand
+# --a q --b q^2 --h 32 took 21 s and --a "(1+q)^8" --b q^2 --h 16 over 60 s
+_MAX_EXPAND_COST = 2**26
+_MAX_INVERT_DEPTH = 7  # jfrac invert --target n2_over_1mqn --depth 7: 0.6 s; --depth 8: 2.6 s
 _MAX_SIGMA_N = 10**14  # oracle sigma --alpha 32 --n 10^14: 2.0 s; the time grows with sqrt(n)
 _MAX_LAMBERT_ORDER = 200_000  # oracle lambert --alpha 32 --order 200000: 1.9 s; --alpha 2 --order 10^6: 7.8 s
 _MAX_QBINOMIAL_N = 80  # oracle qbinomial --n 80 --k 40: 1.7 s; --n 100 --k 50: 4.0 s
@@ -161,7 +172,7 @@ def _args_expand(p: argparse.ArgumentParser) -> None:
 
 def _args_invert(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", required=True, choices=_TARGETS, help="named target series")
-    p.add_argument("--depth", type=_int_in(1, _MAX_DEPTH), required=True)
+    p.add_argument("--depth", type=_int_in(1, _MAX_INVERT_DEPTH), required=True)
     _add_output_flags(p)
 
 
@@ -245,6 +256,7 @@ def _cmd_expand(args) -> int:
             file=sys.stderr,
         )
         return 2
+    _check_expand_cost(args)
     pair = jfraction.convergents(spec, h)
     coeffs = jfraction.convergent_coefficients(pair, zorder)
     tabulated = spec.to_json(max(h, 1))
@@ -273,15 +285,36 @@ def _spec_from_flags(args) -> JFractionSpec:
     raise ValueError("need --preset or both --a and --b")
 
 
+def _parameter_size(x: QRationalFn) -> int:
+    """(degree + 1) * bits of a parsed value: the larger degree of its numerator
+    and denominator, and the bit length of its largest coefficient numerator
+    or denominator."""
+    cs = [c for c in x.num.coeffs + x.den.coeffs if c]
+    bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in cs)
+    return (max(x.num.degree, x.den.degree) + 1) * bits
+
+
+def _check_expand_cost(args) -> None:
+    """Raise ValueError when --h and the parsed parameters are jointly above _MAX_EXPAND_COST."""
+    size = 1 + sum(_parameter_size(x) for x in (args.a, args.b, args.z) if x is not None)
+    cost = args.h ** 6 * size
+    if cost > _MAX_EXPAND_COST:
+        raise ValueError(
+            f"--h {args.h} with parameter size {size}: h^6*size = {cost} exceeds {_MAX_EXPAND_COST}, "
+            f"where size = 1 + (degree + 1)*bits of each of --a, --b, --z; "
+            f"pass a smaller --h or smaller parameters"
+        )
+
+
 def _cmd_triangle(args) -> int:
     spec = _spec_from_flags(args)
-    from .stirling import StirlingQTriangle
+    _check_expand_cost(args)
+    from .stirling import triangle_row
 
-    tri = StirlingQTriangle.from_spec(spec, args.h)
     payload = {
         "schema": "qjfrac/triangle/1",
         "name": spec.name,
-        "rows": [[str(v) for v in tri.row(h)] for h in range(args.h + 1)],
+        "rows": [[str(v) for v in triangle_row(spec, h)] for h in range(args.h + 1)],
     }
     _emit(payload, args.format, args.output)
     return 0
@@ -338,7 +371,7 @@ def _cmd_lemmas(args) -> int:
     ok = ok and decomposition.verified
     # measured residual reports: emitted for inspection, never gate the exit code
     checker_reports = [
-        stirling.newton_girard_check(spec.c, args.h, min(2, args.h)).to_json(),
+        stirling.newton_girard_check(spec, args.h, min(2, args.h)).to_json(),
         stirling.verify_claim_relations(spec, args.h, min(2, args.h)).to_json(),
     ]
     if args.spec == "qq2":

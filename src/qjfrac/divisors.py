@@ -40,26 +40,13 @@ _ZERO = QRationalFn.zero()
 _Q = QRationalFn.q()
 
 
-class Stirling2Table:
-    """Stirling numbers of the second kind, S(n,k) = k S(n-1,k) + S(n-1,k-1)."""
-
-    def __init__(self, n_max: int):
-        rows = [[1]]
-        for n in range(1, n_max + 1):
-            prev = rows[-1]
-            row = [0] * (n + 1)
-            for k in range(1, n + 1):
-                row[k] = k * (prev[k] if k <= n - 1 else 0) + prev[k - 1]
-            rows.append(row)
-        self._rows = rows
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or k < 0 or k > n:
-            return 0
-        return self._rows[n][k]
-
-    def row(self, n: int) -> list[int]:
-        return list(self._rows[n])
+def _stirling2_row(alpha: int) -> list[int]:
+    """S(alpha, 0..alpha), Stirling numbers of the second kind, from
+    S(n,k) = k S(n-1,k) + S(n-1,k-1) with S(0,0) = 1."""
+    row = [1]
+    for n in range(1, alpha + 1):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, n)] + [row[n - 1]]
+    return row
 
 
 class DivisorGFRequest:
@@ -154,10 +141,8 @@ def _convergent_jets(z: ZSeries, h: int) -> list[tuple[ZSeries, ZSeries]]:
 
 def _transform_at_q(H: ZSeries, alpha: int) -> QRationalFn:
     """sum_j S(alpha,j) q^j H^(j)(q), read off the jet of H at z = q."""
-    table = Stirling2Table(alpha)
     total = _ZERO
-    for j in range(alpha + 1):
-        s = table.value(alpha, j)
+    for j, s in enumerate(_stirling2_row(alpha)):
         if s:
             total = total + (s * factorial(j)) * QRationalFn.qpow(j) * H[j]
     return total

@@ -61,7 +61,7 @@ def convergent_pairs(spec: JFractionSpec, h: int) -> list[ConvergentPair]:
     """
     if h < 0:
         raise ValueError("depth must be >= 0")
-    with spec._pairs_lock:
+    with spec._lock:
         pairs = spec._pairs
         if not pairs:
             pairs.append(ConvergentPair(0, ZPolynomial.zero(), ZPolynomial.one()))

@@ -48,10 +48,11 @@ class JFractionSpec:
         self._c_memo: dict[int, QRationalFn] = {}
         self._ab_memo: dict[int, QRationalFn] = {}
         # sequence memos tolerate racy duplicate computation (values are
-        # immutable and equal); the convergent-pair list is extended under a
-        # lock so concurrent callers cannot interleave appends
+        # immutable and equal); the convergent pairs and the triangle rows are
+        # extended under a lock so concurrent callers cannot interleave appends
         self._pairs: list["ConvergentPair"] = []
-        self._pairs_lock = threading.Lock()
+        self._rows: list[tuple[QRationalFn, ...]] = [(_ONE,)]
+        self._lock = threading.Lock()
         self._shifted: Optional["JFractionSpec"] = None
 
     def c(self, i: int) -> QRationalFn:
@@ -75,10 +76,10 @@ class JFractionSpec:
     def shifted(self) -> "JFractionSpec":
         """Same fraction with c_i -> c_{i+1}, ab_i -> ab_{i+1}.
 
-        Memoized on the spec, so the shifted spec's own memos (sequence values
-        and convergent pairs) outlive each call.  Two racing first calls may
-        each build one; that is harmless, because both read the same
-        immutable values and the spec kept is as good as the other."""
+        Memoized on the spec, so the shifted spec's own memos (sequence values,
+        convergent pairs and triangle rows) outlive each call.  Two racing
+        first calls may each build one; that is harmless, because both read
+        the same immutable values and the spec kept is as good as the other."""
         shifted = self._shifted
         if shifted is None:
             shifted = JFractionSpec(

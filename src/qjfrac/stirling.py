@@ -1,8 +1,8 @@
-"""Triangles of signed elementary-symmetric coefficients of the c-sequence,
-the paired nested sums over the ab-sequence, and exact verification of the
-expansion identities for the convergent numerator and denominator polynomials,
-and the measured comparison of the tabulated quadruple-sum block with
-Q_j Q_{j+1} (`tilde_D0j`).
+"""The rows of the triangle of signed elementary-symmetric coefficients of the
+c-sequence, memoized on the spec; the paired nested sums over the ab-sequence;
+exact verification of the expansion identities for the convergent numerator
+and denominator polynomials; and the measured comparison of the tabulated
+quadruple-sum block with Q_j Q_{j+1} (`tilde_D0j`).
 
 Every check here clears denominators down to a ZPolynomial identity over
 Q(q)[z]; no two-variable gcd is ever needed.
@@ -23,42 +23,26 @@ _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
 
 
-class StirlingQTriangle:
-    """Triangle from entry(h,k) = entry(h-1,k) - c_h * entry(h-1,k-1), entry(0,0) = 1.
+def triangle_row(spec: JFractionSpec, h: int) -> tuple[QRationalFn, ...]:
+    """Row h of the triangle entry(h,k) = entry(h-1,k) - c_h entry(h-1,k-1),
+    entry(0,0) = 1: its h + 1 entries entry(h,k) = [z^k] (1-c_1 z)...(1-c_h z),
+    up to sign the elementary symmetric functions (-1)^k e_k(c_1, ..., c_h).
 
-    Row h holds, up to sign, the elementary symmetric functions of c_1..c_h:
-    entry(h,k) = (-1)^k e_k(c_1, ..., c_h) = [z^k] (1-c_1 z)...(1-c_h z).
-    """
+    Rows are memoized on the spec, the way jfraction.convergent_pairs memoizes
+    the convergents: each is immutable and the recurrence only ever extends
+    the cached prefix."""
+    if h < 0:
+        raise ValueError("row must be >= 0")
+    with spec._lock:
+        rows = spec._rows
+        for i in range(len(rows), h + 1):
+            rows.append(tuple(linear_step(rows[-1], spec.c(i))))
+        return rows[h]
 
-    def __init__(self, c_source: Callable[[int], QRationalFn], h_max: int):
-        self.c_source = c_source
-        self._rows: list[list[QRationalFn]] = [[_ONE]]
-        self.extend(h_max)
 
-    @classmethod
-    def from_spec(cls, spec: JFractionSpec, h_max: int) -> "StirlingQTriangle":
-        return cls(spec.c, h_max)
-
-    @property
-    def h_max(self) -> int:
-        return len(self._rows) - 1
-
-    def extend(self, h_max: int) -> None:
-        while self.h_max < h_max:
-            self._rows.append(linear_step(self._rows[-1], self.c_source(self.h_max + 1)))
-
-    def entry(self, h: int, k: int) -> QRationalFn:
-        """entry(h,k); zero outside the triangle."""
-        if h < 0 or k < 0 or k > h:
-            return _ZERO
-        if h > self.h_max:
-            self.extend(h)
-        return self._rows[h][k]
-
-    def row(self, h: int) -> list[QRationalFn]:
-        if h > self.h_max:
-            self.extend(h)
-        return list(self._rows[h])
+def _entry(row: tuple[QRationalFn, ...], k: int) -> QRationalFn:
+    """entry(h,k) of row h; zero outside the triangle."""
+    return row[k] if 0 <= k < len(row) else _ZERO
 
 
 def power_sum(c_source: Callable[[int], QRationalFn], h: int, m: int) -> QRationalFn:
@@ -97,7 +81,7 @@ class NewtonGirardReport:
         }
 
 
-def newton_girard_check(c_source: Callable[[int], QRationalFn], h: int, k: int) -> NewtonGirardReport:
+def newton_girard_check(spec: JFractionSpec, h: int, k: int) -> NewtonGirardReport:
     """Newton's identities connecting triangle entries and power sums.
 
     Adopted reading (k-m column index, signs absorbed by the signed entries):
@@ -107,13 +91,13 @@ def newton_girard_check(c_source: Callable[[int], QRationalFn], h: int, k: int) 
     """
     if not 0 <= k <= h:
         raise ValueError("need 0 <= k <= h")
-    tri = StirlingQTriangle(c_source, h)
-    adopted = k * tri.entry(h, k)
-    printed = ((-1) ** k * k) * tri.entry(h, k)
+    row = triangle_row(spec, h)
+    adopted = k * row[k]
+    printed = ((-1) ** k * k) * row[k]
     for m in range(1, k + 1):
-        sm = power_sum(c_source, h, m)
-        adopted = adopted + sm * tri.entry(h, k - m)
-        printed = printed + ((-1) ** (k - m)) * sm * tri.entry(h, m - k)
+        sm = power_sum(spec.c, h, m)
+        adopted = adopted + sm * row[k - m]
+        printed = printed + ((-1) ** (k - m)) * sm * _entry(row, m - k)
     return NewtonGirardReport(h, k, adopted, printed, adopted.is_zero())
 
 
@@ -223,8 +207,8 @@ def _verify_expansion(
          for all 0 <= n <= h, where S_{h,m} = sum_s S_{h,m,s} is expanded
          as N_m times the one series reciprocal of D.
     """
-    tri = StirlingQTriangle(spec.c, h)
-    D = ZPolynomial(tri.row(h))
+    row = triangle_row(spec, h)
+    D = ZPolynomial(row)
     cs = {i: spec.c(i) for i in range(1, h + 1)}
     numerators: dict[int, ZPolynomial] = {}
     for m in range(1, h // 2 + 1):
@@ -242,12 +226,12 @@ def _verify_expansion(
     # (ii) reads [z^j] S_{h,m} only for j <= h - 2m
     series = {m: N.series(h + 1 - 2 * m) * inv_D for m, N in numerators.items()}
     for n in range(0, h + 1):
-        total = tri.entry(h, n)
+        total = _entry(row, n)
         for m, ser in series.items():
             for k in range(2 * m, n + 1):
                 coeff = ser[k - 2 * m]
                 if not coeff.is_zero():
-                    term = tri.entry(h, n - k) * coeff
+                    term = _entry(row, n - k) * coeff
                     total = total + term if m % 2 == 0 else total - term
         if total != target.coefficient(n):
             return LemmaReport(f"{name}(ii)", level, False, (level, n))
@@ -316,11 +300,12 @@ def claim_triangle_residual(spec: JFractionSpec, h: int, k: int) -> QRationalFn:
     """Residual of entry_P(h,k) = entry(h-1,k) + (c_1 - c_h) [z^(k-1)] prod_{i=2}^{h-1}(1-c_i z)."""
     if not 1 <= k <= h:
         raise ValueError("need 1 <= k <= h")
-    tri_P = StirlingQTriangle(spec.shifted().c, h - 1)
-    entry_c = StirlingQTriangle(spec.c, h - 1).entry(h - 1, k)
+    shifted = spec.shifted()
+    entry_c = _entry(triangle_row(spec, h - 1), k)
     # [z^(k-1)] prod_{i=2}^{h-1}(1-c_i z) is the shifted triangle's entry(h-2,k-1)
-    correction = (spec.c(1) - spec.c(h)) * tri_P.entry(h - 2, k - 1)
-    return tri_P.entry(h - 1, k) - entry_c - correction
+    below = _entry(triangle_row(shifted, h - 2), k - 1) if h >= 2 else _ZERO
+    correction = (spec.c(1) - spec.c(h)) * below
+    return _entry(triangle_row(shifted, h - 1), k) - entry_c - correction
 
 
 def _reduced_sum(terms) -> ZFraction:
@@ -468,11 +453,10 @@ def first_column_formula_check(spec: JFractionSpec, h: int) -> FirstColumnReport
         t3 = one / (2 * (one + q) * (one - QRationalFn.qpow(k + 1)))
         t4 = num_d / (2 * (one - q) * (one + QRationalFn.qpow(k + 1)))
         value = value + t1 - t2 - t3 - t4
-    triangle = StirlingQTriangle(spec.c, h).entry(h, 1)
+    triangle = triangle_row(spec, h)[1]
     residual = value - triangle
-    qq2_display = StirlingQTriangle(
-        lambda i: pochhammer_c_display_form(q, q * q, i), h
-    ).entry(h, 1)
+    # entry(h,1) = -(c_1 + ... + c_h), here of the single-fraction c display
+    qq2_display = -sum((pochhammer_c_display_form(q, q * q, i) for i in range(1, h + 1)), _ZERO)
     return FirstColumnReport(
         h, value, triangle, residual, residual.is_zero(), (value - qq2_display).is_zero()
     )
@@ -555,7 +539,7 @@ def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
         raise ValueError("j must be >= 1")
     if spec is None:
         spec = divisor_spec()
-    tri = StirlingQTriangle.from_spec(spec, j + 1)
+    rows = {h: triangle_row(spec, h) for h in (j, j + 1)}
     U: dict[int, ZPolynomial] = {}
     for h in (j, j + 1):
         A = [_ZERO] * (2 * j + 2)
@@ -564,8 +548,11 @@ def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
                 ser = nested_sum(spec, NestedSumSpec(h, m, s)).series(2 * j)
                 for k in range(2 * m, min(s, 2 * j + 1) + 1):
                     A[k] = A[k] + ser[k - 2 * m] if m % 2 == 0 else A[k] - ser[k - 2 * m]
-        U[h] = ZPolynomial(tri.row(h)) * ZPolynomial(A)
-    e = tri.entry
+        U[h] = ZPolynomial(rows[h]) * ZPolynomial(A)
+
+    def e(h: int, k: int) -> QRationalFn:
+        return _entry(rows[h], k)
+
     quad = ZPolynomial(
         e(j + 1, n) * e(j, 2 * j - n)
         + U[j + 1].coefficient(n) * (U[j].coefficient(2 * j + 1 - n) + e(j, 2 * j + 1 - n))

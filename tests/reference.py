@@ -31,7 +31,7 @@ from qjfrac.jfraction import (
 )
 from qjfrac.oracles import q_pochhammer
 from qjfrac.sequences import JFractionSpec
-from qjfrac.stirling import NestedSumSpec, StirlingQTriangle, TildeDReport, _tilde_d_report, nested_sum
+from qjfrac.stirling import NestedSumSpec, TildeDReport, _entry, _tilde_d_report, nested_sum, triangle_row
 from qjfrac.zalgebra import ZPolynomial, ZSeries
 
 _ONE = QRationalFn.one()
@@ -411,7 +411,11 @@ def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> TildeDRe
         raise ValueError("j must be >= 1")
     if spec is None:
         spec = divisor_spec()
-    tri = StirlingQTriangle.from_spec(spec, j + 1)
+    rows = {h: triangle_row(spec, h) for h in (j, j + 1)}
+
+    def entry(h: int, k: int) -> QRationalFn:
+        return _entry(rows[h], k)
+
     order = 2 * j + 2
 
     series: dict[tuple[int, int, int], ZSeries] = {}
@@ -426,7 +430,7 @@ def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> TildeDRe
 
     # block 1: sum_{n=0}^{2j} entry(j+1, n) entry(j, 2j-n) z^n
     for n in range(0, 2 * j + 1):
-        coeffs[n] = coeffs[n] + tri.entry(j + 1, n) * tri.entry(j, 2 * j - n)
+        coeffs[n] = coeffs[n] + entry(j + 1, n) * entry(j, 2 * j - n)
 
     # block 2: double-(m, s, k) cross terms
     for n in range(0, 2 * j + 2):
@@ -443,7 +447,7 @@ def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> TildeDRe
                             c1 = ser1[k1 - 2 * m1]
                             if c1.is_zero():
                                 continue
-                            e1 = tri.entry(j, 2 * j + 1 - n - k1)
+                            e1 = entry(j, 2 * j + 1 - n - k1)
                             if e1.is_zero():
                                 continue
                             for k2 in range(1, s2 + 1):
@@ -452,7 +456,7 @@ def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> TildeDRe
                                 c2 = ser2[k2 - 2 * m2]
                                 if c2.is_zero():
                                     continue
-                                e2 = tri.entry(j + 1, n - k2)
+                                e2 = entry(j + 1, n - k2)
                                 if e2.is_zero():
                                     continue
                                 term = e2 * e1 * c1 * c2
@@ -462,7 +466,7 @@ def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> TildeDRe
     def single_block(h: int, fixed: int) -> None:
         # single nested sum: entry(h, n-k) entry(fixed, 2j+1-n) against S_{h,m,s}
         for n in range(0, 2 * j + 2):
-            e_fix = tri.entry(fixed, 2 * j + 1 - n)
+            e_fix = entry(fixed, 2 * j + 1 - n)
             if e_fix.is_zero():
                 continue
             acc = _ZERO
@@ -475,7 +479,7 @@ def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> TildeDRe
                         c = ser[k - 2 * m]
                         if c.is_zero():
                             continue
-                        term = tri.entry(h, n - k) * c
+                        term = entry(h, n - k) * c
                         acc = acc + term if m % 2 == 0 else acc - term
             coeffs[n] = coeffs[n] + e_fix * acc
 

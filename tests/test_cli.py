@@ -128,6 +128,8 @@ class TestSizeCaps:
             (["oracle", "lambert", "--alpha", "2", "--order", "200001"], "--order: expected 1..200000"),
             (["oracle", "lambert", "--alpha", "33", "--order", "10"], "--alpha: expected 0..32"),
             (["verify", "lemmas", "--h", "9"], "--h: expected 0..8"),
+            # --depth 12 of this target ran past 60 s under the old shared cap of 64
+            (["jfrac", "invert", "--target", "n2_over_1mqn", "--depth", "12"], "--depth: expected 1..7"),
         ],
         ids=[
             "order",
@@ -144,6 +146,7 @@ class TestSizeCaps:
             "lambert-order",
             "lambert-alpha",
             "lemmas-h",
+            "invert-depth",
         ],
     )
     def test_size_above_the_cap_is_a_usage_error(self, capsys, argv, message):
@@ -168,6 +171,7 @@ class TestSizeCaps:
             ["oracle", "sigma", "--alpha", "32", "--n", "100000000000000"],
             ["oracle", "lambert", "--alpha", "32", "--order", "200000"],
             ["verify", "lemmas", "--h", "8"],
+            ["jfrac", "invert", "--target", "n2_over_1mqn", "--depth", "7"],
         ],
     )
     def test_size_at_the_cap_parses(self, argv):
@@ -194,7 +198,9 @@ class TestSizeCaps:
             "`oracle qpochhammer --n`": cli._MAX_POCHHAMMER_N,
             "`oracle qbinomialtheorem --order`": cli._MAX_QBT_ORDER,
             "`verify lemmas --h`": cli._MAX_LEMMA_H,
-            "`jfrac expand --h`, `jfrac triangle --h`, `jfrac invert --depth`, `divisor table --h`": cli._MAX_DEPTH,
+            "`jfrac expand --h`, `jfrac triangle --h`, `divisor table --h`": cli._MAX_DEPTH,
+            "`jfrac expand`, `jfrac triangle` joint cost `--h`⁶·size": cli._MAX_EXPAND_COST,
+            "`jfrac invert --depth`": cli._MAX_INVERT_DEPTH,
         }
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = readme.split("| size | cap |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
@@ -233,6 +239,88 @@ class TestSizeCaps:
 
         monkeypatch.setattr(divisors, "generating_series", stub)
         assert run(["divisor", "table", "--alpha", str(alpha), "--h", str(h), "--order", "1"]) == 0
+
+    @staticmethod
+    def _stub_expansion(monkeypatch, command, stub_pairs, stub_row):
+        """Replace the work of the command: convergents for expand, rows for triangle."""
+        import qjfrac.jfraction as jfraction
+
+        if command == "expand":
+            monkeypatch.setattr(jfraction, "convergents", stub_pairs)
+        else:
+            import qjfrac.stirling as stirling
+
+            monkeypatch.setattr(stirling, "triangle_row", stub_row)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jfrac", "expand", "--a", "q", "--b", "q^2", "--h", "32"],
+            ["jfrac", "expand", "--a", "3/7*q", "--b", "2/5*q^2", "--h", "24"],
+            ["jfrac", "triangle", "--a", "3/7*q", "--b", "2/5*q^2", "--h", "32"],
+            ["jfrac", "expand", "--a", "(1+q)^8", "--b", "q^2", "--h", "16"],
+            ["jfrac", "expand", "--a", "(1+q)^64", "--b", "q^2", "--h", "8"],
+            ["jfrac", "expand", "--a", "(1+q)^256", "--b", "q^2", "--h", "4"],
+            ["jfrac", "triangle", "--a", "(1+q)^256", "--b", "q^2", "--h", "4"],
+            ["jfrac", "expand", "--a", "q", "--b", "q^2", "--h", "15"],
+            ["jfrac", "triangle", "--preset", "reciprocal_qq", "--h", "21"],
+            ["jfrac", "expand", "--preset", "pochhammer_zqn", "--z", "(1+q)^8", "--h", "11", "--zorder", "4"],
+        ],
+    )
+    def test_expand_above_the_joint_cap_is_a_usage_error(self, capsys, monkeypatch, argv):
+        # each size is inside its own cap, but the first six took 9 s to over
+        # 60 s; the command must not start
+        def never(*args):
+            raise AssertionError("the expansion must not run")
+
+        self._stub_expansion(monkeypatch, argv[1], never, never)
+        assert run(argv) == 2
+        assert "exceeds 67108864" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jfrac", "expand", "--a", "q", "--b", "q^2", "--h", "14"],
+            ["jfrac", "expand", "--a", "(1+q)^8", "--b", "q^2", "--h", "10"],
+            ["jfrac", "expand", "--a", "(1+q)^64", "--b", "q^2", "--h", "5"],
+            ["jfrac", "triangle", "--a", "(1+q)^256", "--b", "q^2", "--h", "3"],
+            ["jfrac", "expand", "--a", "1234567/891011*q", "--b", "2/5*q^2", "--h", "10"],
+            ["jfrac", "triangle", "--preset", "reciprocal_qq", "--h", "20"],
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1/3", "--h", "16"],
+        ],
+    )
+    def test_expand_at_the_joint_cap_runs(self, monkeypatch, argv):
+        from qjfrac.jfraction import ConvergentPair
+        from qjfrac.zalgebra import ZPolynomial
+
+        self._stub_expansion(
+            monkeypatch,
+            argv[1],
+            lambda spec, h: ConvergentPair(0, ZPolynomial.zero(), ZPolynomial.one()),
+            lambda spec, h: (),
+        )
+        assert run(argv) == 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # the README examples and the benchmark's largest draws
+            ["--a", "q", "--b", "q^2", "--h", "5"],
+            ["--a=-3/2*q^2", "--b", "2/3*q^2", "--h", "5"],
+            ["--preset", "reciprocal_qq", "--h", "4"],
+            # the CI presets
+            ["--preset", "pochhammer_a", "--a", "1/3", "--h", "6"],
+            ["--preset", "reciprocal_qq", "--h", "6"],
+            ["--preset", "pochhammer_zqn", "--z", "1/3", "--h", "6"],
+            ["--preset", "reciprocal_pochhammer_zqn", "--z", "1/3", "--h", "6"],
+            ["--preset", "reciprocal_pochhammer_zqn", "--z", "1", "--h", "6"],
+            ["--preset", "pochhammer_ratio", "--a", "q", "--b", "q^2", "--h", "6"],
+        ],
+    )
+    def test_documented_expansions_stay_inside_the_joint_cap(self, capsys, flags):
+        for command in ("expand", "triangle"):
+            assert run(["jfrac", command, *flags]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_default_zorder_above_the_cap_is_a_usage_error(self, capsys, monkeypatch):
         # the default zorder is 2h, so h > 32 needs an explicit --zorder

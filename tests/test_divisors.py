@@ -2,10 +2,12 @@
 residue tables, partial sums, and the cross-check paths."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
-from qjfrac.divisors import DivisorGFRequest, GFResult, Stirling2Table, generating_series
+from qjfrac import cli
+from qjfrac.divisors import DivisorGFRequest, GFResult, _stirling2_row, generating_series
 from qjfrac.exact import QRationalFn, QSeries
 from qjfrac.jfraction import JFractionSpec, convergent_pairs, divisor_spec, random_rational_spec
 from qjfrac.oracles import sigma_alpha
@@ -35,15 +37,13 @@ def _stirling_derivative_transform(
 
     Uses H^(j) = N_j / den^(j+1) with N_{j+1} = N_j' den - (j+1) N_j den',
     so repeated differentiation never squares the denominator."""
-    table = Stirling2Table(alpha)
     den_prime = den.derivative()
     N_j = num
     total = ZPolynomial.zero()
     den_pow = [ZPolynomial.one()]
     for _ in range(alpha + 1):
         den_pow.append(den_pow[-1] * den)
-    for j in range(alpha + 1):
-        s = table.value(alpha, j)
+    for j, s in enumerate(_stirling2_row(alpha)):
         if s:
             total = total + (N_j * den_pow[alpha - j]).shift(j) * QRationalFn.from_fraction(s)
         if j < alpha:
@@ -307,12 +307,19 @@ class TestDerivativeTransform:
 
 class TestStirling2:
     def test_recurrence_values(self):
-        t = Stirling2Table(6)
-        assert t.value(0, 0) == 1
-        assert t.value(4, 2) == 7
-        assert t.value(6, 3) == 90
-        assert t.value(3, 5) == 0
+        assert _stirling2_row(0) == [1]
+        assert _stirling2_row(4)[2] == 7
+        assert _stirling2_row(6)[3] == 90
+        assert len(_stirling2_row(3)) == 4  # S(3, k) = 0 for k > 3 is not stored
 
     def test_row_sums_are_bell_numbers(self):
-        t = Stirling2Table(8)
-        assert [sum(t.row(n)) for n in range(9)] == bell_numbers(8)
+        assert [sum(_stirling2_row(n)) for n in range(9)] == bell_numbers(8)
+
+    def test_explicit_formula_up_to_alpha_cap(self):
+        # S(n, k) = (1/k!) sum_j (-1)^j C(k, j) (k - j)^n, for every --alpha the CLI accepts
+        for n in range(cli._MAX_ALPHA + 1):
+            explicit = [
+                Fraction(sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1)), factorial(k))
+                for k in range(n + 1)
+            ]
+            assert _stirling2_row(n) == explicit, n

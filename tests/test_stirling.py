@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,12 +14,12 @@ from qjfrac.exact import QRationalFn
 from qjfrac.jfraction import ConvergentPair, JFractionSpec, convergents, random_rational_spec
 from qjfrac.stirling import (
     NestedSumSpec,
-    StirlingQTriangle,
     claim_triangle_residual,
     first_column_formula_check,
     nested_sum,
     newton_girard_check,
     power_sum,
+    triangle_row,
     verify_claim_relations,
     verify_Ph_expansion,
     verify_PQ_coefficient_relation,
@@ -93,63 +95,100 @@ def claim_nested_difference_residual(
 def per_slice_coefficients(spec: JFractionSpec, h: int) -> tuple:
     """[z^0..z^h] of Q_h(spec) predicted by identity (ii), with the series of
     each slice S_{h,m,s} taken by its own series division."""
-    tri = StirlingQTriangle(spec.c, h)
+    row = triangle_row(spec, h)
     slices = []
     for m in range(1, h // 2 + 1):
         for s in range(0, m * h + 1):
             slices.append((m, nested_sum(spec, NestedSumSpec(h, m, s)).series(h + 1)))
     coeffs = []
     for n in range(0, h + 1):
-        total = tri.entry(h, n)
+        total = row[n]
         for m, ser in slices:
             for k in range(2 * m, n + 1):
-                total = total + (-1) ** m * tri.entry(h, n - k) * ser[k - 2 * m]
+                total = total + (-1) ** m * row[n - k] * ser[k - 2 * m]
         coeffs.append(total)
     return tuple(coeffs)
 
 
 class TestTriangle:
     def test_base_entry(self, qq2_spec):
-        tri = StirlingQTriangle.from_spec(qq2_spec, 0)
-        assert tri.entry(0, 0).is_one()
-        assert tri.entry(1, -1).is_zero()
-        assert tri.entry(1, 2).is_zero()
+        (e00,) = triangle_row(qq2_spec, 0)
+        assert e00.is_one()
+        row1 = triangle_row(qq2_spec, 1)
+        assert stirling._entry(row1, -1).is_zero()
+        assert stirling._entry(row1, 2).is_zero()
+        with pytest.raises(ValueError):
+            triangle_row(qq2_spec, -1)
+
+    def test_rows_are_memoized_on_the_spec(self):
+        spec = random_rational_spec(37)
+        row = triangle_row(spec, 4)
+        assert len(spec._rows) == 5 and [len(r) for r in spec._rows] == [1, 2, 3, 4, 5]
+        assert triangle_row(spec, 4) is row and triangle_row(spec, 2) is spec._rows[2]
+        assert len(spec._rows) == 5
+
+    @pytest.mark.parametrize("spec_seed", range(39, 45))
+    def test_concurrent_rows_extend_the_memo_once(self, spec_seed):
+        # more threads than cores, started together and switching often:
+        # interleaved appends would leave a row of the wrong length or at the
+        # wrong index
+        spec = random_rational_spec(spec_seed)
+        errors = []
+        start = threading.Barrier(6)
+
+        def work(seed):
+            try:
+                start.wait(timeout=60)
+                for h in random.Random(seed).sample(range(13), 13):
+                    triangle_row(spec, h)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert [len(r) for r in spec._rows] == list(range(1, 14))
+        for h, row in enumerate(spec._rows):
+            assert list(row) == [triangle_via_products(spec.c, h, k) for k in range(h + 1)]
 
     def test_first_column_is_minus_sum(self, qq2_spec):
-        tri = StirlingQTriangle.from_spec(qq2_spec, 5)
         for h in range(1, 6):
             total = ZERO
             for i in range(1, h + 1):
                 total = total + qq2_spec.c(i)
-            assert tri.entry(h, 1) == -total
+            assert triangle_row(qq2_spec, h)[1] == -total
 
     def test_entry_3_2_symmetric_function(self):
         spec = monomial_spec()
-        tri = StirlingQTriangle.from_spec(spec, 3)
         c1, c2, c3 = spec.c(1), spec.c(2), spec.c(3)
-        assert tri.entry(3, 2) == c1 * c2 + c1 * c3 + c2 * c3
+        assert triangle_row(spec, 3)[2] == c1 * c2 + c1 * c3 + c2 * c3
 
     def test_products_equal_recurrence(self, qq2_spec):
         for spec in (qq2_spec, random_rational_spec(41), monomial_spec()):
-            tri = StirlingQTriangle.from_spec(spec, 6)
             for h in range(0, 7):
                 for k in range(0, h + 1):
-                    assert tri.entry(h, k) == triangle_via_products(spec.c, h, k)
+                    assert triangle_row(spec, h)[k] == triangle_via_products(spec.c, h, k)
 
     def test_products_equal_recurrence_deep(self):
         spec = random_rational_spec(43)
-        tri = StirlingQTriangle.from_spec(spec, 8)
         for h in range(0, 9):
             for k in range(0, h + 1):
-                assert tri.entry(h, k) == triangle_via_products(spec.c, h, k)
+                assert triangle_row(spec, h)[k] == triangle_via_products(spec.c, h, k)
 
     def test_row_sum_is_product_at_one(self):
         spec = random_rational_spec(47)
-        tri = StirlingQTriangle.from_spec(spec, 6)
         for h in range(0, 7):
             total = ZERO
-            for k in range(h + 1):
-                total = total + tri.entry(h, k)
+            for entry in triangle_row(spec, h):
+                total = total + entry
             prod = ONE
             for i in range(1, h + 1):
                 prod = prod * (ONE - spec.c(i))
@@ -157,31 +196,30 @@ class TestTriangle:
 
     def test_degenerate_all_zero_c(self):
         spec = JFractionSpec.from_tables("zero-c", [ZERO] * 8, [ONE] * 8)
-        tri = StirlingQTriangle.from_spec(spec, 6)
         for h in range(7):
             for k in range(h + 1):
-                assert tri.entry(h, k) == (ONE if k == 0 else ZERO)
+                assert triangle_row(spec, h)[k] == (ONE if k == 0 else ZERO)
         Q6 = convergents(spec, 6).Q
         assert all(Q6.coefficient(k).is_zero() for k in range(1, 7, 2))
 
 
 class TestNewtonGirard:
     def test_k_zero_trivial(self, qq2_spec):
-        rep = newton_girard_check(qq2_spec.c, 3, 0)
+        rep = newton_girard_check(qq2_spec, 3, 0)
         assert rep.adopted_ok and rep.printed_residual.is_zero()
 
     def test_k1_h2_symbolic(self):
-        rep = newton_girard_check(monomial_spec().c, 2, 1)
+        rep = newton_girard_check(monomial_spec(), 2, 1)
         assert rep.adopted_ok
 
     def test_adopted_reading_holds_generally(self):
         spec = random_rational_spec(53)
         for h in range(1, 6):
             for k in range(0, h + 1):
-                assert newton_girard_check(spec.c, h, k).adopted_ok
+                assert newton_girard_check(spec, h, k).adopted_ok
 
     def test_printed_reading_reported(self, qq2_spec):
-        rep = newton_girard_check(qq2_spec.c, 3, 2)
+        rep = newton_girard_check(qq2_spec, 3, 2)
         data = rep.to_json()
         assert data["schema"] == "qjfrac/newton-girard/1"
         assert not rep.printed_residual.is_zero()
@@ -321,14 +359,15 @@ class TestExpansionLemmas:
         assert (data["lemma"], data["first_failure"]) == ("denominator-expansion(i)", [h])
         rep = verify_Ph_expansion(spec, h)
         assert (rep.name, rep.ok, rep.first_failure) == ("numerator-shift-rule", False, (h,))
-        # a wrong triangle entry (3, 2) is read by (ii) only, at the z^2 column
-        real_entry = StirlingQTriangle.entry
+        # a wrong triangle entry (3, 2) is read by (ii) only, at the z^2 column:
+        # (i) reads row h whole, as the polynomial D, and (ii) entry by entry
+        real_entry = stirling._entry
 
-        def corrupted_entry(tri, i, k):
-            value = real_entry(tri, i, k)
-            return value + ONE if (i, k) == (h, 2) else value
+        def corrupted_entry(row, k):
+            value = real_entry(row, k)
+            return value + ONE if (len(row) - 1, k) == (h, 2) else value
 
-        monkeypatch.setattr(StirlingQTriangle, "entry", corrupted_entry)
+        monkeypatch.setattr(stirling, "_entry", corrupted_entry)
         rep = verify_Qh_expansion(random_rational_spec(73), h)
         assert (rep.name, rep.ok, rep.first_failure) == ("denominator-expansion(ii)", False, (h, 2))
 
