@@ -87,6 +87,18 @@ _MAX_QBINOMIAL_N = 80  # oracle qbinomial --n 80 --k 40: 1.7 s; --n 100 --k 50: 
 _MAX_POCHHAMMER_N = 128
 # oracle qbinomialtheorem --a "q^2/(1-3*q)" --z "2*q/(1+q)" --order 64: 1.9 s; --order 100: 7.6 s
 _MAX_QBT_ORDER = 64
+# the oracles' joint caps, in sizes as for _MAX_EXPAND_COST; they bind before
+# the two caps above for all but the smallest parameters.  oracle qpochhammer
+# grew about like n^4 * size of --x: along the bound it takes 0.2-1.2 s (--x
+# "3*q^2+5" --n 87, --x "(1+q)^256" --n 9, --x q --n 128 at the bound itself),
+# but a denominator of high degree costs more (--x "1/(1-3*q)^64" --n 16: 4.6 s);
+# above it, --x "3*q^2+5" --n 128 took 3.2 s and --x "(1+q)^256" --n 64 over 60 s
+_MAX_POCHHAMMER_COST = 2**29
+# oracle qbinomialtheorem grew about like order^4 * (1 + the sizes of --a and
+# --z): along the bound it takes 0.1-1.3 s (--a "q^2/(1-3*q)" --z "2*q/(1+q)"
+# --order 59, --a "(1+q)^64/(1-3*q)^64" --z "2*q/(1+q)" --order 11); above it,
+# --a "(1+q)^32" --z q --order 64 took 35 s
+_MAX_QBT_COST = 2**27
 
 
 def _int_in(low: int, high: int):
@@ -114,19 +126,21 @@ def _complex_arg(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
 
 
-def _emit(payload, fmt: str, output: Optional[str], csv_rows=None, csv_header=None) -> None:
+def _emit(payload, fmt: str, output: Optional[str], columns=None) -> None:
+    """Write payload as JSON, pretty text or, for the commands that offer it,
+    csv: the `columns` of each of payload["rows"], with floats as %.6e."""
     if fmt == "json":
         text = json.dumps(payload, indent=2)
     elif fmt == "csv":
-        if csv_rows is None:
-            raise ValueError("csv format not supported for this subcommand")
         import csv
         import io
 
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerow(columns)
+        for row in payload["rows"]:
+            cells = (row[c] for c in columns)
+            writer.writerow(f"{v:.6e}" if isinstance(v, float) else v for v in cells)
         text = buf.getvalue().rstrip("\n")
     else:  # pretty
         text = _pretty(payload)
@@ -251,11 +265,7 @@ def _cmd_expand(args) -> int:
     h = args.h
     zorder = args.zorder if args.zorder is not None else max(2 * h, 1)
     if zorder > _MAX_ZORDER:
-        print(
-            f"error: --zorder {zorder} (default 2h) exceeds {_MAX_ZORDER}; pass a smaller --zorder",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"--zorder {zorder} (default 2h) exceeds {_MAX_ZORDER}; pass a smaller --zorder")
     _check_expand_cost(args)
     pair = jfraction.convergents(spec, h)
     coeffs = jfraction.convergent_coefficients(pair, zorder)
@@ -294,16 +304,21 @@ def _parameter_size(x: QRationalFn) -> int:
     return (max(x.num.degree, x.den.degree) + 1) * bits
 
 
+def _check_cost(flag: str, value: int, power: int, size: int, size_text: str, cap: int) -> None:
+    """Raise ValueError when a command's joint cost, value^power * size, exceeds cap."""
+    cost = value ** power * size
+    if cost > cap:
+        raise ValueError(
+            f"{flag} {value} with parameter size {size}: {flag[2:]}^{power}*size = {cost} exceeds {cap}, "
+            f"where size = {size_text}; pass a smaller {flag} or smaller parameters"
+        )
+
+
 def _check_expand_cost(args) -> None:
     """Raise ValueError when --h and the parsed parameters are jointly above _MAX_EXPAND_COST."""
     size = 1 + sum(_parameter_size(x) for x in (args.a, args.b, args.z) if x is not None)
-    cost = args.h ** 6 * size
-    if cost > _MAX_EXPAND_COST:
-        raise ValueError(
-            f"--h {args.h} with parameter size {size}: h^6*size = {cost} exceeds {_MAX_EXPAND_COST}, "
-            f"where size = 1 + (degree + 1)*bits of each of --a, --b, --z; "
-            f"pass a smaller --h or smaller parameters"
-        )
+    text = "1 + (degree + 1)*bits of each of --a, --b, --z"
+    _check_cost("--h", args.h, 6, size, text, _MAX_EXPAND_COST)
 
 
 def _cmd_triangle(args) -> int:
@@ -392,25 +407,21 @@ def _cmd_lemmas(args) -> int:
 def _cmd_divisor_table(args) -> int:
     cost = (args.alpha + 2) * args.h ** 2
     if cost > _MAX_DIVISOR_COST:
-        print(
-            f"error: --alpha {args.alpha} with --h {args.h}: (alpha + 2)*h^2 = {cost} exceeds "
-            f"{_MAX_DIVISOR_COST}; pass a smaller --alpha or --h",
-            file=sys.stderr,
+        raise ValueError(
+            f"--alpha {args.alpha} with --h {args.h}: (alpha + 2)*h^2 = {cost} exceeds "
+            f"{_MAX_DIVISOR_COST}; pass a smaller --alpha or --h"
         )
-        return 2
     from . import divisors
 
     req = divisors.DivisorGFRequest(args.alpha, args.h, args.order, args.mod)
     result = divisors.generating_series(req)
-    rows = result.rows()
     payload = {"schema": "qjfrac/divisor-table/1", "alpha": args.alpha, "h": args.h}
     if args.mod is None:
         payload["generator"] = str(result.generator)
     else:
         payload["modulus"] = args.mod
-    payload["rows"] = rows
-    csv_rows = [list(r.values()) for r in rows]
-    _emit(payload, args.format, args.output, csv_rows=csv_rows, csv_header=result.columns)
+    payload["rows"] = result.rows()
+    _emit(payload, args.format, args.output, result.columns)
     return 0
 
 
@@ -419,15 +430,13 @@ def _cmd_probe(args) -> int:
 
     z = args.z if args.z is not None else args.q
     report = convergence.numeric_convergence_probe(args.q, z, args.hmax)
-    if not report.target_converged and args.format != "json":
+    if not report["target_converged"] and args.format != "json":
         print(
             "warning: target not converged: the direct sum stopped at its term limit,"
             " so the gaps are measured against a truncated sum",
             file=sys.stderr,
         )
-    payload = report.to_json()
-    csv_rows = [[r.h, f"{r.gap:.6e}", r.overflow] for r in report.rows]
-    _emit(payload, args.format, args.output, csv_rows=csv_rows, csv_header=["h", "gap", "overflow"])
+    _emit(report, args.format, args.output, ("h", "gap", "overflow"))
     return 0
 
 
@@ -444,11 +453,7 @@ def _cmd_margins(args) -> int:
     from . import convergence
 
     report = convergence.pringsheim_margins(args.q, args.hmax)
-    payload = report.to_json()
-    csv_rows = [[r.h, f"{r.abs_a:.6e}", f"{r.abs_b:.6e}", f"{r.margin:.6e}"] for r in report.rows]
-    _emit(
-        payload, args.format, args.output, csv_rows=csv_rows, csv_header=["h", "abs_a", "abs_b", "margin"]
-    )
+    _emit(report, args.format, args.output, ("h", "abs_a", "abs_b", "margin"))
     return 0
 
 
@@ -475,6 +480,9 @@ def _cmd_qbinomial(args) -> int:
 
 
 def _cmd_qpochhammer(args) -> int:
+    _check_cost(
+        "--n", args.n, 4, _parameter_size(args.x), "(degree + 1)*bits of --x", _MAX_POCHHAMMER_COST
+    )
     from .oracles import q_pochhammer
 
     print(q_pochhammer(args.x, args.n))
@@ -482,6 +490,9 @@ def _cmd_qpochhammer(args) -> int:
 
 
 def _cmd_qbinomialtheorem(args) -> int:
+    size = 1 + _parameter_size(args.a) + _parameter_size(args.z)
+    text = "1 + (degree + 1)*bits of each of --a, --z"
+    _check_cost("--order", args.order, 4, size, text, _MAX_QBT_COST)
     from .oracles import q_binomial_theorem_check
 
     ok = q_binomial_theorem_check(args.a, args.z, args.order)

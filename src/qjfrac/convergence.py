@@ -2,18 +2,26 @@
 for the divisor-generating J-fraction: elementwise margin tests against the
 classical |b_h| >= |a_h| + 1 sufficient criterion, the numeric threshold
 radius where the governing inequality flips, and direct convergent-vs-target
-probes.
+probes.  Each diagnostic returns the JSON report that the CLI prints.
 
-These are diagnostics at extended precision (default 128 bits, configurable
-through QJFRAC_PRECISION_BITS), not interval-arithmetic proofs.
+These are diagnostics at extended precision, not interval-arithmetic proofs.
+They compute on one private mpmath context, whose precision each sets on
+entry: 128 bits, and for margins max(128, 2 h_max log2(1/|q|) + 64), so that
+margins of size |q|^(2h) stay resolvable.  The global mpmath.mp is never
+read or written; diagnostics run at once in two threads would share the
+private context's precision.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import mpmath
-from mpmath import mp, mpc, mpf
+
+# built once: a context costs about half a millisecond to build, and the
+# radius search evaluates the gap about 100 times
+_ctx = mpmath.MPContext()
+_PRECISION_BITS = 128
 
 _B_READING_NOTE = (
     "partial-denominator display read with the adjacent 'q^i q^(i+1)' taken as "
@@ -21,24 +29,14 @@ _B_READING_NOTE = (
 )
 
 
-def precision_bits() -> int:
-    """Working precision in bits; >= 64 fractional bits are always kept."""
-    raw = os.environ.get("QJFRAC_PRECISION_BITS", "128")
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"QJFRAC_PRECISION_BITS must be an integer, got {raw!r}") from exc
-    return max(bits, 64)
-
-
-def _cseq(q: mpc, i: int) -> mpc:
+def _cseq(q, i: int):
     """c_i of the divisor spec, numerically: 2 q^(i-1) / ((1+q^(i-1))(1+q^i)); c_1 = 1/(1+q)."""
     if i == 1:
         return 1 / (1 + q)
     return 2 * q ** (i - 1) / ((1 + q ** (i - 1)) * (1 + q ** i))
 
 
-def _abseq(q: mpc, i: int) -> mpc:
+def _abseq(q, i: int):
     """ab_i of the divisor spec, numerically:
     q^(2i-3) (1-q^(i-1))^4 / ((1-q^(2i-3)) (1-q^(2i-2))^2 (1-q^(2i-1)))."""
     return (
@@ -48,43 +46,13 @@ def _abseq(q: mpc, i: int) -> mpc:
     )
 
 
-class PringsheimRow:
-    __slots__ = ("h", "abs_a", "abs_b", "margin")
-
-    def __init__(self, h: int, abs_a: float, abs_b: float, margin: float):
-        self.h = h
-        self.abs_a = abs_a
-        self.abs_b = abs_b
-        self.margin = margin  # |b_h| - |a_h| - 1
+def _pair(x) -> list[float]:
+    """[re, im] of a context value, as JSON floats."""
+    c = complex(x)
+    return [c.real, c.imag]
 
 
-class PringsheimReport:
-    """Per-level margins of the elementwise convergence criterion at z = q."""
-
-    __slots__ = ("q", "z", "precision_bits", "reading_note", "rows")
-
-    def __init__(self, q: complex, z: complex, precision_bits: int, reading_note: str):
-        self.q = q
-        self.z = z
-        self.precision_bits = precision_bits
-        self.reading_note = reading_note
-        self.rows: list[PringsheimRow] = []
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "qjfrac/pringsheim/1",
-            "q": [float(self.q.real), float(self.q.imag)],
-            "z": [float(self.z.real), float(self.z.imag)],
-            "precision_bits": self.precision_bits,
-            "reading_note": self.reading_note,
-            "rows": [
-                {"h": r.h, "abs_a": r.abs_a, "abs_b": r.abs_b, "margin": r.margin}
-                for r in self.rows
-            ],
-        }
-
-
-def pringsheim_margins(q: complex, h_max: int = 100) -> PringsheimReport:
+def pringsheim_margins(q: complex, h_max: int = 100) -> dict:
     """Evaluate the displayed a_h, b_h with z = q and report |b_h| - |a_h| - 1.
 
     a_h = z^2 ab_h, with ab_h as in _abseq
@@ -97,27 +65,31 @@ def pringsheim_margins(q: complex, h_max: int = 100) -> PringsheimReport:
     if abs(q) >= 1 or q == 0:
         raise ValueError("need 0 < |q| < 1")
     # margins at level h decay like |q|^(2h-2); keep enough bits to resolve them
-    import math
-
-    needed = int(2 * h_max * math.log2(1 / abs(q))) + 64
-    bits = max(precision_bits(), needed)
-    with mp.workprec(bits):
-        qq = mpc(q)
-        z = qq
-        report = PringsheimReport(complex(qq), complex(z), bits, _B_READING_NOTE)
-        for h in range(2, h_max + 1):
-            a_h = _abseq(qq, h) * z ** 2
-            b_num = (
-                1
-                + qq ** (h - 1) * (2 * qq + qq ** (2 * h) + qq ** (h + 2))
-                - qq ** (h - 1) * (qq ** (2 * h + 1) + qq ** 2 + qq ** 3)
-            )
-            b_h = b_num / ((1 - qq ** (2 * h - 2)) * (1 - qq ** (2 * h)))
-            # the margin must be formed at working precision; at float precision
-            # |b_h| - 1 underflows to zero for moderate h already
-            margin = abs(b_h) - abs(a_h) - 1
-            report.rows.append(PringsheimRow(h, float(abs(a_h)), float(abs(b_h)), float(margin)))
-    return report
+    bits = max(_PRECISION_BITS, int(2 * h_max * math.log2(1 / abs(q))) + 64)
+    _ctx.prec = bits
+    qq = _ctx.mpc(q)
+    z = qq
+    rows = []
+    for h in range(2, h_max + 1):
+        a_h = _abseq(qq, h) * z ** 2
+        b_num = (
+            1
+            + qq ** (h - 1) * (2 * qq + qq ** (2 * h) + qq ** (h + 2))
+            - qq ** (h - 1) * (qq ** (2 * h + 1) + qq ** 2 + qq ** 3)
+        )
+        b_h = b_num / ((1 - qq ** (2 * h - 2)) * (1 - qq ** (2 * h)))
+        # the margin must be formed at working precision; at float precision
+        # |b_h| - 1 underflows to zero for moderate h already
+        margin = abs(b_h) - abs(a_h) - 1
+        rows.append({"h": h, "abs_a": float(abs(a_h)), "abs_b": float(abs(b_h)), "margin": float(margin)})
+    return {
+        "schema": "qjfrac/pringsheim/1",
+        "q": _pair(qq),
+        "z": _pair(z),
+        "precision_bits": bits,
+        "reading_note": _B_READING_NOTE,
+        "rows": rows,
+    }
 
 
 def threshold_inequality_gap(t: float) -> float:
@@ -126,11 +98,11 @@ def threshold_inequality_gap(t: float) -> float:
         (1-t)^2/(1+t^2)  >=  sqrt(((1-t)^4 + t^2 (1+t)^2) / (1+t+t^2+t^3)),
 
     positive inside the provable region."""
-    with mp.workprec(precision_bits()):
-        tt = mpf(t)
-        lhs = (1 - tt) ** 2 / (1 + tt ** 2)
-        rhs = mpmath.sqrt(((1 - tt) ** 4 + tt ** 2 * (1 + tt) ** 2) / (1 + tt + tt ** 2 + tt ** 3))
-        return float(lhs - rhs)
+    _ctx.prec = _PRECISION_BITS
+    tt = _ctx.mpf(t)
+    lhs = (1 - tt) ** 2 / (1 + tt ** 2)
+    rhs = _ctx.sqrt(((1 - tt) ** 4 + tt ** 2 * (1 + tt) ** 2) / (1 + tt + tt ** 2 + tt ** 3))
+    return float(lhs - rhs)
 
 
 def threshold_radius(tolerance: float = 1e-10) -> float:
@@ -165,60 +137,18 @@ def threshold_radius(tolerance: float = 1e-10) -> float:
     return (lo + hi) / 2
 
 
-class ProbeRow:
-    __slots__ = ("h", "convergent", "gap", "overflow")
-
-    def __init__(self, h: int, convergent: complex, gap: float, overflow: bool = False):
-        self.h = h
-        self.convergent = convergent
-        self.gap = gap  # |Conv_h - direct sum|
-        self.overflow = overflow
-
-
-class ProbeReport:
-    __slots__ = ("q", "z", "target", "target_converged", "precision_bits", "rows")
-
-    def __init__(
-        self,
-        q: complex,
-        z: complex,
-        target: complex,
-        target_converged: bool,  # False when the direct sum hit _MAX_TERMS
-        precision_bits: int,
-    ):
-        self.q = q
-        self.z = z
-        self.target = target
-        self.target_converged = target_converged
-        self.precision_bits = precision_bits
-        self.rows: list[ProbeRow] = []
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "qjfrac/converge-probe/1",
-            "q": [float(self.q.real), float(self.q.imag)],
-            "z": [float(self.z.real), float(self.z.imag)],
-            "target": [float(self.target.real), float(self.target.imag)],
-            "target_converged": self.target_converged,
-            "precision_bits": self.precision_bits,
-            "rows": [
-                {"h": r.h, "gap": r.gap, "overflow": r.overflow} for r in self.rows
-            ],
-        }
-
-
 # terms the direct sum takes at most; at q = 0.1, z = 0.9999 the tail left
 # after them is about 0.4
 _MAX_TERMS = 100_000
 
 
-def _direct_sum(q: mpc, z: mpc) -> tuple[mpc, bool]:
+def _direct_sum(q, z) -> tuple:
     """((1-q) * sum_{n >= 0} z^n/(1-q^(n+1)), converged): the sum is taken to a
     numerically negligible tail, or to _MAX_TERMS terms, and then converged is
     False."""
-    total = mpc(0)
-    zn = mpc(1)
-    eps = mpf(2) ** (-mp.prec - 8)
+    total = _ctx.mpc(0)
+    zn = _ctx.mpc(1)
+    eps = _ctx.mpf(2) ** (-_ctx.prec - 8)
     for n in range(1, _MAX_TERMS + 1):
         total += zn / (1 - q ** n)
         zn *= z
@@ -227,37 +157,43 @@ def _direct_sum(q: mpc, z: mpc) -> tuple[mpc, bool]:
     return (1 - q) * total, False
 
 
-def numeric_convergence_probe(q: complex, z: complex, h_max: int = 20) -> ProbeReport:
+def numeric_convergence_probe(q: complex, z: complex, h_max: int = 20) -> dict:
     """Backward-recurrence evaluation of each convergent against the direct sum.
 
     Conv_h = 1/(1 - c_1 z - t_2) with t_i = ab_i z^2 / (1 - c_i z - t_{i+1});
     the gap |Conv_h - target| is reported per level, and is expected to fall
-    monotonically to zero inside the provable radius."""
+    monotonically to zero inside the provable radius.  target_converged is
+    False when the direct sum stopped at _MAX_TERMS."""
     if abs(q) >= 1 or abs(z) >= 1:
         raise ValueError("need |q| < 1 and |z| < 1")
-    bits = precision_bits()
-    with mp.workprec(bits):
-        qq, zz = mpc(q), mpc(z)
-        target, converged = _direct_sum(qq, zz) if q != 0 else (mpc(1) / (1 - zz) * (1 - qq), True)
-        report = ProbeReport(complex(qq), complex(zz), complex(target), converged, bits)
-        # c_i z and ab_i z^2 of the levels reached so far, each evaluated once
-        # (the Nones pad the unused indices 0 and 1); a level that fails stays
-        # missing, so every later h retries it and is flagged too
-        cz: list = [None]
-        abz: list = [None, None]
-        for h in range(1, h_max + 1):
-            tail = mpc(0)
-            overflow = False
-            try:
-                while len(cz) <= h:
-                    cz.append(_cseq(qq, len(cz)) * zz)
-                while len(abz) <= h:
-                    abz.append(_abseq(qq, len(abz)) * zz ** 2)
-                for i in range(h, 1, -1):
-                    tail = abz[i] / (1 - cz[i] - tail)
-                conv = 1 / (1 - cz[1] - tail)
-                gap = float(abs(conv - target))
-            except (ZeroDivisionError, OverflowError):
-                conv, gap, overflow = mpc(0), float("inf"), True
-            report.rows.append(ProbeRow(h, complex(conv), gap, overflow))
-    return report
+    _ctx.prec = _PRECISION_BITS
+    qq, zz = _ctx.mpc(q), _ctx.mpc(z)
+    target, converged = _direct_sum(qq, zz) if q != 0 else (1 / (1 - zz) * (1 - qq), True)
+    rows = []
+    # c_i z and ab_i z^2 of the levels reached so far, each evaluated once
+    # (the Nones pad the unused indices 0 and 1); a level that fails stays
+    # missing, so every later h retries it and is flagged too
+    cz: list = [None]
+    abz: list = [None, None]
+    for h in range(1, h_max + 1):
+        tail = 0
+        try:
+            while len(cz) <= h:
+                cz.append(_cseq(qq, len(cz)) * zz)
+            while len(abz) <= h:
+                abz.append(_abseq(qq, len(abz)) * zz ** 2)
+            for i in range(h, 1, -1):
+                tail = abz[i] / (1 - cz[i] - tail)
+            gap, overflow = float(abs(1 / (1 - cz[1] - tail) - target)), False
+        except (ZeroDivisionError, OverflowError):
+            gap, overflow = float("inf"), True
+        rows.append({"h": h, "gap": gap, "overflow": overflow})
+    return {
+        "schema": "qjfrac/converge-probe/1",
+        "q": _pair(qq),
+        "z": _pair(zz),
+        "target": _pair(target),
+        "target_converged": converged,
+        "precision_bits": _PRECISION_BITS,
+        "rows": rows,
+    }

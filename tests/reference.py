@@ -493,14 +493,14 @@ def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> TildeDRe
 # -- convergence reports and combinatorics -------------------------------------
 
 
-def min_margin(report) -> float:
-    """The smallest margin of a convergence.PringsheimReport."""
-    return min(r.margin for r in report.rows)
+def min_margin(report: dict) -> float:
+    """The smallest margin of a convergence.pringsheim_margins report."""
+    return min(r["margin"] for r in report["rows"])
 
 
-def all_positive(report) -> bool:
-    """Whether every margin of a convergence.PringsheimReport is positive."""
-    return all(r.margin > 0 for r in report.rows)
+def all_positive(report: dict) -> bool:
+    """Whether every margin of a convergence.pringsheim_margins report is positive."""
+    return all(r["margin"] > 0 for r in report["rows"])
 
 
 def bell_numbers(n_max: int) -> list[int]:

@@ -234,7 +234,7 @@ def test_criterion_7_convergence():
             rep = pringsheim_margins(qv, 100)
             assert all_positive(rep), (qv, min_margin(rep))
         probe = numeric_convergence_probe(0.15, 0.15, 20)
-        gaps = [r.gap for r in probe.rows]
+        gaps = [r["gap"] for r in probe["rows"]]
         assert gaps[-1] < 1e-10
         for i in range(3, len(gaps) - 1):
             assert gaps[i + 1] <= gaps[i] + 1e-12

@@ -197,6 +197,8 @@ class TestSizeCaps:
             "`oracle qbinomial --n`, `--k`": cli._MAX_QBINOMIAL_N,
             "`oracle qpochhammer --n`": cli._MAX_POCHHAMMER_N,
             "`oracle qbinomialtheorem --order`": cli._MAX_QBT_ORDER,
+            "`oracle qpochhammer` joint cost `--n`⁴·size": cli._MAX_POCHHAMMER_COST,
+            "`oracle qbinomialtheorem` joint cost `--order`⁴·size": cli._MAX_QBT_COST,
             "`verify lemmas --h`": cli._MAX_LEMMA_H,
             "`jfrac expand --h`, `jfrac triangle --h`, `divisor table --h`": cli._MAX_DEPTH,
             "`jfrac expand`, `jfrac triangle` joint cost `--h`⁶·size": cli._MAX_EXPAND_COST,
@@ -332,6 +334,65 @@ class TestSizeCaps:
         monkeypatch.setattr(jfraction, "convergents", never)
         assert run(["jfrac", "expand", "--preset", "reciprocal_qq", "--h", "33"]) == 2
         assert "--zorder 66 (default 2h) exceeds 64" in capsys.readouterr().err
+
+    @staticmethod
+    def _stub_oracles(monkeypatch, pochhammer, theorem):
+        import qjfrac.oracles as oracles
+
+        monkeypatch.setattr(oracles, "q_pochhammer", pochhammer)
+        monkeypatch.setattr(oracles, "q_binomial_theorem_check", theorem)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["oracle", "qpochhammer", "--x", "3*q^2+5", "--n", "128"], "n^4*size = 2415919104 exceeds 536870912"),
+            (["oracle", "qpochhammer", "--x", "(3*q^2+5)^2", "--n", "128"], "exceeds 536870912"),
+            (["oracle", "qpochhammer", "--x", "(3*q^2+5)^8", "--n", "128"], "exceeds 536870912"),
+            (["oracle", "qpochhammer", "--x", "(1+q)^256", "--n", "16"], "exceeds 536870912"),
+            (["oracle", "qpochhammer", "--x", "(1+q)^256", "--n", "64"], "exceeds 536870912"),
+            (["oracle", "qpochhammer", "--x", "1/(1-3*q)^64", "--n", "17"], "exceeds 536870912"),
+            (
+                ["oracle", "qbinomialtheorem", "--a", "(1+q)^8", "--z", "q", "--order", "64"],
+                "order^4*size = 1107296256 exceeds 134217728",
+            ),
+            (["oracle", "qbinomialtheorem", "--a", "(1+q)^32", "--z", "q", "--order", "64"], "exceeds 134217728"),
+            (
+                ["oracle", "qbinomialtheorem", "--a", "(1+q)^64/(1-3*q)^64", "--z", "2*q/(1+q)", "--order", "64"],
+                "exceeds 134217728",
+            ),
+            (["oracle", "qbinomialtheorem", "--a", "q", "--z", "(1+q)^32*q", "--order", "20"], "exceeds 134217728"),
+        ],
+    )
+    def test_oracle_above_the_joint_cap_is_a_usage_error(self, capsys, monkeypatch, argv, message):
+        # each size is inside its own cap, but the first took 3.2 s and the
+        # (1+q)^256 and (1+q)^32 cases 35 s to over 60 s; the oracle must not start
+        def never(*args):
+            raise AssertionError("the oracle must not run")
+
+        self._stub_oracles(monkeypatch, never, never)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the README and benchmark examples, and the bound itself
+            ["oracle", "qbinomialtheorem", "--a", "q", "--z", "q", "--order", "12"],
+            ["oracle", "qbinomialtheorem", "--a", "q", "--z", "q", "--order", "64"],
+            ["oracle", "qpochhammer", "--x", "q", "--n", "128"],
+            ["oracle", "qpochhammer", "--x", "1+q", "--n", "128"],
+            ["oracle", "qpochhammer", "--x", "3*q^2+5", "--n", "87"],
+            ["oracle", "qpochhammer", "--x", "(1+q)^256", "--n", "9"],
+            ["oracle", "qpochhammer", "--x", "1/(1-3*q)^64", "--n", "16"],
+            ["oracle", "qbinomialtheorem", "--a", "q^2/(1-3*q)", "--z", "2*q/(1+q)", "--order", "59"],
+            ["oracle", "qbinomialtheorem", "--a", "(1+q)^64/(1-3*q)^64", "--z", "2*q/(1+q)", "--order", "11"],
+        ],
+    )
+    def test_oracle_at_the_joint_cap_runs(self, capsys, monkeypatch, argv):
+        self._stub_oracles(monkeypatch, lambda x, n: 1, lambda a, z, order: True)
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestInvert:
@@ -874,7 +935,7 @@ class TestPlainRecords:
 
     @staticmethod
     def records():
-        from qjfrac import convergence, divisors, jfraction, sequences, stirling
+        from qjfrac import divisors, jfraction, sequences, stirling
 
         import reference
 
@@ -883,8 +944,7 @@ class TestPlainRecords:
             reference.LambdaReport, jfraction.InversionResult, stirling.NewtonGirardReport,
             stirling.NestedSumSpec, stirling.LemmaReport, stirling.ClaimReport,
             stirling.FirstColumnReport, divisors.DivisorGFRequest, divisors.GFResult,
-            stirling.TildeDReport, reference.SpecialCaseReport, convergence.PringsheimRow,
-            convergence.PringsheimReport, convergence.ProbeRow, convergence.ProbeReport,
+            stirling.TildeDReport, reference.SpecialCaseReport,
         ]
 
     def test_records_are_slotted_plain_classes(self):

@@ -1,16 +1,16 @@
 """Numeric convergence diagnostics: threshold radius, elementwise margins,
 and convergent-vs-target probes."""
 
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
-from mpmath import mp, mpc, mpf
 
 import qjfrac.convergence as convergence
 from qjfrac.convergence import (
     numeric_convergence_probe,
-    precision_bits,
     pringsheim_margins,
     threshold_inequality_gap,
     threshold_radius,
@@ -26,17 +26,17 @@ class TestNumericSequences:
     @pytest.mark.parametrize("q", [Fraction(1, 5), Fraction(-1, 3), Fraction(1, 7)])
     def test_match_exact_spec(self, q):
         spec = divisor_spec()
-        bits = precision_bits()
-        with mp.workprec(bits):
-            z = mpc(mpf(q.numerator) / q.denominator)
-            for i in range(1, 13):
-                pairs = [(convergence._cseq(z, i), spec.c(i))]
-                if i >= 2:
-                    pairs.append((convergence._abseq(z, i), spec.ab(i)))
-                for got, exact in pairs:
-                    value = exact.evaluate(q)
-                    want = mpf(value.numerator) / value.denominator
-                    assert abs(got - want) <= abs(want) * mpf(2) ** (8 - bits)
+        ctx = mpmath.MPContext()
+        ctx.prec = bits = 128
+        z = ctx.mpc(ctx.mpf(q.numerator) / q.denominator)
+        for i in range(1, 13):
+            pairs = [(convergence._cseq(z, i), spec.c(i))]
+            if i >= 2:
+                pairs.append((convergence._abseq(z, i), spec.ab(i)))
+            for got, exact in pairs:
+                value = exact.evaluate(q)
+                want = ctx.mpf(value.numerator) / value.denominator
+                assert abs(got - want) <= abs(want) * ctx.mpf(2) ** (8 - bits)
 
 
 class TestThresholdRadius:
@@ -62,7 +62,7 @@ class TestMargins:
     def test_q_01_h50_all_positive(self):
         rep = pringsheim_margins(0.1, 50)
         assert all_positive(rep)
-        assert len(rep.rows) == 49  # levels 2..50
+        assert len(rep["rows"]) == 49  # levels 2..50
 
     def test_random_real_q_h100(self):
         rng = random.Random(101)
@@ -79,13 +79,12 @@ class TestMargins:
     def test_q_05_recorded_not_asserted(self):
         # outside the provable region the margins are only recorded
         rep = pringsheim_margins(0.5, 30)
-        assert len(rep.rows) == 29
+        assert len(rep["rows"]) == 29
 
     def test_complex_q_recorded(self):
         # phases can push isolated levels below zero even for |q| <= 0.2;
         # recorded as a diagnostic, convergence itself is probed separately
-        rep = pringsheim_margins(complex(0.0356, -0.1285), 100)
-        data = rep.to_json()
+        data = pringsheim_margins(complex(0.0356, -0.1285), 100)
         assert data["schema"] == "qjfrac/pringsheim/1"
         assert "reading_note" in data
 
@@ -101,26 +100,26 @@ class TestMargins:
 class TestProbe:
     def test_gap_below_1e10_by_h20(self):
         rep = numeric_convergence_probe(0.15, 0.15, 20)
-        assert rep.rows[-1].gap < 1e-10
+        assert rep["rows"][-1]["gap"] < 1e-10
 
     def test_monotone_after_transient(self):
         rep = numeric_convergence_probe(0.15, 0.15, 20)
-        gaps = [r.gap for r in rep.rows]
+        gaps = [r["gap"] for r in rep["rows"]]
         for i in range(3, len(gaps) - 1):
             assert gaps[i + 1] <= gaps[i] + 1e-12
 
     def test_q_z_zero_exact(self):
         rep = numeric_convergence_probe(0.0, 0.0, 3)
-        assert rep.rows[-1].gap == 0.0
+        assert rep["rows"][-1]["gap"] == 0.0
 
     def test_z_zero_only_constant_survives(self):
         rep = numeric_convergence_probe(0.15, 0.0, 3)
-        assert rep.rows[-1].gap == 0.0
+        assert rep["rows"][-1]["gap"] == 0.0
 
     def test_complex_q_converges_inside_radius(self):
         qv = complex(0.0356, -0.1285)
         rep = numeric_convergence_probe(qv, qv, 20)
-        assert rep.rows[-1].gap < 1e-10
+        assert rep["rows"][-1]["gap"] < 1e-10
 
     def test_target_converged_flag(self, monkeypatch):
         # the direct sum stops after _MAX_TERMS terms (100,000; at z = 0.9999
@@ -128,21 +127,46 @@ class TestProbe:
         # tail, so the target is flagged and not trusted
         monkeypatch.setattr(convergence, "_MAX_TERMS", 1000)
         rep = numeric_convergence_probe(0.1, 0.999, 1)
-        assert rep.target_converged is False
-        assert rep.to_json()["target_converged"] is False
-        assert numeric_convergence_probe(0.15, 0.15, 1).target_converged is True
-        assert numeric_convergence_probe(0.0, 0.5, 1).target_converged is True
+        assert rep["target_converged"] is False
+        assert numeric_convergence_probe(0.15, 0.15, 1)["target_converged"] is True
+        assert numeric_convergence_probe(0.0, 0.5, 1)["target_converged"] is True
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             numeric_convergence_probe(1.2, 0.1, 5)
 
 
-def test_precision_env(monkeypatch):
-    monkeypatch.setenv("QJFRAC_PRECISION_BITS", "200")
-    assert precision_bits() == 200
-    monkeypatch.setenv("QJFRAC_PRECISION_BITS", "10")
-    assert precision_bits() == 64  # floor of 64 fractional bits
-    monkeypatch.setenv("QJFRAC_PRECISION_BITS", "junk")
-    with pytest.raises(ValueError):
-        precision_bits()
+class TestPrivateContext:
+    def test_reports_are_the_json_the_cli_prints(self):
+        margins = pringsheim_margins(0.1, 3)
+        assert list(margins) == ["schema", "q", "z", "precision_bits", "reading_note", "rows"]
+        assert list(margins["rows"][0]) == ["h", "abs_a", "abs_b", "margin"]
+        probe = numeric_convergence_probe(0.15, 0.15, 2)
+        assert list(probe) == ["schema", "q", "z", "target", "target_converged", "precision_bits", "rows"]
+        assert list(probe["rows"][0]) == ["h", "gap", "overflow"]
+
+    def test_precision_rule(self):
+        assert numeric_convergence_probe(0.15, 0.15, 2)["precision_bits"] == 128
+        assert pringsheim_margins(0.5, 10)["precision_bits"] == 128  # 2*10*1 + 64 = 84 < 128
+        assert pringsheim_margins(0.1, 100)["precision_bits"] == int(200 * math.log2(10)) + 64
+
+    def test_global_precision_is_never_written(self, monkeypatch):
+        # every write to prec or dps of any mpmath context is recorded with
+        # whether its target is the global mpmath.mp
+        cls = type(mpmath.mp)
+        writes = []
+        for name in ("prec", "dps"):
+            old = getattr(cls, name)
+
+            def record(ctx, value, old=old):
+                writes.append(ctx is mpmath.mp)
+                old.fset(ctx, value)
+
+            monkeypatch.setattr(cls, name, property(old.fget, record))
+        before = mpmath.mp.prec
+        threshold_radius(1e-6)
+        numeric_convergence_probe(0.15, 0.15, 5)
+        numeric_convergence_probe(0.0, 0.0, 2)
+        pringsheim_margins(0.1, 20)
+        assert writes and not any(writes)
+        assert mpmath.mp.prec == before
