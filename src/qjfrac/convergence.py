@@ -112,8 +112,8 @@ def threshold_radius(tolerance: float = 1e-10) -> float:
     for the interior sign change; a missing sign change signals a
     transcription bug and raises.  Bisection also stops once lo and hi are
     adjacent doubles, so a tolerance below their spacing still ends."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be > 0")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be > 0 and finite")
     lo, hi = None, None
     prev_t, prev_g = None, None
     steps = 400

@@ -2,10 +2,12 @@
 
 This module builds the depth-h convergents P_h/Q_h of a J-fraction (its
 coefficient sequences live in `sequences`) from the two-term recurrence,
-extracts their power-series coefficients, decomposes them into telescoping
-blocks, inverts a target series back into (c, ab), and provides the other
-tabulated sequence families.  The names of the sequence layer that callers
-import from here are re-exported.
+extracts their power-series coefficients, verifies their telescoping
+decomposition into blocks, inverts a target series back into (c, ab), and
+provides the other tabulated sequence families.  `lemma_report` builds the
+JSON record that every exact identity check returns, here and in
+`stirling`.  The names of the sequence layer that callers import from here
+are re-exported.
 """
 
 from __future__ import annotations
@@ -108,30 +110,24 @@ def telescoping_residual(pairs: Sequence[ConvergentPair], lam: QRationalFn, h: i
     return det - ZPolynomial.monomial(2 * h - 2, lam)
 
 
-class SumDecomposition:
-    """Conv_h written as sum_i lambda_i z^(2i-2) / (Q_{i-1} Q_i), with verification."""
-
-    __slots__ = ("h", "lambdas", "terms", "verified", "first_failure")
-
-    def __init__(
-        self,
-        h: int,
-        lambdas: list[QRationalFn],
-        terms: list[tuple[ZPolynomial, ZPolynomial]],  # (Q_{i-1}, Q_i) blocks
-        verified: bool,
-        first_failure: Optional[int],
-    ):
-        self.h = h
-        self.lambdas = lambdas
-        self.terms = terms
-        self.verified = verified
-        self.first_failure = first_failure
+def lemma_report(name: str, h: int, first_failure=None) -> dict:
+    """The qjfrac/lemma-report/1 record of one exact identity check; the check
+    passed exactly when there is no first failing index (a level, or a list
+    of the level and the failing column)."""
+    return {
+        "schema": "qjfrac/lemma-report/1",
+        "lemma": name,
+        "h": h,
+        "status": "ok" if first_failure is None else "mismatch",
+        "first_failure": first_failure,
+    }
 
 
-def convergent_sum_decomposition(spec: JFractionSpec, h: int) -> SumDecomposition:
-    """Decompose Conv_h into partial-fraction blocks over consecutive denominators.
+def convergent_sum_decomposition(spec: JFractionSpec, h: int) -> dict:
+    """Verify Conv_h as the sum of partial-fraction blocks over consecutive
+    denominators, as a lemma report.
 
-    Verifies, exactly, the per-level determinant identity
+    Checks, exactly, the per-level determinant identity
     P_i Q_{i-1} - P_{i-1} Q_i = lambda_i z^(2i-2) for every i <= h.  These
     identities are the whole decomposition: dividing by Q_{i-1} Q_i gives
     P_i/Q_i - P_{i-1}/Q_{i-1} = lambda_i z^(2i-2) / (Q_{i-1} Q_i) (each
@@ -142,18 +138,13 @@ def convergent_sum_decomposition(spec: JFractionSpec, h: int) -> SumDecompositio
     if h < 1:
         raise ValueError("h must be >= 1")
     pairs = convergent_pairs(spec, h)
-    lambdas: list[QRationalFn] = []
-    terms: list[tuple[ZPolynomial, ZPolynomial]] = []
-    first_failure: Optional[int] = None
     lam = _ONE
     for i in range(1, h + 1):
         if i >= 2:
             lam = lam * spec.ab(i)
-        lambdas.append(lam)
-        terms.append((pairs[i - 1].Q, pairs[i].Q))
-        if first_failure is None and not telescoping_residual(pairs, lam, i).is_zero():
-            first_failure = i
-    return SumDecomposition(h, lambdas, terms, first_failure is None, first_failure)
+        if not telescoping_residual(pairs, lam, i).is_zero():
+            return lemma_report("convergent-sum-decomposition", h, i)
+    return lemma_report("convergent-sum-decomposition", h)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ and denominator polynomials; and the measured comparison of the tabulated
 quadruple-sum block with Q_j Q_{j+1} (`tilde_D0j`).
 
 Every check here clears denominators down to a ZPolynomial identity over
-Q(q)[z]; no two-variable gcd is ever needed.
+Q(q)[z]; no two-variable gcd is ever needed.  Each check returns the JSON
+report that `verify lemmas` prints: the identity checks a lemma report
+(jfraction.lemma_report), the measured ones their own schema.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from .exact import QRationalFn
-from .jfraction import convergent_pairs
+from .jfraction import convergent_pairs, lemma_report
 from .sequences import JFractionSpec, divisor_spec, pochhammer_c_display_form
 from .zalgebra import ZFraction, ZPolynomial, linear_product, linear_quotient, linear_step
 
@@ -53,41 +55,14 @@ def power_sum(c_source: Callable[[int], QRationalFn], h: int, m: int) -> QRation
     return acc
 
 
-class NewtonGirardReport:
-    __slots__ = ("h", "k", "adopted_residual", "printed_residual", "adopted_ok")
-
-    def __init__(
-        self,
-        h: int,
-        k: int,
-        adopted_residual: QRationalFn,  # k*entry(h,k) + sum_m S_m entry(h,k-m); zero when valid
-        printed_residual: QRationalFn,  # the display read verbatim, entries at index m-k
-        adopted_ok: bool,
-    ):
-        self.h = h
-        self.k = k
-        self.adopted_residual = adopted_residual
-        self.printed_residual = printed_residual
-        self.adopted_ok = adopted_ok
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "qjfrac/newton-girard/1",
-            "h": self.h,
-            "k": self.k,
-            "adopted_residual": str(self.adopted_residual),
-            "printed_residual": str(self.printed_residual),
-            "adopted_ok": self.adopted_ok,
-        }
-
-
-def newton_girard_check(spec: JFractionSpec, h: int, k: int) -> NewtonGirardReport:
+def newton_girard_check(spec: JFractionSpec, h: int, k: int) -> dict:
     """Newton's identities connecting triangle entries and power sums.
 
     Adopted reading (k-m column index, signs absorbed by the signed entries):
         k*entry(h,k) + sum_{m=1}^{k} S_m(c_1..c_h) * entry(h, k-m) = 0.
     The verbatim display indexes entries at m-k (zero for m < k) and keeps
     alternating signs; its residual is reported but not expected to vanish.
+    Returns the qjfrac/newton-girard/1 report.
     """
     if not 0 <= k <= h:
         raise ValueError("need 0 <= k <= h")
@@ -98,7 +73,14 @@ def newton_girard_check(spec: JFractionSpec, h: int, k: int) -> NewtonGirardRepo
         sm = power_sum(spec.c, h, m)
         adopted = adopted + sm * row[k - m]
         printed = printed + ((-1) ** (k - m)) * sm * _entry(row, m - k)
-    return NewtonGirardReport(h, k, adopted, printed, adopted.is_zero())
+    return {
+        "schema": "qjfrac/newton-girard/1",
+        "h": h,
+        "k": k,
+        "adopted_residual": str(adopted),
+        "printed_residual": str(printed),
+        "adopted_ok": adopted.is_zero(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -168,30 +150,9 @@ def nested_sum(spec: JFractionSpec, nss: NestedSumSpec) -> ZFraction:
 # ---------------------------------------------------------------------------
 
 
-class LemmaReport:
-    """Outcome of one exact identity check; failures carry the first bad index."""
-
-    __slots__ = ("name", "h", "ok", "first_failure")
-
-    def __init__(self, name: str, h: int, ok: bool, first_failure: Optional[tuple] = None):
-        self.name = name
-        self.h = h
-        self.ok = ok
-        self.first_failure = first_failure
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "qjfrac/lemma-report/1",
-            "lemma": self.name,
-            "h": self.h,
-            "status": "ok" if self.ok else "mismatch",
-            "first_failure": list(self.first_failure) if self.first_failure else None,
-        }
-
-
 def _verify_expansion(
     name: str, level: int, spec: JFractionSpec, h: int, target: ZPolynomial
-) -> LemmaReport:
+) -> dict:
     """Exact check of both expansion identities of Q_h(spec), with target
     standing for Q_h; a failure is reported as name(i) or name(ii) at level.
 
@@ -220,7 +181,7 @@ def _verify_expansion(
     for m, N in numerators.items():
         rhs = rhs + N.shift(2 * m) if m % 2 == 0 else rhs - N.shift(2 * m)
     if target != rhs:
-        return LemmaReport(f"{name}(i)", level, False, (level,))
+        return lemma_report(f"{name}(i)", level, [level])
 
     inv_D = D.series(h + 1).reciprocal()
     # (ii) reads [z^j] S_{h,m} only for j <= h - 2m
@@ -234,11 +195,11 @@ def _verify_expansion(
                     term = _entry(row, n - k) * coeff
                     total = total + term if m % 2 == 0 else total - term
         if total != target.coefficient(n):
-            return LemmaReport(f"{name}(ii)", level, False, (level, n))
-    return LemmaReport(name, level, True)
+            return lemma_report(f"{name}(ii)", level, [level, n])
+    return lemma_report(name, level)
 
 
-def verify_Qh_expansion(spec: JFractionSpec, h: int) -> LemmaReport:
+def verify_Qh_expansion(spec: JFractionSpec, h: int) -> dict:
     """Exact check of both denominator expansion identities (i) and (ii) of Q_h."""
     if h < 2:
         raise ValueError("h must be >= 2")
@@ -246,7 +207,7 @@ def verify_Qh_expansion(spec: JFractionSpec, h: int) -> LemmaReport:
     return _verify_expansion("denominator-expansion", h, spec, h, Qh)
 
 
-def verify_Ph_expansion(spec: JFractionSpec, h: int) -> LemmaReport:
+def verify_Ph_expansion(spec: JFractionSpec, h: int) -> dict:
     """Exact check of the numerator expansion identities.
 
     First the shift rule P_h(c, ab) = Q_{h-1}(c_{i+1}, ab_{i+1}); then P_h
@@ -259,41 +220,13 @@ def verify_Ph_expansion(spec: JFractionSpec, h: int) -> LemmaReport:
     Ph = convergent_pairs(spec, h)[h].P
     shifted_spec = spec.shifted()
     if Ph != convergent_pairs(shifted_spec, h - 1)[h - 1].Q:
-        return LemmaReport("numerator-shift-rule", h, False, (h,))
+        return lemma_report("numerator-shift-rule", h, [h])
     return _verify_expansion("numerator-expansion", h, shifted_spec, h - 1, Ph)
 
 
 # ---------------------------------------------------------------------------
 # the index-shift claim (first relation provable, second a measured conjecture)
 # ---------------------------------------------------------------------------
-
-
-class ClaimReport:
-    __slots__ = ("h", "k", "triangle_residual", "triangle_ok", "nested_residuals")
-
-    def __init__(
-        self,
-        h: int,
-        k: int,
-        triangle_residual: QRationalFn,  # provable relation; expected zero
-        triangle_ok: bool,
-        nested_residuals: list[dict],  # measured conjecture; zero not asserted
-    ):
-        self.h = h
-        self.k = k
-        self.triangle_residual = triangle_residual
-        self.triangle_ok = triangle_ok
-        self.nested_residuals = nested_residuals
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "qjfrac/claim-report/2",
-            "h": self.h,
-            "k": self.k,
-            "triangle_residual": str(self.triangle_residual),
-            "triangle_ok": self.triangle_ok,
-            "nested_residuals": self.nested_residuals,
-        }
 
 
 def claim_triangle_residual(spec: JFractionSpec, h: int, k: int) -> QRationalFn:
@@ -334,7 +267,7 @@ def _reduced_sum(terms) -> ZFraction:
     return ZFraction(num, linear_product(lcm.elements())) if num else ZFraction.zero()
 
 
-def verify_claim_relations(spec: JFractionSpec, h: int, k: int) -> ClaimReport:
+def verify_claim_relations(spec: JFractionSpec, h: int, k: int) -> dict:
     """Evaluate both displayed index-shift relations exactly.
 
     The triangle relation is provable and its residual is expected to vanish.
@@ -346,7 +279,7 @@ def verify_claim_relations(spec: JFractionSpec, h: int, k: int) -> ClaimReport:
 
     where the right side allows adjacent indices (so factors may repeat), is
     reported as its reduced residual on the full (m, s) grid, without
-    assertion."""
+    assertion.  Returns the qjfrac/claim-report/2 report."""
     tri_res = claim_triangle_residual(spec, h, k)
     nested = []
     for m in range(1, h // 2 + 1):
@@ -364,7 +297,14 @@ def verify_claim_relations(spec: JFractionSpec, h: int, k: int) -> ClaimReport:
             residual = _reduced_sum(buckets[s])
             zero = residual.is_zero()
             nested.append({"m": m, "s": s, "zero": zero, "residual": "0" if zero else str(residual)})
-    return ClaimReport(h, k, tri_res, tri_res.is_zero(), nested)
+    return {
+        "schema": "qjfrac/claim-report/2",
+        "h": h,
+        "k": k,
+        "triangle_residual": str(tri_res),
+        "triangle_ok": tri_res.is_zero(),
+        "nested_residuals": nested,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +312,7 @@ def verify_claim_relations(spec: JFractionSpec, h: int, k: int) -> ClaimReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_PQ_coefficient_relation(spec: JFractionSpec, h: int) -> LemmaReport:
+def verify_PQ_coefficient_relation(spec: JFractionSpec, h: int) -> dict:
     """For the (q, q^2) sequences: [z^n] P_h = sum_{i=0}^n [z^i] Q_h (1-q)/(1-q^(n+1-i)),
     exactly, for all 0 <= n < h."""
     if h < 1:
@@ -387,8 +327,8 @@ def verify_PQ_coefficient_relation(spec: JFractionSpec, h: int) -> LemmaReport:
             if not qi.is_zero():
                 acc = acc + qi * ((one - q) / (one - QRationalFn.qpow(n + 1 - i)))
         if acc != pairs[h].P.coefficient(n):
-            return LemmaReport("numerator-from-denominator-coefficients", h, False, (h, n))
-    return LemmaReport("numerator-from-denominator-coefficients", h, True)
+            return lemma_report("numerator-from-denominator-coefficients", h, [h, n])
+    return lemma_report("numerator-from-denominator-coefficients", h)
 
 
 # ---------------------------------------------------------------------------
@@ -396,38 +336,7 @@ def verify_PQ_coefficient_relation(spec: JFractionSpec, h: int) -> LemmaReport:
 # ---------------------------------------------------------------------------
 
 
-class FirstColumnReport:
-    __slots__ = ("h", "formula_value", "triangle_value", "residual", "ok", "matches_display_variant")
-
-    def __init__(
-        self,
-        h: int,
-        formula_value: QRationalFn,
-        triangle_value: QRationalFn,
-        residual: QRationalFn,
-        ok: bool,
-        matches_display_variant: bool,  # zero residual against the single-fraction c display
-    ):
-        self.h = h
-        self.formula_value = formula_value
-        self.triangle_value = triangle_value
-        self.residual = residual
-        self.ok = ok
-        self.matches_display_variant = matches_display_variant
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "qjfrac/first-column/1",
-            "h": self.h,
-            "formula": str(self.formula_value),
-            "triangle": str(self.triangle_value),
-            "residual": str(self.residual),
-            "status": "ok" if self.ok else "nonzero-residual",
-            "matches_display_variant": self.matches_display_variant,
-        }
-
-
-def first_column_formula_check(spec: JFractionSpec, h: int) -> FirstColumnReport:
+def first_column_formula_check(spec: JFractionSpec, h: int) -> dict:
     """Evaluate the finite-sum formula for entry(h,1) of the (q,q^2) triangle,
 
         -1/(1+q) + sum_{k=0}^{h-2} [ q/(2(1-q^(k+2)))
@@ -438,7 +347,8 @@ def first_column_formula_check(spec: JFractionSpec, h: int) -> FirstColumnReport
     and compare it exactly with the recurrence triangle (residual reported).
     The formula turns out to be the partial-fraction expansion of minus the
     running sum of the single-fraction c display, so the report also records
-    whether it matches the triangle built from that display variant."""
+    whether it matches the triangle built from that display variant.  Returns
+    the qjfrac/first-column/1 report."""
     if h < 1:
         raise ValueError("h must be >= 1")
     q = QRationalFn.q()
@@ -457,9 +367,15 @@ def first_column_formula_check(spec: JFractionSpec, h: int) -> FirstColumnReport
     residual = value - triangle
     # entry(h,1) = -(c_1 + ... + c_h), here of the single-fraction c display
     qq2_display = -sum((pochhammer_c_display_form(q, q * q, i) for i in range(1, h + 1)), _ZERO)
-    return FirstColumnReport(
-        h, value, triangle, residual, residual.is_zero(), (value - qq2_display).is_zero()
-    )
+    return {
+        "schema": "qjfrac/first-column/1",
+        "h": h,
+        "formula": str(value),
+        "triangle": str(triangle),
+        "residual": str(residual),
+        "status": "ok" if residual.is_zero() else "nonzero-residual",
+        "matches_display_variant": (value - qq2_display).is_zero(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -467,46 +383,22 @@ def first_column_formula_check(spec: JFractionSpec, h: int) -> FirstColumnReport
 # ---------------------------------------------------------------------------
 
 
-class TildeDReport:
-    """Comparison of the tabulated quadruple-sum denominator block against the
-    product Q_j(q,z) Q_{j+1}(q,z) computed from the recurrence.
+def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> dict:
+    """Evaluate the four printed sum blocks of spec (default the (q, q^2)
+    spec) and compare them with Q_j Q_{j+1}, as the qjfrac/tilde-d/1 report.
 
-    `proportional_factor` is set when the two differ by a z-independent
-    rational function of q only (measured, not asserted)."""
-
-    __slots__ = ("j", "quad_sum", "product", "equal", "residual", "proportional_factor")
-
-    def __init__(
-        self,
-        j: int,
-        quad_sum: ZPolynomial,
-        product: ZPolynomial,
-        equal: bool,
-        residual: ZPolynomial,
-        proportional_factor: Optional[QRationalFn],
-    ):
-        self.j = j
-        self.quad_sum = quad_sum
-        self.product = product
-        self.equal = equal
-        self.residual = residual
-        self.proportional_factor = proportional_factor
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "qjfrac/tilde-d/1",
-            "j": self.j,
-            "equal": self.equal,
-            "proportional_factor": (
-                str(self.proportional_factor) if self.proportional_factor is not None else None
-            ),
-            "quad_sum_degree": self.quad_sum.degree,
-            "product_degree": self.product.degree,
-        }
+    The display is internally garbled (the comparison documents how far it
+    lands from the denominator block it is said to restate), so this is a
+    measurement, never an assertion."""
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    if spec is None:
+        spec = divisor_spec()
+    return _tilde_d_report(j, spec, _tilde_d_block(j, spec))
 
 
-def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
-    """Evaluate the four printed sum blocks and compare with Q_j Q_{j+1}.
+def _tilde_d_block(j: int, spec: JFractionSpec) -> ZPolynomial:
+    """The quadruple-sum block of the display, for j >= 1.
 
     With e(h, k) = entry(h, k) and c_{h,m,s}(k) = (-1)^m [z^(k-2m)] S_{h,m,s}
     (zero for k < 2m), where 1 <= m <= floor(h/2) and s <= m h, the display
@@ -532,13 +424,7 @@ def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
               + e(j+1, 2j+1-n) U_j(n).
 
     U_h(n) reads A_h(k) only for k <= n <= 2j + 1, so each S_{h,m,s} is
-    expanded to order 2j.  The display is internally garbled (the comparison
-    documents how far it lands from the denominator block it is said to
-    restate), so this is a measurement, never an assertion."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if spec is None:
-        spec = divisor_spec()
+    expanded to order 2j."""
     rows = {h: triangle_row(spec, h) for h in (j, j + 1)}
     U: dict[int, ZPolynomial] = {}
     for h in (j, j + 1):
@@ -553,20 +439,21 @@ def tilde_D0j(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
     def e(h: int, k: int) -> QRationalFn:
         return _entry(rows[h], k)
 
-    quad = ZPolynomial(
+    return ZPolynomial(
         e(j + 1, n) * e(j, 2 * j - n)
         + U[j + 1].coefficient(n) * (U[j].coefficient(2 * j + 1 - n) + e(j, 2 * j + 1 - n))
         + e(j + 1, 2 * j + 1 - n) * U[j].coefficient(n)
         for n in range(2 * j + 2)
     )
-    return _tilde_d_report(j, spec, quad)
 
 
-def _tilde_d_report(j: int, spec: JFractionSpec, quad: ZPolynomial) -> TildeDReport:
-    """Compare a quadruple-sum block with Q_j Q_{j+1} of spec."""
+def _tilde_d_report(j: int, spec: JFractionSpec, quad: ZPolynomial) -> dict:
+    """Compare a quadruple-sum block with Q_j Q_{j+1} of spec.
+
+    `proportional_factor` is set when the two differ by a z-independent
+    rational function of q only (measured, not asserted)."""
     pairs = convergent_pairs(spec, j + 1)
     product = pairs[j].Q * pairs[j + 1].Q
-    residual = quad - product
     factor: Optional[QRationalFn] = None
     if not quad.is_zero() and not product.is_zero():
         # z-independent ratio iff quad == r * product with r from any nonzero column
@@ -577,4 +464,11 @@ def _tilde_d_report(j: int, spec: JFractionSpec, quad: ZPolynomial) -> TildeDRep
                 if quad == product * r:
                     factor = r
                 break
-    return TildeDReport(j, quad, product, residual.is_zero(), residual, factor)
+    return {
+        "schema": "qjfrac/tilde-d/1",
+        "j": j,
+        "equal": quad == product,
+        "proportional_factor": str(factor) if factor is not None else None,
+        "quad_sum_degree": quad.degree,
+        "product_degree": product.degree,
+    }

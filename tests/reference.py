@@ -31,7 +31,7 @@ from qjfrac.jfraction import (
 )
 from qjfrac.oracles import q_pochhammer
 from qjfrac.sequences import JFractionSpec
-from qjfrac.stirling import NestedSumSpec, TildeDReport, _entry, _tilde_d_report, nested_sum, triangle_row
+from qjfrac.stirling import NestedSumSpec, _entry, nested_sum, triangle_row
 from qjfrac.zalgebra import ZPolynomial, ZSeries
 
 _ONE = QRationalFn.one()
@@ -401,9 +401,10 @@ def substitute_z_to_q(pair, order: int, z_multiplier: Optional[QRationalFn] = No
 # -- the quadruple-sum block, read verbatim ------------------------------------
 
 
-def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> TildeDReport:
-    """stirling.tilde_D0j with the four printed sum blocks evaluated verbatim,
-    a seven-deep loop over (n, m1, m2, s1, s2, k1, k2) in block 2.
+def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> ZPolynomial:
+    """The quadruple-sum block of stirling.tilde_D0j with the four printed sum
+    blocks evaluated verbatim, a seven-deep loop over (n, m1, m2, s1, s2, k1,
+    k2) in block 2.
 
     Block 1 pairs entries along the anti-diagonal sum(2j); blocks 2-4 weight
     triangle entries by series coefficients of the nested sums."""
@@ -487,7 +488,7 @@ def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> TildeDRe
     single_block(j + 1, j)
     single_block(j, j + 1)
 
-    return _tilde_d_report(j, spec, ZPolynomial(coeffs))
+    return ZPolynomial(coeffs)
 
 
 # -- convergence reports and combinatorics -------------------------------------

@@ -127,7 +127,7 @@ class TestSizeCaps:
             (["oracle", "sigma", "--alpha", "33", "--n", "12"], "--alpha: expected 0..32"),
             (["oracle", "lambert", "--alpha", "2", "--order", "200001"], "--order: expected 1..200000"),
             (["oracle", "lambert", "--alpha", "33", "--order", "10"], "--alpha: expected 0..32"),
-            (["verify", "lemmas", "--h", "9"], "--h: expected 0..8"),
+            (["verify", "lemmas", "--h", "9"], "--h: expected 1..8"),
             # --depth 12 of this target ran past 60 s under the old shared cap of 64
             (["jfrac", "invert", "--target", "n2_over_1mqn", "--depth", "12"], "--depth: expected 1..7"),
         ],
@@ -525,7 +525,7 @@ class TestVerify:
 
         def broken(spec, h):
             rep = real(spec, h)
-            rep.ok = False
+            rep["status"] = "mismatch"
             return rep
 
         monkeypatch.setattr(stirling_mod, "verify_Qh_expansion", broken)
@@ -548,8 +548,16 @@ class TestVerify:
                 ["--spec", "random", "--seed", "0", "--h", "6"],
                 "b94a90bfcefae997f18ac888c4ca7a9c927cab8aa7d20bd006f7636f6ed76af4",
             ),
+            (
+                ["--h", "4", "--format", "pretty"],
+                "4e6a2c6c61ffe628f1af9ada9ab612d5077d215db7f11d231195a0a7afab40e4",
+            ),
+            (
+                ["--spec", "random", "--seed", "3", "--h", "8"],
+                "2aaeccf66b4f4cf854ebfc4b481dd480e91a699870fdf5045bf926fafb6110b1",
+            ),
         ],
-        ids=["qq2-h4", "qq2-h5", "random-seed0-h6"],
+        ids=["qq2-h4", "qq2-h5", "random-seed0-h6", "qq2-h4-pretty", "random-seed3-h8"],
     )
     def test_lemmas_golden_output(self, capsys, argv, digest):
         # pinned stdout: refactors of the lemma layer must not change a byte.
@@ -568,9 +576,29 @@ class TestConverge:
         assert abs(data["radius"] - 0.206783) < 1e-5
 
     def test_radius_rejects_nonpositive_tolerance(self, capsys):
-        for tol in ("0", "-1e-8"):
+        # nan and inf used to exit 0 with a scan-step radius and non-standard JSON
+        for tol in ("0", "-1e-8", "nan", "inf"):
             assert run(["converge", "radius", f"--tol={tol}"]) == 2
-            assert "tolerance must be > 0" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert captured.out == "" and "tolerance must be > 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (["converge", "probe", "--q", "nan", "--hmax", "3"], "--q", "nan"),
+            (["converge", "probe", "--q", "0.1,nan", "--hmax", "3"], "--q", "0.1,nan"),
+            (["converge", "probe", "--q", "0.1", "--z", "inf", "--hmax", "3"], "--z", "inf"),
+            (["converge", "margins", "--q", "nan", "--hmax", "3"], "--q", "nan"),
+            (["converge", "margins", "--q=-inf,0", "--hmax", "3"], "--q", "-inf,0"),
+        ],
+        ids=["probe-q", "probe-q-imag", "probe-z", "margins-q", "margins-q-real"],
+    )
+    def test_non_finite_point_is_a_usage_error(self, capsys, argv, flag, text):
+        # a nan q used to sum the direct series to its term limit and exit 0
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: expected RE or RE,IM with finite parts, got {text!r}" in captured.err
 
     def test_probe_csv(self, capsys):
         code, out = run_capture(capsys, ["converge", "probe", "--q", "0.15", "--hmax", "20"])
@@ -651,6 +679,20 @@ class TestOracle:
 class TestUsage:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "lemmas", "--h", "0"], "argument --h: expected 1..8, got 0"),
+            (["divisor", "table", "--alpha", "0", "--h", "0", "--order", "4"], "argument --h: expected 2..64, got 0"),
+            (["divisor", "table", "--alpha", "0", "--h", "1", "--order", "4"], "argument --h: expected 2..64, got 1"),
+        ],
+        ids=["lemmas-h0", "table-h0", "table-h1"],
+    )
+    def test_depth_below_the_floor_names_its_flag(self, capsys, argv, message):
+        # these used to reach the library and print its "h must be >= ..." error
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "expression",
@@ -940,11 +982,9 @@ class TestPlainRecords:
         import reference
 
         return [
-            sequences.PochhammerParams, jfraction.ConvergentPair, jfraction.SumDecomposition,
-            reference.LambdaReport, jfraction.InversionResult, stirling.NewtonGirardReport,
-            stirling.NestedSumSpec, stirling.LemmaReport, stirling.ClaimReport,
-            stirling.FirstColumnReport, divisors.DivisorGFRequest, divisors.GFResult,
-            stirling.TildeDReport, reference.SpecialCaseReport,
+            sequences.PochhammerParams, jfraction.ConvergentPair, reference.LambdaReport,
+            jfraction.InversionResult, stirling.NestedSumSpec, divisors.DivisorGFRequest,
+            divisors.GFResult, reference.SpecialCaseReport,
         ]
 
     def test_records_are_slotted_plain_classes(self):

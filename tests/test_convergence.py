@@ -54,8 +54,9 @@ class TestThresholdRadius:
         assert 0.2067 <= threshold_radius(1e-300) <= 0.2068
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            threshold_radius(0)
+        for tolerance in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance must be > 0"):
+                threshold_radius(tolerance)
 
 
 class TestMargins:
