@@ -40,7 +40,6 @@ _EXPORTS = {
         "generating_series",
     ),
     "stirling": (
-        "NestedSumSpec",
         "first_column_formula_check",
         "nested_sum",
         "newton_girard_check",

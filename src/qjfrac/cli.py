@@ -68,7 +68,7 @@ _MAX_DIVISOR_COST = 2048
 _MAX_ZORDER = 64  # jfrac expand --preset reciprocal_qq --h 4 --zorder 64: 1.8 s; --zorder 96: 8.8 s
 _MAX_MARGIN_LEVELS = 500  # converge margins --q=0.1 --hmax 500: 1.0 s; --hmax 1000: 3.7 s
 _MAX_PROBE_LEVELS = 100  # converge probe --q=0.1 --hmax 100: 0.3 s; --hmax 400: 2.1 s
-_MAX_LEMMA_H = 8  # verify lemmas --h 8: 1.5-2.0 s (--spec random --h 10: 0.5 s); --h 9: 5.5 s
+_MAX_LEMMA_H = 8  # verify lemmas --h 8: 0.7-1.1 s (--spec random --h 10: 0.3 s); --h 9: 2.8-3.0 s
 # the --h of jfrac expand, jfrac triangle and divisor table, a bound on the
 # argument alone: their joint caps, _MAX_EXPAND_COST and _MAX_DIVISOR_COST,
 # bound the cost and bind first
@@ -102,13 +102,14 @@ _MAX_POCHHAMMER_COST = 2**29
 _MAX_QBT_COST = 2**27
 
 
-def _int_in(low: int, high: int):
-    """An argparse type for the integers low..high."""
+def _int_in(low: int, high: Optional[int] = None):
+    """An argparse type for the integers low..high, or for those >= low."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"expected {low}..{high}, got {text}")
+        if value < low or (high is not None and value > high):
+            expected = f">= {low}" if high is None else f"{low}..{high}"
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
@@ -211,7 +212,7 @@ def _args_table(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=_int_in(0, _MAX_ALPHA), required=True)
     p.add_argument("--h", type=_int_in(2, _MAX_DEPTH), required=True)
     p.add_argument("--order", type=_int_in(1, _MAX_ORDER), required=True)
-    p.add_argument("--mod", type=int, default=None)
+    p.add_argument("--mod", type=_int_in(2), default=None)
     _add_output_flags(p, ("json", "csv", "pretty"))
 
 

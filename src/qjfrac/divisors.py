@@ -28,7 +28,7 @@ flagged as empirical; anything beyond is untrusted.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, gcd
 from typing import Optional
 
 from .exact import QRationalFn, QSeries
@@ -101,9 +101,9 @@ class GFResult:
     def rows(self) -> list[dict]:
         """One row per coefficient 1 <= n < order: its value and window flags.
 
-        With a modulus p the value is the residue mod p, unless p divides the
-        coefficient's reduced denominator: then it cannot be read mod p, and
-        the row keeps the exact rational and is flagged."""
+        With a modulus p the value is the residue mod p, unless the
+        coefficient's reduced denominator shares a factor with p: then it has
+        no inverse mod p, and the row keeps the exact rational and is flagged."""
         req = self.request
         p = req.modulus
         out = []
@@ -111,7 +111,7 @@ class GFResult:
             c = self.series[n]
             row = [n, str(c), n < req.certified_below, req.certified_below <= n < req.empirical_below]
             if p is not None:
-                flagged = c.denominator % p == 0
+                flagged = gcd(c.denominator, p) > 1
                 if not flagged:
                     row[1] = c.numerator * pow(c.denominator, -1, p) % p
                 row.append(flagged)

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .exact import QRationalFn
 from .jfraction import convergent_pairs, lemma_report
 from .sequences import JFractionSpec, divisor_spec, pochhammer_c_display_form
-from .zalgebra import ZFraction, ZPolynomial, linear_product, linear_quotient, linear_step
+from .zalgebra import ZFraction, ZPolynomial, linear_product, linear_step
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
@@ -88,19 +88,6 @@ def newton_girard_check(spec: JFractionSpec, h: int, k: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class NestedSumSpec:
-    """Index data for the paired nested sums S_{h,m,s}."""
-
-    __slots__ = ("h", "m", "s")
-
-    def __init__(self, h: int, m: int, s: int):
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        self.h = h
-        self.m = m
-        self.s = s
-
-
 def _spaced_tuples(h: int, m: int):
     """All (k_1..k_m) with k_1 >= 2, k_{p+1} >= k_p + 2, k_m <= h, in
     lexicographic order."""
@@ -119,30 +106,34 @@ def _term(spec: JFractionSpec, ks: tuple[int, ...]) -> tuple[QRationalFn, list[i
     return w, fs
 
 
-def _cofactor(w: QRationalFn, fs: list[int], cs: dict[int, QRationalFn]) -> ZPolynomial:
-    """w times the linear factors 1 - c_i z of cs with i outside fs."""
-    return linear_product((c for i, c in cs.items() if i not in fs), w)
+def _cofactor(spec: JFractionSpec, w: QRationalFn, fs: Iterable[int], lcm: Counter) -> ZPolynomial:
+    """w times the linear factors 1 - c_i z of spec over the index multiset
+    lcm minus the indices fs: the numerator of w / prod_{i in fs}(1 - c_i z)
+    over the denominator prod_{i in lcm}(1 - c_i z)."""
+    return linear_product((spec.c(i) for i in (lcm - Counter(fs)).elements()), w)
 
 
-def nested_sum(spec: JFractionSpec, nss: NestedSumSpec) -> ZFraction:
+def nested_sum(spec: JFractionSpec, h: int, m: int, s: int) -> ZFraction:
     """The sum over spaced tuples 2 <= k_1, k_p + 2 <= k_{p+1}, k_m <= h with
     sum k_p = s of the terms
 
         prod_p ab_{k_p} / ((1 - c_{k_p - 1} z)(1 - c_{k_p} z)).
 
     The numerator expansion uses the index-shifted sums
-    S^[P]_{h,m,s} = nested_sum(spec.shifted(), NestedSumSpec(h, m, s - m)):
+    S^[P]_{h,m,s} = nested_sum(spec.shifted(), h, m, s - m):
     terms ab_{k_p + 1} / ((1 - c_{k_p} z)(1 - c_{k_p + 1} z)) with sum k_p = s - m.
 
     The result is returned over the common denominator formed by the union of
     the linear factors actually used; the empty sum is 0/1.
     """
-    terms = [_term(spec, ks) for ks in _spaced_tuples(nss.h, nss.m) if sum(ks) == nss.s]
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    terms = [_term(spec, ks) for ks in _spaced_tuples(h, m) if sum(ks) == s]
     if not terms:
         return ZFraction.zero()
-    used = {i: spec.c(i) for i in sorted(set().union(*(fs for _, fs in terms)))}
-    num = sum((_cofactor(w, fs, used) for w, fs in terms), ZPolynomial.zero())
-    return ZFraction(num, linear_product(used.values()))
+    used = Counter(set().union(*(fs for _, fs in terms)))
+    num = sum((_cofactor(spec, w, fs, used) for w, fs in terms), ZPolynomial.zero())
+    return ZFraction(num, linear_product(spec.c(i) for i in used))
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +161,12 @@ def _verify_expansion(
     """
     row = triangle_row(spec, h)
     D = ZPolynomial(row)
-    cs = {i: spec.c(i) for i in range(1, h + 1)}
+    factors = Counter(range(1, h + 1))
     numerators: dict[int, ZPolynomial] = {}
     for m in range(1, h // 2 + 1):
         N = ZPolynomial.zero()
         for ks in _spaced_tuples(h, m):
-            N = N + _cofactor(*_term(spec, ks), cs)
+            N = N + _cofactor(spec, *_term(spec, ks), factors)
         numerators[m] = N
     rhs = D
     for m, N in numerators.items():
@@ -241,30 +232,15 @@ def claim_triangle_residual(spec: JFractionSpec, h: int, k: int) -> QRationalFn:
     return _entry(triangle_row(shifted, h - 1), k) - entry_c - correction
 
 
-def _reduced_sum(terms) -> ZFraction:
-    """The sum of w / prod(1 - c z) over (w, cs) in terms, reduced, with
-    den(0) = 1, which makes it canonical.  Terms with equal denominators
-    (factors grouped by the value of c; c = 0 gives 1) are summed first, the
-    rest go over the lcm L of their denominators, and each factor of L that
-    divides the numerator is divided out."""
-    merged: dict[frozenset, QRationalFn] = defaultdict(lambda: _ZERO)
-    for w, cs in terms:
-        merged[frozenset(Counter(c for c in cs if not c.is_zero()).items())] += w
-    dens = [(w, Counter(dict(key))) for key, w in merged.items() if not w.is_zero()]
+def _cell_is_zero(spec: JFractionSpec, terms: dict[tuple[int, ...], QRationalFn]) -> bool:
+    """Whether the sum of w / prod_{i in fs}(1 - c_i z) over the items (fs, w)
+    of terms is zero: its numerator over the lcm of the index multisets fs,
+    whose linear factors all have constant term 1, is the zero polynomial."""
+    dens = [(w, fs) for fs, w in terms.items() if not w.is_zero()]
     lcm = Counter()
-    for _, den in dens:
-        lcm |= den
-    num = sum((linear_product((lcm - den).elements(), w) for w, den in dens), ZPolynomial.zero())
-    for c, e in lcm.items():
-        # at z = 1/c only the terms with the full power of 1 - c z survive, so
-        # with one such term it cannot divide num; otherwise divide it out while
-        # the synthetic division leaves no remainder
-        while num and lcm[c] and sum(d[c] == e for _, d in dens) > 1:
-            quotient, remainder = linear_quotient(num.coeffs, c)
-            if not remainder.is_zero():
-                break
-            num, lcm[c] = ZPolynomial(quotient), lcm[c] - 1
-    return ZFraction(num, linear_product(lcm.elements())) if num else ZFraction.zero()
+    for _, fs in dens:
+        lcm |= Counter(fs)
+    return not sum((_cofactor(spec, w, fs, lcm) for w, fs in dens), ZPolynomial.zero())
 
 
 def verify_claim_relations(spec: JFractionSpec, h: int, k: int) -> dict:
@@ -278,27 +254,44 @@ def verify_claim_relations(spec: JFractionSpec, h: int, k: int) -> dict:
             prod ab_{i_k} / ((1 - c_{i_k - 1} z)(1 - c_{i_k} z)),
 
     where the right side allows adjacent indices (so factors may repeat), is
-    reported as its reduced residual on the full (m, s) grid, without
-    assertion.  Returns the qjfrac/claim-report/2 report."""
+    reported cell by cell on the full (m, s) grid, as whether the difference
+    of the two sides is zero, without assertion.
+
+    The formula cannot hold as printed.  With e_k = ab_k / ((1 - c_{k-1} z)
+    (1 - c_k z)) and T(a..b; m', t) the sum of prod e_k over the spaced
+    m'-tuples with labels in a..b and label sum t (T = 1 for m' = 0 and
+    t = 0), S^[P]_{h,m,s} is the spaced sum over the labels 3..h+1, so the
+    tuples inside 3..h-1 cancel against S_{h-1,m,s} and
+
+        S_{h-1,m,s} - S^[P]_{h,m,s} = e_2 T(4..h-1; m-1, s-2)
+            - e_h T(3..h-2; m-1, s-h) - e_{h+1} T(3..h-1; m-1, s-h-1),
+
+    which the adjacent-allowed sum over 2..h does not match in general.
+
+    Each term of the three sums is a signed weight over its multiset of
+    factor indices; the shifted family's indices move up by one, since
+    spec.shifted().c(i) == spec.c(i + 1) (and so for ab).  Terms with equal
+    index multisets are summed first, which cancels the twins above, and the
+    cell is zero iff the rest cleared against the lcm of their index
+    multisets leaves the zero numerator (_cell_is_zero).  Returns the
+    qjfrac/claim-report/3 report."""
     tri_res = claim_triangle_residual(spec, h, k)
     nested = []
     for m in range(1, h // 2 + 1):
-        # the terms of the three sums, as (signed weight, c of each factor)
-        buckets = defaultdict(list)
-        for sign, sp, tuples, offset in (
-            (1, spec, _spaced_tuples(h - 1, m), 0),
-            (-1, spec.shifted(), _spaced_tuples(h, m), m),
-            (-1, spec, combinations(range(2, h + 1), m), 0),
+        # cells[s][factor indices] = summed signed weight
+        cells = defaultdict(lambda: defaultdict(lambda: _ZERO))
+        for sign, tuples in (
+            (1, _spaced_tuples(h - 1, m)),
+            (-1, (tuple(i + 1 for i in ks) for ks in _spaced_tuples(h, m))),
+            (-1, combinations(range(2, h + 1), m)),
         ):
             for ks in tuples:
-                w, fs = _term(sp, ks)
-                buckets[sum(ks) + offset].append((sign * w, [sp.c(i) for i in fs]))
+                w, fs = _term(spec, ks)
+                cells[sum(ks)][tuple(fs)] += sign * w
         for s in range(0, m * h + 1):
-            residual = _reduced_sum(buckets[s])
-            zero = residual.is_zero()
-            nested.append({"m": m, "s": s, "zero": zero, "residual": "0" if zero else str(residual)})
+            nested.append({"m": m, "s": s, "zero": _cell_is_zero(spec, cells[s])})
     return {
-        "schema": "qjfrac/claim-report/2",
+        "schema": "qjfrac/claim-report/3",
         "h": h,
         "k": k,
         "triangle_residual": str(tri_res),
@@ -431,7 +424,7 @@ def _tilde_d_block(j: int, spec: JFractionSpec) -> ZPolynomial:
         A = [_ZERO] * (2 * j + 2)
         for m in range(1, h // 2 + 1):
             for s in range(2 * m, m * h + 1):
-                ser = nested_sum(spec, NestedSumSpec(h, m, s)).series(2 * j)
+                ser = nested_sum(spec, h, m, s).series(2 * j)
                 for k in range(2 * m, min(s, 2 * j + 1) + 1):
                     A[k] = A[k] + ser[k - 2 * m] if m % 2 == 0 else A[k] - ser[k - 2 * m]
         U[h] = ZPolynomial(rows[h]) * ZPolynomial(A)

@@ -185,23 +185,6 @@ def linear_step(row: Sequence[QRationalFn], c: QRationalFn) -> list[QRationalFn]
     return out
 
 
-def linear_quotient(
-    row: Sequence[QRationalFn], c: QRationalFn
-) -> tuple[list[QRationalFn], QRationalFn]:
-    """The inverse of linear_step: synthetic division of the polynomial with
-    coefficients row by (1 - c z) from the constant term up, t_0 = r_0 and
-    t_k = r_k + c t_(k-1).  Returns (t_0 .. t_(n-1), t_n) for n = len(row) - 1:
-    row = (1 - c z)(t_0 + ... + t_(n-1) z^(n-1)) + t_n z^n, so (1 - c z)
-    divides row exactly when the remainder t_n is zero.  An empty row gives
-    ([], 0)."""
-    if not row:
-        return [], _ZERO
-    out = [row[0]]
-    for r in row[1:]:
-        out.append(r + c * out[-1])
-    return out[:-1], out[-1]
-
-
 def linear_product(cs: Iterable[QRationalFn], w: _Coeff = _ONE) -> ZPolynomial:
     """w (1 - c_1 z)(1 - c_2 z)... over the c_i of cs, by linear_step."""
     row = [_as_ratfn(w)]

@@ -31,7 +31,7 @@ from qjfrac.jfraction import (
 )
 from qjfrac.oracles import q_pochhammer
 from qjfrac.sequences import JFractionSpec
-from qjfrac.stirling import NestedSumSpec, _entry, nested_sum, triangle_row
+from qjfrac.stirling import _entry, nested_sum, triangle_row
 from qjfrac.zalgebra import ZPolynomial, ZSeries
 
 _ONE = QRationalFn.one()
@@ -424,7 +424,7 @@ def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> ZPolynom
     def s_series(h: int, m: int, s: int) -> ZSeries:
         key = (h, m, s)
         if key not in series:
-            series[key] = nested_sum(spec, NestedSumSpec(h, m, s)).series(order)
+            series[key] = nested_sum(spec, h, m, s).series(order)
         return series[key]
 
     coeffs = [_ZERO] * (2 * j + 2)

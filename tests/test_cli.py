@@ -90,6 +90,31 @@ class TestDivisorTable:
         assert run(["divisor", "table", "--alpha", "0", "--h", "4", "--order", "0"]) == 2
         assert run(["divisor", "table", "--alpha", "0", "--h", "4", "--order", "4", "--mod", "1"]) == 2
 
+    @pytest.mark.parametrize("mod", ["0", "1", "-3"])
+    def test_modulus_below_two_names_its_flag(self, capsys, mod):
+        # the parser used to take any int, and DivisorGFRequest's error did not name --mod
+        assert run(["divisor", "table", "--alpha", "0", "--h", "4", "--order", "4", f"--mod={mod}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --mod: expected >= 2, got {mod}" in captured.err
+
+    def test_composite_modulus_flags_a_denominator_sharing_a_factor(self, capsys, monkeypatch):
+        # every real table has integer coefficients, so the series is built by
+        # hand: 1/3 has no inverse mod 6 although 6 does not divide 3
+        from fractions import Fraction
+
+        from qjfrac import divisors
+        from qjfrac.exact import QRationalFn, QSeries
+
+        def generating_series(req):
+            return divisors.GFResult(req, QSeries(3, [0, Fraction(1, 3), Fraction(5, 7)]), QRationalFn.zero())
+
+        monkeypatch.setattr(divisors, "generating_series", generating_series)
+        code, out = run_capture(capsys, ["divisor", "table", "--alpha", "0", "--h", "2", "--order", "3", "--mod", "6"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [(row["value"], row["flagged"]) for row in rows] == [("1/3", True), (5, False)]
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -538,31 +563,32 @@ class TestVerify:
         [
             (
                 ["--h", "4"],
-                "92cbe892479f5de927569211b2cb34725446e665ecce1bc51cacda0023adba50",
+                "a572c2bb2b6c6ff35fd47f8a3c298289a48c811bfa2231c85e286ab8c533ef44",
             ),
             (
                 ["--h", "5"],
-                "7752ff6f6a92e01506c961cc6e6c0c24c8e02d7927b64d5435e5204245a7c527",
+                "20d5c7366e04cc0e34e14b269822e8c1acb0543d6f2a2944ea2ef73820069fbc",
             ),
             (
                 ["--spec", "random", "--seed", "0", "--h", "6"],
-                "b94a90bfcefae997f18ac888c4ca7a9c927cab8aa7d20bd006f7636f6ed76af4",
+                "401ff1c77224368504a10b76f65d459b6f3630faf5cd32a327dd570c31e762ac",
             ),
             (
                 ["--h", "4", "--format", "pretty"],
-                "4e6a2c6c61ffe628f1af9ada9ab612d5077d215db7f11d231195a0a7afab40e4",
+                "2cadd93063a548c8b32606cf28a4a124756df70bbb3aaacd1da4e81cfe577466",
             ),
             (
                 ["--spec", "random", "--seed", "3", "--h", "8"],
-                "2aaeccf66b4f4cf854ebfc4b481dd480e91a699870fdf5045bf926fafb6110b1",
+                "49a63a1ccf7d1b44cc57f87804dfe35f0e24bdd1fd8c5e817475e3fd47a257f2",
             ),
         ],
         ids=["qq2-h4", "qq2-h5", "random-seed0-h6", "qq2-h4-pretty", "random-seed3-h8"],
     )
     def test_lemmas_golden_output(self, capsys, argv, digest):
         # pinned stdout: refactors of the lemma layer must not change a byte.
-        # The claim residuals were pinned from the per-(m, s) route's
-        # residuals, reduced to the canonical form of claim-report/2
+        # Pinned from the claim-report/2 output, whose `zero` flags the
+        # per-(m, s) route confirmed, with each nested row's `residual` entry
+        # deleted and the schema bumped to claim-report/3
         code, out = run_capture(capsys, ["verify", "lemmas", *argv])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -977,13 +1003,13 @@ class TestPlainRecords:
 
     @staticmethod
     def records():
-        from qjfrac import divisors, jfraction, sequences, stirling
+        from qjfrac import divisors, jfraction, sequences
 
         import reference
 
         return [
             sequences.PochhammerParams, jfraction.ConvergentPair, reference.LambdaReport,
-            jfraction.InversionResult, stirling.NestedSumSpec, divisors.DivisorGFRequest,
+            jfraction.InversionResult, divisors.DivisorGFRequest,
             divisors.GFResult, reference.SpecialCaseReport,
         ]
 
@@ -997,7 +1023,6 @@ class TestPlainRecords:
         from qjfrac.divisors import DivisorGFRequest
         from qjfrac.exact import QRationalFn
         from qjfrac.jfraction import ConvergentPair, PochhammerParams
-        from qjfrac.stirling import NestedSumSpec
         from qjfrac.zalgebra import ZPolynomial
 
         one, zero, q = QRationalFn.one(), QRationalFn.zero(), QRationalFn.q()
@@ -1007,7 +1032,6 @@ class TestPlainRecords:
             (lambda: PochhammerParams(q, one), "b = 1 makes c_1"),
             (lambda: ConvergentPair(1, ZPolynomial([one, q]), ZPolynomial.one()), "degree bounds"),
             (lambda: ConvergentPair(2, ZPolynomial.one(), ZPolynomial([one, q, q, q])), "degree bounds"),
-            (lambda: NestedSumSpec(4, 0, 3), "m must be >= 1"),
             (lambda: DivisorGFRequest(-1, 4, 4), "alpha must be >= 0"),
             (lambda: DivisorGFRequest(0, 1, 4), "h must be >= 2"),
             (lambda: DivisorGFRequest(0, 4, 0), "order must be >= 1"),
@@ -1023,7 +1047,6 @@ class TestPlainRecords:
         from qjfrac.divisors import DivisorGFRequest
         from qjfrac.exact import QRationalFn
         from qjfrac.jfraction import ConvergentPair, PochhammerParams
-        from qjfrac.stirling import NestedSumSpec
         from qjfrac.zalgebra import ZPolynomial
 
         q = QRationalFn.q()
@@ -1031,8 +1054,6 @@ class TestPlainRecords:
         assert (params.a, params.b) == (q, q * q)
         pair = ConvergentPair(0, ZPolynomial.zero(), ZPolynomial.one())
         assert (pair.h, pair.P, pair.Q) == (0, ZPolynomial.zero(), ZPolynomial.one())
-        nss = NestedSumSpec(4, 1, 5)
-        assert (nss.h, nss.m, nss.s) == (4, 1, 5)
         req = DivisorGFRequest(1, 6, 12)
         assert (req.alpha, req.h, req.order, req.modulus) == (1, 6, 12, None)
         assert (req.certified_below, req.empirical_below) == (6, 12)

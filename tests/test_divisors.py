@@ -212,6 +212,13 @@ class TestCongruences:
         # 5/2 = 5 * 2 = 1 mod 3
         assert rows[1] == {"n": 2, "value": 1, "certified": False, "empirical": True, "flagged": False}
 
+    def test_denominator_sharing_a_factor_with_a_composite_p_is_flagged(self):
+        # 1/3 modulo 6: 6 does not divide 3, but 3 has no inverse mod 6 (pow
+        # used to raise); 5/7 = 5 * 7^-1 = 5 mod 6
+        req = DivisorGFRequest(0, 2, 3, modulus=6)
+        rows = GFResult(req, QSeries(3, [0, Fraction(1, 3), Fraction(5, 7)]), ZERO).rows()
+        assert [(r["value"], r["flagged"]) for r in rows] == [("1/3", True), (5, False)]
+
 
 class TestTildeD:
     def test_reports_well_formed(self):

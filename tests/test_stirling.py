@@ -13,7 +13,6 @@ from qjfrac import stirling
 from qjfrac.exact import QRationalFn
 from qjfrac.jfraction import ConvergentPair, JFractionSpec, convergents, random_rational_spec
 from qjfrac.stirling import (
-    NestedSumSpec,
     claim_triangle_residual,
     first_column_formula_check,
     nested_sum,
@@ -75,8 +74,8 @@ def claim_nested_difference_residual(
     formula: S_{h-1,m,s} - S^[P]_{h,m,s} minus the sum over the
     adjacent-allowed m-subsets of 2..h with sum s, as an unreduced ZFraction,
     with whether it is zero."""
-    lhs = nested_sum(spec, NestedSumSpec(h - 1, m, s)) - nested_sum(
-        spec.shifted(), NestedSumSpec(h, m, s - m)
+    lhs = nested_sum(spec, h - 1, m, s) - nested_sum(
+        spec.shifted(), h, m, s - m
     )
     rhs = ZFraction.zero()
     for idx in combinations(range(2, h + 1), m):
@@ -99,7 +98,7 @@ def per_slice_coefficients(spec: JFractionSpec, h: int) -> tuple:
     slices = []
     for m in range(1, h // 2 + 1):
         for s in range(0, m * h + 1):
-            slices.append((m, nested_sum(spec, NestedSumSpec(h, m, s)).series(h + 1)))
+            slices.append((m, nested_sum(spec, h, m, s).series(h + 1)))
     coeffs = []
     for n in range(0, h + 1):
         total = row[n]
@@ -231,7 +230,7 @@ class TestNewtonGirard:
 class TestNestedSums:
     def test_m1_collapse(self, qq2_spec):
         for s in range(2, 5):
-            got = nested_sum(qq2_spec, NestedSumSpec(4, 1, s))
+            got = nested_sum(qq2_spec, 4, 1, s)
             expect = ZFraction(
                 ZPolynomial.constant(qq2_spec.ab(s)),
                 ZPolynomial([ONE, -qq2_spec.c(s - 1)])
@@ -240,11 +239,13 @@ class TestNestedSums:
             assert got.equals(expect)
 
     def test_out_of_range_is_zero(self, qq2_spec):
-        assert nested_sum(qq2_spec, NestedSumSpec(4, 1, 9)).is_zero()
-        assert nested_sum(qq2_spec, NestedSumSpec(4, 2, 3)).is_zero()
+        assert nested_sum(qq2_spec, 4, 1, 9).is_zero()
+        assert nested_sum(qq2_spec, 4, 2, 3).is_zero()
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            nested_sum(qq2_spec, 4, 0, 3)
 
     def test_h4_m2_s6_single_pair(self, qq2_spec):
-        got = nested_sum(qq2_spec, NestedSumSpec(4, 2, 6))
+        got = nested_sum(qq2_spec, 4, 2, 6)
         den = ZPolynomial.one()
         for i in range(1, 5):
             den = den * ZPolynomial([ONE, -qq2_spec.c(i)])
@@ -258,7 +259,7 @@ class TestNestedSums:
         h, m = 6, 2
         total = ZFraction.zero()
         for s in range(0, m * h + 1):
-            total = total + nested_sum(spec, NestedSumSpec(h, m, s))
+            total = total + nested_sum(spec, h, m, s)
         brute = ZFraction.zero()
         for k1 in range(2, h + 1):
             for k2 in range(k1 + 2, h + 1):
@@ -271,7 +272,7 @@ class TestNestedSums:
 
     def test_shifted_variant_constraint(self, qq2_spec):
         # S^[P] on the shifted spec uses ab_{k+1} terms and the sum-s-minus-m constraint
-        got = nested_sum(qq2_spec.shifted(), NestedSumSpec(3, 1, 3 - 1))
+        got = nested_sum(qq2_spec.shifted(), 3, 1, 3 - 1)
         expect = ZFraction(
             ZPolynomial.constant(qq2_spec.ab(3)),
             ZPolynomial([ONE, -qq2_spec.c(2)])
@@ -286,7 +287,7 @@ class TestNestedSums:
         for h in range(2, h_max + 1):
             for m in range(1, h // 2 + 2):
                 for s in range(0, m * (h + 2) + 1):
-                    got = nested_sum(shifted, NestedSumSpec(h, m, s - m))
+                    got = nested_sum(shifted, h, m, s - m)
                     ref = shifted_nested_sum_reference(spec, h, m, s)
                     assert got.num == ref.num and got.den == ref.den, (h, m, s)
 
@@ -390,53 +391,85 @@ class TestClaim:
 
     def test_full_report_well_formed(self, qq2_spec):
         data = verify_claim_relations(qq2_spec, 4, 2)
-        assert data["schema"] == "qjfrac/claim-report/2"
+        assert data["schema"] == "qjfrac/claim-report/3"
         assert data["triangle_ok"]
         assert len(data["nested_residuals"]) > 0
         for row in data["nested_residuals"]:
-            assert set(row) == {"m", "s", "zero", "residual"}
+            assert list(row) == ["m", "s", "zero"]
 
     @pytest.mark.parametrize(
         "seed, h_max", [(None, 6), (3, 8), (11, 8), (29, 8), (47, 8), (61, 8)]
     )
-    def test_one_pass_matches_the_per_slice_route(self, qq2_spec, monkeypatch, seed, h_max):
-        # each residual equals the oracle's, is zero exactly when it is, and
-        # is reduced: den(0) = 1 and no factor 1 - c z of den divides num
+    def test_one_pass_matches_the_per_slice_route(self, qq2_spec, seed, h_max):
+        # each cell of the (m, s) grid is zero exactly when the oracle's
+        # unreduced residual is
         spec = qq2_spec if seed is None else random_rational_spec(seed)
-        real = stirling._reduced_sum
-        residuals = []
-        monkeypatch.setattr(stirling, "_reduced_sum", lambda terms: residuals.append(real(terms)) or residuals[-1])
         for h in range(2, h_max + 1):
-            residuals.clear()
             rows = verify_claim_relations(spec, h, 2)["nested_residuals"]
-            roots = {ONE / spec.c(i) for i in range(1, h + 2) if not spec.c(i).is_zero()}
-            for row, got in zip(rows, residuals, strict=True):
-                ref, ref_zero = claim_nested_difference_residual(spec, h, row["m"], row["s"])
-                assert row["zero"] == got.is_zero() == ref_zero, (h, row)
-                assert got.equals(ref), (h, row)
-                if not ref_zero:
-                    assert row["residual"] == str(got)
-                    assert got.den.coefficient(0) == ONE
-                    assert all(not got.num.evaluate(r).is_zero() for r in roots if got.den.evaluate(r).is_zero())
+            grid = [(m, s) for m in range(1, h // 2 + 1) for s in range(0, m * h + 1)]
+            assert [(row["m"], row["s"]) for row in rows] == grid
+            for row in rows:
+                _, ref_zero = claim_nested_difference_residual(spec, h, row["m"], row["s"])
+                assert row["zero"] == ref_zero, (h, row)
 
     @pytest.mark.parametrize("seed, h", [(None, 5), (7, 8)])
     def test_residual_text_does_not_depend_on_term_order(self, qq2_spec, monkeypatch, seed, h):
         spec = qq2_spec if seed is None else random_rational_spec(seed)
         forward = json.dumps(verify_claim_relations(spec, h, 2))
-        real = stirling._reduced_sum
-        monkeypatch.setattr(stirling, "_reduced_sum", lambda terms: real(terms[::-1]))
+        real = stirling._cell_is_zero
+        monkeypatch.setattr(stirling, "_cell_is_zero", lambda sp, terms: real(sp, dict(reversed(terms.items()))))
         assert json.dumps(verify_claim_relations(spec, h, 2)) == forward
 
-    def test_reduced_sum_cancels_common_factors(self):
-        # a/(a-b)/(1-az)^2 - 1/((1-az)^2 (1-bz)) = b/(a-b) / ((1-az)(1-bz)),
-        # with a factor c = 0 (that is, 1) in one term
+    def test_cell_is_zero_across_equal_c_values(self):
+        # indices 1 and 4 share c = a, and c_2 = 0 gives the factor 1: the
+        # cleared numerator is exact whether or not the c-values coincide
         a, b = Q, Q * Q
-        lin_a, lin_b = ZPolynomial([ONE, -a]), ZPolynomial([ONE, -b])
-        got = stirling._reduced_sum([(a / (a - b), [a, a]), (-ONE, [a, ZERO, b, a])])
-        assert str(got) == str(ZFraction(ZPolynomial.constant(b / (a - b)), lin_a * lin_b))
-        assert stirling._reduced_sum([(ONE, [a]), (-ONE, [ZERO, a])]).is_zero()
-        got = stirling._reduced_sum([(ONE, [a, a]), (-ONE, [a])])
-        assert (got.num, got.den) == (ZPolynomial.monomial(1, a), lin_a * lin_a)
+        spec = JFractionSpec.from_tables("equal-c", [a, ZERO, b, a], [ONE] * 3)
+        assert stirling._cell_is_zero(spec, {(1,): ONE, (2, 4): -ONE})
+        assert stirling._cell_is_zero(spec, {})
+        assert stirling._cell_is_zero(spec, {(1,): ZERO})
+        # 1/((1-az)(1-bz)) = a/(a-b)/(1-az) - b/(a-b)/(1-bz), with 1 - az as c_1 or c_4
+        for i in (1, 4):
+            assert stirling._cell_is_zero(spec, {(3, i): ONE, (1,): -a / (a - b), (3,): b / (a - b)})
+        # a/(a-b)/(1-az)^2 - 1/((1-az)^2 (1-bz)) = b/(a-b) / ((1-az)(1-bz)) is not zero
+        assert not stirling._cell_is_zero(spec, {(1, 1): a / (a - b), (1, 2, 3, 4): -ONE})
+        assert not stirling._cell_is_zero(spec, {(1, 1): ONE, (1,): -ONE})
+
+    @pytest.mark.parametrize("seed, h_max", [(None, 6), (5, 8), (13, 8)])
+    def test_difference_is_three_boundary_terms(self, qq2_spec, seed, h_max):
+        # S_{h-1,m,s} - S^[P]_{h,m,s} = e_2 T(4..h-1; m-1, s-2)
+        #     - e_h T(3..h-2; m-1, s-h) - e_{h+1} T(3..h-1; m-1, s-h-1),
+        # the identity stated in verify_claim_relations
+        spec = qq2_spec if seed is None else random_rational_spec(seed)
+
+        def e_product(ks) -> ZFraction:
+            num, den = ONE, ZPolynomial.one()
+            for k in ks:
+                num = num * spec.ab(k)
+                den = den * ZPolynomial([ONE, -spec.c(k - 1)]) * ZPolynomial([ONE, -spec.c(k)])
+            return ZFraction(ZPolynomial.constant(num), den)
+
+        def boundary(first, low, high, m, t) -> ZFraction:
+            # e_first T(low..high; m, t): spaced m-tuples of low..high with label sum t
+            total = ZFraction.zero()
+            for ks in combinations(range(low, high + 1), m):
+                if sum(ks) == t and all(b - a >= 2 for a, b in zip(ks, ks[1:])):
+                    total = total + e_product((first, *ks))
+            return total
+
+        cells = 0
+        for h in range(2, h_max + 1):
+            for m in range(1, h // 2 + 2):
+                for s in range(0, m * (h + 1) + 1):
+                    lhs = nested_sum(spec, h - 1, m, s) - nested_sum(spec.shifted(), h, m, s - m)
+                    rhs = (
+                        boundary(2, 4, h - 1, m - 1, s - 2)
+                        - boundary(h, 3, h - 2, m - 1, s - h)
+                        - boundary(h + 1, 3, h - 1, m - 1, s - h - 1)
+                    )
+                    assert lhs.equals(rhs), (h, m, s)
+                    cells += 1
+        assert cells > 100
 
 
 class TestPQRelation:

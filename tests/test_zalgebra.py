@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qjfrac.exact import QRationalFn
-from qjfrac.zalgebra import ZFraction, ZPolynomial, ZSeries, linear_product, linear_quotient, linear_step
+from qjfrac.zalgebra import ZFraction, ZPolynomial, ZSeries, linear_product, linear_step
 
 from conftest import parse
 
@@ -64,31 +64,6 @@ class TestLinearProduct:
         # a triangle row keeps h + 1 entries even when c_h = 0
         assert linear_step([ONE, -Q], QRationalFn.zero()) == [ONE, -Q, QRationalFn.zero()]
         assert linear_step([], Q) == []
-
-
-class TestLinearQuotient:
-    @settings(max_examples=60, deadline=None)
-    @given(_cs, st.sampled_from(_C_POOL))
-    def test_inverts_linear_step(self, row, c):
-        # rows and c drawn from a pool with zero: empty rows, c = 0 and zero
-        # coefficients all occur
-        assert linear_quotient(linear_step(row, c), c) == (row, QRationalFn.zero())
-
-    @settings(max_examples=60, deadline=None)
-    @given(_cs.filter(bool), st.sampled_from(_C_POOL))
-    def test_remainder_completes_the_row(self, row, c):
-        # row = (1 - c z) t + rem z^(len(row) - 1)
-        t, rem = linear_quotient(row, c)
-        expect = ZPolynomial(linear_step(t, c)) + ZPolynomial.monomial(len(row) - 1, rem)
-        assert ZPolynomial(row) == expect
-
-    def test_edge_cases(self):
-        zero = QRationalFn.zero()
-        assert linear_quotient([], Q) == ([], zero)
-        assert linear_quotient([ONE], Q) == ([], ONE)
-        assert linear_quotient([ONE, -Q], Q) == ([ONE], zero)
-        assert linear_quotient([ONE, zero, -Q * Q], Q) == ([ONE, Q], zero)
-        assert linear_quotient([ONE, ONE], Q) == ([ONE], ONE + Q)
 
 
 class TestZSeries:
