@@ -85,6 +85,35 @@ class TestDivisorTable:
             sigma_alpha(data["alpha"], row["n"]) for row in data["rows"]
         ]
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--alpha", "1", "--h", "6", "--order", "12", "--mod", "7"],
+                "447d11d0f2f12e512023a01a19bf75ce49a0dd88d2d67151c09b7eae58fb2857",
+            ),
+            (
+                ["--alpha", "1", "--h", "6", "--order", "12", "--mod", "7", "--format", "csv"],
+                "d1b793010803d8c9be53e0a0394dd388da9d7986686d510426b1115b9a296729",
+            ),
+            (
+                ["--alpha", "1", "--h", "6", "--order", "12", "--mod", "7", "--format", "pretty"],
+                "22f5cfb068c04e3c35f528140482324ccc060a5db0995c57b757c1721b45a09c",
+            ),
+            (
+                ["--alpha", "0", "--h", "3", "--order", "1", "--format", "csv"],
+                "d6ebda7ac607c26dbb4686f5984ab5af15ddc03997232305786cac6da8302e3e",
+            ),
+        ],
+        ids=["mod7-json", "mod7-csv", "mod7-pretty", "header-only-csv"],
+    )
+    def test_golden_output_of_each_format(self, capsys, argv, digest):
+        # pinned stdout of the residue table in every format, and of a csv
+        # table with no rows, which prints its header alone
+        code, out = run_capture(capsys, ["divisor", "table", *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bounds_checked(self, capsys):
         assert run(["divisor", "table", "--alpha", "-1", "--h", "4", "--order", "4"]) == 2
         assert run(["divisor", "table", "--alpha", "0", "--h", "4", "--order", "0"]) == 2
@@ -435,6 +464,19 @@ class TestInvert:
         assert run(["jfrac", "invert", "--target", "nope", "--depth", "2"]) == 2
         assert run(["jfrac", "invert", "--target", "one_over_1mqn", "--depth", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "target, digest",
+        [
+            ("one_over_1mqn", "a2d31f194e5e9bfaa644a31b454356fcf1cedd7a6b06470f3c0c4e6e05a0b0d8"),
+            ("n_over_1mqn", "862709b6fd59175780d3ecba0005ae1850b9c880209c07b72df9ff60c832c2da"),
+        ],
+    )
+    def test_golden_output(self, capsys, target, digest):
+        # pinned stdout of the README inversions
+        code, out = run_capture(capsys, ["jfrac", "invert", "--target", target, "--depth", "3"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_deterministic(self, capsys):
         argv = ["jfrac", "invert", "--target", "n_over_1mqn", "--depth", "3"]
         _, out1 = run_capture(capsys, argv)
@@ -581,8 +623,13 @@ class TestVerify:
                 ["--spec", "random", "--seed", "3", "--h", "8"],
                 "49a63a1ccf7d1b44cc57f87804dfe35f0e24bdd1fd8c5e817475e3fd47a257f2",
             ),
+            (
+                # the random spec of the benchmark's lemma_suite at seed 1
+                ["--spec", "random", "--seed", "948928", "--h", "8"],
+                "1b03932f5c5fea1822ac303bf6df146a09c0f80aad8acdbb7d729790320ea6ea",
+            ),
         ],
-        ids=["qq2-h4", "qq2-h5", "random-seed0-h6", "qq2-h4-pretty", "random-seed3-h8"],
+        ids=["qq2-h4", "qq2-h5", "random-seed0-h6", "qq2-h4-pretty", "random-seed3-h8", "random-seed948928-h8"],
     )
     def test_lemmas_golden_output(self, capsys, argv, digest):
         # pinned stdout: refactors of the lemma layer must not change a byte.
