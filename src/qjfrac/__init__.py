@@ -25,7 +25,6 @@ _EXPORTS = {
     ),
     "jfraction": (
         "ConvergentPair",
-        "InversionResult",
         "convergent_coefficients",
         "convergent_pairs",
         "convergent_sum_decomposition",
@@ -35,10 +34,7 @@ _EXPORTS = {
         "table1_preset",
         "telescoping_residual",
     ),
-    "divisors": (
-        "DivisorGFRequest",
-        "generating_series",
-    ),
+    "divisors": ("generating_series",),
     "stirling": (
         "first_column_formula_check",
         "nested_sum",

@@ -340,18 +340,7 @@ def _cmd_triangle(args) -> int:
 def _cmd_invert(args) -> int:
     from . import jfraction
 
-    order = 2 * args.depth
-    target = jfraction.INVERSION_TARGETS[args.target](order)
-    result = jfraction.series_to_jfraction(target, args.depth)
-    payload = {
-        "schema": "qjfrac/invert/1",
-        "target": args.target,
-        "depth": result.depth,
-        "terminated": result.terminated,
-        "c": [str(v) for v in result.c],
-        "ab": [str(v) for v in result.ab],
-    }
-    _emit(payload, args.format, args.output)
+    _emit(jfraction.invert(args.target, args.depth), args.format, args.output)
     return 0
 
 
@@ -362,32 +351,9 @@ def _cmd_lemmas(args) -> int:
         spec = jfraction.divisor_spec()
     else:
         spec = jfraction.random_rational_spec(args.seed, length=16)
-    reports = []
-    for h in range(2, args.h + 1):
-        reports.append(stirling.verify_Qh_expansion(spec, h))
-        reports.append(stirling.verify_Ph_expansion(spec, h))
-        if args.spec == "qq2":
-            reports.append(stirling.verify_PQ_coefficient_relation(spec, h))
-    reports.append(jfraction.convergent_sum_decomposition(spec, args.h))
-    ok = all(r["status"] == "ok" for r in reports)
-    # measured residual reports: emitted for inspection, never gate the exit code
-    checker_reports = [
-        stirling.newton_girard_check(spec, args.h, min(2, args.h)),
-        stirling.verify_claim_relations(spec, args.h, min(2, args.h)),
-    ]
-    if args.spec == "qq2":
-        checker_reports.append(stirling.first_column_formula_check(spec, args.h))
-        checker_reports.append(stirling.tilde_D0j(1))
-    payload = {
-        "schema": "qjfrac/verify-lemmas/1",
-        "spec": spec.name,
-        "h_max": args.h,
-        "status": "ok" if ok else "mismatch",
-        "reports": reports,
-        "checker_reports": checker_reports,
-    }
+    payload = stirling.lemma_suite(spec, args.h)
     _emit(payload, args.format, args.output)
-    return 0 if ok else 1
+    return 0 if payload["status"] == "ok" else 1
 
 
 def _cmd_divisor_table(args) -> int:
@@ -399,15 +365,8 @@ def _cmd_divisor_table(args) -> int:
         )
     from . import divisors
 
-    req = divisors.DivisorGFRequest(args.alpha, args.h, args.order, args.mod)
-    result = divisors.generating_series(req)
-    payload = {"schema": "qjfrac/divisor-table/1", "alpha": args.alpha, "h": args.h}
-    if args.mod is None:
-        payload["generator"] = str(result.generator)
-    else:
-        payload["modulus"] = args.mod
-    payload["rows"] = result.rows()
-    _emit(payload, args.format, args.output, result.columns)
+    payload, columns = divisors.table(args.alpha, args.h, args.order, args.mod)
+    _emit(payload, args.format, args.output, columns)
     return 0
 
 

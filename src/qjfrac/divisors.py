@@ -1,7 +1,7 @@
 """Divisor-function and sums-of-divisors generating functions built on the
 (q, q^2) J-fraction: each table series together with the single reduced
-rational function that generates it, and its table rows, plain or modulo an
-integer.
+rational function that generates it (`generating_series`), and the table
+that `divisor table` prints, plain or modulo an integer (`table`).
 
 Conventions.  The depth-h convergent C_h(q, z) has [z^n] C_h = (1-q)/(1-q^(n+1))
 for n < 2h, so q*C_h(q, q)/(1-q) = sum over m >= 1 of q^m/(1-q^m) + error terms,
@@ -49,76 +49,6 @@ def _stirling2_row(alpha: int) -> list[int]:
     return row
 
 
-class DivisorGFRequest:
-    """Parameters of one generating-function computation."""
-
-    __slots__ = ("alpha", "h", "order", "modulus")
-
-    def __init__(self, alpha: int, h: int, order: int, modulus: Optional[int] = None):
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if h < 2:
-            raise ValueError("h must be >= 2")
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if modulus is not None and modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        self.alpha = alpha
-        self.h = h
-        self.order = order
-        self.modulus = modulus
-
-    @property
-    def certified_below(self) -> int:
-        """Coefficients 1 <= n < h are theorem-certified."""
-        return self.h
-
-    @property
-    def empirical_below(self) -> int:
-        """Coefficients h <= n < 2h hold on the tested window, flagged empirical."""
-        return 2 * self.h
-
-
-class GFResult:
-    __slots__ = ("request", "series", "generator")
-
-    def __init__(
-        self,
-        request: DivisorGFRequest,
-        series: QSeries,
-        generator: QRationalFn,  # the reduced rational function whose expansion is `series`
-    ):
-        self.request = request
-        self.series = series
-        self.generator = generator
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        """The keys of each row, in order; a modulus adds `flagged`."""
-        cols = ("n", "value", "certified", "empirical")
-        return cols if self.request.modulus is None else cols + ("flagged",)
-
-    def rows(self) -> list[dict]:
-        """One row per coefficient 1 <= n < order: its value and window flags.
-
-        With a modulus p the value is the residue mod p, unless the
-        coefficient's reduced denominator shares a factor with p: then it has
-        no inverse mod p, and the row keeps the exact rational and is flagged."""
-        req = self.request
-        p = req.modulus
-        out = []
-        for n in range(1, self.series.order):
-            c = self.series[n]
-            row = [n, str(c), n < req.certified_below, req.certified_below <= n < req.empirical_below]
-            if p is not None:
-                flagged = gcd(c.denominator, p) > 1
-                if not flagged:
-                    row[1] = c.numerator * pow(c.denominator, -1, p) % p
-                row.append(flagged)
-            out.append(dict(zip(self.columns, row)))
-        return out
-
-
 def _z_jet(alpha: int) -> ZSeries:
     """z = q + t as a Taylor jet in t truncated after t^alpha."""
     return ZSeries(alpha + 1, (_Q, _ONE)[: alpha + 1])
@@ -156,9 +86,49 @@ def _generator(alpha: int, h: int) -> QRationalFn:
     return _ONE + gen if alpha == 0 else gen
 
 
-def generating_series(req: DivisorGFRequest) -> GFResult:
-    """The request's series, [q^n] = sigma_alpha(n) inside the window (d(n) at
-    alpha = 0, whose series keeps the constant-1 artifact), together with the
-    reduced rational function that it expands."""
-    gen = _generator(req.alpha, req.h)
-    return GFResult(req, gen.taylor(req.order), gen)
+def generating_series(alpha: int, h: int, order: int) -> tuple[QRationalFn, QSeries]:
+    """(generator, series) for weight n^alpha at depth h: the reduced rational
+    function and its expansion to `order` terms, [q^n] = sigma_alpha(n) inside
+    the window (d(n) at alpha = 0, whose series keeps the constant-1
+    artifact)."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    if h < 2:
+        raise ValueError("h must be >= 2")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    gen = _generator(alpha, h)
+    return gen, gen.taylor(order)
+
+
+def table(alpha: int, h: int, order: int, modulus: Optional[int] = None) -> tuple[dict, tuple[str, ...]]:
+    """The qjfrac/divisor-table/1 payload of generating_series(alpha, h, order),
+    and the keys of each of its rows, in order (the csv columns).
+
+    The payload carries the generator, or the modulus when there is one, and
+    one row per coefficient 1 <= n < order: its value and window flags.  With
+    a modulus p the value is the residue mod p, unless the coefficient's
+    reduced denominator shares a factor with p: then it has no inverse mod p,
+    and the row keeps the exact rational and is flagged."""
+    if modulus is not None and modulus < 2:
+        raise ValueError("modulus must be >= 2")
+    gen, series = generating_series(alpha, h, order)
+    payload = {"schema": "qjfrac/divisor-table/1", "alpha": alpha, "h": h}
+    columns = ("n", "value", "certified", "empirical")
+    if modulus is None:
+        payload["generator"] = str(gen)
+    else:
+        payload["modulus"] = modulus
+        columns += ("flagged",)
+    rows = []
+    for n in range(1, series.order):
+        c = series[n]
+        row = [n, str(c), n < h, h <= n < 2 * h]
+        if modulus is not None:
+            flagged = gcd(c.denominator, modulus) > 1
+            if not flagged:
+                row[1] = c.numerator * pow(c.denominator, -1, modulus) % modulus
+            row.append(flagged)
+        rows.append(dict(zip(columns, row)))
+    payload["rows"] = rows
+    return payload, columns

@@ -4,10 +4,10 @@ This module builds the depth-h convergents P_h/Q_h of a J-fraction (its
 coefficient sequences live in `sequences`) from the two-term recurrence,
 extracts their power-series coefficients, verifies their telescoping
 decomposition into blocks, inverts a target series back into (c, ab), and
-provides the other tabulated sequence families.  `lemma_report` builds the
-JSON record that every exact identity check returns, here and in
-`stirling`.  The names of the sequence layer that callers import from here
-are re-exported.
+provides the other tabulated sequence families.  `invert` builds the JSON
+record that `jfrac invert` prints, and `lemma_report` the one that every
+exact identity check returns, here and in `stirling`.  The names of the
+sequence layer that callers import from here are re-exported.
 """
 
 from __future__ import annotations
@@ -152,26 +152,11 @@ def convergent_sum_decomposition(spec: JFractionSpec, h: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class InversionResult:
-    __slots__ = ("c", "ab", "terminated")
-
-    def __init__(
-        self,
-        c: list[QRationalFn],  # c_1 .. c_depth
-        ab: list[QRationalFn],  # ab_2 .. ab_depth
-        terminated: bool,  # an ab vanished before the requested depth
-    ):
-        self.c = c
-        self.ab = ab
-        self.terminated = terminated
-
-    @property
-    def depth(self) -> int:
-        return len(self.c)
-
-
-def series_to_jfraction(target: ZSeries, depth: int) -> InversionResult:
-    """Recover c_1..c_depth and ab_2..ab_depth from a series with constant term 1.
+def series_to_jfraction(
+    target: ZSeries, depth: int
+) -> tuple[list[QRationalFn], list[QRationalFn], bool]:
+    """Recover (c, ab, terminated), c_1..c_depth and ab_2..ab_depth, from a
+    series with constant term 1.
 
     Step k peels one layer off the continued fraction:
         u = (1 - 1/r_k)/z,   c_k = u(0),   ab_{k+1} = [z^1](u - c_k),
@@ -197,10 +182,10 @@ def series_to_jfraction(target: ZSeries, depth: int) -> InversionResult:
         w = u - ZSeries(u.order, (c_k,))
         ab_next = w[1]
         if ab_next.is_zero():
-            return InversionResult(cs, abs_, True)
+            return cs, abs_, True
         abs_.append(ab_next)
         r = w.divide_z() / ab_next
-    return InversionResult(cs, abs_, False)
+    return cs, abs_, False
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +206,24 @@ INVERSION_TARGETS: dict[str, Callable[[int], ZSeries]] = {
     "n_over_1mqn": lambda order: lambert_ratio_target(1, order),
     "n2_over_1mqn": lambda order: lambert_ratio_target(2, order),
 }
+
+
+def invert(target: str, depth: int) -> dict:
+    """The qjfrac/invert/1 record of the named target series inverted to
+    depth `depth` (from its first 2*depth coefficients)."""
+    if target not in INVERSION_TARGETS:
+        raise ValueError(f"unknown target {target!r}; choose from {sorted(INVERSION_TARGETS)}")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    c, ab, terminated = series_to_jfraction(INVERSION_TARGETS[target](2 * depth), depth)
+    return {
+        "schema": "qjfrac/invert/1",
+        "target": target,
+        "depth": len(c),
+        "terminated": terminated,
+        "c": [str(v) for v in c],
+        "ab": [str(v) for v in ab],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ and denominator polynomials; and the measured comparison of the tabulated
 quadruple-sum block with Q_j Q_{j+1} (`tilde_D0j`).
 
 Every check here clears denominators down to a ZPolynomial identity over
-Q(q)[z]; no two-variable gcd is ever needed.  Each check returns the JSON
-report that `verify lemmas` prints: the identity checks a lemma report
-(jfraction.lemma_report), the measured ones their own schema.
+Q(q)[z]; no two-variable gcd is ever needed.  Each check returns a JSON
+report: the identity checks a lemma report (jfraction.lemma_report), the
+measured ones their own schema.  `lemma_suite` runs the checks of one spec
+and returns the record that `verify lemmas` prints.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 from .exact import QRationalFn
-from .jfraction import convergent_pairs, lemma_report
+from .jfraction import convergent_pairs, convergent_sum_decomposition, lemma_report
 from .sequences import JFractionSpec, divisor_spec, pochhammer_c_display_form
 from .zalgebra import ZFraction, ZPolynomial, linear_product, linear_step
 
@@ -464,4 +465,45 @@ def _tilde_d_report(j: int, spec: JFractionSpec, quad: ZPolynomial) -> dict:
         "proportional_factor": str(factor) if factor is not None else None,
         "quad_sum_degree": quad.degree,
         "product_degree": product.degree,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the suite that `verify lemmas` runs
+# ---------------------------------------------------------------------------
+
+
+def lemma_suite(spec: JFractionSpec, h: int) -> dict:
+    """The qjfrac/verify-lemmas/1 record of spec to depth h.
+
+    Its status is "ok" when every identity check in `reports` passed: the
+    Q_h and P_h expansions at each depth 2..h and the convergent-sum
+    decomposition at h.  `checker_reports` holds the measured residuals
+    (Newton-Girard and the claim, at k = min(2, h)), which never set the
+    status.  When spec is the shared divisor_spec(), the checks that hold for
+    the (q, q^2) sequences only run too: the numerator-from-denominator
+    relation at each depth among the identity checks, and the first-column
+    formula and the quadruple-sum block at j = 1 among the measured ones."""
+    qq2 = spec is divisor_spec()
+    reports = []
+    for i in range(2, h + 1):
+        reports.append(verify_Qh_expansion(spec, i))
+        reports.append(verify_Ph_expansion(spec, i))
+        if qq2:
+            reports.append(verify_PQ_coefficient_relation(spec, i))
+    reports.append(convergent_sum_decomposition(spec, h))
+    checker_reports = [
+        newton_girard_check(spec, h, min(2, h)),
+        verify_claim_relations(spec, h, min(2, h)),
+    ]
+    if qq2:
+        checker_reports.append(first_column_formula_check(spec, h))
+        checker_reports.append(tilde_D0j(1))
+    return {
+        "schema": "qjfrac/verify-lemmas/1",
+        "spec": spec.name,
+        "h_max": h,
+        "status": "ok" if all(r["status"] == "ok" for r in reports) else "mismatch",
+        "reports": reports,
+        "checker_reports": checker_reports,
     }

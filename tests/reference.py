@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from qjfrac.divisors import (
-    DivisorGFRequest,
-    GFResult,
-    _convergent_jets,
-    _generator,
-    _transform_at_q,
-    _z_jet,
-    generating_series,
-)
+from qjfrac.divisors import _convergent_jets, _generator, _transform_at_q, _z_jet, generating_series
 from qjfrac.exact import QRationalFn, QSeries
 from qjfrac.jfraction import (
     PochhammerParams,
@@ -43,35 +35,35 @@ _qpow = QRationalFn.qpow
 # -- divisor tables: the wrappers over divisors.generating_series --------------
 
 
-def divisor_gf(req: DivisorGFRequest) -> GFResult:
+def divisor_gf(alpha: int, h: int, order: int) -> QSeries:
     """Divisor-count series: [q^n] = d(n) for 1 <= n inside the window, constant 1."""
-    if req.alpha != 0:
+    if alpha != 0:
         raise ValueError("divisor_gf is the alpha = 0 case; use sigma_gf")
-    return generating_series(req)
+    return generating_series(alpha, h, order)[1]
 
 
-def sigma_gf(req: DivisorGFRequest) -> GFResult:
+def sigma_gf(alpha: int, h: int, order: int) -> QSeries:
     """Sums-of-divisors series: [q^n] = sigma_alpha(n) inside the window, [q^0] = 0."""
-    if req.alpha < 1:
+    if alpha < 1:
         raise ValueError("sigma_gf requires alpha >= 1; use divisor_gf")
-    return generating_series(req)
+    return generating_series(alpha, h, order)[1]
 
 
-def rational_approximant(req: DivisorGFRequest) -> QRationalFn:
-    """Single reduced rational function in q whose expansion is the request's series."""
-    return _generator(req.alpha, req.h)
+def rational_approximant(alpha: int, h: int) -> QRationalFn:
+    """Single reduced rational function in q whose expansion is the series of
+    weight n^alpha at depth h."""
+    return _generator(alpha, h)
 
 
-def partial_sums(req: DivisorGFRequest) -> GFResult:
+def partial_sums(alpha: int, h: int, order: int) -> QSeries:
     """Running totals: [q^x] = sum_{n <= x} sigma_alpha(n) inside the window.
 
     One extra 1/(1-q) factor over the plain series; the alpha = 0 case drops
     the constant-1 artifact first so that [q^0] = 0."""
-    gen = _generator(req.alpha, req.h)
-    if req.alpha == 0:
+    gen = _generator(alpha, h)
+    if alpha == 0:
         gen = gen - _ONE
-    gen = gen / (_ONE - _Q)
-    return GFResult(req, gen.taylor(req.order), gen)
+    return (gen / (_ONE - _Q)).taylor(order)
 
 
 # -- divisor tables: the alpha in {1, 2} special cases along three routes ------
@@ -147,8 +139,7 @@ def sigma_special_case_check(alpha: int, h: int, order: Optional[int] = None) ->
         raise ValueError("explicit displays exist for alpha in {1, 2} only")
     if order is None:
         order = h + 1
-    req = DivisorGFRequest(alpha, h, order)
-    primary = sigma_gf(req).series
+    primary = sigma_gf(alpha, h, order)
 
     spec = divisor_spec()
     one_minus_q = _ONE - _Q

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from qjfrac.convergence import numeric_convergence_probe, pringsheim_margins, threshold_radius
-from qjfrac.divisors import DivisorGFRequest, generating_series
+from qjfrac.divisors import table
 from qjfrac.exact import QRationalFn
 from qjfrac.jfraction import (
     convergent_coefficients,
@@ -87,29 +87,29 @@ def test_criterion_1_theorem_coefficient_identity():
 def test_criterion_2_inversion_golden_values():
     with criterion(2, "series inversion reproduces both tabulated value lists"):
         start = time.monotonic()
-        inv0 = series_to_jfraction(lambert_ratio_target(0, 8), 3)
-        assert inv0.c[0] == parse("1/(1-q)")
-        assert inv0.c[1] == parse("(1+q+4*q^2)/(2*(q^3-1))")
-        assert inv0.c[2] == parse(
+        c0, ab0, _ = series_to_jfraction(lambert_ratio_target(0, 8), 3)
+        assert c0[0] == parse("1/(1-q)")
+        assert c0[1] == parse("(1+q+4*q^2)/(2*(q^3-1))")
+        assert c0[2] == parse(
             "(1+5*q+14*q^2+26*q^3+34*q^4+25*q^5+9*q^6)"
             "/(2*(1+q+q^2)*(1+2*q+3*q^2)*(1+q+q^2+q^3+q^4))"
         )
-        assert inv0.ab[0] == parse("-2*q/((1-q)^2*(1+q))")
+        assert ab0[0] == parse("-2*q/((1-q)^2*(1+q))")
         # the ab_3 display omits the square on (1+q+q^2); the corrected value
         # is forced by the moment determinants (see test_jfraction)
-        assert inv0.ab[1] == parse(
+        assert ab0[1] == parse(
             "-(1-q)*(1+2*q+3*q^2)/(4*(1+q)*(1+q^2)*(1+q+q^2)^2)"
         )
 
-        inv1 = series_to_jfraction(lambert_ratio_target(1, 8), 3)
-        assert inv1.c[0] == parse("1/(1-q)")
-        assert inv1.c[1] == parse("q*(-1-q+8*q^2)/((1-q)*(1-3*q)*(1+q+q^2))")
-        assert inv1.c[2] == parse(
+        c1, ab1, _ = series_to_jfraction(lambert_ratio_target(1, 8), 3)
+        assert c1[0] == parse("1/(1-q)")
+        assert c1[1] == parse("q*(-1-q+8*q^2)/((1-q)*(1-3*q)*(1+q+q^2))")
+        assert c1[2] == parse(
             "-(1-5*q^2-16*q^3-16*q^4+40*q^5+136*q^6+144*q^7+67*q^8+8*q^9+q^10)"
             "/((1-3*q)*(1+q+q^2)*(1+q+q^2+q^3+q^4)*(-1+4*q^2+8*q^3+q^4))"
         )
-        assert inv1.ab[0] == parse("(1-3*q)/((1-q)^2*(1+q))")
-        assert inv1.ab[1] == parse(
+        assert ab1[0] == parse("(1-3*q)/((1-q)^2*(1+q))")
+        assert ab1[1] == parse(
             "(1-q)^3*(-1+4*q^2+8*q^3+q^4)/((1+q)*(1-3*q)^2*(1+q^2)*(1+q+q^2)^2)"
         )
         elapsed = time.monotonic() - start
@@ -139,8 +139,8 @@ def test_criterion_3_rational_approximants():
     with criterion(3, "tabulated approximants match series output and brute force"):
         for h, order_k, text in _D_DISPLAYS:
             display = parse(text).taylor(order_k + 1)
-            mine = rational_approximant(DivisorGFRequest(0, h, order_k + 2))
-            series = divisor_gf(DivisorGFRequest(0, h, order_k + 2)).series
+            mine = rational_approximant(0, h)
+            series = divisor_gf(0, h, order_k + 2)
             assert mine.taylor(order_k + 2) == series
             # the tabulated functions carry d one q-power early: align by one
             # shift, then both sides must equal the brute-force counts
@@ -150,8 +150,8 @@ def test_criterion_3_rational_approximants():
                 assert display[n] == series[n + 1]
         for h, order_k, text in _S_DISPLAYS:
             display = parse(text).taylor(order_k + 1)
-            mine = rational_approximant(DivisorGFRequest(1, h, order_k + 1))
-            series = sigma_gf(DivisorGFRequest(1, h, order_k + 1)).series
+            mine = rational_approximant(1, h)
+            series = sigma_gf(1, h, order_k + 1)
             assert mine.taylor(order_k + 1) == series
             assert display == series
             for n in range(1, order_k + 1):
@@ -169,7 +169,7 @@ def test_criterion_4_mod5_congruences():
     with criterion(4, "mod-5 tables match both tabulated displays and brute force"):
         for h, order_k, text in _MOD5_DISPLAYS:
             display = parse(text).taylor(order_k + 1)
-            rows = generating_series(DivisorGFRequest(1, h, order_k + 1, modulus=5)).rows()
+            rows = table(1, h, order_k + 1, modulus=5)[0]["rows"]
             assert len(rows) == order_k
             for row in rows:
                 n = row["n"]
@@ -243,7 +243,7 @@ def test_criterion_7_convergence():
 def test_criterion_8_sigma_alpha_correctness():
     with criterion(8, "sigma_alpha coefficients 1..5 at h=6; cross-check paths"):
         for alpha in (1, 2, 3):
-            series = sigma_gf(DivisorGFRequest(alpha, 6, 6)).series
+            series = sigma_gf(alpha, 6, 6)
             for n in range(1, 6):
                 assert series[n] == sigma_alpha(alpha, n), (alpha, n)
         # alpha = 2 cross-checked: the convergent-block (Q_j Q_{j+1}) path is

@@ -121,7 +121,7 @@ class TestDivisorTable:
 
     @pytest.mark.parametrize("mod", ["0", "1", "-3"])
     def test_modulus_below_two_names_its_flag(self, capsys, mod):
-        # the parser used to take any int, and DivisorGFRequest's error did not name --mod
+        # the parser used to take any int, and the library's error did not name --mod
         assert run(["divisor", "table", "--alpha", "0", "--h", "4", "--order", "4", f"--mod={mod}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -135,8 +135,8 @@ class TestDivisorTable:
         from qjfrac import divisors
         from qjfrac.exact import QRationalFn, QSeries
 
-        def generating_series(req):
-            return divisors.GFResult(req, QSeries(3, [0, Fraction(1, 3), Fraction(5, 7)]), QRationalFn.zero())
+        def generating_series(alpha, h, order):
+            return QRationalFn.zero(), QSeries(3, [0, Fraction(1, 3), Fraction(5, 7)])
 
         monkeypatch.setattr(divisors, "generating_series", generating_series)
         code, out = run_capture(capsys, ["divisor", "table", "--alpha", "0", "--h", "2", "--order", "3", "--mod", "6"])
@@ -290,8 +290,8 @@ class TestSizeCaps:
         import qjfrac.divisors as divisors
         from qjfrac.exact import QRationalFn, QSeries
 
-        def stub(req):
-            return divisors.GFResult(req, QSeries.zero(2), QRationalFn.zero())
+        def stub(alpha, h, order):
+            return QRationalFn.zero(), QSeries.zero(2)
 
         monkeypatch.setattr(divisors, "generating_series", stub)
         assert run(["divisor", "table", "--alpha", str(alpha), "--h", str(h), "--order", "1"]) == 0
@@ -1050,14 +1050,13 @@ class TestPlainRecords:
 
     @staticmethod
     def records():
-        from qjfrac import divisors, jfraction, sequences
+        from qjfrac import jfraction, sequences
 
         import reference
 
         return [
             sequences.PochhammerParams, jfraction.ConvergentPair, reference.LambdaReport,
-            jfraction.InversionResult, divisors.DivisorGFRequest,
-            divisors.GFResult, reference.SpecialCaseReport,
+            reference.SpecialCaseReport,
         ]
 
     def test_records_are_slotted_plain_classes(self):
@@ -1067,7 +1066,6 @@ class TestPlainRecords:
 
     @staticmethod
     def invalid_builds():
-        from qjfrac.divisors import DivisorGFRequest
         from qjfrac.exact import QRationalFn
         from qjfrac.jfraction import ConvergentPair, PochhammerParams
         from qjfrac.zalgebra import ZPolynomial
@@ -1079,10 +1077,6 @@ class TestPlainRecords:
             (lambda: PochhammerParams(q, one), "b = 1 makes c_1"),
             (lambda: ConvergentPair(1, ZPolynomial([one, q]), ZPolynomial.one()), "degree bounds"),
             (lambda: ConvergentPair(2, ZPolynomial.one(), ZPolynomial([one, q, q, q])), "degree bounds"),
-            (lambda: DivisorGFRequest(-1, 4, 4), "alpha must be >= 0"),
-            (lambda: DivisorGFRequest(0, 1, 4), "h must be >= 2"),
-            (lambda: DivisorGFRequest(0, 4, 0), "order must be >= 1"),
-            (lambda: DivisorGFRequest(0, 4, 4, 1), "modulus must be >= 2"),
         ]
 
     def test_init_keeps_the_checks(self):
@@ -1091,7 +1085,6 @@ class TestPlainRecords:
                 build()
 
     def test_valid_records_keep_their_fields(self):
-        from qjfrac.divisors import DivisorGFRequest
         from qjfrac.exact import QRationalFn
         from qjfrac.jfraction import ConvergentPair, PochhammerParams
         from qjfrac.zalgebra import ZPolynomial
@@ -1101,6 +1094,3 @@ class TestPlainRecords:
         assert (params.a, params.b) == (q, q * q)
         pair = ConvergentPair(0, ZPolynomial.zero(), ZPolynomial.one())
         assert (pair.h, pair.P, pair.Q) == (0, ZPolynomial.zero(), ZPolynomial.one())
-        req = DivisorGFRequest(1, 6, 12)
-        assert (req.alpha, req.h, req.order, req.modulus) == (1, 6, 12, None)
-        assert (req.certified_below, req.empirical_below) == (6, 12)

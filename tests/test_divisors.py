@@ -7,7 +7,8 @@ from math import comb, factorial
 import pytest
 
 from qjfrac import cli
-from qjfrac.divisors import DivisorGFRequest, GFResult, _stirling2_row, generating_series
+from qjfrac import divisors
+from qjfrac.divisors import _stirling2_row, generating_series, table
 from qjfrac.exact import QRationalFn, QSeries
 from qjfrac.jfraction import JFractionSpec, convergent_pairs, divisor_spec, random_rational_spec
 from qjfrac.oracles import sigma_alpha
@@ -53,25 +54,24 @@ def _stirling_derivative_transform(
 
 class TestDivisorGF:
     def test_h5_order5(self):
-        res = divisor_gf(DivisorGFRequest(0, 5, 5))
-        assert [int(c) for c in res.series] == [1, 1, 2, 2, 3]
+        series = divisor_gf(0, 5, 5)
+        assert [int(c) for c in series] == [1, 1, 2, 2, 3]
 
     def test_matches_brute_force_through_window(self):
-        res = divisor_gf(DivisorGFRequest(0, 6, 12))
+        series = divisor_gf(0, 6, 12)
         for n in range(1, 12):
-            assert res.series[n] == sigma_alpha(0, n)
+            assert series[n] == sigma_alpha(0, n)
 
     def test_lambert_cross_check(self):
         from qjfrac.oracles import lambert_truncated
 
-        res = divisor_gf(DivisorGFRequest(0, 6, 11))
+        series = divisor_gf(0, 6, 11)
         lam = lambert_truncated(0, 11)
         for n in range(1, 11):
-            assert res.series[n] == lam[n]
+            assert series[n] == lam[n]
 
     def test_row_flags(self):
-        res = divisor_gf(DivisorGFRequest(0, 3, 8))
-        rows = res.rows()
+        rows = table(0, 3, 8)[0]["rows"]
         by_n = {r["n"]: r for r in rows}
         assert by_n[2]["certified"] and not by_n[2]["empirical"]
         assert not by_n[4]["certified"] and by_n[4]["empirical"]
@@ -79,48 +79,63 @@ class TestDivisorGF:
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            divisor_gf(DivisorGFRequest(1, 4, 4))
+            divisor_gf(1, 4, 4)
         with pytest.raises(ValueError):
-            sigma_gf(DivisorGFRequest(0, 4, 4))
+            sigma_gf(0, 4, 4)
         with pytest.raises(ValueError):
-            DivisorGFRequest(0, 1, 4)
+            generating_series(0, 1, 4)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: generating_series(-1, 4, 4), "alpha must be >= 0"),
+            (lambda: generating_series(0, 1, 4), "h must be >= 2"),
+            (lambda: generating_series(0, 4, 0), "order must be >= 1"),
+            (lambda: table(-1, 4, 4), "alpha must be >= 0"),
+            (lambda: table(0, 4, 4, 1), "modulus must be >= 2"),
+        ],
+        ids=["alpha", "h", "order", "table-alpha", "table-modulus"],
+    )
+    def test_arguments_are_checked(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestSigmaGF:
     def test_alpha1_h4(self):
-        res = sigma_gf(DivisorGFRequest(1, 4, 4))
-        assert [int(c) for c in res.series] == [0, 1, 3, 4]
+        series = sigma_gf(1, 4, 4)
+        assert [int(c) for c in series] == [0, 1, 3, 4]
 
     def test_alpha1_printed_approximant(self):
         printed = parse("q*(1+3*q+3*q^2)/((1-q)*(1+q))")
-        res = sigma_gf(DivisorGFRequest(1, 2, 4))
-        assert res.series == printed.taylor(4)
+        series = sigma_gf(1, 2, 4)
+        assert series == printed.taylor(4)
 
     def test_alpha2_h5(self):
-        res = sigma_gf(DivisorGFRequest(2, 5, 5))
-        assert [int(c) for c in res.series] == [0, 1, 5, 10, 21]
+        series = sigma_gf(2, 5, 5)
+        assert [int(c) for c in series] == [0, 1, 5, 10, 21]
 
     def test_oracle_grid(self):
         # certified windows across the full (alpha, h) grid
         for h in range(2, 7):
-            res0 = divisor_gf(DivisorGFRequest(0, h, h))
+            series0 = divisor_gf(0, h, h)
             for n in range(1, h):
-                assert res0.series[n] == sigma_alpha(0, n), (0, h, n)
+                assert series0[n] == sigma_alpha(0, n), (0, h, n)
         for alpha in (1, 2, 3):
             for h in range(2, 7):
-                res = sigma_gf(DivisorGFRequest(alpha, h, h))
+                series = sigma_gf(alpha, h, h)
                 for n in range(1, h):
-                    assert res.series[n] == sigma_alpha(alpha, n), (alpha, h, n)
+                    assert series[n] == sigma_alpha(alpha, n), (alpha, h, n)
         # beyond the reach of bivariate differentiation: the full 2h window
-        res = sigma_gf(DivisorGFRequest(3, 8, 16))
+        series = sigma_gf(3, 8, 16)
         for n in range(1, 16):
-            assert res.series[n] == sigma_alpha(3, n), (3, 8, n)
+            assert series[n] == sigma_alpha(3, n), (3, 8, n)
 
 
 class TestApproximants:
     def test_divisor_h3_vs_printed(self):
         printed = parse("(1+4*q+8*q^2+11*q^3+10*q^4)/(1+2*q+2*q^2-2*q^4)")
-        mine = rational_approximant(DivisorGFRequest(0, 3, 5))
+        mine = rational_approximant(0, 3)
         # the tabulated function carries the divisor counts one q-power early;
         # aligning with one shift they agree through the stated order q^4
         a, b = printed.taylor(5), mine.taylor(6)
@@ -131,14 +146,13 @@ class TestApproximants:
         printed = parse(
             "q*(1+7*q+25*q^2+62*q^3+115*q^4)/((1+q+3*q^2)*(1+3*q+3*q^2))"
         )
-        mine = rational_approximant(DivisorGFRequest(1, 3, 6))
+        mine = rational_approximant(1, 3)
         assert printed.taylor(6) == mine.taylor(6)
 
     def test_expansion_consistency(self):
         for alpha, h in ((0, 4), (1, 3), (2, 3)):
-            req = DivisorGFRequest(alpha, h, 2 * h)
-            approx = rational_approximant(req)
-            series = (divisor_gf(req) if alpha == 0 else sigma_gf(req)).series
+            approx = rational_approximant(alpha, h)
+            series = (divisor_gf if alpha == 0 else sigma_gf)(alpha, h, 2 * h)
             assert approx.taylor(2 * h) == series
 
 
@@ -152,25 +166,25 @@ class TestBivariateOracle:
                 want = num.evaluate(Q) / den.evaluate(Q) / (ONE - Q)
                 if alpha == 0:
                     want = ONE + want
-                assert rational_approximant(DivisorGFRequest(alpha, h, 1)) == want, (alpha, h)
+                assert rational_approximant(alpha, h) == want, (alpha, h)
 
 
 class TestPartialSums:
     def test_divisor_partial_sums(self):
-        res = partial_sums(DivisorGFRequest(0, 5, 5))
-        assert [int(c) for c in res.series] == [0, 1, 3, 5, 8]
+        series = partial_sums(0, 5, 5)
+        assert [int(c) for c in series] == [0, 1, 3, 5, 8]
 
     def test_sigma_partial_sums(self):
-        res = partial_sums(DivisorGFRequest(1, 5, 4))
-        assert [int(c) for c in res.series] == [0, 1, 4, 8]
+        series = partial_sums(1, 5, 4)
+        assert [int(c) for c in series] == [0, 1, 4, 8]
 
     def test_constant_term_zero(self):
-        res = partial_sums(DivisorGFRequest(0, 3, 1))
-        assert list(res.series) == [0]
+        series = partial_sums(0, 3, 1)
+        assert list(series) == [0]
 
 
 def _residue_rows(alpha: int, h: int, order: int, p: int) -> list[dict]:
-    return generating_series(DivisorGFRequest(alpha, h, order, modulus=p)).rows()
+    return table(alpha, h, order, modulus=p)[0]["rows"]
 
 
 class TestCongruences:
@@ -194,7 +208,7 @@ class TestCongruences:
             assert int(series[r["n"]]) % 5 == r["value"]
 
     def test_plain_and_residue_rows_share_keys_and_flags(self):
-        plain = generating_series(DivisorGFRequest(1, 4, 8)).rows()
+        plain = table(1, 4, 8)[0]["rows"]
         mod = _residue_rows(1, 4, 8, 5)
         assert [list(r) for r in plain] == [["n", "value", "certified", "empirical"]] * 7
         assert [list(r) for r in mod] == [["n", "value", "certified", "empirical", "flagged"]] * 7
@@ -202,21 +216,24 @@ class TestCongruences:
             assert (a["n"], a["certified"], a["empirical"]) == (b["n"], b["certified"], b["empirical"])
             assert int(a["value"]) % 5 == b["value"]
 
-    def test_denominator_divisible_by_p_is_flagged_with_the_exact_value(self):
+    @staticmethod
+    def _hand_built_rows(monkeypatch, coeffs: list, p: int) -> list[dict]:
+        """The rows of divisors.table modulo p for a series built by hand."""
+        monkeypatch.setattr(divisors, "generating_series", lambda alpha, h, order: (ZERO, QSeries(3, coeffs)))
+        return table(0, 2, 3, modulus=p)[0]["rows"]
+
+    def test_denominator_divisible_by_p_is_flagged_with_the_exact_value(self, monkeypatch):
         # no real generator has a coefficient with p in its denominator, so the
-        # result is built by hand: 1/3 at n = 1 and 5/2 at n = 2, modulo 3
-        req = DivisorGFRequest(0, 2, 3, modulus=3)
-        res = GFResult(req, QSeries(3, [0, Fraction(1, 3), Fraction(5, 2)]), ZERO)
-        rows = res.rows()
+        # series is built by hand: 1/3 at n = 1 and 5/2 at n = 2, modulo 3
+        rows = self._hand_built_rows(monkeypatch, [0, Fraction(1, 3), Fraction(5, 2)], 3)
         assert rows[0] == {"n": 1, "value": "1/3", "certified": True, "empirical": False, "flagged": True}
         # 5/2 = 5 * 2 = 1 mod 3
         assert rows[1] == {"n": 2, "value": 1, "certified": False, "empirical": True, "flagged": False}
 
-    def test_denominator_sharing_a_factor_with_a_composite_p_is_flagged(self):
+    def test_denominator_sharing_a_factor_with_a_composite_p_is_flagged(self, monkeypatch):
         # 1/3 modulo 6: 6 does not divide 3, but 3 has no inverse mod 6 (pow
         # used to raise); 5/7 = 5 * 7^-1 = 5 mod 6
-        req = DivisorGFRequest(0, 2, 3, modulus=6)
-        rows = GFResult(req, QSeries(3, [0, Fraction(1, 3), Fraction(5, 7)]), ZERO).rows()
+        rows = self._hand_built_rows(monkeypatch, [0, Fraction(1, 3), Fraction(5, 7)], 6)
         assert [(r["value"], r["flagged"]) for r in rows] == [("1/3", True), (5, False)]
 
 

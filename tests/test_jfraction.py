@@ -19,6 +19,7 @@ from qjfrac.jfraction import (
     convergent_sum_decomposition,
     convergents,
     divisor_spec,
+    invert,
     lambda_modulus,
     lambert_ratio_target,
     pochhammer_c_display_form,
@@ -283,11 +284,11 @@ class TestPochhammerSpec:
         target = ZSeries(
             8, [(ONE - Q) / (ONE - QRationalFn.qpow(n + 1)) for n in range(8)]
         )
-        inverted = series_to_jfraction(target, 4)
+        c, ab, _ = series_to_jfraction(target, 4)
         for i in (1, 2, 3, 4):
-            assert qq2_spec.c(i) == inverted.c[i - 1]
+            assert qq2_spec.c(i) == c[i - 1]
         for i in (2, 3, 4):
-            assert qq2_spec.ab(i) == inverted.ab[i - 2]
+            assert qq2_spec.ab(i) == ab[i - 2]
 
     def test_equal_parameters_give_unit_coefficients(self):
         a = parse("2/3")
@@ -513,18 +514,18 @@ class TestInversion:
         # the five tabulated values for j_n = 1/(1-q^n), j_0 = 1; the ab_3
         # display drops the square on its (1+q+q^2) factor, which the Hankel
         # oracle below pins down independently of the peeling algorithm
-        inv = series_to_jfraction(lambert_ratio_target(0, 8), 3)
-        assert inv.c[0] == parse("1/(1-q)")
-        assert inv.c[1] == parse("(1+q+4*q^2)/(2*(q^3-1))")
-        assert inv.c[2] == parse(
+        c, ab, _ = series_to_jfraction(lambert_ratio_target(0, 8), 3)
+        assert c[0] == parse("1/(1-q)")
+        assert c[1] == parse("(1+q+4*q^2)/(2*(q^3-1))")
+        assert c[2] == parse(
             "(1+5*q+14*q^2+26*q^3+34*q^4+25*q^5+9*q^6)"
             "/(2*(1+q+q^2)*(1+2*q+3*q^2)*(1+q+q^2+q^3+q^4))"
         )
-        assert inv.ab[0] == parse("-2*q/((1-q)^2*(1+q))")
+        assert ab[0] == parse("-2*q/((1-q)^2*(1+q))")
         corrected_ab3 = parse("-(1-q)*(1+2*q+3*q^2)/(4*(1+q)*(1+q^2)*(1+q+q^2)^2)")
         display_ab3 = parse("-(1-q)*(1+2*q+3*q^2)/(4*(1+q)*(1+q^2)*(1+q+q^2))")
-        assert inv.ab[1] == corrected_ab3
-        assert inv.ab[1] == display_ab3 / (ONE + Q + Q * Q)
+        assert ab[1] == corrected_ab3
+        assert ab[1] == display_ab3 / (ONE + Q + Q * Q)
 
     def test_golden_values_hankel_oracle(self):
         # ab_2 = H_2, ab_3 = H_3/H_2^2 with H_k the k x k moment determinant
@@ -536,20 +537,20 @@ class TestInversion:
             - j[1] * (j[1] * j[4] - j[3] * j[2])
             + j[2] * (j[1] * j[3] - j[2] * j[2])
         )
-        inv = series_to_jfraction(target, 3)
-        assert inv.ab[0] == h2
-        assert inv.ab[1] == h3 / h2 ** 2
+        _, ab, _ = series_to_jfraction(target, 3)
+        assert ab[0] == h2
+        assert ab[1] == h3 / h2 ** 2
 
     def test_golden_values_n_over_1mqn(self):
-        inv = series_to_jfraction(lambert_ratio_target(1, 8), 3)
-        assert inv.c[0] == parse("1/(1-q)")
-        assert inv.c[1] == parse("q*(-1-q+8*q^2)/((1-q)*(1-3*q)*(1+q+q^2))")
-        assert inv.c[2] == parse(
+        c, ab, _ = series_to_jfraction(lambert_ratio_target(1, 8), 3)
+        assert c[0] == parse("1/(1-q)")
+        assert c[1] == parse("q*(-1-q+8*q^2)/((1-q)*(1-3*q)*(1+q+q^2))")
+        assert c[2] == parse(
             "-(1-5*q^2-16*q^3-16*q^4+40*q^5+136*q^6+144*q^7+67*q^8+8*q^9+q^10)"
             "/((1-3*q)*(1+q+q^2)*(1+q+q^2+q^3+q^4)*(-1+4*q^2+8*q^3+q^4))"
         )
-        assert inv.ab[0] == parse("(1-3*q)/((1-q)^2*(1+q))")
-        assert inv.ab[1] == parse(
+        assert ab[0] == parse("(1-3*q)/((1-q)^2*(1+q))")
+        assert ab[1] == parse(
             "(1-q)^3*(-1+4*q^2+8*q^3+q^4)/((1+q)*(1-3*q)^2*(1+q^2)*(1+q+q^2)^2)"
         )
 
@@ -557,12 +558,12 @@ class TestInversion:
         spec = random_rational_spec(29)
         depth = 5
         coeffs = convergent_coefficients(convergents(spec, depth + 1), 2 * depth)
-        inv = series_to_jfraction(coeffs, depth)
-        assert not inv.terminated
+        c, ab, terminated = series_to_jfraction(coeffs, depth)
+        assert not terminated
         for i in range(1, depth + 1):
-            assert inv.c[i - 1] == spec.c(i)
+            assert c[i - 1] == spec.c(i)
         for i in range(2, depth + 1):
-            assert inv.ab[i - 2] == spec.ab(i)
+            assert ab[i - 2] == spec.ab(i)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -577,20 +578,26 @@ class TestInversion:
         )
         depth = 3
         coeffs = convergent_coefficients(convergents(spec, depth + 1), 2 * depth)
-        inv = series_to_jfraction(coeffs, depth)
-        assert not inv.terminated
-        assert [inv.c[i - 1] for i in range(1, depth + 1)] == [spec.c(i) for i in range(1, depth + 1)]
-        assert [inv.ab[i - 2] for i in range(2, depth + 1)] == [spec.ab(i) for i in range(2, depth + 1)]
+        c, ab, terminated = series_to_jfraction(coeffs, depth)
+        assert not terminated
+        assert [c[i - 1] for i in range(1, depth + 1)] == [spec.c(i) for i in range(1, depth + 1)]
+        assert [ab[i - 2] for i in range(2, depth + 1)] == [spec.ab(i) for i in range(2, depth + 1)]
 
     def test_terminating_fraction_signal(self):
         # the series of a depth-2 convergent has a terminating fraction
         spec = random_rational_spec(31)
         pair = convergents(spec, 2)
         series = convergent_coefficients(pair, 10)
-        inv = series_to_jfraction(series, 5)
-        assert inv.terminated
-        assert [str(v) for v in inv.c] == [str(spec.c(1)), str(spec.c(2))]
-        assert len(inv.ab) == 1 and inv.ab[0] == spec.ab(2)
+        c, ab, terminated = series_to_jfraction(series, 5)
+        assert terminated
+        assert [str(v) for v in c] == [str(spec.c(1)), str(spec.c(2))]
+        assert len(ab) == 1 and ab[0] == spec.ab(2)
+
+    def test_invert_checks_its_arguments(self):
+        with pytest.raises(ValueError, match="unknown target 'nope'"):
+            invert("nope", 2)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            invert("one_over_1mqn", 0)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
