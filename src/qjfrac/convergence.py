@@ -5,22 +5,19 @@ radius where the governing inequality flips, and direct convergent-vs-target
 probes.  Each diagnostic returns the JSON report that the CLI prints.
 
 These are diagnostics at extended precision, not interval-arithmetic proofs.
-They compute on one private mpmath context, whose precision each sets on
-entry: 128 bits, and for margins max(128, 2 h_max log2(1/|q|) + 64), so that
-margins of size |q|^(2h) stay resolvable.  The global mpmath.mp is never
-read or written; diagnostics run at once in two threads would share the
-private context's precision.
+Each call computes on an mpmath context of its own: 128 bits, and for
+margins max(128, 2 h_max log2(1/|q|) + 64), so that margins of size
+|q|^(2h) stay resolvable.  The global mpmath.mp is never read or written,
+and diagnostics run at once in two threads share no precision setting.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import mpmath
 
-# built once: a context costs about half a millisecond to build, and the
-# radius search evaluates the gap about 100 times
-_ctx = mpmath.MPContext()
 _PRECISION_BITS = 128
 
 _B_READING_NOTE = (
@@ -46,6 +43,14 @@ def _abseq(q, i: int):
     )
 
 
+def _context(bits: int) -> mpmath.MPContext:
+    """A new mpmath context at the given precision; building one takes about
+    half a millisecond."""
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    return ctx
+
+
 def _pair(x) -> list[float]:
     """[re, im] of a context value, as JSON floats."""
     c = complex(x)
@@ -66,8 +71,7 @@ def pringsheim_margins(q: complex, h_max: int = 100) -> dict:
         raise ValueError("need 0 < |q| < 1")
     # margins at level h decay like |q|^(2h-2); keep enough bits to resolve them
     bits = max(_PRECISION_BITS, int(2 * h_max * math.log2(1 / abs(q))) + 64)
-    _ctx.prec = bits
-    qq = _ctx.mpc(q)
+    qq = _context(bits).mpc(q)
     z = qq
     rows = []
     for h in range(2, h_max + 1):
@@ -92,16 +96,18 @@ def pringsheim_margins(q: complex, h_max: int = 100) -> dict:
     }
 
 
-def threshold_inequality_gap(t: float) -> float:
+def threshold_inequality_gap(t: float, ctx: Optional[mpmath.MPContext] = None) -> float:
     """LHS - RHS of the governing inequality
 
         (1-t)^2/(1+t^2)  >=  sqrt(((1-t)^4 + t^2 (1+t)^2) / (1+t+t^2+t^3)),
 
-    positive inside the provable region."""
-    _ctx.prec = _PRECISION_BITS
-    tt = _ctx.mpf(t)
+    positive inside the provable region, on ctx (by default a new 128-bit
+    context)."""
+    if ctx is None:
+        ctx = _context(_PRECISION_BITS)
+    tt = ctx.mpf(t)
     lhs = (1 - tt) ** 2 / (1 + tt ** 2)
-    rhs = _ctx.sqrt(((1 - tt) ** 4 + tt ** 2 * (1 + tt) ** 2) / (1 + tt + tt ** 2 + tt ** 3))
+    rhs = ctx.sqrt(((1 - tt) ** 4 + tt ** 2 * (1 + tt) ** 2) / (1 + tt + tt ** 2 + tt ** 3))
     return float(lhs - rhs)
 
 
@@ -114,12 +120,14 @@ def threshold_radius(tolerance: float = 1e-10) -> float:
     adjacent doubles, so a tolerance below their spacing still ends."""
     if not 0 < tolerance < math.inf:
         raise ValueError("tolerance must be > 0 and finite")
+    # one context for the ~100 gap evaluations of the scan and the bisection
+    ctx = _context(_PRECISION_BITS)
     lo, hi = None, None
     prev_t, prev_g = None, None
     steps = 400
     for k in range(1, steps + 1):
         t = 0.001 + (0.999 - 0.001) * k / steps
-        g = threshold_inequality_gap(t)
+        g = threshold_inequality_gap(t, ctx)
         if prev_t is not None and prev_g > 0 >= g:
             lo, hi = prev_t, t
             break
@@ -130,7 +138,7 @@ def threshold_radius(tolerance: float = 1e-10) -> float:
         mid = (lo + hi) / 2
         if mid == lo or mid == hi:
             break
-        if threshold_inequality_gap(mid) > 0:
+        if threshold_inequality_gap(mid, ctx) > 0:
             lo = mid
         else:
             hi = mid
@@ -142,13 +150,13 @@ def threshold_radius(tolerance: float = 1e-10) -> float:
 _MAX_TERMS = 100_000
 
 
-def _direct_sum(q, z) -> tuple:
-    """((1-q) * sum_{n >= 0} z^n/(1-q^(n+1)), converged): the sum is taken to a
-    numerically negligible tail, or to _MAX_TERMS terms, and then converged is
-    False."""
-    total = _ctx.mpc(0)
-    zn = _ctx.mpc(1)
-    eps = _ctx.mpf(2) ** (-_ctx.prec - 8)
+def _direct_sum(ctx: mpmath.MPContext, q, z) -> tuple:
+    """((1-q) * sum_{n >= 0} z^n/(1-q^(n+1)), converged), on ctx: the sum is
+    taken to a numerically negligible tail, or to _MAX_TERMS terms, and then
+    converged is False."""
+    total = ctx.mpc(0)
+    zn = ctx.mpc(1)
+    eps = ctx.mpf(2) ** (-ctx.prec - 8)
     for n in range(1, _MAX_TERMS + 1):
         total += zn / (1 - q ** n)
         zn *= z
@@ -166,9 +174,9 @@ def numeric_convergence_probe(q: complex, z: complex, h_max: int = 20) -> dict:
     False when the direct sum stopped at _MAX_TERMS."""
     if abs(q) >= 1 or abs(z) >= 1:
         raise ValueError("need |q| < 1 and |z| < 1")
-    _ctx.prec = _PRECISION_BITS
-    qq, zz = _ctx.mpc(q), _ctx.mpc(z)
-    target, converged = _direct_sum(qq, zz) if q != 0 else (1 / (1 - zz) * (1 - qq), True)
+    ctx = _context(_PRECISION_BITS)
+    qq, zz = ctx.mpc(q), ctx.mpc(z)
+    target, converged = _direct_sum(ctx, qq, zz) if q != 0 else (1 / (1 - zz) * (1 - qq), True)
     rows = []
     # c_i z and ab_i z^2 of the levels reached so far, each evaluated once
     # (the Nones pad the unused indices 0 and 1); a level that fails stays

@@ -3,6 +3,8 @@ and convergent-vs-target probes."""
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -150,6 +152,33 @@ class TestPrivateContext:
         assert numeric_convergence_probe(0.15, 0.15, 2)["precision_bits"] == 128
         assert pringsheim_margins(0.5, 10)["precision_bits"] == 128  # 2*10*1 + 64 = 84 < 128
         assert pringsheim_margins(0.1, 100)["precision_bits"] == int(200 * math.log2(10)) + 64
+
+    def test_threads_do_not_share_a_precision(self):
+        # each diagnostic computes on a context of its own: two margin reports
+        # at different precisions, built at once in two threads, equal the
+        # serial ones (with one shared context the threads reset each other's
+        # precision between operations)
+        cases = [(0.1, 300), (0.15, 40)]
+        serial = [pringsheim_margins(*case) for case in cases]
+        assert serial[0]["precision_bits"] != serial[1]["precision_bits"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = [None, None]
+
+                def run(i):
+                    got[i] = pringsheim_margins(*cases[i])
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_global_precision_is_never_written(self, monkeypatch):
         # every write to prec or dps of any mpmath context is recorded with
