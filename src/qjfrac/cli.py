@@ -58,13 +58,12 @@ _MAX_ORDER = 1024  # divisor table --alpha 0 --h 12 --order 1024: 1.5 s; --h 4 -
 # also the --alpha of oracle sigma and oracle lambert, whose --n and --order caps
 # below are measured at alpha 32
 _MAX_ALPHA = 32  # divisor table --alpha 32 --h 4 --order 8: 1.2 s; --alpha 80: 18.9 s
-# divisor table's joint cap: its cost grew about like h^5.5 * (alpha + 2)^3, so
-# (alpha + 2) * h^2 bounds it; along the bound it took 1.6-3.8 s when the cap was
-# set (--alpha 4 --h 18: 1.6 s; --alpha 32 --h 7: 3.8 s), and --alpha 0 --h 32,
-# the large-h case, 6.5 s; above it, --alpha 16 --h 12 took 9 s and --alpha 32
-# --h 12 over 60 s.  Since exact division tries the narrow width first these
-# take 0.8 s, 1.5 s, 0.9 s and 1.8 s (--alpha 16 --h 12); the cap is unchanged.
-_MAX_DIVISOR_COST = 2048
+# divisor table's joint cap: its cost grows about like ((alpha + 8) * h)^4.8, so
+# (alpha + 9) * h bounds it.  Along the bound a table takes 0.6-1.4 s (--alpha 0
+# --h 33: 0.6 s; --alpha 2 --h 27: 1.4 s; --alpha 16 --h 12: 1.3 s; --alpha 32
+# --h 7: 1.0 s); above it, --alpha 16 --h 13 took 2.3 s, --alpha 32 --h 8 2.1 s
+# and --alpha 32 --h 10 6.9 s (generating_series at --order 8, one run each)
+_MAX_DIVISOR_COST = 300
 _MAX_ZORDER = 64  # jfrac expand --preset reciprocal_qq --h 4 --zorder 64: 1.8 s; --zorder 96: 8.8 s
 _MAX_MARGIN_LEVELS = 500  # converge margins --q=0.1 --hmax 500: 1.0 s; --hmax 1000: 3.7 s
 _MAX_PROBE_LEVELS = 100  # converge probe --q=0.1 --hmax 100: 0.3 s; --hmax 400: 2.1 s
@@ -90,10 +89,13 @@ _MAX_POCHHAMMER_N = 128
 _MAX_QBT_ORDER = 64
 # the oracles' joint caps, in sizes as for _MAX_EXPAND_COST; they bind before
 # the two caps above for all but the smallest parameters.  oracle qpochhammer
-# grew about like n^4 * size of --x: along the bound it takes 0.2-1.2 s (--x
-# "3*q^2+5" --n 87, --x "(1+q)^256" --n 9, --x q --n 128 at the bound itself),
-# but a denominator of high degree costs more (--x "1/(1-3*q)^64" --n 16: 4.6 s);
-# above it, --x "3*q^2+5" --n 128 took 3.2 s and --x "(1+q)^256" --n 64 over 60 s
+# grows about like n^4 * size of --x, and the gcds against a denominator of
+# degree d add a factor of about 1 + d/32: along the bound it takes 0.1-0.9 s
+# for a polynomial --x (--x q --n 128, --x "(1+q)^256" --n 9) and 0.4-1.4 s for
+# a rational one (--x "1/(1-3*q)^16" --n 29, --x "(1-q)/(1-q^256)" --n 21,
+# --x "1/(1-3*q)^64" --n 12); above it, --x "1/(1-3*q)^64" --n 13 took 1.9 s and
+# --n 16 4.4 s, and --x "(1+q)^256" --n 64 over 60 s (oracles.q_pochhammer, one
+# run each)
 _MAX_POCHHAMMER_COST = 2**29
 # oracle qbinomialtheorem grew about like order^4 * (1 + the sizes of --a and
 # --z): along the bound it takes 0.1-1.3 s (--a "q^2/(1-3*q)" --z "2*q/(1+q)"
@@ -357,10 +359,10 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_divisor_table(args) -> int:
-    cost = (args.alpha + 2) * args.h ** 2
+    cost = (args.alpha + 9) * args.h
     if cost > _MAX_DIVISOR_COST:
         raise ValueError(
-            f"--alpha {args.alpha} with --h {args.h}: (alpha + 2)*h^2 = {cost} exceeds "
+            f"--alpha {args.alpha} with --h {args.h}: (alpha + 9)*h = {cost} exceeds "
             f"{_MAX_DIVISOR_COST}; pass a smaller --alpha or --h"
         )
     from . import divisors
@@ -425,9 +427,11 @@ def _cmd_qbinomial(args) -> int:
 
 
 def _cmd_qpochhammer(args) -> int:
-    _check_cost(
-        "--n", args.n, 4, _parameter_size(args.x), "(degree + 1)*bits of --x", _MAX_POCHHAMMER_COST
-    )
+    # each factor 1 - x q^k brings in the denominator of x, whose gcds with the
+    # growing product cost more the higher its degree d
+    size = _parameter_size(args.x) * (32 + args.x.den.degree) // 32
+    text = "(degree + 1)*bits of --x, times (32 + d)/32 for a denominator of degree d"
+    _check_cost("--n", args.n, 4, size, text, _MAX_POCHHAMMER_COST)
     from .oracles import q_pochhammer
 
     print(q_pochhammer(args.x, args.n))

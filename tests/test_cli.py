@@ -241,7 +241,7 @@ class TestSizeCaps:
             "degree of any parsed value (numerator or denominator)": parse._MAX_DEGREE,
             "`divisor table --order`": cli._MAX_ORDER,
             "`divisor table --alpha`": cli._MAX_ALPHA,
-            "`divisor table` joint cost (`--alpha` + 2)·`--h`²": cli._MAX_DIVISOR_COST,
+            "`divisor table` joint cost (`--alpha` + 9)·`--h`": cli._MAX_DIVISOR_COST,
             "`jfrac expand --zorder` (default 2h, so `--h` above 32 needs `--zorder`)": cli._MAX_ZORDER,
             "`converge probe --hmax`": cli._MAX_PROBE_LEVELS,
             "`converge margins --hmax`": cli._MAX_MARGIN_LEVELS,
@@ -251,7 +251,7 @@ class TestSizeCaps:
             "`oracle qbinomial --n`, `--k`": cli._MAX_QBINOMIAL_N,
             "`oracle qpochhammer --n`": cli._MAX_POCHHAMMER_N,
             "`oracle qbinomialtheorem --order`": cli._MAX_QBT_ORDER,
-            "`oracle qpochhammer` joint cost `--n`⁴·size": cli._MAX_POCHHAMMER_COST,
+            "`oracle qpochhammer` joint cost `--n`⁴·size·(32 + d)/32": cli._MAX_POCHHAMMER_COST,
             "`oracle qbinomialtheorem` joint cost `--order`⁴·size": cli._MAX_QBT_COST,
             "`verify lemmas --h`": cli._MAX_LEMMA_H,
             "`jfrac expand --h`, `jfrac triangle --h`, `divisor table --h`": cli._MAX_DEPTH,
@@ -268,11 +268,11 @@ class TestSizeCaps:
         assert listed == constants
 
     @pytest.mark.parametrize(
-        "alpha, h", [(32, 12), (16, 12), (32, 8), (16, 11), (3, 26), (1, 27), (0, 33), (0, 64)]
+        "alpha, h", [(32, 12), (32, 8), (3, 26), (0, 64), (16, 13), (30, 8), (4, 24), (1, 31), (0, 34)]
     )
     def test_divisor_table_above_the_joint_cap_is_a_usage_error(self, capsys, monkeypatch, alpha, h):
-        # each size is inside its own cap, but --alpha 32 --h 12 ran past 60 s
-        # and --alpha 16 --h 12 took 9 s; the command must not start
+        # each size is inside its own cap, but --alpha 32 --h 12 took 16 s and
+        # the points just above the bound 1.4-2.6 s; the command must not start
         import qjfrac.divisors as divisors
 
         def never(*args):
@@ -282,11 +282,16 @@ class TestSizeCaps:
         argv = ["divisor", "table", "--alpha", str(alpha), "--h", str(h), "--order", str(2 * h)]
         assert run(argv) == 2
         assert run(argv + ["--mod", "5"]) == 2
-        assert f"(alpha + 2)*h^2 = {(alpha + 2) * h * h} exceeds 2048" in capsys.readouterr().err
+        assert f"(alpha + 9)*h = {(alpha + 9) * h} exceeds 300" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("alpha, h", [(0, 32), (3, 20), (3, 12), (16, 10), (32, 7), (32, 2)])
+    @pytest.mark.parametrize(
+        "alpha, h",
+        [(0, 32), (3, 20), (3, 12), (16, 10), (32, 7), (32, 2), (16, 12), (16, 11), (1, 27), (0, 33), (4, 22),
+         (1, 30), (3, 25), (24, 9)],
+    )
     def test_divisor_table_at_the_joint_cap_runs(self, monkeypatch, alpha, h):
-        # the benchmark's sizes (alpha <= 3 at h <= 12) stay legal
+        # the benchmark's sizes (alpha <= 3 at h <= 12) stay legal, and so do
+        # the points on the bound, which take 0.6-1.5 s
         import qjfrac.divisors as divisors
         from qjfrac.exact import QRationalFn, QSeries
 
@@ -415,6 +420,13 @@ class TestSizeCaps:
                 "exceeds 134217728",
             ),
             (["oracle", "qbinomialtheorem", "--a", "q", "--z", "(1+q)^32*q", "--order", "20"], "exceeds 134217728"),
+            # a denominator of degree d weighs (32 + d)/32: --n 16 took 4.4 s
+            (
+                ["oracle", "qpochhammer", "--x", "1/(1-3*q)^64", "--n", "13"],
+                "n^4*size = 568078290 exceeds 536870912",
+            ),
+            (["oracle", "qpochhammer", "--x", "1/(1-3*q)^64", "--n", "16"], "exceeds 536870912"),
+            (["oracle", "qpochhammer", "--x", "(1-q)/(1-q^256)", "--n", "22"], "exceeds 536870912"),
         ],
     )
     def test_oracle_above_the_joint_cap_is_a_usage_error(self, capsys, monkeypatch, argv, message):
@@ -438,9 +450,10 @@ class TestSizeCaps:
             ["oracle", "qpochhammer", "--x", "1+q", "--n", "128"],
             ["oracle", "qpochhammer", "--x", "3*q^2+5", "--n", "87"],
             ["oracle", "qpochhammer", "--x", "(1+q)^256", "--n", "9"],
-            ["oracle", "qpochhammer", "--x", "1/(1-3*q)^64", "--n", "16"],
+            ["oracle", "qpochhammer", "--x", "1/(1-3*q)^64", "--n", "12"],
             ["oracle", "qbinomialtheorem", "--a", "q^2/(1-3*q)", "--z", "2*q/(1+q)", "--order", "59"],
             ["oracle", "qbinomialtheorem", "--a", "(1+q)^64/(1-3*q)^64", "--z", "2*q/(1+q)", "--order", "11"],
+            ["oracle", "qpochhammer", "--x", "(1-q)/(1-q^256)", "--n", "21"],
         ],
     )
     def test_oracle_at_the_joint_cap_runs(self, capsys, monkeypatch, argv):
