@@ -29,7 +29,6 @@ _EXPORTS = {
         "convergent_pairs",
         "convergent_sum_decomposition",
         "convergents",
-        "lambda_modulus",
         "series_to_jfraction",
         "table1_preset",
         "telescoping_residual",

@@ -83,7 +83,9 @@ _MAX_INVERT_DEPTH = 7  # jfrac invert --target n2_over_1mqn --depth 7: 0.6 s; --
 _MAX_SIGMA_N = 10**14  # oracle sigma --alpha 32 --n 10^14: 2.0 s; the time grows with sqrt(n)
 _MAX_LAMBERT_ORDER = 200_000  # oracle lambert --alpha 32 --order 200000: 1.9 s; --alpha 2 --order 10^6: 7.8 s
 _MAX_QBINOMIAL_N = 80  # oracle qbinomial --n 80 --k 40: 1.7 s; --n 100 --k 50: 4.0 s
-# oracle qpochhammer --x "(1+q)/(1-2*q)" --n 128: 1.1 s (--x q: 0.6 s); --x q --n 300: 6.8 s
+# binds only for an --x of size <= 2 (q, 1 + q, 2): for any larger --x the joint
+# cap below stops --n first.  oracles.q_pochhammer at --n 128 takes 0.15-0.2 s
+# for --x q and 0.5-0.9 s for --x "1+q"; --x q --n 300: 5.1 s (in-process)
 _MAX_POCHHAMMER_N = 128
 # oracle qbinomialtheorem --a "q^2/(1-3*q)" --z "2*q/(1+q)" --order 64: 1.9 s; --order 100: 7.6 s
 _MAX_QBT_ORDER = 64
@@ -149,8 +151,11 @@ def _emit(payload, fmt: str, output: Optional[str], columns=None) -> None:
     else:  # pretty
         text = _pretty(payload)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"--output {output}: {exc.strerror or exc}") from None
     else:
         print(text)
 

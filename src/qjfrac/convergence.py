@@ -111,7 +111,7 @@ def threshold_inequality_gap(t: float, ctx: Optional[mpmath.MPContext] = None) -
     return float(lhs - rhs)
 
 
-def threshold_radius(tolerance: float = 1e-10) -> float:
+def threshold_radius(tolerance: float) -> float:
     """Bisection root of the governing inequality on (0, 1); near 0.206783.
 
     The gap vanishes at t = 0 as well, so the bracket is located by scanning

@@ -14,14 +14,18 @@ reduces to the value types defined here:
                     reduced with a monic denominator, so equality is a
                     plain structural comparison.
   * TruncatedSeries -- truncated power series over one coefficient field,
-                    with the one product loop and the one division
-                    recurrence of the library.  Every value carries its own
-                    order and binary operations take the min, so a result
-                    never claims more accuracy than its inputs.
+                    with the one product loop (`_convolution`, which
+                    zalgebra.ZPolynomial multiplies by too) and the one
+                    division recurrence of the library.  Every value carries
+                    its own order and binary operations take the min, so a
+                    result never claims more accuracy than its inputs.
   * QSeries      -- the subclass over Q; zalgebra.ZSeries is the one over Q(q).
 
 All values are immutable; operations are pure functions.  The scalar
-field is fractions.Fraction (arbitrary precision, always reduced).
+field is fractions.Fraction (arbitrary precision, always reduced).  Below
+the values sits an integer kernel on the primitive parts: Kronecker
+products, GCDHEU gcds with a primitive-PRS fallback, and exact division by
+one packed division at two widths (`_int_exquo`).
 """
 
 from __future__ import annotations
@@ -162,14 +166,17 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def _int_exquo(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
     """a / b in Z[q] for nonzero a, b, or None when b does not divide a.
 
-    The first try packs at the narrow width ξ that holds the digits of a,
-    ξ > 2·max|a_i|·||b||_1 + 2.  Since b | a in Z[q] gives b(ξ) | a(ξ), a
-    nonzero remainder there proves that b does not divide a.  A zero
-    remainder proves nothing by itself: its quotient counts only when it
-    unpacks to digits q_i with 2·max|q_i|·||b||_1 < ξ.  Then every
-    coefficient of q·b, like every a_i, is below ξ/2 in absolute value, and
-    (q·b)(ξ) = a(ξ), so the balanced digits agree: q·b == a with no
-    multiplication.  Otherwise the division runs again at Mignotte's width."""
+    One packed division, at the narrow width ξ > 2·max|a_i|·||b||_1 + 2 and,
+    when that is inconclusive, again at ξ > 2·B·||b||_1 + 2, where
+    B = (max|a_i|·len a)·2^(n−1) >= 2^(n−1)·||a||_2 bounds, by Mignotte, the
+    coefficients of every factor of a of degree n − 1, the quotient included.
+    At either width, b | a in Z[q] gives b(ξ) | a(ξ), so a nonzero remainder
+    proves that b does not divide a.  A quotient counts only when it unpacks
+    to digits q_i with 2·max|q_i|·||b||_1 < ξ: then every coefficient of q·b,
+    like every a_i, is below ξ/2 in absolute value, and (q·b)(ξ) = a(ξ), so
+    the balanced digits agree: q·b == a with no multiplication.  The true
+    quotient passes that test at the second width, so failing it there, or
+    failing to unpack, proves that b does not divide a."""
     n = len(a) - len(b) + 1
     if n <= 0 or a[-1] % b[-1]:
         return None
@@ -177,40 +184,20 @@ def _int_exquo(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
         c = b[0]
         return None if any(x % c for x in a) else [x // c for x in a]
     norm = sum(map(abs, b))
-    nbytes = _digit_width((2 * max(map(abs, a)) * norm + 2).bit_length() // 8 + 1)
-    bias = _bias(len(a), nbytes)
-    quo, rem = divmod(_pack(a, nbytes, bias), _pack(b, nbytes, bias))
-    if rem:
-        return None
-    try:
-        q = _unpack(quo, n, nbytes, bias)
-    except OverflowError:
-        q = None
-    if q is not None and 2 * max(map(abs, q)) * norm < 1 << (8 * nbytes):
-        return q
-    return _mignotte_exquo(a, b)
-
-
-def _mignotte_exquo(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
-    """a / b in Z[q], or None, for deg a >= deg b >= 1 and b[-1] | a[-1]:
-    one packed division at a width from Mignotte's bound."""
-    n = len(a) - len(b) + 1
-    # Mignotte's bound holds every factor f of a, the quotient included:
-    # max|f_i| <= 2^deg(f)·||a||_2.  Digits wider than bound·||b||_1 + max|a_i|
-    # then make Q·B == A equivalent to q·b == a: q·b − a vanishes at the base
-    # and its coefficients are below half a digit.
     top = max(map(abs, a))
-    bound = (top * len(a)) << (n - 1)
-    nbytes = _digit_width((bound * sum(map(abs, b)) + top).bit_length() // 8 + 1)
-    bias = _bias(len(a), nbytes)
-    quo, rem = divmod(_pack(a, nbytes, bias), _pack(b, nbytes, bias))
-    if rem:
-        return None
-    try:
-        q = _unpack(quo, n, nbytes, bias)
-    except OverflowError:
-        return None
-    return q if max(map(abs, q)) <= bound else None
+    for bound in (top, (top * len(a)) << (n - 1)):
+        nbytes = _digit_width((2 * bound * norm + 2).bit_length() // 8 + 1)
+        bias = _bias(len(a), nbytes)
+        quo, rem = divmod(_pack(a, nbytes, bias), _pack(b, nbytes, bias))
+        if rem:
+            return None
+        try:
+            q = _unpack(quo, n, nbytes, bias)
+        except OverflowError:
+            continue
+        if 2 * max(map(abs, q)) * norm < 1 << (8 * nbytes):
+            return q
+    return None
 
 
 _HEU_TRIES = 6
@@ -1010,7 +997,7 @@ class QSeries(TruncatedSeries):
 # ---------------------------------------------------------------------------
 
 
-def format_poly(coeffs: Sequence[Fraction], var: str = "q") -> str:
+def format_poly(coeffs: Sequence[Fraction]) -> str:
     """Ascending-power string like '1 - 2*q + q^2'; '0' for the zero polynomial."""
     terms: list[str] = []
     for k, c in enumerate(coeffs):
@@ -1020,7 +1007,7 @@ def format_poly(coeffs: Sequence[Fraction], var: str = "q") -> str:
         if k == 0:
             body = str(mag)
         else:
-            pw = var if k == 1 else f"{var}^{k}"
+            pw = "q" if k == 1 else f"q^{k}"
             body = pw if mag == 1 else f"{mag}*{pw}"
         if not terms:
             terms.append(f"-{body}" if c < 0 else body)

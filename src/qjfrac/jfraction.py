@@ -58,25 +58,27 @@ def convergent_pairs(spec: JFractionSpec, h: int) -> list[ConvergentPair]:
       P_i = (1 - c_i z) P_{i-1} - ab_i z^2 P_{i-2}
       Q_i = (1 - c_i z) Q_{i-1} - ab_i z^2 Q_{i-2}.
 
-    Pairs are memoized on the spec: convergents are immutable and the
-    recurrence only ever extends the cached prefix.
+    Pairs are memoized on the spec, filled in ascending order.
     """
     if h < 0:
         raise ValueError("depth must be >= 0")
-    with spec._lock:
-        pairs = spec._pairs
-        if not pairs:
-            pairs.append(ConvergentPair(0, ZPolynomial.zero(), ZPolynomial.one()))
-        if h >= 1 and len(pairs) == 1:
-            pairs.append(ConvergentPair(1, ZPolynomial.one(), linear_product([spec.c(1)])))
-        for i in range(len(pairs), h + 1):
-            c = spec.c(i)
-            ab_z2 = ZPolynomial.monomial(2, spec.ab(i))
-            prev, prev2 = pairs[i - 1], pairs[i - 2]
-            P = ZPolynomial(linear_step(prev.P.coeffs, c)) - ab_z2 * prev2.P
-            Q = ZPolynomial(linear_step(prev.Q.coeffs, c)) - ab_z2 * prev2.Q
-            pairs.append(ConvergentPair(i, P, Q))
-        return pairs[: h + 1]
+
+    def pair(i: int) -> ConvergentPair:
+        if i == 0:
+            return ConvergentPair(0, ZPolynomial.zero(), ZPolynomial.one())
+        if i == 1:
+            return ConvergentPair(1, ZPolynomial.one(), linear_product([spec.c(1)]))
+        c = spec.c(i)
+        ab_z2 = ZPolynomial.monomial(2, spec.ab(i))
+        prev, prev2 = pairs[i - 1], pairs[i - 2]
+        P = ZPolynomial(linear_step(prev.P.coeffs, c)) - ab_z2 * prev2.P
+        Q = ZPolynomial(linear_step(prev.Q.coeffs, c)) - ab_z2 * prev2.Q
+        return ConvergentPair(i, P, Q)
+
+    pairs: list[ConvergentPair] = []
+    for i in range(h + 1):
+        pairs.append(spec.memo("pair", i, pair))
+    return pairs
 
 
 def convergents(spec: JFractionSpec, h: int) -> ConvergentPair:
@@ -92,16 +94,6 @@ def convergent_coefficients(pair: ConvergentPair, n_max: int) -> ZSeries:
     if not pair.Q.coefficient(0).is_one():
         raise ValueError("Q must have unit constant term")
     return ZSeries._quotient(pair.P.coeffs, pair.Q.coeffs, n_max)
-
-
-def lambda_modulus(spec: JFractionSpec, h: int) -> QRationalFn:
-    """lambda_h = ab_2 * ... * ab_h, with the empty product lambda_1 = 1."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    acc = _ONE
-    for i in range(2, h + 1):
-        acc = acc * spec.ab(i)
-    return acc
 
 
 def telescoping_residual(pairs: Sequence[ConvergentPair], lam: QRationalFn, h: int) -> ZPolynomial:
@@ -195,6 +187,8 @@ def series_to_jfraction(
 
 def lambert_ratio_target(alpha: int, order: int) -> ZSeries:
     """j_0 = 1, j_n = n^alpha / (1 - q^n) for n >= 1 (j_0 normalized to 1)."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
     coeffs: list[QRationalFn] = [_ONE]
     for n in range(1, order):
         coeffs.append(QRationalFn.from_fraction(n ** alpha) / (_ONE - _qpow(n)))

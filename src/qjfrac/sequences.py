@@ -14,14 +14,10 @@ from __future__ import annotations
 
 import functools
 import random
-import threading
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from .exact import QRationalFn
-
-if TYPE_CHECKING:
-    from .jfraction import ConvergentPair
 
 _ONE = QRationalFn.one()
 _Q = QRationalFn.q()
@@ -31,9 +27,9 @@ _qpow = QRationalFn.qpow
 class JFractionSpec:
     """The sequence pair <c_i> (i >= 1) and <ab_i> (i >= 2) defining a J-fraction.
 
-    Values are computed lazily from the generating callables and memoized;
-    all returned values are immutable, so sharing a spec across threads is
-    safe (at worst a value is computed twice).
+    Every value derived from the spec is memoized on it by `memo`: the
+    sequence values, the C-fraction coefficients of a contraction spec, the
+    convergent pairs, the triangle rows and the shifted spec.
     """
 
     def __init__(
@@ -45,50 +41,41 @@ class JFractionSpec:
         self.name = name
         self._c_fn = c_fn
         self._ab_fn = ab_fn
-        self._c_memo: dict[int, QRationalFn] = {}
-        self._ab_memo: dict[int, QRationalFn] = {}
-        # sequence memos tolerate racy duplicate computation (values are
-        # immutable and equal); the convergent pairs and the triangle rows are
-        # extended under a lock so concurrent callers cannot interleave appends
-        self._pairs: list["ConvergentPair"] = []
-        self._rows: list[tuple[QRationalFn, ...]] = [(_ONE,)]
-        self._lock = threading.Lock()
-        self._shifted: Optional["JFractionSpec"] = None
+        self._memo: dict = {}
+
+    def memo(self, name: str, i: int, compute: Callable[[int], Any]) -> Any:
+        """The memo entry (name, i), filled with compute(i) on first use.
+
+        The values are immutable, so no lock is taken: two racing first calls
+        may both compute the entry, and both return the value stored first.
+        An entry whose compute raises stays empty, and blocks no other index.
+        A memo that a recurrence fills (pairs, rows) is filled in ascending
+        order, so each compute reads entries already stored."""
+        key = (name, i)
+        v = self._memo.get(key)
+        if v is None:
+            v = self._memo.setdefault(key, compute(i))
+        return v
 
     def c(self, i: int) -> QRationalFn:
         if i < 1:
             raise ValueError("c is indexed from 1")
-        v = self._c_memo.get(i)
-        if v is None:
-            v = self._c_fn(i)
-            self._c_memo[i] = v
-        return v
+        return self.memo("c", i, self._c_fn)
 
     def ab(self, i: int) -> QRationalFn:
         if i < 2:
             raise ValueError("ab is indexed from 2")
-        v = self._ab_memo.get(i)
-        if v is None:
-            v = self._ab_fn(i)
-            self._ab_memo[i] = v
-        return v
+        return self.memo("ab", i, self._ab_fn)
 
     def shifted(self) -> "JFractionSpec":
         """Same fraction with c_i -> c_{i+1}, ab_i -> ab_{i+1}.
 
-        Memoized on the spec, so the shifted spec's own memos (sequence values,
-        convergent pairs and triangle rows) outlive each call.  Two racing
-        first calls may each build one; that is harmless, because both read
-        the same immutable values and the spec kept is as good as the other."""
-        shifted = self._shifted
-        if shifted is None:
-            shifted = JFractionSpec(
-                f"{self.name}<<1",
-                lambda i: self.c(i + 1),
-                lambda i: self.ab(i + 1),
-            )
-            self._shifted = shifted
-        return shifted
+        Memoized, so the shifted spec's own memos outlive each call."""
+        return self.memo(
+            "shifted",
+            1,
+            lambda _: JFractionSpec(f"{self.name}<<1", lambda i: self.c(i + 1), lambda i: self.ab(i + 1)),
+        )
 
     @classmethod
     def from_tables(
@@ -186,15 +173,13 @@ def pochhammer_spec(params: PochhammerParams) -> JFractionSpec:
 
 
 def _contraction_spec(name: str, a: QRationalFn, b: QRationalFn, s: int = 1) -> JFractionSpec:
-    # c_i and ab_i share g_{2i-2}, and ab_{i+1} reuses g_{2i-1}: the two
-    # closures share one memo of the g_k, so each is computed once per spec
-    gs: dict[int, QRationalFn] = {}
+    # c_i and ab_i share g_{2i-2}, and ab_{i+1} reuses g_{2i-1}: the g_k are
+    # memoized on the spec, so each is computed once per spec
+    def g_fn(k: int) -> QRationalFn:
+        return cfraction_coefficient(a, b, k, s)
 
     def g(k: int) -> QRationalFn:
-        v = gs.get(k)
-        if v is None:
-            v = gs[k] = cfraction_coefficient(a, b, k, s)
-        return v
+        return spec.memo("g", k, g_fn)
 
     def c_fn(i: int) -> QRationalFn:
         if i == 1:
@@ -205,7 +190,8 @@ def _contraction_spec(name: str, a: QRationalFn, b: QRationalFn, s: int = 1) -> 
         # g-product form; regular even where the factored display degenerates
         return g(2 * i - 3) * g(2 * i - 2)
 
-    return JFractionSpec(name, c_fn, ab_fn)
+    spec = JFractionSpec(name, c_fn, ab_fn)
+    return spec
 
 
 def pochhammer_c_display_form(a: QRationalFn, b: QRationalFn, i: int) -> QRationalFn:

@@ -31,16 +31,14 @@ def triangle_row(spec: JFractionSpec, h: int) -> tuple[QRationalFn, ...]:
     entry(0,0) = 1: its h + 1 entries entry(h,k) = [z^k] (1-c_1 z)...(1-c_h z),
     up to sign the elementary symmetric functions (-1)^k e_k(c_1, ..., c_h).
 
-    Rows are memoized on the spec, the way jfraction.convergent_pairs memoizes
-    the convergents: each is immutable and the recurrence only ever extends
-    the cached prefix."""
+    Rows are memoized on the spec, filled in ascending order, the way
+    jfraction.convergent_pairs fills the convergents."""
     if h < 0:
         raise ValueError("row must be >= 0")
-    with spec._lock:
-        rows = spec._rows
-        for i in range(len(rows), h + 1):
-            rows.append(tuple(linear_step(rows[-1], spec.c(i))))
-        return rows[h]
+    row = spec.memo("row", 0, lambda _: (_ONE,))
+    for i in range(1, h + 1):
+        row = spec.memo("row", i, lambda i: tuple(linear_step(row, spec.c(i))))
+    return row
 
 
 def _entry(row: tuple[QRationalFn, ...], k: int) -> QRationalFn:

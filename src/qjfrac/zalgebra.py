@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .exact import QPolynomial, QRationalFn, TruncatedSeries, _coerce_ratfn, _power
+from .exact import QPolynomial, QRationalFn, TruncatedSeries, _coerce_ratfn, _convolution, _power
 
 _Coeff = Union[int, Fraction, QPolynomial, QRationalFn]
 _SCALARS = (int, Fraction, QPolynomial, QRationalFn)
@@ -116,14 +116,10 @@ class ZPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZPolynomial()
-        cs = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b):
-                if not cb.is_zero():
-                    cs[i + j] = cs[i + j] + ca * cb
-        return ZPolynomial(cs)
+        terms = [(i, x) for i, x in enumerate(a) if x]
+        ys = [y if y else None for y in b] + [None] * (len(a) - 1)
+        sums = [_convolution(terms, ys, k) for k in range(len(ys))]
+        return ZPolynomial([_ZERO if s is None else s for s in sums])
 
     __rmul__ = __mul__
 

@@ -13,14 +13,8 @@ from __future__ import annotations
 from typing import Optional
 
 from qjfrac.divisors import _convergent_jets, _generator, _transform_at_q, _z_jet, generating_series
-from qjfrac.exact import QRationalFn, QSeries
-from qjfrac.jfraction import (
-    PochhammerParams,
-    convergent_pairs,
-    divisor_spec,
-    lambda_modulus,
-    pochhammer_spec,
-)
+from qjfrac.exact import QRationalFn, QSeries, _bias, _digit_width, _pack, _unpack
+from qjfrac.jfraction import PochhammerParams, convergent_pairs, divisor_spec, pochhammer_spec
 from qjfrac.oracles import q_pochhammer
 from qjfrac.sequences import JFractionSpec
 from qjfrac.stirling import _entry, nested_sum, triangle_row
@@ -480,6 +474,77 @@ def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> ZPolynom
     single_block(j, j + 1)
 
     return ZPolynomial(coeffs)
+
+
+# -- the modulus, the product in z and exact division in Z[q] -------------------
+
+
+def lambda_modulus(spec: JFractionSpec, h: int) -> QRationalFn:
+    """lambda_h = ab_2 * ... * ab_h, with the empty product lambda_1 = 1: the
+    running lambda of jfraction.convergent_sum_decomposition."""
+    if h < 1:
+        raise ValueError("h must be >= 1")
+    acc = _ONE
+    for i in range(2, h + 1):
+        acc = acc * spec.ab(i)
+    return acc
+
+
+def schoolbook_zmul(a: ZPolynomial, b: ZPolynomial) -> ZPolynomial:
+    """a * b by the double loop that ZPolynomial.__mul__ once ran."""
+    if not a.coeffs or not b.coeffs:
+        return ZPolynomial()
+    cs = [_ZERO] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ca in enumerate(a.coeffs):
+        if ca.is_zero():
+            continue
+        for j, cb in enumerate(b.coeffs):
+            if not cb.is_zero():
+                cs[i + j] = cs[i + j] + ca * cb
+    return ZPolynomial(cs)
+
+
+def packed_division(a, b, nbytes: int):
+    """(remainder, n-digit quotient or None) of a(ξ) by b(ξ) at ξ = 2^(8·nbytes)."""
+    bias = _bias(len(a), nbytes)
+    quo, rem = divmod(_pack(a, nbytes, bias), _pack(b, nbytes, bias))
+    try:
+        return rem, _unpack(quo, len(a) - len(b) + 1, nbytes, bias)
+    except OverflowError:
+        return rem, None
+
+
+def mignotte_exquo(a, b):
+    """a / b in Z[q], or None, for deg a >= deg b >= 1 and b[-1] | a[-1]:
+    one packed division at a width from Mignotte's bound, max|f_i| <=
+    2^deg(f)·||a||_2 for every factor f of a, the quotient included."""
+    n = len(a) - len(b) + 1
+    top = max(map(abs, a))
+    bound = (top * len(a)) << (n - 1)
+    rem, q = packed_division(a, b, _digit_width((bound * sum(map(abs, b)) + top).bit_length() // 8 + 1))
+    if rem or q is None:
+        return None
+    return q if max(map(abs, q)) <= bound else None
+
+
+def narrow_first_exquo(a, b):
+    """a / b in Z[q] for nonzero a, b, or None: a packed division at the narrow
+    width that holds the digits of a, its quotient kept when
+    2·max|q_i|·||b||_1 < ξ, else mignotte_exquo."""
+    n = len(a) - len(b) + 1
+    if n <= 0 or a[-1] % b[-1]:
+        return None
+    if len(b) == 1:
+        c = b[0]
+        return None if any(x % c for x in a) else [x // c for x in a]
+    norm = sum(map(abs, b))
+    nbytes = _digit_width((2 * max(map(abs, a)) * norm + 2).bit_length() // 8 + 1)
+    rem, q = packed_division(a, b, nbytes)
+    if rem:
+        return None
+    if q is not None and 2 * max(map(abs, q)) * norm < 1 << (8 * nbytes):
+        return q
+    return mignotte_exquo(a, b)
 
 
 # -- convergence reports and combinatorics -------------------------------------

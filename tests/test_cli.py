@@ -892,6 +892,14 @@ class TestUsage:
         data = json.loads(path.read_text())
         assert data["schema"] == "qjfrac/divisor-table/1"
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-directory", "a-directory"])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, target):
+        path = tmp_path / target
+        code = run(["divisor", "table", "--alpha", "0", "--h", "3", "--order", "4", "--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: --output {path}: ") and "internal error" not in captured.err
+
 class TestOneCommandParser:
     """`run` builds the parser of the one command that argv[:2] names, and the
     full tree for anything else; either way, every output is the full

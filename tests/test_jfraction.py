@@ -20,7 +20,6 @@ from qjfrac.jfraction import (
     convergents,
     divisor_spec,
     invert,
-    lambda_modulus,
     lambert_ratio_target,
     pochhammer_c_display_form,
     pochhammer_spec,
@@ -36,6 +35,7 @@ from conftest import parse, random_pochhammer_params
 from reference import (
     TABLE1_DISPLAYS,
     lambda_closed_form_report,
+    lambda_modulus,
     pochhammer_ab_closed_form,
     substitute_z_to_q,
     table1_target,
@@ -466,10 +466,12 @@ class TestSumDecomposition:
             assert fold_identity_holds(spec, h), h
 
     def test_mismatch_reports_first_bad_level(self):
+        # level 3 deliberately broken in the spec's memo before the
+        # recurrence reaches it: levels 4 and 5 build on the broken pair
         spec = random_rational_spec(5)
-        pair = convergent_pairs(spec, 5)[3]
+        pair = convergents(random_rational_spec(5), 3)
         z2 = ZPolynomial.monomial(2, ONE)
-        spec._pairs[3] = ConvergentPair(3, pair.P + z2, pair.Q + z2)
+        spec.memo("pair", 3, lambda i: ConvergentPair(i, pair.P + z2, pair.Q + z2))
         dec = convergent_sum_decomposition(spec, 5)
         assert dec["status"] == "mismatch"
         assert dec["first_failure"] == 3
@@ -510,6 +512,12 @@ class TestSumDecomposition:
 
 
 class TestInversion:
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_target_order_below_one_is_rejected(self, order):
+        with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+            lambert_ratio_target(2, order)
+        assert lambert_ratio_target(2, 1) == ZSeries.one(1)
+
     def test_golden_values_one_over_1mqn(self):
         # the five tabulated values for j_n = 1/(1-q^n), j_0 = 1; the ab_3
         # display drops the square on its (1+q+q^2) factor, which the Hankel

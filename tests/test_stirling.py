@@ -34,6 +34,10 @@ ZERO = QRationalFn.zero()
 Q = QRationalFn.q()
 
 
+def _not_memoized(i):
+    raise AssertionError(f"memo entry {i} was not filled")
+
+
 def monomial_spec() -> JFractionSpec:
     cs = [QRationalFn.qpow(k) for k in (1, 2, 5, 9, 14, 20)]
     abs_ = [QRationalFn.qpow(k) for k in (27, 41, 56, 72, 89)]
@@ -122,24 +126,27 @@ class TestTriangle:
     def test_rows_are_memoized_on_the_spec(self):
         spec = random_rational_spec(37)
         row = triangle_row(spec, 4)
-        assert len(spec._rows) == 5 and [len(r) for r in spec._rows] == [1, 2, 3, 4, 5]
-        assert triangle_row(spec, 4) is row and triangle_row(spec, 2) is spec._rows[2]
-        assert len(spec._rows) == 5
+        rows = [spec.memo("row", h, _not_memoized) for h in range(5)]
+        assert [len(r) for r in rows] == [1, 2, 3, 4, 5] and rows[4] is row
+        assert triangle_row(spec, 4) is row and triangle_row(spec, 2) is rows[2]
+        # row 5 was never filled: the memo takes the value offered
+        assert spec.memo("row", 5, lambda h: "unfilled") == "unfilled"
 
     @pytest.mark.parametrize("spec_seed", range(39, 45))
     def test_concurrent_rows_extend_the_memo_once(self, spec_seed):
-        # more threads than cores, started together and switching often:
-        # interleaved appends would leave a row of the wrong length or at the
-        # wrong index
+        # more threads than cores, started together and switching often: a
+        # row computed twice in a race must still reach every caller as the
+        # one object stored first, and every row must be the product oracle's
         spec = random_rational_spec(spec_seed)
         errors = []
+        seen = [[] for _ in range(6)]
         start = threading.Barrier(6)
 
         def work(seed):
             try:
                 start.wait(timeout=60)
                 for h in random.Random(seed).sample(range(13), 13):
-                    triangle_row(spec, h)
+                    seen[seed].append((h, triangle_row(spec, h)))
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -154,9 +161,12 @@ class TestTriangle:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and not errors
-        assert [len(r) for r in spec._rows] == list(range(1, 14))
-        for h, row in enumerate(spec._rows):
+        rows = [spec.memo("row", h, _not_memoized) for h in range(13)]
+        assert [len(r) for r in rows] == list(range(1, 14))
+        for h, row in enumerate(rows):
             assert list(row) == [triangle_via_products(spec.c, h, k) for k in range(h + 1)]
+        for calls in seen:
+            assert len(calls) == 13 and all(row is rows[h] for h, row in calls)
 
     def test_first_column_is_minus_sum(self, qq2_spec):
         for h in range(1, 6):
@@ -311,7 +321,10 @@ class TestExpansionLemmas:
         assert spec.shifted() is shifted
         for h in range(2, 6):
             assert verify_Ph_expansion(spec, h)["status"] == "ok"
-        assert len(shifted._pairs) == 5
+        # the checks filled the shifted spec's pairs 0..4, and no more
+        pairs = [shifted.memo("pair", i, _not_memoized) for i in range(5)]
+        assert [p.h for p in pairs] == [0, 1, 2, 3, 4]
+        assert shifted.memo("pair", 5, lambda i: "unfilled") == "unfilled"
 
     def test_h2_symbolic_algebra(self):
         # Q_2 = (1-c1 z)(1-c2 z) - ab2 z^2 equals the product form directly
@@ -350,9 +363,9 @@ class TestExpansionLemmas:
         # memoized convergents deliberately broken at level h: report the level
         spec = random_rational_spec(73)
         h = 3
-        pair = convergents(spec, h)
+        pair = convergents(random_rational_spec(73), h)
         z2 = ZPolynomial.monomial(2, ONE)
-        spec._pairs[h] = ConvergentPair(h, pair.P + z2, pair.Q + z2)
+        spec.memo("pair", h, lambda i: ConvergentPair(i, pair.P + z2, pair.Q + z2))
         data = verify_Qh_expansion(spec, h)
         assert data["schema"] == "qjfrac/lemma-report/1"
         assert data["status"] == "mismatch"

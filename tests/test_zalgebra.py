@@ -10,6 +10,7 @@ from qjfrac.exact import QRationalFn
 from qjfrac.zalgebra import ZFraction, ZPolynomial, ZSeries, linear_product, linear_step
 
 from conftest import parse
+from reference import schoolbook_zmul
 
 ONE = QRationalFn.one()
 Q = QRationalFn.q()
@@ -44,6 +45,19 @@ class TestZPolynomial:
 # c values with zero and repeats likely: a small pool of rational functions of q
 _C_POOL = [QRationalFn.zero(), ONE, -ONE, Q, parse("1/2 - q"), parse("q^2/(1 - 3*q)")]
 _cs = st.lists(st.sampled_from(_C_POOL), max_size=6)
+
+
+class TestProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(_C_POOL), max_size=6), st.lists(st.sampled_from(_C_POOL), max_size=6))
+    def test_matches_the_schoolbook_product(self, a, b):
+        x, y = ZPolynomial(a), ZPolynomial(b)
+        assert x * y == schoolbook_zmul(x, y) == y * x
+
+    def test_zero_and_scalar_operands(self):
+        p = ZPolynomial([ONE, Q, QRationalFn.zero(), parse("1/(1-q)")])
+        assert (p * ZPolynomial()).is_zero() and (ZPolynomial() * p).is_zero()
+        assert p * ZPolynomial.constant(Q) == schoolbook_zmul(p, ZPolynomial.constant(Q)) == p * Q
 
 
 class TestLinearProduct:
