@@ -66,6 +66,13 @@ _MAX_ALPHA = 32  # divisor table --alpha 32 --h 4 --order 8: 1.2 s; --alpha 80: 
 _MAX_DIVISOR_COST = 300
 _MAX_ZORDER = 64  # jfrac expand --preset reciprocal_qq --h 4 --zorder 64: 1.8 s; --zorder 96: 8.8 s
 _MAX_MARGIN_LEVELS = 500  # converge margins --q=0.1 --hmax 500: 1.0 s; --hmax 1000: 3.7 s
+# converge margins' joint cap, on the bits of convergence.margin_precision, which
+# grow like hmax*log2(1/|q|): the cost grows with both, so along the bound it
+# is largest at --hmax 500, where --q 0.0036 (8,181 bits) takes 1.2-1.4 s;
+# above it, --q 1e-3 --hmax 500 (10,029 bits) took 1.4-1.8 s, --q 1e-4 (13,351
+# bits) 1.8-2.2 s and --q 1e-300 --hmax 100 (199,379 bits) 35 s (three runs
+# each, the last one)
+_MAX_MARGIN_BITS = 8192
 _MAX_PROBE_LEVELS = 100  # converge probe --q=0.1 --hmax 100: 0.3 s; --hmax 400: 2.1 s
 _MAX_LEMMA_H = 8  # verify lemmas --h 8: 0.7-1.1 s (--spec random --h 10: 0.3 s); --h 9: 2.8-3.0 s
 # the --h of jfrac expand, jfrac triangle and divisor table, a bound on the
@@ -100,9 +107,15 @@ _MAX_QBT_ORDER = 64
 # run each)
 _MAX_POCHHAMMER_COST = 2**29
 # oracle qbinomialtheorem grew about like order^4 * (1 + the sizes of --a and
-# --z): along the bound it takes 0.1-1.3 s (--a "q^2/(1-3*q)" --z "2*q/(1+q)"
-# --order 59, --a "(1+q)^64/(1-3*q)^64" --z "2*q/(1+q)" --order 11); above it,
-# --a "(1+q)^32" --z q --order 64 took 35 s
+# --z), and a denominator of degree d weighs its parameter's size by about
+# (168 + d)/168: the products and gcds of the n-th term carry that denominator
+# to the power n.  The factor is fitted between two points on the bound, --a
+# "(1+q)^64/(1-3*q)^64" --z "2*q/(1+q)" --order 11 (1.5 s) and --a
+# "(1-q)/(1-q^256)" --z "q*(1-q)/(1-q^256)" --order 17 (1.5 s); along it the
+# check takes 0.1-1.5 s (--a "q^2/(1-3*q)" --z "2*q/(1+q)" --order 59: 0.8 s).
+# Above it, that degree-255 pair took 1.9 s at --order 18 and 4.1 s at --order
+# 22, and --a "(1+q)^32" --z q --order 64 35 s (the check in-process, one run
+# each)
 _MAX_QBT_COST = 2**27
 
 
@@ -404,6 +417,12 @@ def _cmd_radius(args) -> int:
 def _cmd_margins(args) -> int:
     from . import convergence
 
+    bits = convergence.margin_precision(args.q, args.hmax)
+    if bits > _MAX_MARGIN_BITS:
+        raise ValueError(
+            f"--q of modulus {abs(args.q):g} with --hmax {args.hmax}: 2*hmax*log2(1/|q|) + 64 = {bits} bits "
+            f"exceeds {_MAX_MARGIN_BITS}; pass a larger |q| in --q or a smaller --hmax"
+        )
     report = convergence.pringsheim_margins(args.q, args.hmax)
     _emit(report, args.format, args.output, ("h", "abs_a", "abs_b", "margin"))
     return 0
@@ -444,8 +463,8 @@ def _cmd_qpochhammer(args) -> int:
 
 
 def _cmd_qbinomialtheorem(args) -> int:
-    size = 1 + _parameter_size(args.a) + _parameter_size(args.z)
-    text = "1 + (degree + 1)*bits of each of --a, --z"
+    size = 1 + sum(_parameter_size(x) * (168 + x.den.degree) // 168 for x in (args.a, args.z))
+    text = "1 + (degree + 1)*bits of each of --a, --z, times (168 + d)/168 for a denominator of degree d"
     _check_cost("--order", args.order, 4, size, text, _MAX_QBT_COST)
     from .oracles import q_binomial_theorem_check
 

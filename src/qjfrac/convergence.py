@@ -6,9 +6,10 @@ probes.  Each diagnostic returns the JSON report that the CLI prints.
 
 These are diagnostics at extended precision, not interval-arithmetic proofs.
 Each call computes on an mpmath context of its own: 128 bits, and for
-margins max(128, 2 h_max log2(1/|q|) + 64), so that margins of size
-|q|^(2h) stay resolvable.  The global mpmath.mp is never read or written,
-and diagnostics run at once in two threads share no precision setting.
+margins the bits of margin_precision, max(128, 2 h_max log2(1/|q|) + 64), so
+that margins of size |q|^(2h) stay resolvable.  The global mpmath.mp is never
+read or written, and diagnostics run at once in two threads share no
+precision setting.
 """
 
 from __future__ import annotations
@@ -57,6 +58,15 @@ def _pair(x) -> list[float]:
     return [c.real, c.imag]
 
 
+def margin_precision(q: complex, h_max: int) -> int:
+    """The bits of pringsheim_margins(q, h_max): max(128, 2 h_max log2(1/|q|)
+    + 64), since margins at level h decay like |q|^(2h-2) and must stay
+    resolvable.  Raises ValueError unless 0 < |q| < 1."""
+    if abs(q) >= 1 or q == 0:
+        raise ValueError("need 0 < |q| < 1")
+    return max(_PRECISION_BITS, int(2 * h_max * math.log2(1 / abs(q))) + 64)
+
+
 def pringsheim_margins(q: complex, h_max: int = 100) -> dict:
     """Evaluate the displayed a_h, b_h with z = q and report |b_h| - |a_h| - 1.
 
@@ -67,10 +77,7 @@ def pringsheim_margins(q: complex, h_max: int = 100) -> dict:
     The level h = 1 partial term is degenerate (0/0); rows start at h = 2."""
     if h_max < 2:
         raise ValueError("h_max must be >= 2")
-    if abs(q) >= 1 or q == 0:
-        raise ValueError("need 0 < |q| < 1")
-    # margins at level h decay like |q|^(2h-2); keep enough bits to resolve them
-    bits = max(_PRECISION_BITS, int(2 * h_max * math.log2(1 / abs(q))) + 64)
+    bits = margin_precision(q, h_max)
     qq = _context(bits).mpc(q)
     z = qq
     rows = []

@@ -21,6 +21,20 @@ built as polynomials in z: the three-term convergent recurrence runs on Taylor
 jets in t = z - q truncated after t^alpha (ZSeries of order alpha + 1 over
 Q(q)), and H^(j)(q) = j! [t^j] H(q + t).  Every alpha takes this one route.
 
+Every table is an integer table.  With (a, b) = (q, q^2), each C-fraction
+coefficient g_k of sequences.cfraction_coefficient is an integer polynomial
+over a product of factors 1 - q^e with e >= 1, and so are c_i and ab_i; as
+1/(1 - q^e) lies in Z[[q]], the recurrence runs in Z[[q]][t]/(t^(alpha+1)).
+The t^0 coefficient of Q_h is Q_h(q, q), which is 1 mod q, since every term
+of the recurrence but Q_(i-1) carries z c_i or z^2 ab_i, and z = q at t = 0;
+so Q_h is a unit of that ring and H = z*P_h/Q_h is integral.  The transform
+multiplies [t^j] H by the integers S(alpha, j) j! and by q^j, and 1/(1-q) is
+in Z[[q]] too: every Taylor coefficient of every generator is an integer.  By
+Fatou's lemma (1906) a rational function with integer Taylor coefficients is
+N/D with N, D in Z[q] and D(0) = 1, so the primitive part of the reduced
+denominator has constant term +-1, and QRationalFn.taylor expands it on
+integers alone.
+
 Coefficients with 1 <= n < h are certified by the convergent accuracy theorem;
 those with h <= n < 2h hold by the (everywhere-tested) 2h-window and are
 flagged as empirical; anything beyond is untrusted.
@@ -28,7 +42,7 @@ flagged as empirical; anything beyond is untrusted.
 
 from __future__ import annotations
 
-from math import factorial, gcd
+from math import factorial
 from typing import Optional
 
 from .exact import QRationalFn, QSeries
@@ -106,10 +120,12 @@ def table(alpha: int, h: int, order: int, modulus: Optional[int] = None) -> tupl
     and the keys of each of its rows, in order (the csv columns).
 
     The payload carries the generator, or the modulus when there is one, and
-    one row per coefficient 1 <= n < order: its value and window flags.  With
-    a modulus p the value is the residue mod p, unless the coefficient's
-    reduced denominator shares a factor with p: then it has no inverse mod p,
-    and the row keeps the exact rational and is flagged."""
+    one row per coefficient 1 <= n < order: its value and window flags.  The
+    value is the integer coefficient, or with a modulus p its residue mod p.
+    The `flagged` column of a residue table is always false: every
+    coefficient is an integer (see the module docstring), and the column
+    stays so that the schema does not change.  A coefficient that is not an
+    integer would contradict that proof and raises ArithmeticError."""
     if modulus is not None and modulus < 2:
         raise ValueError("modulus must be >= 2")
     gen, series = generating_series(alpha, h, order)
@@ -123,12 +139,10 @@ def table(alpha: int, h: int, order: int, modulus: Optional[int] = None) -> tupl
     rows = []
     for n in range(1, series.order):
         c = series[n]
-        row = [n, str(c), n < h, h <= n < 2 * h]
-        if modulus is not None:
-            flagged = gcd(c.denominator, modulus) > 1
-            if not flagged:
-                row[1] = c.numerator * pow(c.denominator, -1, modulus) % modulus
-            row.append(flagged)
-        rows.append(dict(zip(columns, row)))
+        if c.denominator != 1:
+            raise ArithmeticError(f"coefficient {n} of the divisor series is {c}, not an integer")
+        value = str(c) if modulus is None else c.numerator % modulus
+        # zip drops the trailing flagged of a plain table's row
+        rows.append(dict(zip(columns, (n, value, n < h, h <= n < 2 * h, False))))
     payload["rows"] = rows
     return payload, columns

@@ -737,11 +737,22 @@ class QRationalFn:
     # -- analysis ---------------------------------------------------------------
 
     def taylor(self, order: int) -> "QSeries":
-        """Maclaurin expansion to the given order; requires den(0) != 0."""
-        den = self.den.coeffs
-        if not den[0]:
+        """Maclaurin expansion to the given order; requires den(0) != 0.
+
+        The division recurrence runs on the integer primitive parts, with the
+        denominator's sign turned so that its constant term is positive, and
+        the content num._n·den._d/num._d (the monic den has den._n = 1) is
+        applied once at the end.  When that constant term is 1, as for every
+        divisor generator, the loop creates no Fraction; the returned series
+        holds Fractions all the same."""
+        num, den = self.num, self.den
+        pd = den._p
+        if not pd[0]:
             raise ValueError("pole at q=0: denominator has zero constant term")
-        return QSeries._quotient(self.num.coeffs, den, order)
+        content = Fraction(num._n * den._d, num._d)
+        if pd[0] < 0:
+            pd, content = [-x for x in pd], -content
+        return QSeries._quotient(num._p, pd, order) * content
 
     def evaluate(self, x: _Scalar) -> Fraction:
         x = _as_fraction(x)

@@ -89,15 +89,6 @@ def q_binomial(n: int, k: int) -> QPolynomial:
     return row[k]
 
 
-def _series_valuation(r: QRationalFn, probe_order: int = 4) -> int:
-    """q-adic valuation of a nonzero rational function analytic at 0 (capped at probe_order)."""
-    s = r.taylor(probe_order)
-    for i, c in enumerate(s):
-        if c != 0:
-            return i
-    return probe_order
-
-
 def q_binomial_theorem_check(a: QRationalFn, z_val: QRationalFn, order: int) -> bool:
     """Truncated check of sum_n (a;q)_n/(q;q)_n * z^n = (a*z; q)_inf / (z; q)_inf.
 
@@ -108,7 +99,7 @@ def q_binomial_theorem_check(a: QRationalFn, z_val: QRationalFn, order: int) -> 
 
     if order < 1:
         raise ValueError("order must be >= 1")
-    if z_val.is_zero() or _series_valuation(z_val) < 1:
+    if z_val.is_zero() or z_val.taylor(1)[0] != 0:
         raise ValueError("z must vanish at q=0 for the truncated comparison")
     q = QRationalFn.q()
     one = QRationalFn.one()

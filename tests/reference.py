@@ -4,8 +4,9 @@ Each one was library code until the library kept one route per computation:
 the thin divisor-table wrappers and the alpha in {1, 2} special-case
 realizations, the factored and closed-form displays of the ratio family, the
 displayed sequences and direct targets of Table 1, the z -> q substitution,
-the verbatim loop of the quadruple-sum block, the margin summaries of a
-convergence report, and the Bell numbers.  The tests import them from here.
+the verbatim loop of the quadruple-sum block, the Fraction route of the
+Taylor expansion, the margin summaries of a convergence report, and the Bell
+numbers.  The tests import them from here.
 """
 
 from __future__ import annotations
@@ -545,6 +546,16 @@ def narrow_first_exquo(a, b):
     if q is not None and 2 * max(map(abs, q)) * norm < 1 << (8 * nbytes):
         return q
     return mignotte_exquo(a, b)
+
+
+# -- the Taylor expansion on the reduced Fraction coefficients -------------------
+
+
+def fraction_taylor(r: QRationalFn, order: int) -> QSeries:
+    """The Maclaurin expansion of r by the division recurrence on the Fraction
+    coefficients of its reduced num and den, as QRationalFn.taylor ran before
+    it divided the integer primitive parts."""
+    return QSeries._quotient(r.num.coeffs, r.den.coeffs, order)
 
 
 # -- convergence reports and combinatorics -------------------------------------

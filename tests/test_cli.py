@@ -127,22 +127,31 @@ class TestDivisorTable:
         assert captured.out == ""
         assert f"argument --mod: expected >= 2, got {mod}" in captured.err
 
-    def test_composite_modulus_flags_a_denominator_sharing_a_factor(self, capsys, monkeypatch):
-        # every real table has integer coefficients, so the series is built by
-        # hand: 1/3 has no inverse mod 6 although 6 does not divide 3
+    def test_a_non_integer_coefficient_is_an_internal_error(self, capsys, monkeypatch):
+        # every real table has integer coefficients (the proof is in the
+        # divisors docstring), so the series are built by hand: 1/3 modulo 3
+        # once kept its exact value with flagged: true, and so did 1/3 modulo 6,
+        # although 6 does not divide 3; now no table has a rational row
         from fractions import Fraction
 
         from qjfrac import divisors
         from qjfrac.exact import QRationalFn, QSeries
 
-        def generating_series(alpha, h, order):
-            return QRationalFn.zero(), QSeries(3, [0, Fraction(1, 3), Fraction(5, 7)])
-
-        monkeypatch.setattr(divisors, "generating_series", generating_series)
-        code, out = run_capture(capsys, ["divisor", "table", "--alpha", "0", "--h", "2", "--order", "3", "--mod", "6"])
-        assert code == 0
-        rows = json.loads(out)["rows"]
-        assert [(row["value"], row["flagged"]) for row in rows] == [("1/3", True), (5, False)]
+        cases = [
+            ([0, Fraction(1, 3), Fraction(5, 2)], ["--mod", "3"]),
+            ([0, Fraction(1, 3), Fraction(5, 7)], ["--mod", "6"]),
+            ([0, Fraction(1, 3), Fraction(5, 7)], []),
+        ]
+        for coeffs, mod in cases:
+            series = QSeries(3, coeffs)
+            monkeypatch.setattr(divisors, "generating_series", lambda alpha, h, order: (QRationalFn.zero(), series))
+            argv = ["divisor", "table", "--alpha", "0", "--h", "2", "--order", "3", *mod]
+            assert run(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "internal error: ArithmeticError: coefficient 1 of the divisor series is 1/3, not an integer\n"
+            )
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -245,6 +254,7 @@ class TestSizeCaps:
             "`jfrac expand --zorder` (default 2h, so `--h` above 32 needs `--zorder`)": cli._MAX_ZORDER,
             "`converge probe --hmax`": cli._MAX_PROBE_LEVELS,
             "`converge margins --hmax`": cli._MAX_MARGIN_LEVELS,
+            "`converge margins` joint precision in bits, from `--q` and `--hmax`": cli._MAX_MARGIN_BITS,
             "`oracle sigma --n`": cli._MAX_SIGMA_N,
             "`oracle sigma --alpha`, `oracle lambert --alpha`": cli._MAX_ALPHA,
             "`oracle lambert --order`": cli._MAX_LAMBERT_ORDER,
@@ -252,7 +262,7 @@ class TestSizeCaps:
             "`oracle qpochhammer --n`": cli._MAX_POCHHAMMER_N,
             "`oracle qbinomialtheorem --order`": cli._MAX_QBT_ORDER,
             "`oracle qpochhammer` joint cost `--n`⁴·size·(32 + d)/32": cli._MAX_POCHHAMMER_COST,
-            "`oracle qbinomialtheorem` joint cost `--order`⁴·size": cli._MAX_QBT_COST,
+            "`oracle qbinomialtheorem` joint cost `--order`⁴·size, (168 + d)/168 per denominator": cli._MAX_QBT_COST,
             "`verify lemmas --h`": cli._MAX_LEMMA_H,
             "`jfrac expand --h`, `jfrac triangle --h`, `divisor table --h`": cli._MAX_DEPTH,
             "`jfrac expand`, `jfrac triangle` joint cost `--h`⁶·size": cli._MAX_EXPAND_COST,
@@ -266,6 +276,37 @@ class TestSizeCaps:
             base, _, exponent = cap.partition("^")
             listed[size] = int(base) ** int(exponent) if exponent else int(base)
         assert listed == constants
+
+    @pytest.mark.parametrize(
+        "q, hmax",
+        # 10,029, 996,642, 199,379 and 8,701 bits: --q 1e-3 --hmax 500 took
+        # 1.4-1.8 s and --q 1e-300 --hmax 100 35 s
+        [("1e-3", "500"), ("1e-300", "500"), ("1e-300", "100"), ("1e-13", "100"), ("0,-1e-3", "500")],
+    )
+    def test_margins_above_the_precision_cap_is_a_usage_error(self, capsys, monkeypatch, q, hmax):
+        import qjfrac.convergence as convergence
+
+        def never(*args):
+            raise AssertionError("the margins must not run")
+
+        monkeypatch.setattr(convergence, "pringsheim_margins", never)
+        assert run(["converge", "margins", f"--q={q}", "--hmax", hmax]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --q of modulus ") and f"--hmax {hmax}:" in err
+        assert "bits exceeds 8192" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "q, hmax",
+        # 8,181 and 8,036 bits, the README and CI cases, and the benchmark's
+        # smallest --q at --hmax 100
+        [("0.0036", "500"), ("-0.0036", "500"), ("1e-12", "100"), ("0.1", "500"), ("0.1", "100"), ("0.05", "100")],
+    )
+    def test_margins_at_the_precision_cap_runs(self, capsys, monkeypatch, q, hmax):
+        import qjfrac.convergence as convergence
+
+        monkeypatch.setattr(convergence, "pringsheim_margins", lambda q, h_max: {"rows": []})
+        assert run(["converge", "margins", f"--q={q}", "--hmax", hmax]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "alpha, h", [(32, 12), (32, 8), (3, 26), (0, 64), (16, 13), (30, 8), (4, 24), (1, 31), (0, 34)]
@@ -427,6 +468,16 @@ class TestSizeCaps:
             ),
             (["oracle", "qpochhammer", "--x", "1/(1-3*q)^64", "--n", "16"], "exceeds 536870912"),
             (["oracle", "qpochhammer", "--x", "(1-q)/(1-q^256)", "--n", "22"], "exceeds 536870912"),
+            # so does each of --a and --z in qbinomialtheorem, by (168 + d)/168:
+            # --order 22 took 4.1 s inside the old order^4*size cap
+            (
+                ["oracle", "qbinomialtheorem", "--a", "(1-q)/(1-q^256)", "--z", "q*(1-q)/(1-q^256)", "--order", "18"],
+                "order^4*size = 135314064 exceeds 134217728",
+            ),
+            (
+                ["oracle", "qbinomialtheorem", "--a", "(1-q)/(1-q^256)", "--z", "q*(1-q)/(1-q^256)", "--order", "22"],
+                "exceeds 134217728",
+            ),
         ],
     )
     def test_oracle_above_the_joint_cap_is_a_usage_error(self, capsys, monkeypatch, argv, message):
@@ -454,6 +505,7 @@ class TestSizeCaps:
             ["oracle", "qbinomialtheorem", "--a", "q^2/(1-3*q)", "--z", "2*q/(1+q)", "--order", "59"],
             ["oracle", "qbinomialtheorem", "--a", "(1+q)^64/(1-3*q)^64", "--z", "2*q/(1+q)", "--order", "11"],
             ["oracle", "qpochhammer", "--x", "(1-q)/(1-q^256)", "--n", "21"],
+            ["oracle", "qbinomialtheorem", "--a", "(1-q)/(1-q^256)", "--z", "q*(1-q)/(1-q^256)", "--order", "17"],
         ],
     )
     def test_oracle_at_the_joint_cap_runs(self, capsys, monkeypatch, argv):

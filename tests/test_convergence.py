@@ -153,6 +153,12 @@ class TestPrivateContext:
         assert pringsheim_margins(0.5, 10)["precision_bits"] == 128  # 2*10*1 + 64 = 84 < 128
         assert pringsheim_margins(0.1, 100)["precision_bits"] == int(200 * math.log2(10)) + 64
 
+    @pytest.mark.parametrize("q, h_max", [(0.5, 10), (0.1, 100), (1e-6, 10), (-0.01, 60), (0.3j, 7)])
+    def test_the_cli_cap_reads_the_bits_of_the_report(self, q, h_max):
+        # margin_precision is the one statement of the rule, for the report and
+        # for the cli's cap alike
+        assert convergence.margin_precision(q, h_max) == pringsheim_margins(q, h_max)["precision_bits"]
+
     def test_threads_do_not_share_a_precision(self):
         # each diagnostic computes on a context of its own: two margin reports
         # at different precisions, built at once in two threads, equal the

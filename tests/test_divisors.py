@@ -7,9 +7,8 @@ from math import comb, factorial
 import pytest
 
 from qjfrac import cli
-from qjfrac import divisors
 from qjfrac.divisors import _stirling2_row, generating_series, table
-from qjfrac.exact import QRationalFn, QSeries
+from qjfrac.exact import QRationalFn
 from qjfrac.jfraction import JFractionSpec, convergent_pairs, divisor_spec, random_rational_spec
 from qjfrac.oracles import sigma_alpha
 from qjfrac.stirling import _tilde_d_block, _tilde_d_report, tilde_D0j
@@ -99,6 +98,18 @@ class TestDivisorGF:
     def test_arguments_are_checked(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+class TestIntegerTables:
+    # the proof in the divisors docstring: every Taylor coefficient of every
+    # generator is an integer, and by Fatou's lemma the primitive part of its
+    # reduced denominator has constant term +-1
+    @pytest.mark.parametrize("alpha", [0, 1, 3, 8])
+    @pytest.mark.parametrize("h", [2, 5, 9, 16])
+    def test_every_coefficient_is_an_integer_over_a_unit_denominator(self, alpha, h):
+        gen, series = generating_series(alpha, h, 4 * h + 8)
+        assert all(c.denominator == 1 for c in series)
+        assert gen.den._p[0] in (1, -1)
 
 
 class TestSigmaGF:
@@ -215,26 +226,6 @@ class TestCongruences:
         for a, b in zip(plain, mod):
             assert (a["n"], a["certified"], a["empirical"]) == (b["n"], b["certified"], b["empirical"])
             assert int(a["value"]) % 5 == b["value"]
-
-    @staticmethod
-    def _hand_built_rows(monkeypatch, coeffs: list, p: int) -> list[dict]:
-        """The rows of divisors.table modulo p for a series built by hand."""
-        monkeypatch.setattr(divisors, "generating_series", lambda alpha, h, order: (ZERO, QSeries(3, coeffs)))
-        return table(0, 2, 3, modulus=p)[0]["rows"]
-
-    def test_denominator_divisible_by_p_is_flagged_with_the_exact_value(self, monkeypatch):
-        # no real generator has a coefficient with p in its denominator, so the
-        # series is built by hand: 1/3 at n = 1 and 5/2 at n = 2, modulo 3
-        rows = self._hand_built_rows(monkeypatch, [0, Fraction(1, 3), Fraction(5, 2)], 3)
-        assert rows[0] == {"n": 1, "value": "1/3", "certified": True, "empirical": False, "flagged": True}
-        # 5/2 = 5 * 2 = 1 mod 3
-        assert rows[1] == {"n": 2, "value": 1, "certified": False, "empirical": True, "flagged": False}
-
-    def test_denominator_sharing_a_factor_with_a_composite_p_is_flagged(self, monkeypatch):
-        # 1/3 modulo 6: 6 does not divide 3, but 3 has no inverse mod 6 (pow
-        # used to raise); 5/7 = 5 * 7^-1 = 5 mod 6
-        rows = self._hand_built_rows(monkeypatch, [0, Fraction(1, 3), Fraction(5, 7)], 6)
-        assert [(r["value"], r["flagged"]) for r in rows] == [("1/3", True), (5, False)]
 
 
 class TestTildeD:

@@ -12,7 +12,7 @@ import qjfrac.exact as exact
 from qjfrac.exact import QPolynomial, QRationalFn, QSeries
 
 from conftest import parse
-from reference import packed_division, mignotte_exquo, narrow_first_exquo
+from reference import fraction_taylor, packed_division, mignotte_exquo, narrow_first_exquo
 
 ONE = QRationalFn.one()
 Q = QRationalFn.q()
@@ -597,6 +597,48 @@ def test_equal_values_by_different_routes_compare_and_hash_equal(a, b, c):
         assert r == routes[0] and hash(r) == hash(routes[0])
     x = QRationalFn(a * c, c) if c else QRationalFn(a)
     assert x == QRationalFn(a) and hash(x) == hash(QRationalFn(a))
+
+
+# a denominator's integer part: constant term 1 or -1, or neither, with a
+# tail of small integers (a shared factor with the numerator may still change
+# the reduced denominator's constant term)
+_den_heads = st.one_of(st.sampled_from((1, -1)), st.integers(2, 2**40), st.integers(-(2**40), -2))
+
+
+@st.composite
+def taylor_operands(draw):
+    """(r, order): a numerator from _any_poly, the zero one included, over a
+    denominator with nonzero constant term and a content, at orders from 0."""
+    content = draw(_nonzero(20, 20))
+    ints = [draw(_den_heads)] + draw(st.lists(st.integers(-9, 9), max_size=6))
+    return QRationalFn(draw(_any_poly), QPolynomial([content * x for x in ints])), draw(st.integers(0, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(taylor_operands())
+def test_taylor_matches_the_fraction_route(operands):
+    r, order = operands
+    got = r.taylor(order)
+    assert got == fraction_taylor(r, order) and got.order == order
+    assert all(type(c) is Fraction for c in got)  # == would let an int pass
+
+
+def test_taylor_divides_the_integer_parts(monkeypatch):
+    # the divisor generators' reduced denominators have constant term -1 and
+    # content 1; the recurrence must see the signed integer parts, so that it
+    # takes no reciprocal and creates no Fraction
+    seen = []
+    quotient = QSeries._quotient.__func__
+
+    def spy(cls, a, b, n):
+        seen.append((a, b))
+        return quotient(cls, a, b, n)
+
+    monkeypatch.setattr(QSeries, "_quotient", classmethod(spy))
+    r = parse("(3 + q)/(2*q^2 + 4*q - 2)")
+    assert list(r.taylor(4)) == [Fraction(-3, 2), Fraction(-7, 2), Fraction(-17, 2), Fraction(-41, 2)]
+    [(a, b)] = seen
+    assert b[0] == 1 and all(type(x) is int for x in (*a, *b))
 
 
 def test_coeffs_are_reduced_fractions_built_once():
