@@ -4,6 +4,12 @@ classical |b_h| >= |a_h| + 1 sufficient criterion, the numeric threshold
 radius where the governing inequality flips, and direct convergent-vs-target
 probes.  Each diagnostic returns the JSON report that the CLI prints.
 
+The probe and the margins read c_i and ab_i from the exact stack's own
+construction: `sequences._contraction_spec`, the even contraction of the
+C-fraction coefficients g_k of `sequences.cfraction_coefficient`, run at
+(a, b) = (q, q^2) on the numbers of the diagnostic's context.  `exact` is
+never imported, and `converge radius` does not load `sequences` either.
+
 These are diagnostics at extended precision, not interval-arithmetic proofs.
 Each call computes on an mpmath context of its own: 128 bits, and for
 margins the bits of margin_precision, max(128, 2 h_max log2(1/|q|) + 64), so
@@ -14,6 +20,7 @@ precision setting.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -27,21 +34,14 @@ _B_READING_NOTE = (
 )
 
 
-def _cseq(q, i: int):
-    """c_i of the divisor spec, numerically: 2 q^(i-1) / ((1+q^(i-1))(1+q^i)); c_1 = 1/(1+q)."""
-    if i == 1:
-        return 1 / (1 + q)
-    return 2 * q ** (i - 1) / ((1 + q ** (i - 1)) * (1 + q ** i))
+def _divisor_spec(power):
+    """The (q, q^2) spec of sequences.divisor_spec on the context numbers
+    power(e) = q^e: the same contraction of the same g_k, evaluated in the
+    arithmetic of q.  Its c_i and ab_i are memoized on the spec, so each g_k
+    is computed once, and a memoized power computes each q^e once."""
+    from .sequences import _contraction_spec
 
-
-def _abseq(q, i: int):
-    """ab_i of the divisor spec, numerically:
-    q^(2i-3) (1-q^(i-1))^4 / ((1-q^(2i-3)) (1-q^(2i-2))^2 (1-q^(2i-1)))."""
-    return (
-        q ** (2 * i - 3)
-        * (1 - q ** (i - 1)) ** 4
-        / ((1 - q ** (2 * i - 3)) * (1 - q ** (2 * i - 2)) ** 2 * (1 - q ** (2 * i - 1)))
-    )
+    return _contraction_spec("pochhammer_ratio(a=q, b=q^2)", power(1), power(2), power)
 
 
 def _context(bits: int) -> mpmath.MPContext:
@@ -70,7 +70,7 @@ def margin_precision(q: complex, h_max: int) -> int:
 def pringsheim_margins(q: complex, h_max: int = 100) -> dict:
     """Evaluate the displayed a_h, b_h with z = q and report |b_h| - |a_h| - 1.
 
-    a_h = z^2 ab_h, with ab_h as in _abseq
+    a_h = z^2 ab_h, with ab_h that of the (q, q^2) spec (_divisor_spec)
     b_h = (1 + q^(h-1)(2q + q^(2h) + q^(h+2)) - q^(h-1)(q^(2h+1) + q^2 + q^3))
           / ((1-q^(2h-2)) (1-q^(2h)))
 
@@ -80,15 +80,18 @@ def pringsheim_margins(q: complex, h_max: int = 100) -> dict:
     bits = margin_precision(q, h_max)
     qq = _context(bits).mpc(q)
     z = qq
+    # one memo of q^e for the spec's g_k and for b_h
+    power = functools.cache(qq.__pow__)
+    spec = _divisor_spec(power)
     rows = []
     for h in range(2, h_max + 1):
-        a_h = _abseq(qq, h) * z ** 2
+        a_h = spec.ab(h) * power(2)  # z^2, with z = q
         b_num = (
             1
-            + qq ** (h - 1) * (2 * qq + qq ** (2 * h) + qq ** (h + 2))
-            - qq ** (h - 1) * (qq ** (2 * h + 1) + qq ** 2 + qq ** 3)
+            + power(h - 1) * (2 * qq + power(2 * h) + power(h + 2))
+            - power(h - 1) * (power(2 * h + 1) + power(2) + power(3))
         )
-        b_h = b_num / ((1 - qq ** (2 * h - 2)) * (1 - qq ** (2 * h)))
+        b_h = b_num / ((1 - power(2 * h - 2)) * (1 - power(2 * h)))
         # the margin must be formed at working precision; at float precision
         # |b_h| - 1 underflows to zero for moderate h already
         margin = abs(b_h) - abs(a_h) - 1
@@ -184,6 +187,7 @@ def numeric_convergence_probe(q: complex, z: complex, h_max: int = 20) -> dict:
     ctx = _context(_PRECISION_BITS)
     qq, zz = ctx.mpc(q), ctx.mpc(z)
     target, converged = _direct_sum(ctx, qq, zz) if q != 0 else (1 / (1 - zz) * (1 - qq), True)
+    spec = _divisor_spec(functools.cache(qq.__pow__))
     rows = []
     # c_i z and ab_i z^2 of the levels reached so far, each evaluated once
     # (the Nones pad the unused indices 0 and 1); a level that fails stays
@@ -194,9 +198,9 @@ def numeric_convergence_probe(q: complex, z: complex, h_max: int = 20) -> dict:
         tail = 0
         try:
             while len(cz) <= h:
-                cz.append(_cseq(qq, len(cz)) * zz)
+                cz.append(spec.c(len(cz)) * zz)
             while len(abz) <= h:
-                abz.append(_abseq(qq, len(abz)) * zz ** 2)
+                abz.append(spec.ab(len(abz)) * zz ** 2)
             for i in range(h, 1, -1):
                 tail = abz[i] / (1 - cz[i] - tail)
             gap, overflow = float(abs(1 / (1 - cz[1] - tail) - target)), False

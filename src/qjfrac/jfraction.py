@@ -276,11 +276,11 @@ def table1_preset(
         if value is not None and name not in takes:
             raise ValueError(f"row {row} does not take parameter {name}")
     if row == "pochhammer_a":
-        return _contraction_spec(f"pochhammer_a(a={a})", a, _ZERO)
+        return _contraction_spec(f"pochhammer_a(a={a})", a, _ZERO, _qpow)
     if row == "reciprocal_qq":
-        return _contraction_spec("reciprocal_qq", _ZERO, _Q)
+        return _contraction_spec("reciprocal_qq", _ZERO, _Q, _qpow)
     if row == "pochhammer_zqn":
-        return _contraction_spec(f"pochhammer_zqn(z={z})", z / _Q, _ZERO, -1)
+        return _contraction_spec(f"pochhammer_zqn(z={z})", z / _Q, _ZERO, lambda e: _qpow(-e))
     if row == "reciprocal_pochhammer_zqn":
-        return _contraction_spec(f"reciprocal_pochhammer_zqn(z={z})", _ZERO, z / _Q, -1)
+        return _contraction_spec(f"reciprocal_pochhammer_zqn(z={z})", _ZERO, z / _Q, lambda e: _qpow(-e))
     return pochhammer_spec(PochhammerParams(a, b))

@@ -8,20 +8,22 @@ whose convergents generate the q-Pochhammer ratio (a;p)_n/(b;p)_n in base
 p = q or 1/q, its (q, q^2) instance behind the divisor tables, and seeded
 random specs.  The convergents, the inversion and the tabulated families live
 in `jfraction`; `divisors` needs only this layer.
+
+The C-fraction coefficients and their contraction are generic over their
+arithmetic: they take the powers p^e from a function and use only + - * /
+and integer constants, so the same code builds the exact specs over Q(q) and
+the numeric (q, q^2) spec of `convergence` on mpmath numbers.  `exact`,
+`fractions` and `random` are imported only by the functions that build exact
+values, so loading this module compiles none of them.
 """
 
 from __future__ import annotations
 
 import functools
-import random
-from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .exact import QRationalFn
-
-_ONE = QRationalFn.one()
-_Q = QRationalFn.q()
-_qpow = QRationalFn.qpow
+if TYPE_CHECKING:
+    from .exact import QRationalFn
 
 
 class JFractionSpec:
@@ -29,7 +31,9 @@ class JFractionSpec:
 
     Every value derived from the spec is memoized on it by `memo`: the
     sequence values, the C-fraction coefficients of a contraction spec, the
-    convergent pairs, the triangle rows and the shifted spec.
+    convergent pairs, the triangle rows and the shifted spec.  The values of
+    the exact specs are QRationalFn; `convergence` builds a contraction spec
+    on mpmath numbers, and reads only its sequence values.
     """
 
     def __init__(
@@ -121,11 +125,11 @@ class PochhammerParams:
         self.b = b
 
 
-def cfraction_coefficient(a: QRationalFn, b: QRationalFn, k: int, s: int = 1) -> QRationalFn:
+def cfraction_coefficient(a, b, k: int, power: Callable[[int], Any]):
     """Coefficient g_k of the regular C-fraction underlying the ratio family.
 
-    In base p = q^s (s = 1 or -1), the series sum_n (a;p)_n/(b;p)_n z^n
-    equals 1/(1 - g_1 z/(1 - g_2 z/(1 - g_3 z/...))) with
+    In base p, the series sum_n (a;p)_n/(b;p)_n z^n equals
+    1/(1 - g_1 z/(1 - g_2 z/(1 - g_3 z/...))) with
 
         g_1      = (1-a)/(1-b)
         g_{2m}   = p^(m-1) (a - b p^(m-1)) (1 - p^m)
@@ -135,22 +139,23 @@ def cfraction_coefficient(a: QRationalFn, b: QRationalFn, k: int, s: int = 1) ->
 
     (derived from the contiguous relations of the basic hypergeometric series
     behind the ratio, and verified by exact inversion of the target series).
-    Every power p^e is q^(s e).  The parametrized J-fraction is the even
-    contraction of this C-fraction; base 1/q serves the Table 1 rows in
-    (z q^-n; q)_n = (z/q; 1/q)_n.
+    Every power p^e is power(e), and the arithmetic is that of a, b and the
+    powers: QRationalFn.qpow gives base q over Q(q), lambda e: qpow(-e) base
+    1/q, and a power function on mpmath numbers the numeric coefficients.
+    The parametrized J-fraction is the even contraction of this C-fraction;
+    base 1/q serves the Table 1 rows in (z q^-n; q)_n = (z/q; 1/q)_n.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
-        return (_ONE - a) / (_ONE - b)
+        return (1 - a) / (1 - b)
+    m = k // 2
     if k % 2 == 0:
-        m = k // 2
-        num = _qpow(s * (m - 1)) * (a - b * _qpow(s * (m - 1))) * (_ONE - _qpow(s * m))
-        den = (_ONE - b * _qpow(s * (2 * m - 2))) * (_ONE - b * _qpow(s * (2 * m - 1)))
+        num = power(m - 1) * (a - b * power(m - 1)) * (1 - power(m))
+        den = (1 - b * power(2 * m - 2)) * (1 - b * power(2 * m - 1))
         return num / den
-    m = (k - 1) // 2
-    num = _qpow(s * m) * (_ONE - b * _qpow(s * (m - 1))) * (_ONE - a * _qpow(s * m))
-    den = (_ONE - b * _qpow(s * (2 * m - 1))) * (_ONE - b * _qpow(s * 2 * m))
+    num = power(m) * (1 - b * power(m - 1)) * (1 - a * power(m))
+    den = (1 - b * power(2 * m - 1)) * (1 - b * power(2 * m))
     return num / den
 
 
@@ -169,24 +174,30 @@ def pochhammer_spec(params: PochhammerParams) -> JFractionSpec:
     contraction; the contraction is what actually reproduces the target
     coefficients to the full 2h window, so it is used here.
     """
-    return _contraction_spec(f"pochhammer_ratio(a={params.a}, b={params.b})", params.a, params.b)
+    from .exact import QRationalFn
+
+    return _contraction_spec(
+        f"pochhammer_ratio(a={params.a}, b={params.b})", params.a, params.b, QRationalFn.qpow
+    )
 
 
-def _contraction_spec(name: str, a: QRationalFn, b: QRationalFn, s: int = 1) -> JFractionSpec:
+def _contraction_spec(name: str, a, b, power: Callable[[int], Any]) -> JFractionSpec:
+    """The even contraction of the C-fraction at (a, b) with powers p^e =
+    power(e), in the arithmetic of a, b and the powers."""
     # c_i and ab_i share g_{2i-2}, and ab_{i+1} reuses g_{2i-1}: the g_k are
     # memoized on the spec, so each is computed once per spec
-    def g_fn(k: int) -> QRationalFn:
-        return cfraction_coefficient(a, b, k, s)
+    def g_fn(k: int):
+        return cfraction_coefficient(a, b, k, power)
 
-    def g(k: int) -> QRationalFn:
+    def g(k: int):
         return spec.memo("g", k, g_fn)
 
-    def c_fn(i: int) -> QRationalFn:
+    def c_fn(i: int):
         if i == 1:
             return g(1)
         return g(2 * i - 2) + g(2 * i - 1)
 
-    def ab_fn(i: int) -> QRationalFn:
+    def ab_fn(i: int):
         # g-product form; regular even where the factored display degenerates
         return g(2 * i - 3) * g(2 * i - 2)
 
@@ -204,13 +215,16 @@ def pochhammer_c_display_form(a: QRationalFn, b: QRationalFn, i: int) -> QRation
     i >= 3, where it no longer reproduces the target coefficients; kept only
     for diagnostics (e.g. the first-column finite-sum formula was evidently
     derived from this variant)."""
+    from .exact import QRationalFn
+
     if i == 1:
-        return (a - _ONE) / (b - _ONE)
-    num = _qpow(i - 2) * (
-        _Q + a * b * _qpow(2 * i - 3) + a * (_ONE - _qpow(i - 1) - _qpow(i))
-        + b * (_qpow(i) - _ONE - _Q)
+        return (a - 1) / (b - 1)
+    q, qpow = QRationalFn.q(), QRationalFn.qpow
+    num = qpow(i - 2) * (
+        q + a * b * qpow(2 * i - 3) + a * (1 - qpow(i - 1) - qpow(i))
+        + b * (qpow(i) - 1 - q)
     )
-    den = (_ONE - b * _qpow(2 * i - 4)) * (_ONE - b * _qpow(2 * i - 2))
+    den = (1 - b * qpow(2 * i - 4)) * (1 - b * qpow(2 * i - 2))
     return num / den
 
 
@@ -221,7 +235,9 @@ def divisor_spec() -> JFractionSpec:
     Returns one shared instance per process, so that its memoized sequences
     and convergents are reused across callers (all cached values are
     immutable)."""
-    return pochhammer_spec(PochhammerParams(_Q, _Q * _Q))
+    from .exact import QRationalFn
+
+    return pochhammer_spec(PochhammerParams(QRationalFn.q(), QRationalFn.qpow(2)))
 
 
 def random_rational_spec(seed: int, length: int = 18) -> JFractionSpec:
@@ -229,6 +245,11 @@ def random_rational_spec(seed: int, length: int = 18) -> JFractionSpec:
 
     All values come from one seeded stream, the c draws before the ab draws,
     so the spec for a given seed depends on `length` too."""
+    import random
+    from fractions import Fraction
+
+    from .exact import QRationalFn
+
     rng = random.Random(seed)
     cs = [
         QRationalFn.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))

@@ -5,8 +5,8 @@ the thin divisor-table wrappers and the alpha in {1, 2} special-case
 realizations, the factored and closed-form displays of the ratio family, the
 displayed sequences and direct targets of Table 1, the z -> q substitution,
 the verbatim loop of the quadruple-sum block, the Fraction route of the
-Taylor expansion, the margin summaries of a convergence report, and the Bell
-numbers.  The tests import them from here.
+Taylor expansion, the closed forms of the numeric (q, q^2) sequences and the
+margin summaries of a convergence report, and the Bell numbers.  The tests import them from here.
 """
 
 from __future__ import annotations
@@ -558,7 +558,24 @@ def fraction_taylor(r: QRationalFn, order: int) -> QSeries:
     return QSeries._quotient(r.num.coeffs, r.den.coeffs, order)
 
 
-# -- convergence reports and combinatorics -------------------------------------
+# -- convergence: the numeric (q, q^2) sequences and the reports ---------------
+
+
+def divisor_c_closed_form(q, i: int):
+    """c_i of the (q, q^2) spec at a number q: 2 q^(i-1) / ((1+q^(i-1))(1+q^i)); c_1 = 1/(1+q)."""
+    if i == 1:
+        return 1 / (1 + q)
+    return 2 * q ** (i - 1) / ((1 + q ** (i - 1)) * (1 + q ** i))
+
+
+def divisor_ab_closed_form(q, i: int):
+    """ab_i of the (q, q^2) spec at a number q:
+    q^(2i-3) (1-q^(i-1))^4 / ((1-q^(2i-3)) (1-q^(2i-2))^2 (1-q^(2i-1)))."""
+    return (
+        q ** (2 * i - 3)
+        * (1 - q ** (i - 1)) ** 4
+        / ((1 - q ** (2 * i - 3)) * (1 - q ** (2 * i - 2)) ** 2 * (1 - q ** (2 * i - 1)))
+    )
 
 
 def min_margin(report: dict) -> float:

@@ -785,6 +785,51 @@ class TestConverge:
         assert run(["converge", "probe", "--q", "abc"]) == 2
         assert run(["converge", "probe", "--q", "1.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["radius", "--tol", "1e-8"], "2c8b3abde2b56db7bfff219f2e4f9db76ad6b4b16846075af5b3dd851789be74"),
+            (
+                ["probe", "--q", "0.15", "--hmax", "20", "--format", "json"],
+                "c9190721e17abe207457dd48ac6ef868984780371cf9a372dda5d8d7b0c92aef",
+            ),
+            (
+                ["probe", "--q", "0.15", "--hmax", "20", "--format", "csv"],
+                "71939a8e3bcdfcb41480e3bfae0d491eb2cb47557fd7b155814fb7dca39baa8a",
+            ),
+            (
+                ["probe", "--q", "0.15", "--hmax", "20", "--format", "pretty"],
+                "6a5c336e74e9e4a86a674cf726ed86bf9eaba55fb59808ed3c70578ad75b0c7b",
+            ),
+            (
+                ["margins", "--q", "0.1", "--hmax", "100", "--format", "json"],
+                "05253d5077d13dbf2cde9cb3aaa22ebbaad24cf7398da63f26be1a1c65177452",
+            ),
+            (
+                ["margins", "--q", "0.1", "--hmax", "100", "--format", "csv"],
+                "155722c6cf6b801933271cc61b2a550242b29c1124582674357e66c7dfb3e7bb",
+            ),
+            (
+                ["margins", "--q", "0.1", "--hmax", "100", "--format", "pretty"],
+                "db6f333b9869087b04761fc15f81e6bb8687871255e1bff623a37af42e2a718b",
+            ),
+            (
+                ["margins", "--q", "0.0036", "--hmax", "500"],
+                "e013f69d9d9e3b0a17157cceb6e97e1432556d25e006cb930f7e4814fd78b3ed",
+            ),
+        ],
+        ids=[
+            "radius", "probe-json", "probe-csv", "probe-pretty", "margins-json", "margins-csv",
+            "margins-pretty", "margins-8181-bits",
+        ],
+    )
+    def test_golden_output(self, capsys, argv, digest):
+        # stdout pinned from the closed-form sequences, so that a drift of the
+        # numeric sequences fails here; the last case sits on the joint bits cap
+        code, out = run_capture(capsys, ["converge", *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestOracle:
     def test_sigma(self, capsys):
@@ -1062,6 +1107,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([rc, sorted(m for m in sys.modules if m in ("mpmath", "dataclasses", "inspect", "csv") or m.split(".")[0] == "qjfrac")]))
 """
     NUMERIC = ["qjfrac.convergence", "mpmath"]
+    # the probe and the margins run the contraction of the sequence layer
+    SPEC = NUMERIC + ["qjfrac.sequences"]
     ORACLE = ["qjfrac.exact", "qjfrac.oracles"]
     # the sequence layer and the convergents; only --a/--b/--z/--x load the parser
     EXACT = ["qjfrac.exact", "qjfrac.sequences", "qjfrac.jfraction", "qjfrac.zalgebra"]
@@ -1072,8 +1119,8 @@ print(json.dumps([rc, sorted(m for m in sys.modules if m in ("mpmath", "dataclas
         "argv, extra",
         [
             (["converge", "radius", "--tol", "1e-8"], NUMERIC),
-            (["converge", "probe", "--q", "0.15", "--hmax", "5"], NUMERIC + ["csv"]),  # csv by default
-            (["converge", "margins", "--q", "0.1", "--hmax", "5"], NUMERIC),
+            (["converge", "probe", "--q", "0.15", "--hmax", "5"], SPEC + ["csv"]),  # csv by default
+            (["converge", "margins", "--q", "0.1", "--hmax", "5"], SPEC),
             (["oracle", "sigma", "--alpha", "1", "--n", "6"], ["qjfrac.oracles"]),
             (["oracle", "qpochhammer", "--x", "q", "--n", "2"], ORACLE + PARSE),
             (["oracle", "qbinomialtheorem", "--a", "q", "--z", "q", "--order", "3"], ORACLE + PARSE),
@@ -1103,6 +1150,31 @@ print(json.dumps([rc, sorted(m for m in sys.modules if m in ("mpmath", "dataclas
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0, sorted(["qjfrac", "qjfrac.cli", *extra])]
+
+    def test_converge_loads_no_exact_arithmetic(self):
+        # the numeric diagnostics run on mpmath numbers alone: no converge
+        # command imports the exact stack or fractions
+        script = """
+import contextlib, io, json, sys
+import qjfrac.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [qjfrac.cli.run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([rcs, [m for m in ("qjfrac.exact", "fractions") if m in sys.modules]]))
+"""
+        commands = [
+            ["converge", "radius", "--tol", "1e-8"],
+            ["converge", "probe", "--q", "0.15", "--hmax", "5"],
+            ["converge", "margins", "--q", "0.1", "--hmax", "5", "--format", "pretty"],
+        ]
+        src = os.path.dirname(os.path.dirname(qjfrac.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0, 0], []]
 
     def test_exports_resolve(self):
         namespace = {}

@@ -1,6 +1,7 @@
 """Numeric convergence diagnostics: threshold radius, elementwise margins,
 and convergent-vs-target probes."""
 
+import functools
 import math
 import random
 import sys
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.ctx_iv import MPIntervalContext
 
 import qjfrac.convergence as convergence
 from qjfrac.convergence import (
@@ -20,25 +22,64 @@ from qjfrac.convergence import (
 
 from qjfrac.jfraction import divisor_spec
 
-from reference import all_positive, min_margin
+from reference import all_positive, divisor_ab_closed_form, divisor_c_closed_form, min_margin
+
+
+def numeric_spec(q):
+    """The diagnostics' (q, q^2) spec at the context number q."""
+    return convergence._divisor_spec(functools.cache(q.__pow__))
 
 
 class TestNumericSequences:
-    # the numeric c_i and ab_i restate the closed forms of the (q, q^2) spec
+    # the numeric c_i and ab_i are the exact stack's contraction, run on the
+    # numbers of an mpmath context
     @pytest.mark.parametrize("q", [Fraction(1, 5), Fraction(-1, 3), Fraction(1, 7)])
     def test_match_exact_spec(self, q):
         spec = divisor_spec()
         ctx = mpmath.MPContext()
         ctx.prec = bits = 128
-        z = ctx.mpc(ctx.mpf(q.numerator) / q.denominator)
+        numeric = numeric_spec(ctx.mpc(ctx.mpf(q.numerator) / q.denominator))
         for i in range(1, 13):
-            pairs = [(convergence._cseq(z, i), spec.c(i))]
+            pairs = [(numeric.c(i), spec.c(i))]
             if i >= 2:
-                pairs.append((convergence._abseq(z, i), spec.ab(i)))
+                pairs.append((numeric.ab(i), spec.ab(i)))
             for got, exact in pairs:
                 value = exact.evaluate(q)
                 want = ctx.mpf(value.numerator) / value.denominator
                 assert abs(got - want) <= abs(want) * ctx.mpf(2) ** (8 - bits)
+
+    @pytest.mark.parametrize("q, bits, levels", [(0.1, 8192, 500), (complex(0.0356, -0.1285), 128, 100)])
+    def test_match_closed_forms(self, q, bits, levels):
+        ctx = mpmath.MPContext()
+        ctx.prec = bits
+        z = ctx.mpc(q)
+        numeric = numeric_spec(z)
+        tolerance = ctx.mpf(2) ** (8 - bits)
+        for i in range(1, levels + 1):
+            pairs = [(numeric.c(i), divisor_c_closed_form(z, i))]
+            if i >= 2:
+                pairs.append((numeric.ab(i), divisor_ab_closed_form(z, i)))
+            for got, want in pairs:
+                assert abs(got - want) <= abs(want) * tolerance, i
+
+    @pytest.mark.parametrize("q", [0.1, -0.15, complex(0.0356, -0.1285)])
+    def test_intervals_enclose_the_mp_values(self, q):
+        # the same spec on mpmath.iv numbers: at the same precision each
+        # interval contains the value of the mp context
+        iv = MPIntervalContext()
+        mp = mpmath.MPContext()
+        iv.prec = mp.prec = 128
+        enclosure = numeric_spec(iv.mpc(q.real, q.imag) if isinstance(q, complex) else iv.mpf(q))
+        numeric = numeric_spec(mp.mpc(q))
+        for i in range(1, 100):
+            pairs = [(enclosure.c(i), numeric.c(i))]
+            if i >= 2:
+                pairs.append((enclosure.ab(i), numeric.ab(i)))
+            for interval, value in pairs:
+                if isinstance(q, complex):
+                    assert value.real in interval.real and value.imag in interval.imag, i
+                else:
+                    assert value.imag == 0 and value.real in interval, i
 
 
 class TestThresholdRadius:

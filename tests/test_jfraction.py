@@ -333,16 +333,19 @@ class TestPochhammerSpec:
         a, b = parse(a), parse(b)
         calls = []
 
-        def counted(a, b, k, *rest):
+        def counted(a, b, k, power):
             calls.append(k)
-            return cfraction_coefficient(a, b, k, *rest)
+            return cfraction_coefficient(a, b, k, power)
+
+        def g(k):
+            return cfraction_coefficient(a, b, k, QRationalFn.qpow)
 
         monkeypatch.setattr(sequences, "cfraction_coefficient", counted)
         spec = pochhammer_spec(PochhammerParams(a, b))
         h = 8
         for i in range(h, 1, -1):
-            assert spec.ab(i) == cfraction_coefficient(a, b, 2 * i - 3) * cfraction_coefficient(a, b, 2 * i - 2)
-            assert spec.c(i) == cfraction_coefficient(a, b, 2 * i - 2) + cfraction_coefficient(a, b, 2 * i - 1)
+            assert spec.ab(i) == g(2 * i - 3) * g(2 * i - 2)
+            assert spec.c(i) == g(2 * i - 2) + g(2 * i - 1)
         assert spec.c(1) == (a - ONE) / (b - ONE)
         assert sorted(calls) == list(range(1, 2 * h))
 
@@ -808,11 +811,11 @@ class TestCFraction:
         a, b = params.a, params.b
         spec = pochhammer_spec(params)
         for i in range(2, 7):
-            g_odd = cfraction_coefficient(a, b, 2 * i - 3)
-            g_even = cfraction_coefficient(a, b, 2 * i - 2)
-            g_next = cfraction_coefficient(a, b, 2 * i - 1)
+            g_odd = cfraction_coefficient(a, b, 2 * i - 3, QRationalFn.qpow)
+            g_even = cfraction_coefficient(a, b, 2 * i - 2, QRationalFn.qpow)
+            g_next = cfraction_coefficient(a, b, 2 * i - 1, QRationalFn.qpow)
             assert spec.ab(i) == g_odd * g_even
             assert spec.c(i) == g_even + g_next
 
     def test_g1(self):
-        assert cfraction_coefficient(Q, Q * Q, 1) == (ONE - Q) / (ONE - Q * Q)
+        assert cfraction_coefficient(Q, Q * Q, 1, QRationalFn.qpow) == (ONE - Q) / (ONE - Q * Q)
