@@ -84,7 +84,10 @@ _MAX_DEPTH = 64
 # joint cap bounds h^6 * (1 + their sizes).  Along the bound expand takes
 # 1.2-1.8 s (--a "(1+q)^8" --b q^2 --h 10, --preset reciprocal_qq --h 20,
 # --a "(1+q)^256" --b q^2 --h 3) and triangle no more; above it, expand
-# --a q --b q^2 --h 32 took 21 s and --a "(1+q)^8" --b q^2 --h 16 over 60 s
+# --a q --b q^2 --h 32 took 21 s and --a "(1+q)^8" --b q^2 --h 16 over 60 s.
+# A parameter holding a power of two retries many gcds at an odd point and
+# costs up to twice as much: on the bound --a=256 --b=q^2 --h 13 took 2.1-2.9
+# s (255 and 257: 1.1-1.8 s) and --a=q --b=256 --h 13 4.7-6.2 s (2.8-3.2 s)
 _MAX_EXPAND_COST = 2**26
 _MAX_INVERT_DEPTH = 7  # jfrac invert --target n2_over_1mqn --depth 7: 0.6 s; --depth 8: 2.6 s
 _MAX_SIGMA_N = 10**14  # oracle sigma --alpha 32 --n 10^14: 2.0 s; the time grows with sqrt(n)

@@ -5,9 +5,9 @@ radius where the governing inequality flips, and direct convergent-vs-target
 probes.  Each diagnostic returns the JSON report that the CLI prints.
 
 The probe and the margins read c_i and ab_i from the exact stack's own
-construction: `sequences._contraction_spec`, the even contraction of the
-C-fraction coefficients g_k of `sequences.cfraction_coefficient`, run at
-(a, b) = (q, q^2) on the numbers of the diagnostic's context.  `exact` is
+construction: `sequences.divisor_contraction`, the even contraction of the
+C-fraction coefficients g_k of `sequences.cfraction_coefficient` at
+(a, b) = (q, q^2), run on the numbers of the diagnostic's context.  `exact` is
 never imported, and `converge radius` does not load `sequences` either.
 
 These are diagnostics at extended precision, not interval-arithmetic proofs.
@@ -32,16 +32,6 @@ _B_READING_NOTE = (
     "partial-denominator display read with the adjacent 'q^i q^(i+1)' taken as "
     "the product q^(2i+1)"
 )
-
-
-def _divisor_spec(power):
-    """The (q, q^2) spec of sequences.divisor_spec on the context numbers
-    power(e) = q^e: the same contraction of the same g_k, evaluated in the
-    arithmetic of q.  Its c_i and ab_i are memoized on the spec, so each g_k
-    is computed once, and a memoized power computes each q^e once."""
-    from .sequences import _contraction_spec
-
-    return _contraction_spec("pochhammer_ratio(a=q, b=q^2)", power(1), power(2), power)
 
 
 def _context(bits: int) -> mpmath.MPContext:
@@ -70,19 +60,21 @@ def margin_precision(q: complex, h_max: int) -> int:
 def pringsheim_margins(q: complex, h_max: int = 100) -> dict:
     """Evaluate the displayed a_h, b_h with z = q and report |b_h| - |a_h| - 1.
 
-    a_h = z^2 ab_h, with ab_h that of the (q, q^2) spec (_divisor_spec)
+    a_h = z^2 ab_h, with ab_h that of the (q, q^2) spec (divisor_contraction)
     b_h = (1 + q^(h-1)(2q + q^(2h) + q^(h+2)) - q^(h-1)(q^(2h+1) + q^2 + q^3))
           / ((1-q^(2h-2)) (1-q^(2h)))
 
     The level h = 1 partial term is degenerate (0/0); rows start at h = 2."""
     if h_max < 2:
         raise ValueError("h_max must be >= 2")
+    from .sequences import divisor_contraction
+
     bits = margin_precision(q, h_max)
     qq = _context(bits).mpc(q)
     z = qq
     # one memo of q^e for the spec's g_k and for b_h
     power = functools.cache(qq.__pow__)
-    spec = _divisor_spec(power)
+    spec = divisor_contraction(power)
     rows = []
     for h in range(2, h_max + 1):
         a_h = spec.ab(h) * power(2)  # z^2, with z = q
@@ -184,10 +176,12 @@ def numeric_convergence_probe(q: complex, z: complex, h_max: int = 20) -> dict:
     False when the direct sum stopped at _MAX_TERMS."""
     if abs(q) >= 1 or abs(z) >= 1:
         raise ValueError("need |q| < 1 and |z| < 1")
+    from .sequences import divisor_contraction
+
     ctx = _context(_PRECISION_BITS)
     qq, zz = ctx.mpc(q), ctx.mpc(z)
     target, converged = _direct_sum(ctx, qq, zz) if q != 0 else (1 / (1 - zz) * (1 - qq), True)
-    spec = _divisor_spec(functools.cache(qq.__pow__))
+    spec = divisor_contraction(functools.cache(qq.__pow__))
     rows = []
     # c_i z and ab_i z^2 of the levels reached so far, each evaluated once
     # (the Nones pad the unused indices 0 and 1); a level that fails stays

@@ -24,8 +24,9 @@ reduces to the value types defined here:
 All values are immutable; operations are pure functions.  The scalar
 field is fractions.Fraction (arbitrary precision, always reduced).  Below
 the values sits an integer kernel on the primitive parts: Kronecker
-products, GCDHEU gcds with a primitive-PRS fallback, and exact division by
-one packed division at two widths (`_int_exquo`).
+products, GCDHEU gcds that retry at odd points until the candidate divides
+(`_heu_gcd`), and exact division by one packed division at two widths
+(`_int_exquo`).
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def _power(base, n: int, one):
 # product of primitive polynomials is primitive, so a product takes no gcd.
 # Sums bring the two contents to one denominator and take the content of the
 # integer result.  Gcds run the heuristic GCDHEU (Char, Geddes & Gonnet 1989)
-# with a primitive-PRS fallback on the primitive parts.  Fractions are built
-# only when `.coeffs` is read.
+# on the primitive parts, retrying at larger points until it succeeds, which
+# it provably does.  Fractions are built only when `.coeffs` is read.
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -200,29 +201,43 @@ def _int_exquo(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
     return None
 
 
-_HEU_TRIES = 6
+def _heu_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+    """(g, a/g, b/g) with g = gcd(a, b), g[-1] > 0, for primitive a, b of degree >= 1.
 
+    GCDHEU (Char, Geddes & Gonnet 1989): at an integer ξ >= 2·max(||a||_inf,
+    ||b||_inf) + 2 (so that both operands pack; the proofs below need only
+    the min), read the candidate g off the balanced ξ-adic digits of
+    γ = gcd(a(ξ), b(ξ)) and keep its primitive part; γ > 0, so g[-1] > 0.
+    The first try is at ξ = 2^(8·nbytes), where packing evaluates and
+    unpacking reads the digits.  A candidate that fails the division test
+    sends ξ to the odd point ⌊ξ·73794/27011⌋ | 1 of the published algorithm,
+    about 2.73 times larger, where `_evaluate` evaluates and repeated
+    division reads the digits.  Odd points matter: when a parameter holds
+    2^8 or 2^16, as in (256; q)_n/(q^2; q)_n, a power-of-two point can be
+    unlucky at every width.
 
-def _heu_gcd(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[list[int], list[int], list[int]]]:
-    """(g, a/g, b/g) with g = gcd(a, b) for primitive a, b of degree >= 1, or None.
+    Acceptance.  A candidate that divides both a and b is the gcd G: G(ξ)
+    divides γ = c·g(ξ), where c is the content of the digits, so f = G/g (a
+    polynomial, since g | G) has f(ξ) | c and |c| <= ξ/2.  The roots of a
+    (and of b) lie within ||a||_inf + 1 of 0, so a nonconstant f, which
+    divides both, has |f(ξ)| > (ξ/2)^deg(f) >= ξ/2.  Hence f = ±1.
 
-    GCDHEU: at ξ = 2^(8·nbytes) >= 2·max(||a||_inf, ||b||_inf) + 2 (so that
-    both operands pack; the proof below needs only the min), read the
-    candidate g off the balanced ξ-adic digits of γ = gcd(a(ξ), b(ξ)) and
-    keep its primitive part.  A candidate that divides both a and b is the
-    gcd G: G(ξ) divides γ = c·g(ξ), where c is the content of the digits, so
-    f = G/g (a polynomial, since g | G) has f(ξ) | c and |c| <= ξ/2.  The
-    roots of a (and of b) lie within ||a||_inf + 1 of 0, so a nonconstant f,
-    which divides both, has |f(ξ)| > (ξ/2)^deg(f) >= ξ/2.  Hence f = ±1.
-    A candidate that fails the division test sends ξ up; None after
-    _HEU_TRIES tries."""
+    Termination.  The cofactors a' = a/G and b' = b/G are coprime, so
+    u·a' + v·b' = Res(a', b') = R ≠ 0 for some u, v in Z[q], and
+    c = gcd(a'(ξ), b'(ξ)) divides R.  Then γ = c·|G(ξ)|, the value at ξ of
+    ±c·G, whose coefficients are at most |R|·||G||_inf in absolute value.
+    Once ξ > 2·|R|·||G||_inf they are the balanced digits of γ, the
+    candidate is ±G, and it divides.  ξ grows geometrically, so some try gets
+    there."""
     nbytes = _digit_width((2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() // 8 + 1)
-    for _ in range(_HEU_TRIES):
-        # gamma <= |a(ξ)| < ξ^len(a), and likewise for b, so its digits
-        # number at most min(len(a), len(b)) + 2
-        bias = _bias(max(len(a), len(b)) + 2, nbytes)
-        gamma = _int_gcd(_pack(a, nbytes, bias), _pack(b, nbytes, bias))
-        g = _primitive(_int_strip(_unpack(gamma, gamma.bit_length() // (8 * nbytes) + 2, nbytes, bias)))
+    # gamma <= |a(ξ)| < ξ^len(a), and likewise for b, so its digits number at
+    # most min(len(a), len(b)) + 2
+    bias = _bias(max(len(a), len(b)) + 2, nbytes)
+    gamma = _int_gcd(_pack(a, nbytes, bias), _pack(b, nbytes, bias))
+    digits = _unpack(gamma, gamma.bit_length() // (8 * nbytes) + 2, nbytes, bias)
+    xi = 1 << (8 * nbytes)
+    while True:
+        g = _primitive(_int_strip(digits))
         if len(g) == 1:
             return [1], a, b
         qa = _int_exquo(a, g)
@@ -230,38 +245,30 @@ def _heu_gcd(a: Sequence[int], b: Sequence[int]) -> Optional[tuple[list[int], li
             qb = _int_exquo(b, g)
             if qb is not None:
                 return g, qa, qb
-        nbytes = _digit_width(nbytes + nbytes // 4 + 1)
-    return None
+        xi = xi * 73794 // 27011 | 1
+        gamma = _int_gcd(_evaluate(a, xi), _evaluate(b, xi))
+        digits = []
+        while gamma:
+            # the balanced digit of an odd base lies in [-(ξ-1)/2, (ξ-1)/2]
+            gamma, d = divmod(gamma, xi)
+            if d > xi >> 1:
+                d -= xi
+                gamma += 1
+            digits.append(d)
 
 
-def _int_pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Pseudo-remainder of a by b (b nonzero), content-stripped."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and a:
-        lead = a[-1]
-        a = [lb * x for x in a]
-        shift = len(a) - 1 - db
-        for i in range(db + 1):
-            a[shift + i] -= lead * b[i]
-        a.pop()
-        _int_strip(a)
-        cont = _int_gcd(*a)
-        if cont > 1:
-            a = [x // cont for x in a]
-    return a
-
-
-def _prim_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-    """(g, a/g, b/g) for primitive a, b of degree >= 1; g = gcd(a, b) up to sign."""
-    found = _heu_gcd(a, b)
-    if found is not None:
-        return found
-    x, y = (a, b) if len(a) >= len(b) else (b, a)
-    while y:
-        x, y = y, _int_pseudo_rem(x, y)
-    return x, _int_exquo(a, x), _int_exquo(b, x)
+def _evaluate(cs: Sequence[int], x: int) -> int:
+    """Σ cs[i]·x^i, by pairing neighbours: each round halves the list and
+    squares x, so the large products are balanced ones, which CPython
+    multiplies by Karatsuba (Horner's are all lopsided, and slower)."""
+    vals = list(cs)
+    while True:
+        if len(vals) & 1:
+            vals.append(0)
+        vals = [vals[i] + vals[i + 1] * x for i in range(0, len(vals), 2)]
+        if len(vals) == 1:
+            return vals[0]
+        x *= x
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +467,7 @@ class QPolynomial:
         elif len(a._p) == 1 or len(b._p) == 1:
             return _QP_ONE
         else:
-            g = _prim_gcd(a._p, b._p)[0]
+            g = _heu_gcd(a._p, b._p)[0]
         return _poly(1, g[-1], g)
 
     def evaluate(self, x: _Scalar) -> Fraction:
@@ -558,7 +565,7 @@ def _coprime_parts(p: QPolynomial, q: QPolynomial) -> Optional[tuple[QPolynomial
     """(p/g, q/g) for the monic g = gcd(p, q) of nonzero p, q, or None when g = 1."""
     if len(p._p) == 1 or len(q._p) == 1:
         return None
-    g, pi, qi = _prim_gcd(p._p, q._p)
+    g, pi, qi = _heu_gcd(p._p, q._p)
     if len(g) == 1:
         return None
     # p = (n/d)·g·pi, and g is g[-1] times the monic gcd
@@ -596,9 +603,8 @@ class QRationalFn:
             num, den = _QP_ZERO, _QP_ONE
         else:
             if len(pn) > 1 and len(pd) > 1:
-                _, pn, pd = _prim_gcd(pn, pd)
-                if pd[-1] < 0:
-                    pn, pd = [-x for x in pn], [-x for x in pd]
+                # the gcd's lead is > 0, so pd keeps den's sign: pd[-1] > 0
+                _, pn, pd = _heu_gcd(pn, pd)
             lead = pd[-1]
             # unless the gcd is 1 (_heu_gcd then hands pd back) and den is
             # already monic: num/den = (nn/nd)·pn / ((dn/dd)·pd) over pd/lead
@@ -627,7 +633,9 @@ class QRationalFn:
 
     @classmethod
     def from_fraction(cls, c: _Scalar) -> "QRationalFn":
-        return cls(QPolynomial.constant(c))
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"expected an exact rational scalar, got {type(c).__name__}")
+        return _ratfn_constant(c)
 
     @classmethod
     def qpow(cls, k: int) -> "QRationalFn":
@@ -785,8 +793,15 @@ def _coerce_ratfn(x):
     if isinstance(x, QPolynomial):
         return QRationalFn(x)
     if isinstance(x, (int, Fraction)):
-        return QRationalFn.from_fraction(x)
+        return _ratfn_constant(x)
     return NotImplemented
+
+
+def _ratfn_constant(c: _Scalar) -> QRationalFn:
+    """The canonical constant c/1 for an int or Fraction c, with no gcd taken:
+    an int has numerator c and denominator 1, and a Fraction is reduced."""
+    n = c.numerator
+    return _qr(_qpp(n, c.denominator, (1,)), _QP_ONE) if n else _QR_ZERO
 
 
 def _qr(num: QPolynomial, den: QPolynomial) -> QRationalFn:

@@ -228,16 +228,26 @@ def pochhammer_c_display_form(a: QRationalFn, b: QRationalFn, i: int) -> QRation
     return num / den
 
 
+def divisor_contraction(power: Callable[[int], Any]) -> JFractionSpec:
+    """The (a, b) = (q, q^2) instance in the arithmetic of power(e) = q^e:
+    convergent coefficients are (1-q)/(1-q^(n+1)).
+
+    QRationalFn.qpow gives the exact spec of divisor_spec; `convergence`
+    passes a memoized power on the numbers of an mpmath context, so that
+    each q^e is computed once."""
+    return _contraction_spec("pochhammer_ratio(a=q, b=q^2)", power(1), power(2), power)
+
+
 @functools.cache
 def divisor_spec() -> JFractionSpec:
-    """The (a, b) = (q, q^2) instance: convergent coefficients are (1-q)/(1-q^(n+1)).
+    """The exact (q, q^2) spec over Q(q), divisor_contraction(QRationalFn.qpow).
 
     Returns one shared instance per process, so that its memoized sequences
     and convergents are reused across callers (all cached values are
     immutable)."""
     from .exact import QRationalFn
 
-    return pochhammer_spec(PochhammerParams(QRationalFn.q(), QRationalFn.qpow(2)))
+    return divisor_contraction(QRationalFn.qpow)
 
 
 def random_rational_spec(seed: int, length: int = 18) -> JFractionSpec:

@@ -11,10 +11,11 @@ margin summaries of a convergence report, and the Bell numbers.  The tests impor
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Optional
 
 from qjfrac.divisors import _convergent_jets, _generator, _transform_at_q, _z_jet, generating_series
-from qjfrac.exact import QRationalFn, QSeries, _bias, _digit_width, _pack, _unpack
+from qjfrac.exact import QRationalFn, QSeries, _bias, _digit_width, _int_exquo, _int_strip, _pack, _unpack
 from qjfrac.jfraction import PochhammerParams, convergent_pairs, divisor_spec, pochhammer_spec
 from qjfrac.oracles import q_pochhammer
 from qjfrac.sequences import JFractionSpec
@@ -546,6 +547,37 @@ def narrow_first_exquo(a, b):
     if q is not None and 2 * max(map(abs, q)) * norm < 1 << (8 * nbytes):
         return q
     return mignotte_exquo(a, b)
+
+
+# -- gcd: the primitive PRS that ran when GCDHEU gave up after six tries -------
+
+
+def int_pseudo_rem(a, b):
+    """Pseudo-remainder of a by b (b nonzero), content-stripped."""
+    a = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(a) - 1 >= db and a:
+        lead = a[-1]
+        a = [lb * x for x in a]
+        shift = len(a) - 1 - db
+        for i in range(db + 1):
+            a[shift + i] -= lead * b[i]
+        a.pop()
+        _int_strip(a)
+        cont = gcd(*a)
+        if cont > 1:
+            a = [x // cont for x in a]
+    return a
+
+
+def prs_gcd_parts(a, b):
+    """(g, a/g, b/g) for primitive a, b of degree >= 1 by the primitive PRS;
+    g = gcd(a, b) up to sign."""
+    x, y = (a, b) if len(a) >= len(b) else (b, a)
+    while y:
+        x, y = y, int_pseudo_rem(x, y)
+    return x, _int_exquo(a, x), _int_exquo(b, x)
 
 
 # -- the Taylor expansion on the reduced Fraction coefficients -------------------

@@ -21,18 +21,32 @@ from qjfrac.convergence import (
 )
 
 from qjfrac.jfraction import divisor_spec
+from qjfrac.sequences import divisor_contraction
 
 from reference import all_positive, divisor_ab_closed_form, divisor_c_closed_form, min_margin
 
 
 def numeric_spec(q):
     """The diagnostics' (q, q^2) spec at the context number q."""
-    return convergence._divisor_spec(functools.cache(q.__pow__))
+    return divisor_contraction(functools.cache(q.__pow__))
 
 
 class TestNumericSequences:
     # the numeric c_i and ab_i are the exact stack's contraction, run on the
     # numbers of an mpmath context
+    def test_one_builder_for_both_arithmetics(self):
+        # divisor_spec is the family instance at (q, q^2), and the numeric
+        # spec carries its name
+        from qjfrac.exact import QRationalFn
+        from qjfrac.jfraction import PochhammerParams, pochhammer_spec
+
+        spec = divisor_spec()
+        assert spec is divisor_spec()
+        family = pochhammer_spec(PochhammerParams(QRationalFn.q(), QRationalFn.qpow(2)))
+        assert spec.name == family.name == numeric_spec(mpmath.MPContext().mpf(0.1)).name
+        assert [spec.c(i) for i in range(1, 6)] == [family.c(i) for i in range(1, 6)]
+        assert [spec.ab(i) for i in range(2, 6)] == [family.ab(i) for i in range(2, 6)]
+
     @pytest.mark.parametrize("q", [Fraction(1, 5), Fraction(-1, 3), Fraction(1, 7)])
     def test_match_exact_spec(self, q):
         spec = divisor_spec()

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import qjfrac.exact as exact
 from qjfrac.exact import QPolynomial, QRationalFn, QSeries
+from qjfrac.jfraction import PochhammerParams, convergent_coefficients, convergents, pochhammer_spec
 
 from conftest import parse
-from reference import fraction_taylor, packed_division, mignotte_exquo, narrow_first_exquo
+from reference import fraction_taylor, int_pseudo_rem, mignotte_exquo, narrow_first_exquo, packed_division, prs_gcd_parts
 
 ONE = QRationalFn.one()
 Q = QRationalFn.q()
@@ -266,7 +267,7 @@ def prs_gcd(a, b):
     if len(x) < len(y):
         x, y = y, x
     while y:
-        x, y = y, exact._int_pseudo_rem(x, y)
+        x, y = y, int_pseudo_rem(x, y)
     return QPolynomial(Fraction(c, x[-1]) for c in x)
 
 
@@ -347,13 +348,6 @@ def test_kernel_matches_fraction_oracles_at_degree_100(pair):
     _check_kernel(a, b)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_pairs)
-def test_prs_fallback_when_the_heuristic_gives_up(pair):
-    with mock.patch.object(exact, "_heu_gcd", lambda a, b: None):
-        _check_kernel(*pair)
-
-
 def _primitive_ints(p):
     return _split(p.coeffs)[0]
 
@@ -371,16 +365,15 @@ def test_int_exquo_is_division_in_z(a, b):
 
 @settings(max_examples=80, deadline=None)
 @given(sharing_pairs())
-def test_heuristic_gcd_gives_up_or_is_the_gcd(pair):
+def test_heuristic_gcd_is_the_gcd(pair):
     a, b = (_primitive_ints(p) for p in pair)
     if len(a) == 1 or len(b) == 1:
         return
-    found = exact._heu_gcd(a, b)
-    if found is not None:
-        g, qa, qb = found
-        assert schoolbook_mul(g, qa) == QPolynomial(a)
-        assert schoolbook_mul(g, qb) == QPolynomial(b)
-        assert QPolynomial(Fraction(c, g[-1]) for c in g) == prs_gcd(*(p.coeffs for p in pair))
+    g, qa, qb = exact._heu_gcd(a, b)
+    assert g[-1] > 0
+    assert schoolbook_mul(g, qa) == QPolynomial(a)
+    assert schoolbook_mul(g, qb) == QPolynomial(b)
+    assert QPolynomial(Fraction(c, g[-1]) for c in g) == prs_gcd(*(p.coeffs for p in pair))
 
 
 def test_int_exquo_quotient_larger_than_dividend():
@@ -401,22 +394,116 @@ def test_int_exquo_quotient_larger_than_dividend():
 
 def test_failed_heuristic_candidate_sends_xi_up(monkeypatch):
     # a candidate that fails the division test must not be accepted: the
-    # next try, at a larger evaluation point, gives the gcd and its cofactors
+    # next try, at a larger and odd evaluation point, gives the gcd and its
+    # cofactors
     f, g, h = QPolynomial((3, -1, 2)), QPolynomial((1, 5)), QPolynomial((-7, 0, 1))
     a = _primitive_ints(schoolbook_mul(f.coeffs, g.coeffs))
     b = _primitive_ints(schoolbook_mul(f.coeffs, h.coeffs))
     real, calls = exact._int_exquo, []
+    evaluate, points = exact._evaluate, []
 
     def first_division_fails(x, y):
         calls.append(y)
         return None if len(calls) == 1 else real(x, y)
 
+    def spy(cs, x):
+        points.append(x)
+        return evaluate(cs, x)
+
     monkeypatch.setattr(exact, "_int_exquo", first_division_fails)
+    monkeypatch.setattr(exact, "_evaluate", spy)
     gcd_ab, qa, qb = exact._heu_gcd(a, b)
     assert len(calls) == 3
+    # the packed first try was at 2^8; the retry evaluates a and b at 2^8·73794/27011 | 1
+    assert points == [699, 699]
     assert schoolbook_mul(gcd_ab, qa) == QPolynomial(a)
     assert schoolbook_mul(gcd_ab, qb) == QPolynomial(b)
     assert QPolynomial(Fraction(c, gcd_ab[-1]) for c in gcd_ab) == QPolynomial((Fraction(3, 2), Fraction(-1, 2), 1))
+
+
+def _check_gcd_parts(a, b):
+    """_heu_gcd(a, b) is the PRS oracle's gcd with its exact cofactors."""
+    g, qa, qb = exact._heu_gcd(a, b)
+    want = prs_gcd_parts(a, b)[0]
+    assert g[-1] > 0 and list(g) in (list(want), [-c for c in want])
+    assert convolution(g, qa) == list(a) and convolution(g, qb) == list(b)
+
+
+# (a, b) with a parameter that is a power of two: every point 2^(8·nbytes) is
+# then unlucky for some of the operand pairs that the expansion meets
+_POWER_OF_TWO_PARAMETERS = {"256": (256, "q^2"), "65536": (65536, "q^2"), "q, 256": ("q", 256)}
+
+
+@pytest.mark.parametrize("params", list(_POWER_OF_TWO_PARAMETERS))
+def test_gcds_of_power_of_two_parameters(params, monkeypatch):
+    # every gcd that `jfrac expand --h 6 --zorder 8` takes on these
+    # parameters; six tries at powers of two gave up on 4, 4 and 2 of them
+    # (on 15, 20 and 13 of those at the default --zorder 12, whose larger
+    # pairs take the PRS oracle seconds)
+    a, b = (parse(str(x)) for x in _POWER_OF_TWO_PARAMETERS[params])
+    pairs, real = [], exact._heu_gcd
+
+    def record(x, y):
+        pairs.append((tuple(x), tuple(y)))
+        return real(x, y)
+
+    monkeypatch.setattr(exact, "_heu_gcd", record)
+    convergent_coefficients(convergents(pochhammer_spec(PochhammerParams(a, b)), 6), 8)
+    monkeypatch.setattr(exact, "_heu_gcd", real)
+    assert len(pairs) >= 290
+    for x, y in pairs:
+        _check_gcd_parts(x, y)
+
+
+def test_gcd_whose_power_of_two_points_are_all_unlucky(monkeypatch):
+    # met by `jfrac expand --a=256 --b=q^2 --h 6`.  The gcd is 1, but at each
+    # power of two from 2^64 to 2^232 that six widening tries reach, γ has
+    # two or more balanced digits: a candidate of degree >= 1, which cannot
+    # divide.  The first odd point gives the gcd.
+    a = (
+        1, -255, -512, 65023, 130814, 196861, -16579331, -33486339, -50655746, -51179521, 4293463808,
+        8705346560, 8872790016, 484246528, -16510746368, -1150280859904, -1188934975744, 971333435392,
+        4248209195008, 8641759543296, 13061113118720, 16393890234368, -263938675572736, -547578315800576,
+        -833425552441344, -838914503868416, -843312533602304, -564040875114496, -283669704998912,
+        -2199023255552, 280375465082880, 281474976710656,
+    )
+    b = (
+        -1, -1, 1, 2, 2, 1, -1, -2, -2, -2, -1, 1, 3, 2, -1, -2, -2, -1, 1, 2, 3, 4, 2, -2, -4, -3, -2,
+        -1, 1, 2, 2, 1, -2, -3, -1, 1, 2, 2, 2, 1, -1, -2, -2, -1, 1, 1,
+    )
+    assert prs_gcd_parts(a, b)[0] == [1]
+    assert exact._heu_gcd(a, b) == ([1], a, b)
+    for nbytes in (8, 11, 14, 18, 23, 29):
+        xi = 1 << (8 * nbytes)
+        gamma = gcd(*(sum(c * xi**i for i, c in enumerate(p)) for p in (a, b)))
+        assert gamma >= xi >> 1
+    evaluate, points = exact._evaluate, []
+
+    def spy(cs, x):
+        points.append(x)
+        return evaluate(cs, x)
+
+    monkeypatch.setattr(exact, "_evaluate", spy)
+    exact._heu_gcd(a, b)
+    assert points == [(1 << 64) * 73794 // 27011 | 1] * 2
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 7, -(2**70), True, Fraction(0), Fraction(3, 4), Fraction(-5, 6), Fraction(2**80, 3)])
+def test_constants_are_built_canonical_with_no_gcd(c):
+    # an int or Fraction operand becomes its canonical constant directly, as
+    # the normalizing constructor would build it
+    want = QRationalFn(QPolynomial.constant(c), QPolynomial.one())
+    for r in (QRationalFn.from_fraction(c), exact._coerce_ratfn(c)):
+        assert_canonical(r.num)
+        assert_canonical(r.den)
+        assert (r.num._n, r.num._d, r.num._p, r.den._n, r.den._d, r.den._p) == (
+            want.num._n, want.num._d, want.num._p, want.den._n, want.den._d, want.den._p
+        )
+        assert r == want and hash(r) == hash(want)
+        assert all(type(x) is int for x in (r.num._n, r.num._d))
+    assert c - Q == QRationalFn.from_fraction(c) - Q == QRationalFn(QPolynomial((c, -1)))
+    with pytest.raises(TypeError):
+        QRationalFn.from_fraction(0.5)
 
 
 @st.composite
@@ -496,7 +583,7 @@ def fraction_coprime_parts(p, q):
     if len(p) == 1 or len(q) == 1:
         return None
     (pi, cp, dp), (qi, cq, dq) = _split(p), _split(q)
-    g, pi, qi = exact._prim_gcd(pi, qi)
+    g, pi, qi = prs_gcd_parts(pi, qi)
     if len(g) == 1:
         return None
     return _scaled(pi, cp * g[-1], dp), _scaled(qi, cq * g[-1], dq)
@@ -510,7 +597,7 @@ def fraction_normalise(num, den):
         lead = den[-1]
         return tuple(c / lead for c in num), tuple(c / lead for c in den)
     (pn, cn, nd), (pd, cd, dd) = _split(num), _split(den)
-    _, pn, pd = exact._prim_gcd(pn, pd)
+    _, pn, pd = prs_gcd_parts(pn, pd)
     lead = pd[-1]
     return _scaled(pn, cn * dd, lead * cd * nd), _scaled(pd, 1, lead)
 
@@ -794,15 +881,12 @@ def test_heu_gcd_matches_the_byte_join_kernel(f, g, h):
     if len(a) == 1 or len(b) == 1:
         return
     a, b = ([-c for c in p] if p[-1] < 0 else p for p in (a, b))
-    found, want = exact._heu_gcd(a, b), byte_join_kernel(exact._heu_gcd, a, b)
-    if found is not None:
-        g_ab, qa, qb = found
-        assert convolution(g_ab, qa) == a and convolution(g_ab, qb) == b
-        # the byte-join route falls back to the PRS when its heuristic gives up
-        g = list(byte_join_kernel(exact._prim_gcd, a, b)[0])
-        assert g_ab in (g, [-c for c in g])
-        if want is not None:
-            assert found == want
+    found = exact._heu_gcd(a, b)
+    g_ab, qa, qb = found
+    assert convolution(g_ab, qa) == a and convolution(g_ab, qb) == b
+    g = list(prs_gcd_parts(a, b)[0])
+    assert g_ab in (g, [-c for c in g])
+    assert found == byte_join_kernel(exact._heu_gcd, a, b)
 
 
 # -- the bias: one per kernel call, shifted down to each operand -----------------
