@@ -54,7 +54,7 @@ _EXPORTS = {
         "q_pochhammer",
         "sigma_alpha",
     ),
-    "zalgebra": ("ZFraction", "ZPolynomial", "ZSeries"),
+    "zalgebra": ("ZPolynomial", "ZSeries"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -9,7 +9,7 @@ reduces to the value types defined here:
                     polynomial is 0/1 times ().  The form is canonical, so
                     equality compares (n, d, p).  `.coeffs`, the tuple of
                     reduced Fraction coefficients with no trailing zero, is
-                    built on first use and cached.
+                    built from them when read.
   * QRationalFn  -- quotient of two QPolynomials, canonical form: fully
                     reduced with a monic denominator, so equality is a
                     plain structural comparison.
@@ -150,11 +150,6 @@ def _int_strip(cs: list[int]) -> list[int]:
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two nonzero integer polynomials by Kronecker substitution."""
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        c = a[0]
-        return [c * x for x in b]
     # every product coefficient is at most this in absolute value; a sign bit
     # on top makes the packed digits independent
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
@@ -181,9 +176,6 @@ def _int_exquo(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
     n = len(a) - len(b) + 1
     if n <= 0 or a[-1] % b[-1]:
         return None
-    if len(b) == 1:
-        c = b[0]
-        return None if any(x % c for x in a) else [x // c for x in a]
     norm = sum(map(abs, b))
     top = max(map(abs, a))
     for bound in (top, (top * len(a)) << (n - 1)):
@@ -280,11 +272,10 @@ class QPolynomial:
     """Dense polynomial in q over Q: the content _n/_d times the primitive _p.
 
     _d > 0 and gcd(_n, _d) = 1; _p is a tuple of ints with gcd 1 and
-    _p[-1] > 0, or () for the zero polynomial, whose content is 0/1.  The
-    slot _cs caches `.coeffs` and stays unset until that is first read.
+    _p[-1] > 0, or () for the zero polynomial, whose content is 0/1.
     """
 
-    __slots__ = ("_n", "_d", "_p", "_cs")
+    __slots__ = ("_n", "_d", "_p")
 
     def __init__(self, coeffs: Iterable[_Scalar] = ()):
         cs = [_as_fraction(c) for c in coeffs]
@@ -303,7 +294,6 @@ class QPolynomial:
         _set_n(self, n)
         _set_d(self, d)
         _set_p(self, p)
-        _set_cs(self, tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("QPolynomial is immutable")
@@ -311,16 +301,10 @@ class QPolynomial:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The reduced Fraction coefficients, ascending in q, no trailing zero."""
-        try:
-            return self._cs
-        except AttributeError:
-            n, d = self._n, self._d
-            if d == 1:
-                cs = tuple([Fraction(n * x) for x in self._p])
-            else:
-                cs = tuple([Fraction(n * x, d) for x in self._p])
-            _set_cs(self, cs)
-            return cs
+        n, d = self._n, self._d
+        if d == 1:
+            return tuple([Fraction(n * x) for x in self._p])
+        return tuple([Fraction(n * x, d) for x in self._p])
 
     # -- constructors ------------------------------------------------------
 
@@ -362,9 +346,8 @@ class QPolynomial:
         return self._n == 1 and self._d == 1 and self._p == (1,)
 
     def coefficient(self, k: int) -> Fraction:
-        cs = self.coeffs
-        if 0 <= k < len(cs):
-            return cs[k]
+        if 0 <= k < len(self._p):
+            return Fraction(self._n * self._p[k], self._d)
         return Fraction(0)
 
     @property
@@ -382,6 +365,9 @@ class QPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals, so hashes like, its Fraction
+        if len(self._p) <= 1:
+            return hash(Fraction(self._n, self._d))
         return hash(("QPolynomial", self._n, self._d, self._p))
 
     # -- ring operations ----------------------------------------------------
@@ -441,6 +427,7 @@ class QPolynomial:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by the zero polynomial")
         rem = list(self.coeffs)
+        bs = other.coeffs
         db = other.degree
         lb = other.leading_coefficient
         quo = [Fraction(0)] * max(len(rem) - db, 0)
@@ -449,7 +436,7 @@ class QPolynomial:
             shift = len(rem) - 1 - db
             quo[shift] = c
             for i in range(db + 1):
-                rem[shift + i] -= c * other.coeffs[i]
+                rem[shift + i] -= c * bs[i]
             rem.pop()
             while rem and rem[-1] == 0:
                 rem.pop()
@@ -496,7 +483,6 @@ class QPolynomial:
 _set_n = QPolynomial._n.__set__
 _set_d = QPolynomial._d.__set__
 _set_p = QPolynomial._p.__set__
-_set_cs = QPolynomial._cs.__set__
 _new = object.__new__
 
 
@@ -662,6 +648,9 @@ class QRationalFn:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # over denominator 1 it equals, so hashes like, its numerator
+        if self.den.is_one():
+            return hash(self.num)
         return hash(("QRationalFn", self.num, self.den))
 
     # -- field operations ------------------------------------------------------

@@ -5,10 +5,11 @@ and denominator polynomials; and the measured comparison of the tabulated
 quadruple-sum block with Q_j Q_{j+1} (`tilde_D0j`).
 
 Every check here clears denominators down to a ZPolynomial identity over
-Q(q)[z]; no two-variable gcd is ever needed.  Each check returns a JSON
-report: the identity checks a lemma report (jfraction.lemma_report), the
-measured ones their own schema.  `lemma_suite` runs the checks of one spec
-and returns the record that `verify lemmas` prints.
+Q(q)[z], all through one builder (`_cleared`); no two-variable gcd is ever
+needed.  Each check returns a JSON report: the identity checks a lemma
+report (jfraction.lemma_report), the measured ones their own schema.
+`lemma_suite` runs the checks of one spec and returns the record that
+`verify lemmas` prints.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Optional
 from .exact import QRationalFn
 from .jfraction import convergent_pairs, convergent_sum_decomposition, lemma_report
 from .sequences import JFractionSpec, divisor_spec, pochhammer_c_display_form
-from .zalgebra import ZFraction, ZPolynomial, linear_product, linear_step
+from .zalgebra import ZPolynomial, linear_product, linear_step
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
@@ -105,14 +106,29 @@ def _term(spec: JFractionSpec, ks: tuple[int, ...]) -> tuple[QRationalFn, list[i
     return w, fs
 
 
-def _cofactor(spec: JFractionSpec, w: QRationalFn, fs: Iterable[int], lcm: Counter) -> ZPolynomial:
-    """w times the linear factors 1 - c_i z of spec over the index multiset
-    lcm minus the indices fs: the numerator of w / prod_{i in fs}(1 - c_i z)
-    over the denominator prod_{i in lcm}(1 - c_i z)."""
-    return linear_product((spec.c(i) for i in (lcm - Counter(fs)).elements()), w)
+def _cleared(
+    spec: JFractionSpec,
+    terms: Iterable[tuple[QRationalFn, Iterable[int]]],
+    lcm: Optional[Counter] = None,
+) -> tuple[Counter, ZPolynomial]:
+    """(L, N): the sum over the items (w, fs) of terms of
+    w / prod_{i in fs}(1 - c_i z) is N / prod_{i in L}(1 - c_i z).
+
+    L is lcm when given, which must contain every index multiset fs, and
+    otherwise the lcm of the fs.  Each term contributes w times the linear
+    factors of L minus its fs."""
+    terms = [(w, Counter(fs)) for w, fs in terms]
+    if lcm is None:
+        lcm = Counter()
+        for _, fs in terms:
+            lcm |= fs
+    num = ZPolynomial.zero()
+    for w, fs in terms:
+        num = num + linear_product((spec.c(i) for i in (lcm - fs).elements()), w)
+    return lcm, num
 
 
-def nested_sum(spec: JFractionSpec, h: int, m: int, s: int) -> ZFraction:
+def nested_sum(spec: JFractionSpec, h: int, m: int, s: int) -> tuple[ZPolynomial, ZPolynomial]:
     """The sum over spaced tuples 2 <= k_1, k_p + 2 <= k_{p+1}, k_m <= h with
     sum k_p = s of the terms
 
@@ -122,17 +138,15 @@ def nested_sum(spec: JFractionSpec, h: int, m: int, s: int) -> ZFraction:
     S^[P]_{h,m,s} = nested_sum(spec.shifted(), h, m, s - m):
     terms ab_{k_p + 1} / ((1 - c_{k_p} z)(1 - c_{k_p + 1} z)) with sum k_p = s - m.
 
-    The result is returned over the common denominator formed by the union of
-    the linear factors actually used; the empty sum is 0/1.
+    Returns the pair (numerator, denominator) of ZPolynomials, the sum over
+    the product of the linear factors actually used, each once (the spacing
+    keeps a tuple's factors distinct); the empty sum is (0, 1).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     terms = [_term(spec, ks) for ks in _spaced_tuples(h, m) if sum(ks) == s]
-    if not terms:
-        return ZFraction.zero()
-    used = Counter(set().union(*(fs for _, fs in terms)))
-    num = sum((_cofactor(spec, w, fs, used) for w, fs in terms), ZPolynomial.zero())
-    return ZFraction(num, linear_product(spec.c(i) for i in used))
+    used, num = _cleared(spec, terms)
+    return num, linear_product(spec.c(i) for i in used.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +175,10 @@ def _verify_expansion(
     row = triangle_row(spec, h)
     D = ZPolynomial(row)
     factors = Counter(range(1, h + 1))
-    numerators: dict[int, ZPolynomial] = {}
-    for m in range(1, h // 2 + 1):
-        N = ZPolynomial.zero()
-        for ks in _spaced_tuples(h, m):
-            N = N + _cofactor(spec, *_term(spec, ks), factors)
-        numerators[m] = N
+    numerators = {
+        m: _cleared(spec, (_term(spec, ks) for ks in _spaced_tuples(h, m)), factors)[1]
+        for m in range(1, h // 2 + 1)
+    }
     rhs = D
     for m, N in numerators.items():
         rhs = rhs + N.shift(2 * m) if m % 2 == 0 else rhs - N.shift(2 * m)
@@ -235,11 +247,7 @@ def _cell_is_zero(spec: JFractionSpec, terms: dict[tuple[int, ...], QRationalFn]
     """Whether the sum of w / prod_{i in fs}(1 - c_i z) over the items (fs, w)
     of terms is zero: its numerator over the lcm of the index multisets fs,
     whose linear factors all have constant term 1, is the zero polynomial."""
-    dens = [(w, fs) for fs, w in terms.items() if not w.is_zero()]
-    lcm = Counter()
-    for _, fs in dens:
-        lcm |= Counter(fs)
-    return not sum((_cofactor(spec, w, fs, lcm) for w, fs in dens), ZPolynomial.zero())
+    return not _cleared(spec, ((w, fs) for fs, w in terms.items() if w))[1]
 
 
 def verify_claim_relations(spec: JFractionSpec, h: int, k: int) -> dict:
@@ -423,7 +431,8 @@ def _tilde_d_block(j: int, spec: JFractionSpec) -> ZPolynomial:
         A = [_ZERO] * (2 * j + 2)
         for m in range(1, h // 2 + 1):
             for s in range(2 * m, m * h + 1):
-                ser = nested_sum(spec, h, m, s).series(2 * j)
+                num, den = nested_sum(spec, h, m, s)
+                ser = num.series(2 * j) / den.series(2 * j)
                 for k in range(2 * m, min(s, 2 * j + 1) + 1):
                     A[k] = A[k] + ser[k - 2 * m] if m % 2 == 0 else A[k] - ser[k - 2 * m]
         U[h] = ZPolynomial(rows[h]) * ZPolynomial(A)

@@ -1,9 +1,9 @@
-"""Polynomials, truncated series, and unreduced fractions in z over Q(q).
+"""Polynomials and truncated series in z over Q(q).
 
 The coefficient field is QRationalFn, so everything here is exact.  ZSeries
-is the exact.TruncatedSeries over that field, plus `divide_z`.  ZFraction
-deliberately performs no gcd reduction: identity checks clear denominators and
-compare polynomials instead, which avoids bivariate gcd entirely.
+is the exact.TruncatedSeries over that field, plus `divide_z`.  There is no
+fraction type in z: identity checks clear denominators and compare
+polynomials instead, which avoids bivariate gcd entirely.
 """
 
 from __future__ import annotations
@@ -83,6 +83,9 @@ class ZPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals, so hashes like, its coefficient
+        if len(self.coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(("ZPolynomial", self.coeffs))
 
     def __add__(self, other) -> "ZPolynomial":
@@ -223,56 +226,3 @@ class ZSeries(TruncatedSeries):
     def __repr__(self) -> str:
         return f"ZSeries({self.order}, [{', '.join(str(c) for c in self.coeffs)}])"
 
-
-class ZFraction:
-    """Unreduced quotient of two ZPolynomials.
-
-    Used wherever a sum of rational functions in z must stay exact without a
-    bivariate gcd: equality goes through cross-multiplication, expansion
-    through series division.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: ZPolynomial, den: ZPolynomial = None):
-        if den is None:
-            den = ZPolynomial.one()
-        if den.is_zero():
-            raise ZeroDivisionError("ZFraction with zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZFraction is immutable")
-
-    @classmethod
-    def zero(cls) -> "ZFraction":
-        return cls(ZPolynomial.zero())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "ZFraction") -> "ZFraction":
-        if not isinstance(other, ZFraction):
-            return NotImplemented
-        if self.num.is_zero():
-            return other
-        if other.num.is_zero():
-            return self
-        return ZFraction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "ZFraction") -> "ZFraction":
-        return self + ZFraction(-other.num, other.den)
-
-    def equals(self, other: "ZFraction") -> bool:
-        """Exact equality by cross-multiplication."""
-        return self.num * other.den == other.num * self.den
-
-    def series(self, order: int) -> ZSeries:
-        return ZSeries._quotient(self.num.coeffs[:order], self.den.coeffs[:order], order)
-
-    def __str__(self) -> str:
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"ZFraction({self.num!r}, {self.den!r})"

@@ -4,7 +4,8 @@ Each one was library code until the library kept one route per computation:
 the thin divisor-table wrappers and the alpha in {1, 2} special-case
 realizations, the factored and closed-form displays of the ratio family, the
 displayed sequences and direct targets of Table 1, the z -> q substitution,
-the verbatim loop of the quadruple-sum block, the Fraction route of the
+the verbatim loop of the quadruple-sum block, the sum and equality of
+fractions in z by cross-multiplication, the Fraction route of the
 Taylor expansion, the closed forms of the numeric (q, q^2) sequences and the
 margin summaries of a convergence report, and the Bell numbers.  The tests import them from here.
 """
@@ -411,7 +412,8 @@ def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> ZPolynom
     def s_series(h: int, m: int, s: int) -> ZSeries:
         key = (h, m, s)
         if key not in series:
-            series[key] = nested_sum(spec, h, m, s).series(order)
+            num, den = nested_sum(spec, h, m, s)
+            series[key] = num.series(order) / den.series(order)
         return series[key]
 
     coeffs = [_ZERO] * (2 * j + 2)
@@ -476,6 +478,22 @@ def tilde_D0j_verbatim(j: int, spec: Optional[JFractionSpec] = None) -> ZPolynom
     single_block(j, j + 1)
 
     return ZPolynomial(coeffs)
+
+
+# -- fractions in z as (numerator, denominator) pairs, unreduced ----------------
+
+
+ZPair = tuple[ZPolynomial, ZPolynomial]
+
+
+def zpair_add(x: ZPair, y: ZPair, sign: int = 1) -> ZPair:
+    """x + sign * y over the product of the two denominators."""
+    return x[0] * y[1] + sign * (y[0] * x[1]), x[1] * y[1]
+
+
+def zpair_equal(x: ZPair, y: ZPair) -> bool:
+    """Whether x and y are the same function of z, by cross-multiplication."""
+    return x[0] * y[1] == y[0] * x[1]
 
 
 # -- the modulus, the product in z and exact division in Z[q] -------------------

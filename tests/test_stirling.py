@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,9 +25,10 @@ from qjfrac.stirling import (
     verify_PQ_coefficient_relation,
     verify_Qh_expansion,
 )
-from qjfrac.zalgebra import ZFraction, ZPolynomial
+from qjfrac.zalgebra import ZPolynomial, linear_product
 
 from conftest import triangle_via_products
+from reference import ZPair, zpair_add, zpair_equal
 
 
 ONE = QRationalFn.one()
@@ -44,7 +46,10 @@ def monomial_spec() -> JFractionSpec:
     return JFractionSpec.from_tables("monomials", cs, abs_)
 
 
-def shifted_nested_sum_reference(spec: JFractionSpec, h: int, m: int, s: int) -> ZFraction:
+ZPAIR_ZERO = (ZPolynomial.zero(), ZPolynomial.one())
+
+
+def shifted_nested_sum_reference(spec: JFractionSpec, h: int, m: int, s: int) -> ZPair:
     """S^[P]_{h,m,s} written out in the original indices: spaced tuples in
     [2..h] with sum k = s - m, terms ab_{k+1} / ((1 - c_k z)(1 - c_{k+1} z))."""
     tuples = [
@@ -52,7 +57,7 @@ def shifted_nested_sum_reference(spec: JFractionSpec, h: int, m: int, s: int) ->
         if all(b - a >= 2 for a, b in zip(t, t[1:])) and sum(t) == s - m
     ]
     if not tuples:
-        return ZFraction.zero()
+        return ZPAIR_ZERO
     used = sorted({i for t in tuples for k in t for i in (k, k + 1)})
     lin = {i: ZPolynomial([ONE, -spec.c(i)]) for i in used}
     den = ZPolynomial.one()
@@ -68,20 +73,18 @@ def shifted_nested_sum_reference(spec: JFractionSpec, h: int, m: int, s: int) ->
             if i not in {j for k in t for j in (k, k + 1)}:
                 cof = cof * lin[i]
         num = num + cof
-    return ZFraction(num, den)
+    return num, den
 
 
 def claim_nested_difference_residual(
     spec: JFractionSpec, h: int, m: int, s: int
-) -> tuple[ZFraction, bool]:
+) -> tuple[ZPair, bool]:
     """The per-(m, s) route for the residual of the conjectured difference
     formula: S_{h-1,m,s} - S^[P]_{h,m,s} minus the sum over the
-    adjacent-allowed m-subsets of 2..h with sum s, as an unreduced ZFraction,
-    with whether it is zero."""
-    lhs = nested_sum(spec, h - 1, m, s) - nested_sum(
-        spec.shifted(), h, m, s - m
-    )
-    rhs = ZFraction.zero()
+    adjacent-allowed m-subsets of 2..h with sum s, as an unreduced
+    (numerator, denominator) pair, with whether it is zero."""
+    lhs = zpair_add(nested_sum(spec, h - 1, m, s), nested_sum(spec.shifted(), h, m, s - m), -1)
+    rhs = ZPAIR_ZERO
     for idx in combinations(range(2, h + 1), m):
         if sum(idx) == s:
             num = ONE
@@ -90,9 +93,9 @@ def claim_nested_difference_residual(
                 num = num * spec.ab(i)
                 den = den * ZPolynomial([ONE, -spec.c(i - 1)])
                 den = den * ZPolynomial([ONE, -spec.c(i)])
-            rhs = rhs + ZFraction(ZPolynomial.constant(num), den)
-    residual = lhs - rhs
-    return residual, residual.num.is_zero()
+            rhs = zpair_add(rhs, (ZPolynomial.constant(num), den))
+    residual = zpair_add(lhs, rhs, -1)
+    return residual, residual[0].is_zero()
 
 
 def per_slice_coefficients(spec: JFractionSpec, h: int) -> tuple:
@@ -102,7 +105,8 @@ def per_slice_coefficients(spec: JFractionSpec, h: int) -> tuple:
     slices = []
     for m in range(1, h // 2 + 1):
         for s in range(0, m * h + 1):
-            slices.append((m, nested_sum(spec, h, m, s).series(h + 1)))
+            num, den = nested_sum(spec, h, m, s)
+            slices.append((m, num.series(h + 1) / den.series(h + 1)))
     coeffs = []
     for n in range(0, h + 1):
         total = row[n]
@@ -241,16 +245,16 @@ class TestNestedSums:
     def test_m1_collapse(self, qq2_spec):
         for s in range(2, 5):
             got = nested_sum(qq2_spec, 4, 1, s)
-            expect = ZFraction(
+            expect = (
                 ZPolynomial.constant(qq2_spec.ab(s)),
                 ZPolynomial([ONE, -qq2_spec.c(s - 1)])
                 * ZPolynomial([ONE, -qq2_spec.c(s)]),
             )
-            assert got.equals(expect)
+            assert zpair_equal(got, expect)
 
     def test_out_of_range_is_zero(self, qq2_spec):
-        assert nested_sum(qq2_spec, 4, 1, 9).is_zero()
-        assert nested_sum(qq2_spec, 4, 2, 3).is_zero()
+        assert nested_sum(qq2_spec, 4, 1, 9)[0].is_zero()
+        assert nested_sum(qq2_spec, 4, 2, 3)[0].is_zero()
         with pytest.raises(ValueError, match="m must be >= 1"):
             nested_sum(qq2_spec, 4, 0, 3)
 
@@ -259,36 +263,36 @@ class TestNestedSums:
         den = ZPolynomial.one()
         for i in range(1, 5):
             den = den * ZPolynomial([ONE, -qq2_spec.c(i)])
-        expect = ZFraction(ZPolynomial.constant(qq2_spec.ab(2) * qq2_spec.ab(4)), den)
-        assert got.equals(expect)
+        expect = (ZPolynomial.constant(qq2_spec.ab(2) * qq2_spec.ab(4)), den)
+        assert zpair_equal(got, expect)
 
     def test_brute_force_tuple_enumeration(self):
         # definition cross-check: sum over all spaced tuples of the term
         # products equals the (m, s)-bucketed values summed over s
         spec = random_rational_spec(59)
         h, m = 6, 2
-        total = ZFraction.zero()
+        total = ZPAIR_ZERO
         for s in range(0, m * h + 1):
-            total = total + nested_sum(spec, h, m, s)
-        brute = ZFraction.zero()
+            total = zpair_add(total, nested_sum(spec, h, m, s))
+        brute = ZPAIR_ZERO
         for k1 in range(2, h + 1):
             for k2 in range(k1 + 2, h + 1):
                 num = ZPolynomial.constant(spec.ab(k1) * spec.ab(k2))
                 den = ZPolynomial.one()
                 for i in (k1 - 1, k1, k2 - 1, k2):
                     den = den * ZPolynomial([ONE, -spec.c(i)])
-                brute = brute + ZFraction(num, den)
-        assert total.equals(brute)
+                brute = zpair_add(brute, (num, den))
+        assert zpair_equal(total, brute)
 
     def test_shifted_variant_constraint(self, qq2_spec):
         # S^[P] on the shifted spec uses ab_{k+1} terms and the sum-s-minus-m constraint
         got = nested_sum(qq2_spec.shifted(), 3, 1, 3 - 1)
-        expect = ZFraction(
+        expect = (
             ZPolynomial.constant(qq2_spec.ab(3)),
             ZPolynomial([ONE, -qq2_spec.c(2)])
             * ZPolynomial([ONE, -qq2_spec.c(3)]),
         )
-        assert got.equals(expect)
+        assert zpair_equal(got, expect)
 
     @pytest.mark.parametrize("which, h_max", [("qq2", 5), ("random", 7)])
     def test_shifted_spec_matches_index_shifted_reference(self, qq2_spec, which, h_max):
@@ -299,7 +303,53 @@ class TestNestedSums:
                 for s in range(0, m * (h + 2) + 1):
                     got = nested_sum(shifted, h, m, s - m)
                     ref = shifted_nested_sum_reference(spec, h, m, s)
-                    assert got.num == ref.num and got.den == ref.den, (h, m, s)
+                    assert got == ref, (h, m, s)
+
+
+def brute_force_pair(spec: JFractionSpec, terms) -> ZPair:
+    """The sum of w / prod_{i in fs}(1 - c_i z) over the items (w, fs) of
+    terms, one cross-multiplied fraction at a time."""
+    total = ZPAIR_ZERO
+    for w, fs in terms:
+        den = ZPolynomial.one()
+        for i in fs:
+            den = den * ZPolynomial([ONE, -spec.c(i)])
+        total = zpair_add(total, (ZPolynomial.constant(w), den))
+    return total
+
+
+class TestClearedSums:
+    @pytest.mark.parametrize("which", ["qq2", "random"])
+    def test_repeated_indices_over_their_lcm(self, qq2_spec, which):
+        # the adjacent-allowed tuples of a claim cell repeat the shared index
+        # of neighbours: (2, 3) has the factor indices 1, 2, 2, 3
+        spec = qq2_spec if which == "qq2" else random_rational_spec(31)
+        for h, m in ((4, 2), (5, 2), (5, 3)):
+            terms = [stirling._term(spec, ks) for ks in combinations(range(2, h + 1), m)]
+            assert any(len(set(fs)) < len(fs) for _, fs in terms)
+            lcm, num = stirling._cleared(spec, terms)
+            # each index as often as the term that repeats it most
+            assert lcm == {i: max(fs.count(i) for _, fs in terms) for _, fs in terms for i in fs}
+            den = linear_product(spec.c(i) for i in lcm.elements())
+            assert zpair_equal((num, den), brute_force_pair(spec, terms)), (h, m)
+
+    @pytest.mark.parametrize("which", ["qq2", "random"])
+    def test_explicit_denominator(self, qq2_spec, which):
+        spec = qq2_spec if which == "qq2" else random_rational_spec(31)
+        h = 6
+        full = Counter(range(1, h + 1))
+        for m in (1, 2, 3):
+            terms = [stirling._term(spec, ks) for ks in stirling._spaced_tuples(h, m)]
+            lcm, num = stirling._cleared(spec, terms, full)
+            assert lcm is full
+            den = linear_product(spec.c(i) for i in range(1, h + 1))
+            assert zpair_equal((num, den), brute_force_pair(spec, terms)), m
+
+    @pytest.mark.parametrize("which", ["qq2", "random"])
+    def test_empty_sum(self, qq2_spec, which):
+        spec = qq2_spec if which == "qq2" else random_rational_spec(31)
+        assert stirling._cleared(spec, []) == (Counter(), ZPolynomial.zero())
+        assert nested_sum(spec, 4, 2, 3) == (ZPolynomial.zero(), ZPolynomial.one())
 
 
 class TestExpansionLemmas:
@@ -455,32 +505,32 @@ class TestClaim:
         # the identity stated in verify_claim_relations
         spec = qq2_spec if seed is None else random_rational_spec(seed)
 
-        def e_product(ks) -> ZFraction:
+        def e_product(ks) -> ZPair:
             num, den = ONE, ZPolynomial.one()
             for k in ks:
                 num = num * spec.ab(k)
                 den = den * ZPolynomial([ONE, -spec.c(k - 1)]) * ZPolynomial([ONE, -spec.c(k)])
-            return ZFraction(ZPolynomial.constant(num), den)
+            return ZPolynomial.constant(num), den
 
-        def boundary(first, low, high, m, t) -> ZFraction:
+        def boundary(first, low, high, m, t) -> ZPair:
             # e_first T(low..high; m, t): spaced m-tuples of low..high with label sum t
-            total = ZFraction.zero()
+            total = ZPAIR_ZERO
             for ks in combinations(range(low, high + 1), m):
                 if sum(ks) == t and all(b - a >= 2 for a, b in zip(ks, ks[1:])):
-                    total = total + e_product((first, *ks))
+                    total = zpair_add(total, e_product((first, *ks)))
             return total
 
         cells = 0
         for h in range(2, h_max + 1):
             for m in range(1, h // 2 + 2):
                 for s in range(0, m * (h + 1) + 1):
-                    lhs = nested_sum(spec, h - 1, m, s) - nested_sum(spec.shifted(), h, m, s - m)
-                    rhs = (
-                        boundary(2, 4, h - 1, m - 1, s - 2)
-                        - boundary(h, 3, h - 2, m - 1, s - h)
-                        - boundary(h + 1, 3, h - 1, m - 1, s - h - 1)
+                    lhs = zpair_add(nested_sum(spec, h - 1, m, s), nested_sum(spec.shifted(), h, m, s - m), -1)
+                    rhs = zpair_add(
+                        zpair_add(boundary(2, 4, h - 1, m - 1, s - 2), boundary(h, 3, h - 2, m - 1, s - h), -1),
+                        boundary(h + 1, 3, h - 1, m - 1, s - h - 1),
+                        -1,
                     )
-                    assert lhs.equals(rhs), (h, m, s)
+                    assert zpair_equal(lhs, rhs), (h, m, s)
                     cells += 1
         assert cells > 100
 

@@ -1,13 +1,14 @@
-"""Polynomials, truncated series, and unreduced fractions in z over Q(q)."""
+"""Polynomials and truncated series in z over Q(q)."""
 
+from fractions import Fraction
 from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qjfrac.exact import QRationalFn
-from qjfrac.zalgebra import ZFraction, ZPolynomial, ZSeries, linear_product, linear_step
+from qjfrac.exact import QPolynomial, QRationalFn
+from qjfrac.zalgebra import ZPolynomial, ZSeries, linear_product, linear_step
 
 from conftest import parse
 from reference import schoolbook_zmul
@@ -122,19 +123,29 @@ class TestZSeries:
         assert prod == ZSeries.one(5)
 
 
-class TestZFraction:
-    def test_add_and_equals(self):
-        a = ZFraction(ZPolynomial([ONE]), ZPolynomial([ONE, -Q]))
-        b = ZFraction(ZPolynomial([ONE]), ZPolynomial([ONE, Q]))
-        total = a + b
-        expect = ZFraction(ZPolynomial([2 * ONE]), ZPolynomial([ONE, QRationalFn.zero(), -Q * Q]))
-        assert total.equals(expect)
+_POLY = QPolynomial((1, Fraction(-2, 3), 5))
+_RATFN = parse("(1+q)/(2-q)")
 
-    def test_series_matches_reciprocal(self):
-        f = ZFraction(ZPolynomial([ONE]), ZPolynomial([ONE, -Q]))
-        s = f.series(4)
-        assert [s[k] for k in range(4)] == [ONE, Q, Q ** 2, Q ** 3]
 
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            ZFraction(ZPolynomial.one(), ZPolynomial.zero())
+@pytest.mark.parametrize(
+    "group",
+    [
+        [0, Fraction(0), QPolynomial.zero(), QRationalFn.zero(), ZPolynomial.zero()],
+        [3, Fraction(3), QPolynomial.constant(3), QRationalFn.from_fraction(3), ZPolynomial.constant(3)],
+        [
+            Fraction(-2, 3),
+            QPolynomial.constant(Fraction(-2, 3)),
+            QRationalFn.from_fraction(Fraction(-2, 3)),
+            ZPolynomial.constant(Fraction(-2, 3)),
+        ],
+        [_POLY, QRationalFn(_POLY), ZPolynomial.constant(_POLY)],
+        [_RATFN, ZPolynomial.constant(_RATFN)],
+    ],
+    ids=["zero", "int", "fraction", "polynomial", "ratfn"],
+)
+def test_equal_values_hash_equal_across_types(group):
+    # a == b must give hash(a) == hash(b), so each group is one set element
+    for a in group:
+        for b in group:
+            assert a == b and hash(a) == hash(b), (a, b)
+    assert len(set(group)) == 1
