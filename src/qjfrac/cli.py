@@ -85,9 +85,15 @@ _MAX_DEPTH = 64
 # 1.2-1.8 s (--a "(1+q)^8" --b q^2 --h 10, --preset reciprocal_qq --h 20,
 # --a "(1+q)^256" --b q^2 --h 3) and triangle no more; above it, expand
 # --a q --b q^2 --h 32 took 21 s and --a "(1+q)^8" --b q^2 --h 16 over 60 s.
+# Bits above twice the degree cost more, about like bits^1.8 for a constant
+# at one h, and weigh their size by (64 + e)/64 for e such bits: along the
+# bound --a 3^k --b q^2 takes 0.8-1.4 s from --h 6 (k = 171) to --h 13 (k =
+# 5), and less below (0.2 s at --h 3, k = 1511; in-process, one run each);
+# linearly weighed, --a "(2^256)^15" --b q^2 --h 5 took 29 s inside the cap.
 # A parameter holding a power of two retries many gcds at an odd point and
-# costs up to twice as much: on the bound --a=256 --b=q^2 --h 13 took 2.1-2.9
-# s (255 and 257: 1.1-1.8 s) and --a=q --b=256 --h 13 4.7-6.2 s (2.8-3.2 s)
+# costs up to twice as much: --a=256 --b=q^2 --h 13, now just above the
+# bound, took 2.1-2.9 s (255 and 257: 1.1-1.8 s), and --a=q --b=256 --h 13,
+# on it, 4.7-6.2 s (2.8-3.2 s)
 _MAX_EXPAND_COST = 2**26
 _MAX_INVERT_DEPTH = 7  # jfrac invert --target n2_over_1mqn --depth 7: 0.6 s; --depth 8: 2.6 s
 _MAX_SIGMA_N = 10**14  # oracle sigma --alpha 32 --n 10^14: 2.0 s; the time grows with sqrt(n)
@@ -99,15 +105,17 @@ _MAX_QBINOMIAL_N = 80  # oracle qbinomial --n 80 --k 40: 1.7 s; --n 100 --k 50: 
 _MAX_POCHHAMMER_N = 128
 # oracle qbinomialtheorem --a "q^2/(1-3*q)" --z "2*q/(1+q)" --order 64: 1.9 s; --order 100: 7.6 s
 _MAX_QBT_ORDER = 64
-# the oracles' joint caps, in sizes as for _MAX_EXPAND_COST; they bind before
+# the oracles' joint caps, in sizes as for _MAX_EXPAND_COST, with bits above
+# twice the degree weighed by (512 + e)/512 and (256 + e)/256; they bind before
 # the two caps above for all but the smallest parameters.  oracle qpochhammer
 # grows about like n^4 * size of --x, and the gcds against a denominator of
 # degree d add a factor of about 1 + d/32: along the bound it takes 0.1-0.9 s
-# for a polynomial --x (--x q --n 128, --x "(1+q)^256" --n 9) and 0.4-1.4 s for
+# for a polynomial --x (--x q --n 128, --x "(1+q)^256" --n 9), 0.4-1.4 s for
 # a rational one (--x "1/(1-3*q)^16" --n 29, --x "(1-q)/(1-q^256)" --n 21,
-# --x "1/(1-3*q)^64" --n 12); above it, --x "1/(1-3*q)^64" --n 13 took 1.9 s and
-# --n 16 4.4 s, and --x "(1+q)^256" --n 64 over 60 s (oracles.q_pochhammer, one
-# run each)
+# --x "1/(1-3*q)^64" --n 12) and 0.1-1.5 s for a constant (--x 3^100 --n 40;
+# --x of 20,716 bits --n 5: 0.1 s); above it, --x "1/(1-3*q)^64" --n 13 took
+# 1.9 s and --n 16 4.4 s, --x "(1+q)^256" --n 64 over 60 s (oracles.q_pochhammer,
+# one run each) and a linearly weighed --x of 25,001 bits at --n 12 9.4 s
 _MAX_POCHHAMMER_COST = 2**29
 # oracle qbinomialtheorem grew about like order^4 * (1 + the sizes of --a and
 # --z), and a denominator of degree d weighs its parameter's size by about
@@ -115,10 +123,12 @@ _MAX_POCHHAMMER_COST = 2**29
 # to the power n.  The factor is fitted between two points on the bound, --a
 # "(1+q)^64/(1-3*q)^64" --z "2*q/(1+q)" --order 11 (1.5 s) and --a
 # "(1-q)/(1-q^256)" --z "q*(1-q)/(1-q^256)" --order 17 (1.5 s); along it the
-# check takes 0.1-1.5 s (--a "q^2/(1-3*q)" --z "2*q/(1+q)" --order 59: 0.8 s).
-# Above it, that degree-255 pair took 1.9 s at --order 18 and 4.1 s at --order
-# 22, and --a "(1+q)^32" --z q --order 64 35 s (the check in-process, one run
-# each)
+# check takes 0.1-1.5 s (--a "q^2/(1-3*q)" --z "2*q/(1+q)" --order 59: 0.8 s),
+# and with a constant --a 0.4-1.8 s (--a 3^71 --z q --order 30: 1.8 s; 2,771
+# bits at --order 8: 0.4 s).  Above it, that degree-255 pair took 1.9 s at
+# --order 18 and 4.1 s at --order 22, --a "(1+q)^32" --z q --order 64 35 s
+# (the check in-process, one run each), and --a "(2^256)^15" --z q --order 12,
+# linearly weighed, 9.4 s
 _MAX_QBT_COST = 2**27
 
 
@@ -320,13 +330,18 @@ def _spec_from_flags(args) -> JFractionSpec:
     raise ValueError("need --preset or both --a and --b")
 
 
-def _parameter_size(x: QRationalFn) -> int:
-    """(degree + 1) * bits of a parsed value: the larger degree of its numerator
-    and denominator, and the bit length of its largest coefficient numerator
-    or denominator."""
-    cs = [c for c in x.num.coeffs + x.den.coeffs if c]
-    bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in cs)
-    return (max(x.num.degree, x.den.degree) + 1) * bits
+def _parameter_size(x: QRationalFn, scale: int) -> int:
+    """(degree + 1) * bits * (scale + e) // scale of a parsed value: the larger
+    degree of its numerator and denominator, the bit length of its largest
+    coefficient numerator or denominator, and e the bits above twice the
+    degree.  Those cost more than linearly, about like bits^1.8 for a
+    constant; a coefficient of at most two bits per degree, like those of
+    (1+q)^256 or of the monic 1/(1-3*q)^64, weighs linearly."""
+    from .parse import coefficient_bits
+
+    degree = max(x.num.degree, x.den.degree)
+    bits = coefficient_bits(x)
+    return (degree + 1) * bits * (scale + max(bits - 2 * degree, 0)) // scale
 
 
 def _check_cost(flag: str, value: int, power: int, size: int, size_text: str, cap: int) -> None:
@@ -341,8 +356,8 @@ def _check_cost(flag: str, value: int, power: int, size: int, size_text: str, ca
 
 def _check_expand_cost(args) -> None:
     """Raise ValueError when --h and the parsed parameters are jointly above _MAX_EXPAND_COST."""
-    size = 1 + sum(_parameter_size(x) for x in (args.a, args.b, args.z) if x is not None)
-    text = "1 + (degree + 1)*bits of each of --a, --b, --z"
+    size = 1 + sum(_parameter_size(x, 64) for x in (args.a, args.b, args.z) if x is not None)
+    text = "1 + (degree + 1)*bits*(64 + e)/64 of each of --a, --b, --z, for e bits above twice the degree"
     _check_cost("--h", args.h, 6, size, text, _MAX_EXPAND_COST)
 
 
@@ -456,8 +471,11 @@ def _cmd_qbinomial(args) -> int:
 def _cmd_qpochhammer(args) -> int:
     # each factor 1 - x q^k brings in the denominator of x, whose gcds with the
     # growing product cost more the higher its degree d
-    size = _parameter_size(args.x) * (32 + args.x.den.degree) // 32
-    text = "(degree + 1)*bits of --x, times (32 + d)/32 for a denominator of degree d"
+    size = _parameter_size(args.x, 512) * (32 + args.x.den.degree) // 32
+    text = (
+        "(degree + 1)*bits*(512 + e)/512 of --x, for e bits above twice the degree, "
+        "times (32 + d)/32 for a denominator of degree d"
+    )
     _check_cost("--n", args.n, 4, size, text, _MAX_POCHHAMMER_COST)
     from .oracles import q_pochhammer
 
@@ -466,8 +484,11 @@ def _cmd_qpochhammer(args) -> int:
 
 
 def _cmd_qbinomialtheorem(args) -> int:
-    size = 1 + sum(_parameter_size(x) * (168 + x.den.degree) // 168 for x in (args.a, args.z))
-    text = "1 + (degree + 1)*bits of each of --a, --z, times (168 + d)/168 for a denominator of degree d"
+    size = 1 + sum(_parameter_size(x, 256) * (168 + x.den.degree) // 168 for x in (args.a, args.z))
+    text = (
+        "1 + (degree + 1)*bits*(256 + e)/256 of each of --a, --z, for e bits above twice the degree, "
+        "times (168 + d)/168 for a denominator of degree d"
+    )
     _check_cost("--order", args.order, 4, size, text, _MAX_QBT_COST)
     from .oracles import q_binomial_theorem_check
 
@@ -542,8 +563,19 @@ def run(argv=None) -> int:
     command = tuple(argv[:2])
     try:
         args = build_parser(command if command in _COMMANDS else None).parse_args(argv)
-        rc = _COMMANDS[args.command, args.subcommand][2](args)
-        sys.stdout.flush()  # a closed pipe shows here, not at the interpreter's exit
+        # the interpreter's limit on int-to-str digits guards the integers that
+        # parse_args reads; every value a command builds after it is bounded by
+        # the caps, so the command may print any of them (Python 3.10.7+ has a
+        # limit; the one in force is restored, as run may be called in-process)
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            rc = _COMMANDS[args.command, args.subcommand][2](args)
+            sys.stdout.flush()  # a closed pipe shows here, not at the interpreter's exit
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
         return rc
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2

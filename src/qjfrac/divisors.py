@@ -17,9 +17,10 @@ accuracy window (the constant 1 is an artifact of the scaling, and tables
 start at n = 1).
 
 Only H and its first alpha derivatives at z = q enter, so P_h and Q_h are never
-built as polynomials in z: the three-term convergent recurrence runs on Taylor
-jets in t = z - q truncated after t^alpha (ZSeries of order alpha + 1 over
-Q(q)), and H^(j)(q) = j! [t^j] H(q + t).  Every alpha takes this one route.
+built as polynomials in z: the convergent recurrence of the sequence layer,
+sequences.convergent_pair, runs with z the jet q + t, a Taylor jet in t = z - q
+truncated after t^alpha (ZSeries of order alpha + 1 over Q(q)), and
+H^(j)(q) = j! [t^j] H(q + t).  Every alpha takes this one route.
 
 Every table is an integer table.  With (a, b) = (q, q^2), each C-fraction
 coefficient g_k of sequences.cfraction_coefficient is an integer polynomial
@@ -46,7 +47,7 @@ from math import factorial
 from typing import Optional
 
 from .exact import QRationalFn, QSeries
-from .sequences import divisor_spec
+from .sequences import convergent_pair, divisor_spec
 from .zalgebra import ZSeries
 
 _ONE = QRationalFn.one()
@@ -63,26 +64,6 @@ def _stirling2_row(alpha: int) -> list[int]:
     return row
 
 
-def _z_jet(alpha: int) -> ZSeries:
-    """z = q + t as a Taylor jet in t truncated after t^alpha."""
-    return ZSeries(alpha + 1, (_Q, _ONE)[: alpha + 1])
-
-
-def _convergent_jets(z: ZSeries, h: int) -> list[tuple[ZSeries, ZSeries]]:
-    """(P_i, Q_i) of the divisor spec for 0 <= i <= h as jets in t, from the
-    recurrence of jfraction.convergent_pairs with z replaced by its jet."""
-    spec = divisor_spec()
-    zero, one = ZSeries(z.order), ZSeries.one(z.order)
-    jets = [(zero, one), (one, 1 - z * spec.c(1))]
-    z2 = z * z
-    for i in range(2, h + 1):
-        lin = 1 - z * spec.c(i)
-        ab_z2 = z2 * spec.ab(i)
-        (P2, Q2), (P1, Q1) = jets[-2], jets[-1]
-        jets.append((lin * P1 - ab_z2 * P2, lin * Q1 - ab_z2 * Q2))
-    return jets
-
-
 def _transform_at_q(H: ZSeries, alpha: int) -> QRationalFn:
     """sum_j S(alpha,j) q^j H^(j)(q), read off the jet of H at z = q."""
     total = _ZERO
@@ -94,8 +75,12 @@ def _transform_at_q(H: ZSeries, alpha: int) -> QRationalFn:
 
 def _generator(alpha: int, h: int) -> QRationalFn:
     """The reduced one-variable generating function for weight n^alpha at depth h."""
-    z = _z_jet(alpha)
-    P, Q = _convergent_jets(z, h)[h]
+    z = ZSeries(alpha + 1, (_Q, _ONE)[: alpha + 1])  # z = q + t
+    spec = divisor_spec()
+    jets: list[tuple[ZSeries, ZSeries]] = []
+    for i in range(h + 1):
+        jets.append(convergent_pair(spec, z, i, jets))
+    P, Q = jets[h]
     gen = _transform_at_q(z * P / Q, alpha) / (_ONE - _Q)
     return _ONE + gen if alpha == 0 else gen
 

@@ -1,7 +1,7 @@
 """Jacobi-type continued fraction machinery over Q(q).
 
 This module builds the depth-h convergents P_h/Q_h of a J-fraction (its
-coefficient sequences live in `sequences`) from the two-term recurrence,
+coefficient sequences and their three-term recurrence live in `sequences`),
 extracts their power-series coefficients, verifies their telescoping
 decomposition into blocks, inverts a target series back into (c, ab), and
 provides the other tabulated sequence families.  `invert` builds the JSON
@@ -20,17 +20,19 @@ from .sequences import (  # noqa: F401  (re-exported)
     PochhammerParams,
     _contraction_spec,
     cfraction_coefficient,
+    convergent_pair,
     divisor_spec,
     pochhammer_c_display_form,
     pochhammer_spec,
     random_rational_spec,
 )
-from .zalgebra import ZPolynomial, ZSeries, linear_product, linear_step
+from .zalgebra import ZPolynomial, ZSeries
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
 _Q = QRationalFn.q()
 _qpow = QRationalFn.qpow
+_Z = ZPolynomial.monomial(1)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +41,8 @@ _qpow = QRationalFn.qpow
 
 
 class ConvergentPair:
-    """Numerator/denominator polynomials of the depth-h convergent P_h/Q_h."""
+    """Numerator/denominator polynomials of the depth-h convergent P_h/Q_h;
+    unpacks as (P, Q)."""
 
     __slots__ = ("h", "P", "Q")
 
@@ -50,13 +53,13 @@ class ConvergentPair:
         self.P = P
         self.Q = Q
 
+    def __iter__(self):
+        return iter((self.P, self.Q))
+
 
 def convergent_pairs(spec: JFractionSpec, h: int) -> list[ConvergentPair]:
-    """All convergents up to depth h, from the two-term recurrence.
-
-    P_0 = 0, P_1 = 1, Q_0 = 1, Q_1 = 1 - c_1 z, then for i >= 2
-      P_i = (1 - c_i z) P_{i-1} - ab_i z^2 P_{i-2}
-      Q_i = (1 - c_i z) Q_{i-1} - ab_i z^2 Q_{i-2}.
+    """All convergents up to depth h, from the three-term recurrence of
+    sequences.convergent_pair with z the polynomial z.
 
     Pairs are memoized on the spec, filled in ascending order.
     """
@@ -64,16 +67,7 @@ def convergent_pairs(spec: JFractionSpec, h: int) -> list[ConvergentPair]:
         raise ValueError("depth must be >= 0")
 
     def pair(i: int) -> ConvergentPair:
-        if i == 0:
-            return ConvergentPair(0, ZPolynomial.zero(), ZPolynomial.one())
-        if i == 1:
-            return ConvergentPair(1, ZPolynomial.one(), linear_product([spec.c(1)]))
-        c = spec.c(i)
-        ab_z2 = ZPolynomial.monomial(2, spec.ab(i))
-        prev, prev2 = pairs[i - 1], pairs[i - 2]
-        P = ZPolynomial(linear_step(prev.P.coeffs, c)) - ab_z2 * prev2.P
-        Q = ZPolynomial(linear_step(prev.Q.coeffs, c)) - ab_z2 * prev2.Q
-        return ConvergentPair(i, P, Q)
+        return ConvergentPair(i, *convergent_pair(spec, _Z, i, pairs))
 
     pairs: list[ConvergentPair] = []
     for i in range(h + 1):

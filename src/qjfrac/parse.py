@@ -18,6 +18,13 @@ _MAX_EXPONENT = 256
 # builds, so that nested powers and chains of products stay inside the same
 # budget: `--a "q^256*q^256"` took 4.2 s in the command above
 _MAX_DEGREE = 256
+# largest bit length of any coefficient numerator or denominator of a value the
+# parser builds, so that nested powers and chains of products stay small too:
+# `((2^256)^256)^256` had 2^24 bits, and one more ^256 would have built 2^32.
+# The joint caps admit a value this large only at the smallest depths, where
+# printing it is most of the cost: `jfrac expand --h 0` takes 0.2 s with one
+# 2^18-bit constant (0.4 s with two), and 3.5 s with one of 2^20 bits
+_MAX_BITS = 2**18
 
 
 class _Tokenizer:
@@ -55,7 +62,7 @@ def parse_ratfn(text: str) -> QRationalFn:
     parentheses; ^ takes an (optionally negative) integer exponent.  Input
     nested deeper than _MAX_NESTING parentheses and unary signs, an exponent
     above _MAX_EXPONENT in absolute value, or a value of degree above
-    _MAX_DEGREE raises ValueError.
+    _MAX_DEGREE or with coefficients above _MAX_BITS bits raises ValueError.
     """
     tok = _Tokenizer(text)
     value = _parse_sum(tok)
@@ -68,10 +75,23 @@ def _degree(value: QRationalFn) -> int:
     return max(value.num.degree, value.den.degree)
 
 
+def coefficient_bits(value: QRationalFn) -> int:
+    """The bit length of the largest coefficient numerator or denominator of
+    value's numerator and denominator."""
+    cs = [c for c in value.num.coeffs + value.den.coeffs if c]
+    return max(max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in cs)
+
+
+def _check_bits(bits: int) -> None:
+    if bits > _MAX_BITS:
+        raise ValueError(f"coefficient size {bits} bits exceeds {_MAX_BITS}")
+
+
 def _bounded(value: QRationalFn) -> QRationalFn:
     degree = _degree(value)
     if degree > _MAX_DEGREE:
         raise ValueError(f"degree {degree} exceeds {_MAX_DEGREE}")
+    _check_bits(coefficient_bits(value))
     return value
 
 
@@ -134,7 +154,9 @@ def _parse_power(tok: _Tokenizer) -> QRationalFn:
         degree = _degree(base) * abs(exp)
         if degree > _MAX_DEGREE:
             raise ValueError(f"degree {degree} exceeds {_MAX_DEGREE}")
-        return base ** exp
+        # checked before the power is built, and again on its exact size
+        _check_bits(coefficient_bits(base) * abs(exp))
+        return _bounded(base ** exp)
     return base
 
 

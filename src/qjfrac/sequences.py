@@ -3,16 +3,19 @@
 A J-fraction
     1 / (1 - c_1 z - ab_2 z^2 / (1 - c_2 z - ab_3 z^2 / ...))
 is described by its two implicit coefficient sequences.  This module holds
-the sequence pair with its memos (`JFractionSpec`), the parametrized family
-whose convergents generate the q-Pochhammer ratio (a;p)_n/(b;p)_n in base
-p = q or 1/q, its (q, q^2) instance behind the divisor tables, and seeded
-random specs.  The convergents, the inversion and the tabulated families live
-in `jfraction`; `divisors` needs only this layer.
+the sequence pair with its memos (`JFractionSpec`), the three-term recurrence
+of its convergents (`convergent_pair`), the parametrized family whose
+convergents generate the q-Pochhammer ratio (a;p)_n/(b;p)_n in base p = q or
+1/q, its (q, q^2) instance behind the divisor tables, and seeded random specs.
+The memoized convergent polynomials, the inversion and the tabulated families
+live in `jfraction`; `divisors` needs only this layer.
 
-The C-fraction coefficients and their contraction are generic over their
-arithmetic: they take the powers p^e from a function and use only + - * /
-and integer constants, so the same code builds the exact specs over Q(q) and
-the numeric (q, q^2) spec of `convergence` on mpmath numbers.  `exact`,
+The C-fraction coefficients, their contraction and the convergent recurrence
+are generic over their arithmetic: they use only + - * / and integer
+constants, and the coefficients take the powers p^e from a function, so the
+same code builds the exact specs over Q(q) and the numeric (q, q^2) spec of
+`convergence` on mpmath numbers, and runs the recurrence with z a polynomial
+(`jfraction`) or a Taylor jet (`divisors`).  `exact`,
 `fractions` and `random` are imported only by the functions that build exact
 values, so loading this module compiles none of them.
 """
@@ -109,6 +112,26 @@ class JFractionSpec:
             "c": [str(self.c(i)) for i in range(1, h + 1)],
             "ab": [str(self.ab(i)) for i in range(2, h + 1)],
         }
+
+
+def convergent_pair(spec: JFractionSpec, z, i: int, pairs: Sequence) -> tuple:
+    """(P_i, Q_i) of the J-fraction of spec at z, in the ring of z:
+
+    P_0 = 0, Q_0 = 1, P_1 = 1, Q_1 = 1 - c_1 z, then for i >= 2
+      P_i = (1 - c_i z) P_{i-1} - ab_i z^2 P_{i-2}
+      Q_i = (1 - c_i z) Q_{i-1} - ab_i z^2 Q_{i-2},
+
+    with pairs[i-1] and pairs[i-2] unpacking as (P, Q).  The ring is that of
+    z times the spec's values: z in Q(q)[z] gives the convergent polynomials,
+    a Taylor jet in t = z - z_0 their jets at z_0, a number their values."""
+    if i == 0:
+        return 0 * z, 1 + 0 * z
+    lin = 1 - z * spec.c(i)
+    if i == 1:
+        return 1 + 0 * z, lin
+    ab_z2 = z * z * spec.ab(i)
+    (P2, Q2), (P1, Q1) = pairs[i - 2], pairs[i - 1]
+    return lin * P1 - ab_z2 * P2, lin * Q1 - ab_z2 * Q2
 
 
 class PochhammerParams:

@@ -15,11 +15,11 @@ from __future__ import annotations
 from math import gcd
 from typing import Optional
 
-from qjfrac.divisors import _convergent_jets, _generator, _transform_at_q, _z_jet, generating_series
+from qjfrac.divisors import _generator, _transform_at_q, generating_series
 from qjfrac.exact import QRationalFn, QSeries, _bias, _digit_width, _int_exquo, _int_strip, _pack, _unpack
 from qjfrac.jfraction import PochhammerParams, convergent_pairs, divisor_spec, pochhammer_spec
 from qjfrac.oracles import q_pochhammer
-from qjfrac.sequences import JFractionSpec
+from qjfrac.sequences import JFractionSpec, convergent_pair
 from qjfrac.stirling import _entry, nested_sum, triangle_row
 from qjfrac.zalgebra import ZPolynomial, ZSeries
 
@@ -141,8 +141,11 @@ def sigma_special_case_check(alpha: int, h: int, order: Optional[int] = None) ->
     spec = divisor_spec()
     one_minus_q = _ONE - _Q
 
-    z = _z_jet(alpha)
-    Q = [Q_i for _, Q_i in _convergent_jets(z, h)]
+    z = ZSeries(alpha + 1, (_Q, _ONE))  # z = q + t
+    jets: list = []
+    for i in range(h + 1):
+        jets.append(convergent_pair(spec, z, i, jets))
+    Q = [Q_i for _, Q_i in jets]
     telescoped = QSeries.zero(order)
     z_power = z  # z^(2i-1)
     for i in range(1, h + 1):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -248,6 +249,7 @@ class TestSizeCaps:
         constants = {
             "exponent in `^`, in absolute value": parse._MAX_EXPONENT,
             "degree of any parsed value (numerator or denominator)": parse._MAX_DEGREE,
+            "bits of any coefficient numerator or denominator of a parsed value": parse._MAX_BITS,
             "`divisor table --order`": cli._MAX_ORDER,
             "`divisor table --alpha`": cli._MAX_ALPHA,
             "`divisor table` joint cost (`--alpha` + 9)·`--h`": cli._MAX_DIVISOR_COST,
@@ -509,6 +511,68 @@ class TestSizeCaps:
         ],
     )
     def test_oracle_at_the_joint_cap_runs(self, capsys, monkeypatch, argv):
+        self._stub_oracles(monkeypatch, lambda x, n: 1, lambda a, z, order: True)
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # weighed linearly in their bits these sat inside the caps, and took
+            # 8.7 s, 29 s, 3.1 s, 9.4 s and 9.4 s
+            (["jfrac", "expand", "--a", "(2^256)^8", "--b", "q^2", "--h", "5"], "--h 5"),
+            (["jfrac", "expand", "--a", "(2^256)^15", "--b", "q^2", "--h", "5"], "--h 5"),
+            (["jfrac", "triangle", "--a", "(2^256)^15", "--b", "q^2", "--h", "5"], "--h 5"),
+            (["jfrac", "expand", "--a", "2^62", "--b", "q^2", "--h", "10"], "--h 10"),
+            (["oracle", "qbinomialtheorem", "--a", "(2^256)^15", "--z", "q", "--order", "12"], "--order 12"),
+            (["oracle", "qpochhammer", "--x", "((2^250)^25)^4", "--n", "12"], "--n 12"),
+            # one power of 3 above each constant of the test below
+            (["jfrac", "expand", "--a", "3^256*3^56", "--b", "q^2", "--h", "5"], "--h 5"),
+            (["jfrac", "expand", "--a", "3^63", "--b", "q^2", "--h", "8"], "--h 8"),
+            (["jfrac", "expand", "--a", "3^25", "--b", "q^2", "--h", "10"], "--h 10"),
+            (["jfrac", "expand", "--a", "3^6", "--b", "q^2", "--h", "13"], "--h 13"),
+            (["oracle", "qpochhammer", "--x", "(3^256)^8*3^93", "--n", "12"], "--n 12"),
+            (["oracle", "qpochhammer", "--x", "3^101", "--n", "40"], "--n 40"),
+            (["oracle", "qbinomialtheorem", "--a", "(3^256)^2*3^224", "--z", "q", "--order", "12"], "--order 12"),
+            (["oracle", "qbinomialtheorem", "--a", "3^72", "--z", "q", "--order", "30"], "--order 30"),
+        ],
+    )
+    def test_large_constants_above_the_joint_cap_are_a_usage_error(self, capsys, monkeypatch, argv, flag):
+        # bits above twice the degree cost about like bits^1.8, and weigh more
+        def never(*args):
+            raise AssertionError("the command must not run")
+
+        self._stub_expansion(monkeypatch, argv[1], never, never)
+        self._stub_oracles(monkeypatch, never, never)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} with parameter size ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # on each bound; in-process these took 0.2-1.8 s
+            ["jfrac", "expand", "--a", "(3^256)^5*3^231", "--b", "q^2", "--h", "3"],
+            ["jfrac", "expand", "--a", "3^256*3^55", "--b", "q^2", "--h", "5"],
+            ["jfrac", "expand", "--a", "3^62", "--b", "q^2", "--h", "8"],
+            ["jfrac", "expand", "--a", "3^24", "--b", "q^2", "--h", "10"],
+            ["jfrac", "triangle", "--a", "3^5", "--b", "q^2", "--h", "13"],
+            ["oracle", "qpochhammer", "--x", "(3^256)^8*3^92", "--n", "12"],
+            ["oracle", "qpochhammer", "--x", "3^100", "--n", "40"],
+            ["oracle", "qbinomialtheorem", "--a", "(3^256)^2*3^223", "--z", "q", "--order", "12"],
+            ["oracle", "qbinomialtheorem", "--a", "3^71", "--z", "q", "--order", "30"],
+        ],
+    )
+    def test_large_constants_at_the_joint_cap_run(self, capsys, monkeypatch, argv):
+        from qjfrac.jfraction import ConvergentPair
+        from qjfrac.zalgebra import ZPolynomial
+
+        self._stub_expansion(
+            monkeypatch,
+            argv[1],
+            lambda spec, h: ConvergentPair(0, ZPolynomial.zero(), ZPolynomial.one()),
+            lambda spec, h: (),
+        )
         self._stub_oracles(monkeypatch, lambda x, n: 1, lambda a, z, order: True)
         assert run(argv) == 0
         assert capsys.readouterr().err == ""
@@ -926,6 +990,67 @@ class TestUsage:
         # ((1+q)^256)^256 has degree 65,536; it ran past a 15 s timeout
         assert run(["jfrac", "expand", "--a=((1+q)^256)^256", "--b=q^2", "--h", "2"]) == 2
         assert "degree 65536 exceeds 256" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "a, bits",
+        [
+            # parsed in 0.14 s to a 16,777,217-bit integer; a power is refused
+            # on bits * |exponent| before it is built
+            ("((2^256)^256)^256", 16777472),
+            ("1/((2^256)^256)^256", 16777472),
+            # a product is refused on its exact size, right after it is built
+            ("((2^255)^256)^4*(2^255)^4*16", 262145),
+            ("((2^255)^256)^4*(2^255)^4*8+1/((2^255)^256)^4/(2^255)^4/16", 262145),
+        ],
+    )
+    def test_coefficient_bits_above_the_cap_are_a_usage_error(self, capsys, a, bits):
+        from qjfrac.parse import parse_ratfn
+
+        with pytest.raises(ValueError, match=f"coefficient size {bits} bits exceeds 262144"):
+            parse_ratfn(a)
+        assert run(["jfrac", "expand", f"--a={a}", "--b=q^2", "--h", "0"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --a: bad rational-function expression {a!r}: coefficient size {bits} bits" in err
+
+    def test_coefficient_bits_at_the_cap_parse(self):
+        from qjfrac.parse import coefficient_bits, parse_ratfn
+
+        # 2^262143 has 262,144 bits; the documented inputs stay inside
+        for text, bits in [
+            ("((2^255)^256)^4*(2^255)^4*8", 262144),
+            ("1/(((2^255)^256)^4*(2^255)^4*8)", 262144),
+            ("(1+q)^256", 252),
+            ("1/(1-3*q)^64", 102),
+            ("(1-q)/(1-q^256)", 1),
+        ]:
+            assert coefficient_bits(parse_ratfn(text)) == bits
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jfrac", "expand", "--a", "(2^256)^64", "--b", "q^2", "--h", "1"],
+            ["jfrac", "triangle", "--a", "(2^256)^64", "--b", "q^2", "--h", "1"],
+            ["oracle", "qpochhammer", "--x", "(2^256)^64", "--n", "1"],
+        ],
+    )
+    def test_values_above_the_int_digit_limit_print(self, capsys, argv):
+        # 2^16384 has 4,933 digits, above the 4,300-digit limit that Python
+        # 3.10.7+ puts on int-to-str conversion by default: these exited 2
+        # with the interpreter's message
+        limit = sys.get_int_max_str_digits()
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and max(len(digits) for digits in re.findall("[0-9]+", out)) == 4933
+        # run lifts the limit for the command alone, and restores it after
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_int_digit_limit_still_guards_the_arguments(self, capsys):
+        # --mod has no upper bound: its digits are read under the limit
+        limit = sys.get_int_max_str_digits()
+        argv = ["divisor", "table", "--alpha", "0", "--h", "2", "--order", "2", "--mod", "7" * (limit + 1)]
+        assert run(argv) == 2
+        assert "argument --mod" in capsys.readouterr().err
+        assert sys.get_int_max_str_digits() == limit
 
     def test_internal_error_exits_three(self, capsys, monkeypatch):
         # exit 1 is kept for a verification mismatch; a crash gets 3 and one line

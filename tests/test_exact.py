@@ -728,7 +728,7 @@ def test_taylor_divides_the_integer_parts(monkeypatch):
     assert b[0] == 1 and all(type(x) is int for x in (*a, *b))
 
 
-def test_coeffs_are_reduced_fractions_built_once():
+def test_coeffs_are_reduced_fractions():
     p = QPolynomial((Fraction(4, 6), -2, 0)) * QPolynomial((3, Fraction(1, 2)))
     cs = p.coeffs
     assert cs == (Fraction(2), Fraction(-17, 3), Fraction(-1))

@@ -1,9 +1,12 @@
 """Convergent recurrences, coefficient extraction, modulus products,
 series inversion, and the tabulated sequence families."""
 
+import functools
 import random
 from fractions import Fraction
+from math import comb
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +32,7 @@ from qjfrac.jfraction import (
     telescoping_residual,
 )
 from qjfrac.oracles import pochhammer_ratio, q_pochhammer
+from qjfrac.sequences import convergent_pair, divisor_contraction
 from qjfrac.zalgebra import ZPolynomial, ZSeries
 
 from conftest import parse, random_pochhammer_params
@@ -227,7 +231,7 @@ def test_taylor_matches_the_loop(num, den, order):
     st.lists(_ratfn_coefficients(), max_size=5),
     st.integers(0, 8),
 )
-def test_convergent_coefficients_and_zfraction_series_match_the_loops(P, q_tail, n_max):
+def test_convergent_coefficients_and_series_quotients_match_the_loops(P, q_tail, n_max):
     # a unit constant term, as every convergent denominator has
     pair = ConvergentPair(max(P.degree + 1, len(q_tail), 1), P, ZPolynomial([ONE, *q_tail]))
     assert_same(
@@ -430,6 +434,41 @@ class TestConvergents:
         pair = ConvergentPair(1, ZPolynomial.one(), ZPolynomial([2 * ONE, Q]))
         with pytest.raises(ValueError):
             convergent_coefficients(pair, 3)
+
+    def test_recurrence_on_numbers_matches_the_exact_convergents(self):
+        # the one recurrence, run on the numbers of a 128-bit mpmath context
+        # with the (q, q^2) contraction at (q, z) = (1/7, 1/5)
+        ctx = mpmath.MPContext()
+        ctx.prec = 128
+        q, z = ctx.mpf(1) / 7, ctx.mpf(1) / 5
+        spec = divisor_contraction(functools.cache(q.__pow__))
+        values = []
+        for i in range(9):
+            values.append(convergent_pair(spec, z, i, values))
+        for pair, numbers in zip(convergent_pairs(divisor_spec(), 8), values):
+            for poly, value in zip(pair, numbers):
+                exact = poly.evaluate(Fraction(1, 5)).evaluate(Fraction(1, 7))
+                want = ctx.mpf(exact.numerator) / exact.denominator
+                assert abs(value - want) <= 1e-35 * abs(want)
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_jets_are_the_taylor_shift_of_the_polynomial_convergents(self, seed):
+        # with z the jet q + t the recurrence gives [t^j] P(q + t), which is
+        # sum_k C(k, j) q^(k-j) [z^k] P for the memoized polynomial P
+        spec = random_rational_spec(seed)
+        pairs = convergent_pairs(spec, 6)
+        for alpha in range(4):
+            z = ZSeries(alpha + 1, (Q, ONE)[: alpha + 1])
+            jets = []
+            for i in range(7):
+                jets.append(convergent_pair(spec, z, i, jets))
+            for pair, jet in zip(pairs, jets):
+                for poly, series in zip(pair, jet):
+                    shifted = [
+                        sum((comb(k, j) * Q ** (k - j) * c for k, c in enumerate(poly.coeffs) if k >= j), ZERO)
+                        for j in range(alpha + 1)
+                    ]
+                    assert list(series) == shifted
 
 
 def fold_identity_holds(spec: JFractionSpec, h: int) -> bool:
