@@ -76,15 +76,15 @@ _MAX_MARGIN_BITS = 8192
 _MAX_PROBE_LEVELS = 100  # converge probe --q=0.1 --hmax 100: 0.3 s; --hmax 400: 2.1 s
 _MAX_LEMMA_H = 8  # verify lemmas --h 8: 0.7-1.1 s (--spec random --h 10: 0.3 s); --h 9: 2.8-3.0 s
 # the --h of jfrac expand, jfrac triangle and divisor table, a bound on the
-# argument alone: their joint caps, _MAX_EXPAND_COST and _MAX_DIVISOR_COST,
-# bound the cost and bind first
+# argument alone: their joint caps, _MAX_EXPAND_COST, _MAX_TRIANGLE_COST and
+# _MAX_DIVISOR_COST, bound the cost and bind first
 _MAX_DEPTH = 64
-# jfrac expand and jfrac triangle: the cost grew about like h^6 times the size
-# of --a, --b and --z, (degree + 1) * bits each (_parameter_size), so the
-# joint cap bounds h^6 * (1 + their sizes).  Along the bound expand takes
-# 1.2-1.8 s (--a "(1+q)^8" --b q^2 --h 10, --preset reciprocal_qq --h 20,
-# --a "(1+q)^256" --b q^2 --h 3) and triangle no more; above it, expand
-# --a q --b q^2 --h 32 took 21 s and --a "(1+q)^8" --b q^2 --h 16 over 60 s.
+# jfrac expand: the cost grew about like h^6 times the size of --a, --b and
+# --z, (degree + 1) * bits each (_parameter_size), so the joint cap bounds
+# h^6 * (1 + their sizes).  Along the bound expand takes 1.2-1.8 s (--a
+# "(1+q)^8" --b q^2 --h 10, --preset reciprocal_qq --h 20, --a "(1+q)^256"
+# --b q^2 --h 3); above it, expand --a q --b q^2 --h 32 took 21 s and --a
+# "(1+q)^8" --b q^2 --h 16 over 60 s.
 # Bits above twice the degree cost more, about like bits^1.8 for a constant
 # at one h, and weigh their size by (64 + e)/64 for e such bits: along the
 # bound --a 3^k --b q^2 takes 0.8-1.4 s from --h 6 (k = 171) to --h 13 (k =
@@ -95,6 +95,23 @@ _MAX_DEPTH = 64
 # bound, took 2.1-2.9 s (255 and 257: 1.1-1.8 s), and --a=q --b=256 --h 13,
 # on it, 4.7-6.2 s (2.8-3.2 s)
 _MAX_EXPAND_COST = 2**26
+# jfrac triangle multiplies only linear factors 1 - c_i z, with no gcds of the
+# growing ab products, so its parameters cost far less than expand's: --a
+# "(2^256)^4" --b q^2 --h 5 took 0.07 s against 2.8 s for expand.  Its cost
+# grew about like h^7 times (24 + the sizes of --a and --b + the square of the
+# size of --z), each size weighed by (128 + d)/128 for a denominator of degree
+# d.  The spec's own c_i weigh 24, which --preset reciprocal_qq needs (1.1 s
+# at --h 20, 4.4 s at --h 24).  --z enters --preset reciprocal_pochhammer_zqn
+# through its powers, so it weighs its square: linearly weighed, --z
+# "(1+q)^256" took 24 s at --h 4 and --z "(3^256)^12" 23 s at --h 5.  Along
+# the bound a constant --a takes 0.4-1.9 s from --h 2 to --h 18, --a
+# "(1+q)^256" --b q^2 0.9 s at --h 6, --a "1/(1-3*q)^64" --b q^2 and --a
+# "(1-q)/(1-q^256)" --b q^2 1.7 s at --h 8 and 12, and --preset
+# reciprocal_pochhammer_zqn --z 1234567/891011 0.9 s at --h 12; above it,
+# a 185,000-bit --a took 3.6 s at --h 2, --a "(3^256)^10" 9.9 s at --h 8,
+# --a "(1+q)^256" 4.0 s at --h 8, --a 3/7*q --b 2/5*q^2 29 s at --h 30 and
+# that --z 4.6 s at --h 15 (in-process, one run each)
+_MAX_TRIANGLE_COST = 2**35
 _MAX_INVERT_DEPTH = 7  # jfrac invert --target n2_over_1mqn --depth 7: 0.6 s; --depth 8: 2.6 s
 _MAX_SIGMA_N = 10**14  # oracle sigma --alpha 32 --n 10^14: 2.0 s; the time grows with sqrt(n)
 _MAX_LAMBERT_ORDER = 200_000  # oracle lambert --alpha 32 --order 200000: 1.9 s; --alpha 2 --order 10^6: 7.8 s
@@ -361,9 +378,25 @@ def _check_expand_cost(args) -> None:
     _check_cost("--h", args.h, 6, size, text, _MAX_EXPAND_COST)
 
 
+def _check_triangle_cost(args) -> None:
+    """Raise ValueError when --h and the parsed parameters are jointly above _MAX_TRIANGLE_COST."""
+
+    def size_of(x: QRationalFn) -> int:
+        return _parameter_size(x, 64) * (128 + x.den.degree) // 128
+
+    size = 24 + sum(size_of(x) for x in (args.a, args.b) if x is not None)
+    if args.z is not None:
+        size += size_of(args.z) ** 2
+    text = (
+        "24 + (degree + 1)*bits*(64 + e)/64*(128 + d)/128 of each of --a and --b, and its square for --z, "
+        "for e bits above twice the degree and d the degree of the denominator"
+    )
+    _check_cost("--h", args.h, 7, size, text, _MAX_TRIANGLE_COST)
+
+
 def _cmd_triangle(args) -> int:
     spec = _spec_from_flags(args)
-    _check_expand_cost(args)
+    _check_triangle_cost(args)
     from .stirling import triangle_row
 
     payload = {

@@ -12,13 +12,20 @@ reduces to the value types defined here:
                     built from them when read.
   * QRationalFn  -- quotient of two QPolynomials, canonical form: fully
                     reduced with a monic denominator, so equality is a
-                    plain structural comparison.
+                    plain structural comparison.  Operations take only the
+                    gcds that the algebra leaves open: a sum reduces its new
+                    numerator against the gcd of the denominators alone
+                    (Henrici's sum), and two constants over 1 add and
+                    multiply as integers.
   * TruncatedSeries -- truncated power series over one coefficient field,
-                    with the one product loop (`_convolution`, which
-                    zalgebra.ZPolynomial multiplies by too) and the one
-                    division recurrence of the library.  Every value carries
-                    its own order and binary operations take the min, so a
-                    result never claims more accuracy than its inputs.
+                    with the one product loop and the one division
+                    recurrence of the library.  The field sums the products
+                    of each coefficient: `_convolution` plainly over Q,
+                    `_ratfn_convolution` over Q(q) with one normalisation per
+                    coefficient (zalgebra.ZPolynomial multiplies by it too).
+                    Every value carries its own order and binary operations
+                    take the min, so a result never claims more accuracy
+                    than its inputs.
   * QSeries      -- the subclass over Q; zalgebra.ZSeries is the one over Q(q).
 
 All values are immutable; operations are pure functions.  The scalar
@@ -74,7 +81,12 @@ def _power(base, n: int, one):
 # Sums bring the two contents to one denominator and take the content of the
 # integer result.  Gcds run the heuristic GCDHEU (Char, Geddes & Gonnet 1989)
 # on the primitive parts, retrying at larger points until it succeeds, which
-# it provably does.  Fractions are built only when `.coeffs` is read.
+# it provably does.  Fractions are built only when `.coeffs` is read.  Over
+# Q(q) the kernel is called only where a common factor can be left: a sum
+# takes the gcd g of the two denominators and then reduces its numerator
+# against g alone (Henrici 1956; Knuth, TAOCP Vol. 2, §4.5.1), a product
+# cross-reduces each numerator against the other denominator, and a dot
+# product of two or more terms is reduced once, not once per term.
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -517,6 +529,11 @@ def _poly(n: int, d: int, p: Sequence[int]) -> QPolynomial:
     return _qpp(n, d, tuple(p))
 
 
+def _monic(p: Sequence[int]) -> QPolynomial:
+    """The monic polynomial p/p[-1] of a primitive p with p[-1] > 0."""
+    return _qpp(1, p[-1], tuple(p))
+
+
 def _sum(a: QPolynomial, b: QPolynomial, sign: int) -> QPolynomial:
     """a + sign·b for sign = ±1."""
     if not b._p:
@@ -656,23 +673,45 @@ class QRationalFn:
     # -- field operations ------------------------------------------------------
 
     def __add__(self, other) -> "QRationalFn":
+        """Henrici's sum (Henrici 1956; Knuth, TAOCP Vol. 2, §4.5.1).
+
+        With a/b and c/d canonical and g = gcd(b, d), b = g·b', d = g·d',
+        the sum is t/(g·b'·d') for t = a·d' + c·b'.  t is coprime to b':
+        a prime of b' that divides t divides a·d', but it divides neither a
+        (gcd(a, b) = 1) nor d' (gcd(b', d') = 1).  Likewise t is coprime to
+        d'.  So the one gcd left to take is e = gcd(t, g), and none at all
+        when g = 1; the result is (t/e)/((g/e)·b'·d').  Two constants over 1
+        add as integers."""
         other = _coerce_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero():
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a._p:
             return other
-        if other.is_zero():
+        if not c._p:
             return self
-        # lcm denominator keeps the reduction gcd small
-        parts = _coprime_parts(self.den, other.den)
-        if parts is not None:
-            da, db = parts
-            num = self.num * db + other.num * da
-            den = da * other.den
-        else:
-            num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-        return QRationalFn(num, den)
+        pb, pd = b._p, d._p
+        if len(pb) == 1 and len(pd) == 1 and len(a._p) == 1 and len(c._p) == 1:
+            return _constant_sum(a._n, a._d, c._n, c._d)
+        g = (1,)
+        if len(pb) > 1 and len(pd) > 1:
+            g, pb, pd = _heu_gcd(pb, pd)
+        if len(g) == 1:
+            t = a * d + c * b
+            # t = 0 only when b = d = 1
+            return _qr(t, b * d) if t._p else _QR_ZERO
+        # the denominators are monic, so each cofactor is its primitive part
+        # over its lead
+        db = _monic(pd)
+        t = a * db + c * _monic(pb)
+        if not t._p:
+            return _QR_ZERO
+        if len(t._p) > 1:
+            e, pt, pg = _heu_gcd(t._p, g)
+            if len(e) > 1:
+                # t = (n/d)·e·pt, and e is e[-1] times the monic gcd
+                return _qr(_poly(t._n * e[-1], t._d, pt), _monic(pg) * _monic(pb) * db)
+        return _qr(t, b * db)
 
     __radd__ = __add__
 
@@ -695,14 +734,17 @@ class QRationalFn:
         other = _coerce_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a._p or not c._p:
             return _QR_ZERO
+        if len(b._p) == 1 and len(d._p) == 1 and len(a._p) == 1 and len(c._p) == 1:
+            return _constant_product(a._n, a._d, c._n, c._d)
         # cross-reduce before multiplying to keep degrees down; the product is
         # then canonical as it stands: a_num and b_num are coprime to both
         # a_den and b_den, and those are monic (monic denominators divided by
         # monic gcds), so no gcd is left to take
-        a_num, b_den = _coprime_parts(self.num, other.den) or (self.num, other.den)
-        b_num, a_den = _coprime_parts(other.num, self.den) or (other.num, self.den)
+        a_num, b_den = _coprime_parts(a, d) or (a, d)
+        b_num, a_den = _coprime_parts(c, b) or (c, b)
         return _qr(a_num * b_num, a_den * b_den)
 
     __rmul__ = __mul__
@@ -789,8 +831,30 @@ def _coerce_ratfn(x):
 def _ratfn_constant(c: _Scalar) -> QRationalFn:
     """The canonical constant c/1 for an int or Fraction c, with no gcd taken:
     an int has numerator c and denominator 1, and a Fraction is reduced."""
-    n = c.numerator
-    return _qr(_qpp(n, c.denominator, (1,)), _QP_ONE) if n else _QR_ZERO
+    return _int_constant(c.numerator, c.denominator)
+
+
+def _int_constant(n: int, d: int) -> QRationalFn:
+    """The canonical constant n/d for coprime n and d > 0."""
+    return _qr(_qpp(n, d, (1,)), _QP_ONE) if n else _QR_ZERO
+
+
+def _constant_sum(n1: int, d1: int, n2: int, d2: int) -> QRationalFn:
+    """n1/d1 + n2/d2 for reduced fractions with d1, d2 > 0, by Henrici's sum
+    on the integers (the proof is QRationalFn.__add__'s)."""
+    if d1 == d2 == 1:
+        return _int_constant(n1 + n2, 1)
+    g = _int_gcd(d1, d2)
+    s = d1 // g
+    t = n1 * (d2 // g) + n2 * s
+    e = _int_gcd(t, g)
+    return _int_constant(t // e, s * (d2 // e))
+
+
+def _constant_product(n1: int, d1: int, n2: int, d2: int) -> QRationalFn:
+    """(n1/d1)·(n2/d2) for nonzero reduced fractions with d1, d2 > 0, cross-reduced."""
+    g1, g2 = _int_gcd(n1, d2), _int_gcd(n2, d1)
+    return _qr(_qpp(n1 // g1 * (n2 // g2), d1 // g2 * (d2 // g1), (1,)), _QP_ONE)
 
 
 def _qr(num: QPolynomial, den: QPolynomial) -> QRationalFn:
@@ -820,7 +884,8 @@ def _convolution(terms: Sequence[tuple], xs: Sequence, k: int):
 
     terms holds one operand's nonzero coefficients by ascending index; xs
     holds the other's, with None for a zero coefficient.  The sum starts from
-    its first product, so no zero is ever added."""
+    its first product, so no zero is ever added.  This is the plain sum of
+    the int and Fraction fields; `_ratfn_convolution` is the one over Q(q)."""
     s = None
     for i, y in terms:
         if i > k:
@@ -832,15 +897,49 @@ def _convolution(terms: Sequence[tuple], xs: Sequence, k: int):
     return s
 
 
+def _ratfn_convolution(terms: Sequence[tuple], xs: Sequence, k: int) -> Optional[QRationalFn]:
+    """`_convolution` over QRationalFns, normalised once.
+
+    A single product is the cross-reduced y·x.  Two or more are summed as
+    the unreduced y.num·x.num/(y.den·x.den) over a running lcm of their
+    denominators, one gcd of denominators per term, and the sum is reduced
+    by one gcd at the end instead of one per term; constants over 1 are
+    summed so on their content ints."""
+    pairs = [(y, x) for i, y in terms if i <= k and (x := xs[k - i]) is not None]
+    if len(pairs) < 2:
+        return pairs[0][0] * pairs[0][1] if pairs else None
+    if all(len(y.num._p) == len(y.den._p) == len(x.num._p) == len(x.den._p) == 1 for y, x in pairs):
+        num, den = 0, 1
+        for y, x in pairs:
+            n, d = y.num._n * x.num._n, y.num._d * x.num._d
+            g = _int_gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+        g = _int_gcd(num, den)
+        return _int_constant(num // g, den // g)
+    (y, x), *rest = pairs
+    num, den = y.num * x.num, y.den * x.den
+    for y, x in rest:
+        n, d = y.num * x.num, y.den * x.den
+        parts = _coprime_parts(den, d)
+        if parts is None:
+            num, den = num * d + n * den, den * d
+        else:
+            # den·(d/g) is the lcm
+            den_g, d_g = parts
+            num, den = num * d_g + n * den_g, den * d_g
+    return QRationalFn(num, den)
+
+
 class TruncatedSeries:
     """Truncated power series: the coefficients of x^0 .. x^(order-1).
 
     Binary operations return a series at the min of the operand orders; the
     truncation order is part of the value, so accuracy never silently grows.
     A subclass names its coefficient field: `_coerce` maps a scalar into it,
-    `_zero` and `_one` are its units, `_scalars` are the operand types that
-    act coefficientwise, and an operand of type `_poly` is truncated to a
-    series.
+    `_zero` and `_one` are its units, `_dot` is its `_convolution`, the sum
+    of the products that make one coefficient, `_scalars` are the operand
+    types that act coefficientwise, and an operand of type `_poly` is
+    truncated to a series.
     """
 
     __slots__ = ("order", "coeffs")
@@ -927,7 +1026,8 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         terms = [(i, x) for i, x in enumerate(self.coeffs[:n]) if x]
         ys = [y if y else None for y in other.coeffs[:n]]
-        sums = [_convolution(terms, ys, k) for k in range(n)]
+        dot = self._dot
+        sums = [dot(terms, ys, k) for k in range(n)]
         return self._make(n, tuple([self._zero if s is None else s for s in sums]))
 
     __rmul__ = __mul__
@@ -962,9 +1062,10 @@ class TruncatedSeries:
         neg_inv = None if inv is None else -inv
         terms = [(i, y) for i, y in enumerate(b[1:n], 1) if y]
         la = len(a)
+        dot = cls._dot
         js: list = []  # None for a zero coefficient
         for k in range(n):
-            s = _convolution(terms, js, k)
+            s = dot(terms, js, k)
             x = (a[k] or None) if k < la else None
             if s is None:
                 j = x if x is None or inv is None else x * inv
@@ -988,6 +1089,7 @@ class QSeries(TruncatedSeries):
     _coerce = staticmethod(_as_fraction)
     _zero = Fraction(0)
     _one = Fraction(1)
+    _dot = staticmethod(_convolution)
     _scalars = (int, Fraction)
     _poly = QPolynomial
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .exact import QPolynomial, QRationalFn, TruncatedSeries, _coerce_ratfn, _convolution, _power
+from .exact import QPolynomial, QRationalFn, TruncatedSeries, _coerce_ratfn, _power, _ratfn_convolution
 
 _Coeff = Union[int, Fraction, QPolynomial, QRationalFn]
 _SCALARS = (int, Fraction, QPolynomial, QRationalFn)
@@ -121,7 +121,7 @@ class ZPolynomial:
             return ZPolynomial()
         terms = [(i, x) for i, x in enumerate(a) if x]
         ys = [y if y else None for y in b] + [None] * (len(a) - 1)
-        sums = [_convolution(terms, ys, k) for k in range(len(ys))]
+        sums = [_ratfn_convolution(terms, ys, k) for k in range(len(ys))]
         return ZPolynomial([_ZERO if s is None else s for s in sums])
 
     __rmul__ = __mul__
@@ -207,6 +207,7 @@ class ZSeries(TruncatedSeries):
     _coerce = staticmethod(_as_ratfn)
     _zero = _ZERO
     _one = _ONE
+    _dot = staticmethod(_ratfn_convolution)
     _scalars = _SCALARS
     _poly = ZPolynomial
 

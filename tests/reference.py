@@ -5,9 +5,11 @@ the thin divisor-table wrappers and the alpha in {1, 2} special-case
 realizations, the factored and closed-form displays of the ratio family, the
 displayed sequences and direct targets of Table 1, the z -> q substitution,
 the verbatim loop of the quadruple-sum block, the sum and equality of
-fractions in z by cross-multiplication, the Fraction route of the
-Taylor expansion, the closed forms of the numeric (q, q^2) sequences and the
-margin summaries of a convergence report, and the Bell numbers.  The tests import them from here.
+fractions in z by cross-multiplication, the Q(q) sums that normalised every
+term and the constants that took the polynomial route, the Fraction route of
+the Taylor expansion, the closed forms of the numeric (q, q^2) sequences and
+the margin summaries of a convergence report, and the Bell numbers.  The
+tests import them from here.
 """
 
 from __future__ import annotations
@@ -15,8 +17,19 @@ from __future__ import annotations
 from math import gcd
 from typing import Optional
 
+from qjfrac import exact, zalgebra
 from qjfrac.divisors import _generator, _transform_at_q, generating_series
-from qjfrac.exact import QRationalFn, QSeries, _bias, _digit_width, _int_exquo, _int_strip, _pack, _unpack
+from qjfrac.exact import (
+    QRationalFn,
+    QSeries,
+    _bias,
+    _coprime_parts,
+    _digit_width,
+    _int_exquo,
+    _int_strip,
+    _pack,
+    _unpack,
+)
 from qjfrac.jfraction import PochhammerParams, convergent_pairs, divisor_spec, pochhammer_spec
 from qjfrac.oracles import q_pochhammer
 from qjfrac.sequences import JFractionSpec, convergent_pair
@@ -525,6 +538,60 @@ def schoolbook_zmul(a: ZPolynomial, b: ZPolynomial) -> ZPolynomial:
             if not cb.is_zero():
                 cs[i + j] = cs[i + j] + ca * cb
     return ZPolynomial(cs)
+
+
+# -- Q(q) sums: one full normalisation per sum, constants as polynomials ------
+
+
+def full_normalising_add(x: QRationalFn, y: QRationalFn) -> QRationalFn:
+    """x + y over the lcm of the denominators, reduced by a gcd against the
+    whole lcm, as QRationalFn.__add__ ran before Henrici's sum."""
+    y = exact._coerce_ratfn(y)
+    if y is NotImplemented:
+        return NotImplemented
+    if x.is_zero():
+        return y
+    if y.is_zero():
+        return x
+    parts = _coprime_parts(x.den, y.den)
+    if parts is not None:
+        dx, dy = parts
+        return QRationalFn(x.num * dy + y.num * dx, dx * y.den)
+    return QRationalFn(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def cross_reduced_product(x: QRationalFn, y: QRationalFn) -> QRationalFn:
+    """x * y by cross-reduction on the polynomials, the route constants took
+    before they multiplied as integers."""
+    y = exact._coerce_ratfn(y)
+    if y is NotImplemented:
+        return NotImplemented
+    if x.is_zero() or y.is_zero():
+        return _ZERO
+    xn, yd = _coprime_parts(x.num, y.den) or (x.num, y.den)
+    yn, xd = _coprime_parts(y.num, x.den) or (y.num, x.den)
+    return QRationalFn(xn * yn, xd * yd)
+
+
+def term_by_term_convolution(terms, xs, k: int):
+    """exact._ratfn_convolution as one full_normalising_add per product."""
+    s = None
+    for i, y in terms:
+        if i <= k and xs[k - i] is not None:
+            t = cross_reduced_product(y, xs[k - i])
+            s = t if s is None else full_normalising_add(s, t)
+    return s
+
+
+def use_normalising_route(monkeypatch) -> None:
+    """Route every Q(q) sum and product of the library through the three
+    functions above, by pytest's monkeypatch."""
+    monkeypatch.setattr(QRationalFn, "__add__", full_normalising_add)
+    monkeypatch.setattr(QRationalFn, "__radd__", full_normalising_add)
+    monkeypatch.setattr(QRationalFn, "__mul__", cross_reduced_product)
+    monkeypatch.setattr(QRationalFn, "__rmul__", cross_reduced_product)
+    monkeypatch.setattr(zalgebra, "_ratfn_convolution", term_by_term_convolution)
+    monkeypatch.setattr(zalgebra.ZSeries, "_dot", staticmethod(term_by_term_convolution))
 
 
 def packed_division(a, b, nbytes: int):

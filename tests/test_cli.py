@@ -267,7 +267,8 @@ class TestSizeCaps:
             "`oracle qbinomialtheorem` joint cost `--order`⁴·size, (168 + d)/168 per denominator": cli._MAX_QBT_COST,
             "`verify lemmas --h`": cli._MAX_LEMMA_H,
             "`jfrac expand --h`, `jfrac triangle --h`, `divisor table --h`": cli._MAX_DEPTH,
-            "`jfrac expand`, `jfrac triangle` joint cost `--h`⁶·size": cli._MAX_EXPAND_COST,
+            "`jfrac expand` joint cost `--h`⁶·size": cli._MAX_EXPAND_COST,
+            "`jfrac triangle` joint cost `--h`⁷·size, `--z` squared": cli._MAX_TRIANGLE_COST,
             "`jfrac invert --depth`": cli._MAX_INVERT_DEPTH,
         }
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -361,18 +362,15 @@ class TestSizeCaps:
         [
             ["jfrac", "expand", "--a", "q", "--b", "q^2", "--h", "32"],
             ["jfrac", "expand", "--a", "3/7*q", "--b", "2/5*q^2", "--h", "24"],
-            ["jfrac", "triangle", "--a", "3/7*q", "--b", "2/5*q^2", "--h", "32"],
             ["jfrac", "expand", "--a", "(1+q)^8", "--b", "q^2", "--h", "16"],
             ["jfrac", "expand", "--a", "(1+q)^64", "--b", "q^2", "--h", "8"],
             ["jfrac", "expand", "--a", "(1+q)^256", "--b", "q^2", "--h", "4"],
-            ["jfrac", "triangle", "--a", "(1+q)^256", "--b", "q^2", "--h", "4"],
             ["jfrac", "expand", "--a", "q", "--b", "q^2", "--h", "15"],
-            ["jfrac", "triangle", "--preset", "reciprocal_qq", "--h", "21"],
             ["jfrac", "expand", "--preset", "pochhammer_zqn", "--z", "(1+q)^8", "--h", "11", "--zorder", "4"],
         ],
     )
     def test_expand_above_the_joint_cap_is_a_usage_error(self, capsys, monkeypatch, argv):
-        # each size is inside its own cap, but the first six took 9 s to over
+        # each size is inside its own cap, but the first five took 9 s to over
         # 60 s; the command must not start
         def never(*args):
             raise AssertionError("the expansion must not run")
@@ -380,6 +378,63 @@ class TestSizeCaps:
         self._stub_expansion(monkeypatch, argv[1], never, never)
         assert run(argv) == 2
         assert "exceeds 67108864" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # 29 s at --h 30, 4.0 s, 3.6 s and 9.9 s (in-process, one run each)
+            ["--a", "3/7*q", "--b", "2/5*q^2", "--h", "32"],
+            ["--a", "(1+q)^256", "--b", "q^2", "--h", "7"],
+            ["--preset", "reciprocal_qq", "--h", "21"],
+            # one power of 3 above each constant of the test below
+            ["--a", "(3^256)^256*(3^256)^66*3^245", "--b", "q^2", "--h", "2"],
+            ["--a", "(3^256)^78*3^18", "--b", "q^2", "--h", "3"],
+            ["--a", "(3^256)^12*3^255", "--b", "q^2", "--h", "5"],
+            ["--a", "3^97", "--b", "q^2", "--h", "13"],
+            # --z weighs its square: linearly weighed these took 24 s and 23 s
+            ["--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^256", "--h", "4"],
+            ["--preset", "reciprocal_pochhammer_zqn", "--z", "(3^256)^12", "--h", "5"],
+            ["--preset", "reciprocal_pochhammer_zqn", "--z", "1234567/891011", "--h", "13"],
+        ],
+    )
+    def test_triangle_above_its_joint_cap_is_a_usage_error(self, capsys, monkeypatch, flags):
+        def never(*args):
+            raise AssertionError("the triangle must not run")
+
+        self._stub_expansion(monkeypatch, "triangle", never, never)
+        assert run(["jfrac", "triangle", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --h {flags[-1]} with parameter size ") and "h^7*size" in err
+        assert "exceeds 34359738368" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # on the bound; in-process these took 0.4-1.9 s, and the expand
+            # cap, which triangle shared, refused all but the last
+            ["--a", "(3^256)^256*(3^256)^66*3^244", "--b", "q^2", "--h", "2"],
+            ["--a", "(3^256)^78*3^17", "--b", "q^2", "--h", "3"],
+            ["--a", "(3^256)^12*3^254", "--b", "q^2", "--h", "5"],
+            ["--a", "3^96", "--b", "q^2", "--h", "13"],
+            ["--a", "(1+q)^256", "--b", "q^2", "--h", "6"],
+            ["--a", "1/(1-3*q)^64", "--b", "q^2", "--h", "8"],
+            ["--a", "(1-q)/(1-q^256)", "--b", "q^2", "--h", "12"],
+            ["--preset", "reciprocal_pochhammer_zqn", "--z", "1234567/891011", "--h", "12"],
+            ["--preset", "reciprocal_qq", "--h", "20"],
+        ],
+    )
+    def test_triangle_at_its_joint_cap_runs(self, capsys, monkeypatch, flags):
+        self._stub_expansion(monkeypatch, "triangle", None, lambda spec, h: ())
+        assert run(["jfrac", "triangle", *flags]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_triangle_of_a_large_constant_runs(self, capsys):
+        # refused by the expand cap that triangle shared, though it takes
+        # about 0.2 s
+        code, out = run_capture(capsys, ["jfrac", "triangle", "--a", "(2^256)^15", "--b", "q^2", "--h", "5"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [len(row) for row in rows] == [1, 2, 3, 4, 5, 6]
 
     @pytest.mark.parametrize(
         "argv",
@@ -522,7 +577,6 @@ class TestSizeCaps:
             # 8.7 s, 29 s, 3.1 s, 9.4 s and 9.4 s
             (["jfrac", "expand", "--a", "(2^256)^8", "--b", "q^2", "--h", "5"], "--h 5"),
             (["jfrac", "expand", "--a", "(2^256)^15", "--b", "q^2", "--h", "5"], "--h 5"),
-            (["jfrac", "triangle", "--a", "(2^256)^15", "--b", "q^2", "--h", "5"], "--h 5"),
             (["jfrac", "expand", "--a", "2^62", "--b", "q^2", "--h", "10"], "--h 10"),
             (["oracle", "qbinomialtheorem", "--a", "(2^256)^15", "--z", "q", "--order", "12"], "--order 12"),
             (["oracle", "qpochhammer", "--x", "((2^250)^25)^4", "--n", "12"], "--n 12"),

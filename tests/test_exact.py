@@ -13,7 +13,18 @@ from qjfrac.exact import QPolynomial, QRationalFn, QSeries
 from qjfrac.jfraction import PochhammerParams, convergent_coefficients, convergents, pochhammer_spec
 
 from conftest import parse
-from reference import fraction_taylor, int_pseudo_rem, mignotte_exquo, narrow_first_exquo, packed_division, prs_gcd_parts
+from reference import (
+    cross_reduced_product,
+    fraction_taylor,
+    full_normalising_add,
+    int_pseudo_rem,
+    mignotte_exquo,
+    narrow_first_exquo,
+    packed_division,
+    prs_gcd_parts,
+    term_by_term_convolution,
+    use_normalising_route,
+)
 
 ONE = QRationalFn.one()
 Q = QRationalFn.q()
@@ -437,19 +448,28 @@ _POWER_OF_TWO_PARAMETERS = {"256": (256, "q^2"), "65536": (65536, "q^2"), "q, 25
 @pytest.mark.parametrize("params", list(_POWER_OF_TWO_PARAMETERS))
 def test_gcds_of_power_of_two_parameters(params, monkeypatch):
     # every gcd that `jfrac expand --h 6 --zorder 8` takes on these
-    # parameters; six tries at powers of two gave up on 4, 4 and 2 of them
-    # (on 15, 20 and 13 of those at the default --zorder 12, whose larger
-    # pairs take the PRS oracle seconds)
+    # parameters, by the library's sums and by the sums that normalise every
+    # term, which must give the same coefficients; six tries at powers of two
+    # gave up on 4, 4 and 2 of the latter (on 15, 20 and 13 of those at the
+    # default --zorder 12, whose larger pairs take the PRS oracle seconds).
+    # The library's sums meet only about 210 gcds here
     a, b = (parse(str(x)) for x in _POWER_OF_TWO_PARAMETERS[params])
-    pairs, real = [], exact._heu_gcd
+    pairs, real = set(), exact._heu_gcd
 
     def record(x, y):
-        pairs.append((tuple(x), tuple(y)))
+        pairs.add((tuple(x), tuple(y)))
         return real(x, y)
 
-    monkeypatch.setattr(exact, "_heu_gcd", record)
-    convergent_coefficients(convergents(pochhammer_spec(PochhammerParams(a, b)), 6), 8)
-    monkeypatch.setattr(exact, "_heu_gcd", real)
+    def expand():
+        return convergent_coefficients(convergents(pochhammer_spec(PochhammerParams(a, b)), 6), 8)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_heu_gcd", record)
+        coefficients = expand()
+    with monkeypatch.context() as patch:
+        use_normalising_route(patch)
+        patch.setattr(exact, "_heu_gcd", record)
+        assert expand() == coefficients
     assert len(pairs) >= 290
     for x, y in pairs:
         _check_gcd_parts(x, y)
@@ -527,6 +547,158 @@ def test_product_is_canonical_without_a_final_gcd(pair):
     for r in (x * y, y * x):
         assert (r.num.coeffs, r.den.coeffs) == expected
         assert all(type(c) is Fraction for c in r.num.coeffs + r.den.coeffs)
+
+
+# -- Henrici sums, integer constants and dot products against the routes that
+# normalised every term --
+
+# 1 - q^e for e = 1..6: products of them share cyclotomic factors in many ways
+_ONE_MINUS_Q = [QPolynomial((1,) + (0,) * (e - 1) + (-1,)) for e in range(1, 7)]
+
+
+@st.composite
+def cyclotomic_ratfns(draw):
+    """w·Π(1 − q^e) / (v·Π(1 − q^e')) for small w, v; zero included."""
+    num = draw(st.one_of(st.just(QPolynomial.zero()), polys(max_len=3, bits=8, den_bits=4)))
+    den = draw(polys(max_len=2, bits=8, den_bits=4))
+    for e in draw(st.lists(st.integers(0, 5), max_size=3)):
+        num = num * _ONE_MINUS_Q[e]
+    for e in draw(st.lists(st.integers(0, 5), max_size=4)):
+        den = den * _ONE_MINUS_Q[e]
+    return QRationalFn(num, den)
+
+
+_constants = st.builds(
+    QRationalFn.from_fraction,
+    st.one_of(st.integers(-(2**70), 2**70), st.fractions(max_denominator=2**40), _small_fraction),
+)
+_q_operands = st.one_of(cyclotomic_ratfns(), _constants)
+
+
+def _assert_canonical_ratfn(r):
+    assert_canonical(r.num)
+    assert_canonical(r.den)
+    assert r.den.leading_coefficient == 1
+    assert r.num or r.den.is_one()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_q_operands, _q_operands, _q_operands)
+def test_sums_match_the_full_normalising_add(x, y, z):
+    # w = z − x has much of x's denominator, so the numerator of x + w shares
+    # a factor with g = gcd(x.den, w.den) whenever z's denominator is smaller
+    w = full_normalising_add(z, -x)
+    for a, b in ((x, y), (y, x), (x, -y), (x, w), (w, x), (x, -x), (z, z)):
+        r = a + b
+        _assert_canonical_ratfn(r)
+        want = full_normalising_add(a, b)
+        assert (r.num._n, r.num._d, r.num._p, r.den._p) == (want.num._n, want.num._d, want.num._p, want.den._p)
+    assert x + w == z and x - z == -w
+    assert (x + (-x)).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_constants, _constants)
+def test_constants_match_the_general_path(x, y):
+    for r, want in (
+        (x + y, full_normalising_add(x, y)),
+        (x - y, full_normalising_add(x, -y)),
+        (x * y, cross_reduced_product(x, y)),
+        (y * x, cross_reduced_product(y, x)),
+        (x + (-x), QRationalFn.zero()),
+        (x * 0, QRationalFn.zero()),
+    ):
+        _assert_canonical_ratfn(r)
+        assert (r.num._n, r.num._d, r.num._p, r.den._p) == (want.num._n, want.num._d, want.num._p, want.den._p)
+        assert hash(r) == hash(want)
+
+
+def _spy_gcds(monkeypatch):
+    calls, real = [], exact._heu_gcd
+
+    def spy(a, b):
+        calls.append((len(a) - 1, len(b) - 1))
+        return real(a, b)
+
+    monkeypatch.setattr(exact, "_heu_gcd", spy)
+    return calls
+
+
+def test_sum_reduces_only_against_the_common_factor(monkeypatch):
+    qp = QRationalFn(QPolynomial.q())
+    one_minus = [QRationalFn(p) for p in _ONE_MINUS_Q]
+    x, y = ONE / (one_minus[0] * one_minus[1]), qp / (one_minus[0] * one_minus[1])
+    want = ONE / (one_minus[0] * one_minus[0])
+    calls = _spy_gcds(monkeypatch)
+    # g is the whole denominator, of degree 3, and t = 1 + q divides it
+    assert x + y == want
+    assert calls == [(3, 3), (1, 3)]
+    # coprime denominators: one gcd, of the denominators
+    x, y = ONE / one_minus[0], qp / (1 + qp * qp)
+    want = QRationalFn(QPolynomial((1, 1)), QPolynomial((1, -1, 1, -1)))
+    del calls[:]
+    assert x + y == want
+    assert calls == [(1, 2)]
+    del calls[:]
+    # over denominator 1 no gcd at all, and two constants add and multiply
+    # with no polynomial product
+    assert one_minus[2] + qp == QRationalFn(QPolynomial((1, 1, 0, -1)))
+    third, sixth, half = (QRationalFn.from_fraction(Fraction(1, n)) for n in (3, 6, 2))
+    six, two = QRationalFn.from_fraction(6), QRationalFn.from_fraction(2)
+
+    def no_polynomial_arithmetic(*args):
+        raise AssertionError("constants over 1 take the integer path")
+
+    monkeypatch.setattr(QPolynomial, "__mul__", no_polynomial_arithmetic)
+    monkeypatch.setattr(exact, "_sum", no_polynomial_arithmetic)
+    assert third + sixth == half and third * six == two and sixth - third + half == third
+    assert calls == []
+
+
+@st.composite
+def dot_products(draw):
+    """(terms, xs): two operands' coefficients, in the form that
+    exact._ratfn_convolution takes.  The first two of each are nonzero, all
+    of them are constants when the first flag is drawn, and the products at
+    index 1 cancel when the second is."""
+    nonzero = (_constants if draw(st.booleans()) else _q_operands).filter(bool)
+    entry = st.one_of(nonzero, nonzero, nonzero, st.none())
+    ys = draw(st.lists(nonzero, min_size=2, max_size=2)) + draw(st.lists(entry, max_size=3))
+    xs = draw(st.lists(nonzero, min_size=2, max_size=2)) + draw(st.lists(entry, max_size=3))
+    if draw(st.booleans()):
+        # ys[0]·xs[1] + ys[1]·xs[0] = 0
+        ys[1] = -(ys[0] * xs[1]) / xs[0]
+    terms = [(i, y) for i, y in enumerate(ys) if y is not None]
+    # padded as ZPolynomial.__mul__ pads it
+    return terms, xs + [None] * (len(ys) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dot_products())
+def test_dot_products_match_the_term_by_term_sum(operands):
+    terms, xs = operands
+    for k in range(len(xs)):
+        r = exact._ratfn_convolution(terms, xs, k)
+        want = term_by_term_convolution(terms, xs, k)
+        if want is None:
+            assert r is None
+        else:
+            _assert_canonical_ratfn(r)
+            assert r == want
+
+
+def test_dot_product_normalises_once(monkeypatch):
+    # (1/(1-q))·(1/(1-q^2)) + (q/(1-q^2))·(1/(1-q)) + 1·1 over the lcm
+    # (1-q)(1-q^2): one gcd of denominators per later term, then one final
+    # normalisation (of a numerator of degree 3 against the lcm, degree 3)
+    one_minus = [QRationalFn(p) for p in _ONE_MINUS_Q]
+    qp = QRationalFn(QPolynomial.q())
+    terms = [(0, ONE / one_minus[0]), (1, qp / one_minus[1]), (2, ONE)]
+    xs = [ONE, ONE / one_minus[0], ONE / one_minus[1]]
+    want = term_by_term_convolution(terms, xs, 2)
+    calls = _spy_gcds(monkeypatch)
+    assert exact._ratfn_convolution(terms, xs, 2) == want
+    assert calls == [(3, 3), (3, 3)]
 
 
 # -- oracle: the Fraction-tuple kernel that content × primitive storage replaced --
