@@ -74,7 +74,7 @@ _MAX_MARGIN_LEVELS = 500  # converge margins --q=0.1 --hmax 500: 1.0 s; --hmax 1
 # each, the last one)
 _MAX_MARGIN_BITS = 8192
 _MAX_PROBE_LEVELS = 100  # converge probe --q=0.1 --hmax 100: 0.3 s; --hmax 400: 2.1 s
-_MAX_LEMMA_H = 8  # verify lemmas --h 8: 0.7-1.1 s (--spec random --h 10: 0.3 s); --h 9: 2.8-3.0 s
+_MAX_LEMMA_H = 8  # verify lemmas --h 8: 0.6-0.8 s (--spec random --h 10: 0.2 s); --h 9: 1.7-2.0 s
 # the --h of jfrac expand, jfrac triangle and divisor table, a bound on the
 # argument alone: their joint caps, _MAX_EXPAND_COST, _MAX_TRIANGLE_COST and
 # _MAX_DIVISOR_COST, bound the cost and bind first
@@ -91,10 +91,20 @@ _MAX_DEPTH = 64
 # 5), and less below (0.2 s at --h 3, k = 1511; in-process, one run each);
 # linearly weighed, --a "(2^256)^15" --b q^2 --h 5 took 29 s inside the cap.
 # A parameter holding a power of two retries many gcds at an odd point and
-# costs up to twice as much: --a=256 --b=q^2 --h 13, now just above the
-# bound, took 2.1-2.9 s (255 and 257: 1.1-1.8 s), and --a=q --b=256 --h 13,
-# on it, 4.7-6.2 s (2.8-3.2 s)
+# costs more: --a=256 --b=q^2 --h 13, now just above the bound, took 0.55-0.57
+# s (255 and 257: 0.42-0.53 s), and --a=q --b=256 --h 13, on it, 1.7-1.9 s
+# (1.3-1.4 s; whole process, three runs each)
 _MAX_EXPAND_COST = 2**26
+# --z enters the z presets through its powers, so its size s weighs s*(S +
+# s)/S for S = _EXPAND_Z_SCALE: about linearly when small, and like s^2,
+# close to the measured s^1.8, when large.  Linearly weighed, --preset
+# reciprocal_pochhammer_zqn --z "(1+q)^256" took 30.6 s at --h 3 and --z
+# "(1+q)^64" 3.8 s at --h 5 (in-process, one run each).  Any S from about
+# 1,300 to 4,200 refuses both and still admits --z 1/3 at --h 16.  Along
+# the bound that preset takes 0.2-1.3 s: --z "(1+q)^128" at --h 2, "(1+q)^16"
+# at --h 7, "(1+q)^64" at --h 4, "3^200" at --h 5 and "1/(1-3*q)^64" at
+# --h 3 (whole process, three runs each)
+_EXPAND_Z_SCALE = 2048
 # jfrac triangle multiplies only linear factors 1 - c_i z, with no gcds of the
 # growing ab products, so its parameters cost far less than expand's: --a
 # "(2^256)^4" --b q^2 --h 5 took 0.07 s against 2.8 s for expand.  Its cost
@@ -373,8 +383,12 @@ def _check_cost(flag: str, value: int, power: int, size: int, size_text: str, ca
 
 def _check_expand_cost(args) -> None:
     """Raise ValueError when --h and the parsed parameters are jointly above _MAX_EXPAND_COST."""
-    size = 1 + sum(_parameter_size(x, 64) for x in (args.a, args.b, args.z) if x is not None)
-    text = "1 + (degree + 1)*bits*(64 + e)/64 of each of --a, --b, --z, for e bits above twice the degree"
+    a, b, z = (0 if x is None else _parameter_size(x, 64) for x in (args.a, args.b, args.z))
+    size = 1 + a + b + z * (_EXPAND_Z_SCALE + z) // _EXPAND_Z_SCALE
+    text = (
+        f"1 + s of each of --a and --b and s*({_EXPAND_Z_SCALE} + s)/{_EXPAND_Z_SCALE} of --z, "
+        "for s = (degree + 1)*bits*(64 + e)/64 and e bits above twice the degree"
+    )
     _check_cost("--h", args.h, 6, size, text, _MAX_EXPAND_COST)
 
 
@@ -384,9 +398,8 @@ def _check_triangle_cost(args) -> None:
     def size_of(x: QRationalFn) -> int:
         return _parameter_size(x, 64) * (128 + x.den.degree) // 128
 
-    size = 24 + sum(size_of(x) for x in (args.a, args.b) if x is not None)
-    if args.z is not None:
-        size += size_of(args.z) ** 2
+    a, b, z = (0 if x is None else size_of(x) for x in (args.a, args.b, args.z))
+    size = 24 + a + b + z * z
     text = (
         "24 + (degree + 1)*bits*(64 + e)/64*(128 + d)/128 of each of --a and --b, and its square for --z, "
         "for e bits above twice the degree and d the degree of the denominator"

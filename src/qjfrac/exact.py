@@ -734,6 +734,8 @@ class QRationalFn:
         other = _coerce_ratfn(other)
         if other is NotImplemented:
             return NotImplemented
+        if self is _QR_ONE or other is _QR_ONE:
+            return other if self is _QR_ONE else self
         a, b, c, d = self.num, self.den, other.num, other.den
         if not a._p or not c._p:
             return _QR_ZERO
@@ -905,28 +907,32 @@ def _ratfn_convolution(terms: Sequence[tuple], xs: Sequence, k: int) -> Optional
     denominators, one gcd of denominators per term, and the sum is reduced
     by one gcd at the end instead of one per term; constants over 1 are
     summed so on their content ints."""
-    pairs = [(y, x) for i, y in terms if i <= k and (x := xs[k - i]) is not None]
+    pairs = []
+    for i, y in terms:
+        if i > k:
+            break
+        if (x := xs[k - i]) is not None:
+            pairs.append((y, x))
     if len(pairs) < 2:
         return pairs[0][0] * pairs[0][1] if pairs else None
-    if all(len(y.num._p) == len(y.den._p) == len(x.num._p) == len(x.den._p) == 1 for y, x in pairs):
-        num, den = 0, 1
-        for y, x in pairs:
-            n, d = y.num._n * x.num._n, y.num._d * x.num._d
-            g = _int_gcd(den, d)
-            num, den = num * (d // g) + n * (den // g), den // g * d
+    num, den = 0, 1
+    for y, x in pairs:
+        yn, xn = y.num, x.num
+        if len(yn._p) != 1 or len(xn._p) != 1 or len(y.den._p) != 1 or len(x.den._p) != 1:
+            break
+        n, d = yn._n * xn._n, yn._d * xn._d
+        g = _int_gcd(den, d)
+        num, den = num * (d // g) + n * (den // g), den // g * d
+    else:
         g = _int_gcd(num, den)
         return _int_constant(num // g, den // g)
     (y, x), *rest = pairs
     num, den = y.num * x.num, y.den * x.den
     for y, x in rest:
         n, d = y.num * x.num, y.den * x.den
-        parts = _coprime_parts(den, d)
-        if parts is None:
-            num, den = num * d + n * den, den * d
-        else:
-            # den·(d/g) is the lcm
-            den_g, d_g = parts
-            num, den = num * d_g + n * den_g, den * d_g
+        # den·(d/g) is the lcm
+        den_g, d_g = _coprime_parts(den, d) or (den, d)
+        num, den = num * d_g + n * den_g, den * d_g
     return QRationalFn(num, den)
 
 

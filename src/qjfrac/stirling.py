@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional
 from .exact import QRationalFn
 from .jfraction import convergent_pairs, convergent_sum_decomposition, lemma_report
 from .sequences import JFractionSpec, divisor_spec, pochhammer_c_display_form
-from .zalgebra import ZPolynomial, linear_product, linear_step
+from .zalgebra import ZPolynomial, _zpoly
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
@@ -38,8 +38,22 @@ def triangle_row(spec: JFractionSpec, h: int) -> tuple[QRationalFn, ...]:
         raise ValueError("row must be >= 0")
     row = spec.memo("row", 0, lambda _: (_ONE,))
     for i in range(1, h + 1):
-        row = spec.memo("row", i, lambda i: tuple(linear_step(row, spec.c(i))))
+        # row i is (1 - c_i z) times row i - 1; the product leaves out the
+        # zero top entries that zero c values make, and the row keeps them
+        row = spec.memo(
+            "row", i, lambda i: (_times_factors(spec, ZPolynomial(row), (i,)).coeffs + (_ZERO,) * i)[: i + 1]
+        )
     return row
+
+
+def _times_factors(spec: JFractionSpec, p: ZPolynomial, indices: Iterable[int]) -> ZPolynomial:
+    """p (1 - c_i z)... over the indices i; a zero c_i is the factor 1.
+    Each linear factor is the left operand of the product, whose
+    convolution then walks its two coefficients rather than all of p's."""
+    for c in map(spec.c, indices):
+        if c:
+            p = _zpoly((_ONE, -c)) * p
+    return p
 
 
 def _entry(row: tuple[QRationalFn, ...], k: int) -> QRationalFn:
@@ -122,10 +136,8 @@ def _cleared(
         lcm = Counter()
         for _, fs in terms:
             lcm |= fs
-    num = ZPolynomial.zero()
-    for w, fs in terms:
-        num = num + linear_product((spec.c(i) for i in (lcm - fs).elements()), w)
-    return lcm, num
+    cofactors = (_times_factors(spec, ZPolynomial.constant(w), (lcm - fs).elements()) for w, fs in terms)
+    return lcm, sum(cofactors, ZPolynomial.zero())
 
 
 def nested_sum(spec: JFractionSpec, h: int, m: int, s: int) -> tuple[ZPolynomial, ZPolynomial]:
@@ -146,7 +158,7 @@ def nested_sum(spec: JFractionSpec, h: int, m: int, s: int) -> tuple[ZPolynomial
         raise ValueError("m must be >= 1")
     terms = [_term(spec, ks) for ks in _spaced_tuples(h, m) if sum(ks) == s]
     used, num = _cleared(spec, terms)
-    return num, linear_product(spec.c(i) for i in used.elements())
+    return num, _times_factors(spec, ZPolynomial.one(), used.elements())
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ polynomials instead, which avoids bivariate gcd entirely.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .exact import QPolynomial, QRationalFn, TruncatedSeries, _coerce_ratfn, _power, _ratfn_convolution
+from .exact import QPolynomial, QRationalFn, TruncatedSeries, _coerce_ratfn, _new, _power, _ratfn_convolution
 
 _Coeff = Union[int, Fraction, QPolynomial, QRationalFn]
 _SCALARS = (int, Fraction, QPolynomial, QRationalFn)
@@ -34,10 +34,10 @@ class ZPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[_Coeff] = ()):
-        cs = [_as_ratfn(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
+        cs = [c if type(c) is QRationalFn else _as_ratfn(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_coeffs(self, tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("ZPolynomial is immutable")
@@ -110,19 +110,14 @@ class ZPolynomial:
         return _coerce_zpoly(other) - self
 
     def __mul__(self, other) -> "ZPolynomial":
-        if isinstance(other, _SCALARS):
-            c = _as_ratfn(other)
-            if c.is_zero():
-                return ZPolynomial()
-            return ZPolynomial(tuple(c * x for x in self.coeffs))
-        other = _coerce_zpoly(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, _coerce_zpoly(other).coeffs
         if not a or not b:
             return ZPolynomial()
         terms = [(i, x) for i, x in enumerate(a) if x]
         ys = [y if y else None for y in b] + [None] * (len(a) - 1)
         sums = [_ratfn_convolution(terms, ys, k) for k in range(len(ys))]
-        return ZPolynomial([_ZERO if s is None else s for s in sums])
+        # the top coefficient is the product of the operands' nonzero tops
+        return _zpoly(tuple([_ZERO if s is None else s for s in sums]))
 
     __rmul__ = __mul__
 
@@ -135,8 +130,6 @@ class ZPolynomial:
         """Multiply by z**k."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        if not self.coeffs:
-            return self
         return ZPolynomial((_ZERO,) * k + self.coeffs)
 
     def derivative(self) -> "ZPolynomial":
@@ -171,25 +164,14 @@ class ZPolynomial:
         return f"ZPolynomial({str(self)!r})"
 
 
-def linear_step(row: Sequence[QRationalFn], c: QRationalFn) -> list[QRationalFn]:
-    """The coefficients of (1 - c z) times the polynomial with coefficients
-    row: r_k - c r_(k-1), the row step of the Stirling q-triangle.  A zero
-    top coefficient is kept, so a triangle row always has h + 1 entries."""
-    if not row:
-        return []
-    out = [row[0]]
-    for k in range(1, len(row)):
-        out.append(row[k] - c * row[k - 1])
-    out.append(-(c * row[-1]))
-    return out
+_set_coeffs = ZPolynomial.coeffs.__set__
 
 
-def linear_product(cs: Iterable[QRationalFn], w: _Coeff = _ONE) -> ZPolynomial:
-    """w (1 - c_1 z)(1 - c_2 z)... over the c_i of cs, by linear_step."""
-    row = [_as_ratfn(w)]
-    for c in cs:
-        row = linear_step(row, c)
-    return ZPolynomial(row)
+def _zpoly(coeffs: tuple) -> ZPolynomial:
+    """The ZPolynomial on a tuple of QRationalFns with a nonzero last one, taken as it is."""
+    p = _new(ZPolynomial)
+    _set_coeffs(p, coeffs)
+    return p
 
 
 def _coerce_zpoly(x) -> ZPolynomial:

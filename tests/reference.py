@@ -5,17 +5,18 @@ the thin divisor-table wrappers and the alpha in {1, 2} special-case
 realizations, the factored and closed-form displays of the ratio family, the
 displayed sequences and direct targets of Table 1, the z -> q substitution,
 the verbatim loop of the quadruple-sum block, the sum and equality of
-fractions in z by cross-multiplication, the Q(q) sums that normalised every
-term and the constants that took the polynomial route, the Fraction route of
-the Taylor expansion, the closed forms of the numeric (q, q^2) sequences and
-the margin summaries of a convergence report, and the Bell numbers.  The
-tests import them from here.
+fractions in z by cross-multiplication, the hand-written step of the
+Stirling q-triangle that multiplied by 1 - c z, the Q(q) sums that
+normalised every term and the constants that took the polynomial route, the
+Fraction route of the Taylor expansion, the closed forms of the numeric
+(q, q^2) sequences and the margin summaries of a convergence report, and the
+Bell numbers.  The tests import them from here.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from qjfrac import exact, zalgebra
 from qjfrac.divisors import _generator, _transform_at_q, generating_series
@@ -34,7 +35,7 @@ from qjfrac.jfraction import PochhammerParams, convergent_pairs, divisor_spec, p
 from qjfrac.oracles import q_pochhammer
 from qjfrac.sequences import JFractionSpec, convergent_pair
 from qjfrac.stirling import _entry, nested_sum, triangle_row
-from qjfrac.zalgebra import ZPolynomial, ZSeries
+from qjfrac.zalgebra import ZPolynomial, ZSeries, _as_ratfn, _Coeff
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
@@ -538,6 +539,27 @@ def schoolbook_zmul(a: ZPolynomial, b: ZPolynomial) -> ZPolynomial:
             if not cb.is_zero():
                 cs[i + j] = cs[i + j] + ca * cb
     return ZPolynomial(cs)
+
+
+def linear_step(row: Sequence[QRationalFn], c: QRationalFn) -> list[QRationalFn]:
+    """The coefficients of (1 - c z) times the polynomial with coefficients
+    row: r_k - c r_(k-1), the row step of the Stirling q-triangle.  A zero
+    top coefficient is kept, so a triangle row always has h + 1 entries."""
+    if not row:
+        return []
+    out = [row[0]]
+    for k in range(1, len(row)):
+        out.append(row[k] - c * row[k - 1])
+    out.append(-(c * row[-1]))
+    return out
+
+
+def linear_product(cs: Iterable[QRationalFn], w: _Coeff = _ONE) -> ZPolynomial:
+    """w (1 - c_1 z)(1 - c_2 z)... over the c_i of cs, by linear_step."""
+    row = [_as_ratfn(w)]
+    for c in cs:
+        row = linear_step(row, c)
+    return ZPolynomial(row)
 
 
 # -- Q(q) sums: one full normalisation per sum, constants as polynomials ------

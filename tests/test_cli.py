@@ -246,6 +246,7 @@ class TestSizeCaps:
     def test_readme_caps_table_matches_the_code(self):
         from qjfrac import cli, parse
 
+        z = cli._EXPAND_Z_SCALE
         constants = {
             "exponent in `^`, in absolute value": parse._MAX_EXPONENT,
             "degree of any parsed value (numerator or denominator)": parse._MAX_DEGREE,
@@ -267,7 +268,7 @@ class TestSizeCaps:
             "`oracle qbinomialtheorem` joint cost `--order`⁴·size, (168 + d)/168 per denominator": cli._MAX_QBT_COST,
             "`verify lemmas --h`": cli._MAX_LEMMA_H,
             "`jfrac expand --h`, `jfrac triangle --h`, `divisor table --h`": cli._MAX_DEPTH,
-            "`jfrac expand` joint cost `--h`⁶·size": cli._MAX_EXPAND_COST,
+            f"`jfrac expand` joint cost `--h`⁶·size, `--z` weighed s·({z} + s)/{z}": cli._MAX_EXPAND_COST,
             "`jfrac triangle` joint cost `--h`⁷·size, `--z` squared": cli._MAX_TRIANGLE_COST,
             "`jfrac invert --depth`": cli._MAX_INVERT_DEPTH,
         }
@@ -367,6 +368,11 @@ class TestSizeCaps:
             ["jfrac", "expand", "--a", "(1+q)^256", "--b", "q^2", "--h", "4"],
             ["jfrac", "expand", "--a", "q", "--b", "q^2", "--h", "15"],
             ["jfrac", "expand", "--preset", "pochhammer_zqn", "--z", "(1+q)^8", "--h", "11", "--zorder", "4"],
+            # --z weighs about its square: linearly weighed, these took 30.6 s,
+            # 3.8 s and 2.1 s (in-process, one run each)
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^256", "--h", "3"],
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^64", "--h", "5"],
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^256", "--h", "2"],
         ],
     )
     def test_expand_above_the_joint_cap_is_a_usage_error(self, capsys, monkeypatch, argv):
@@ -446,6 +452,9 @@ class TestSizeCaps:
             ["jfrac", "expand", "--a", "1234567/891011*q", "--b", "2/5*q^2", "--h", "10"],
             ["jfrac", "triangle", "--preset", "reciprocal_qq", "--h", "20"],
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1/3", "--h", "16"],
+            # on the bound of the --z weight: 0.9 s and 1.2-1.3 s whole-process
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^64", "--h", "4"],
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1/(1-3*q)^64", "--h", "3"],
         ],
     )
     def test_expand_at_the_joint_cap_runs(self, monkeypatch, argv):

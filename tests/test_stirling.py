@@ -7,12 +7,22 @@ import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qjfrac import stirling
 from qjfrac.exact import QRationalFn
-from qjfrac.jfraction import ConvergentPair, JFractionSpec, convergents, random_rational_spec
+from qjfrac.jfraction import (
+    ConvergentPair,
+    JFractionSpec,
+    PochhammerParams,
+    convergents,
+    pochhammer_spec,
+    random_rational_spec,
+)
 from qjfrac.stirling import (
     claim_triangle_residual,
     first_column_formula_check,
@@ -25,10 +35,10 @@ from qjfrac.stirling import (
     verify_PQ_coefficient_relation,
     verify_Qh_expansion,
 )
-from qjfrac.zalgebra import ZPolynomial, linear_product
+from qjfrac.zalgebra import ZPolynomial
 
-from conftest import triangle_via_products
-from reference import ZPair, zpair_add, zpair_equal
+from conftest import parse, triangle_via_products
+from reference import ZPair, linear_product, linear_step, zpair_add, zpair_equal
 
 
 ONE = QRationalFn.one()
@@ -350,6 +360,104 @@ class TestClearedSums:
         spec = qq2_spec if which == "qq2" else random_rational_spec(31)
         assert stirling._cleared(spec, []) == (Counter(), ZPolynomial.zero())
         assert nested_sum(spec, 4, 2, 3) == (ZPolynomial.zero(), ZPolynomial.one())
+
+
+# c values with zero and repeats likely: a small pool of rational functions of q
+_C_POOL = [ZERO, ONE, -ONE, Q, parse("1/2 - q"), parse("q^2/(1 - 3*q)"), parse("3/7")]
+_PRODUCT_SPECS = ["qq2", "pochhammer", "tables-5", "tables-11", "tables-23"]
+
+
+def product_spec(qq2_spec: JFractionSpec, which: str) -> JFractionSpec:
+    """The (q, q^2) spec, a ratio-family spec with rational parameters, or a
+    seeded tabulated spec whose c_i draw from _C_POOL, one of c_1..c_6 zero."""
+    if which == "qq2":
+        return qq2_spec
+    if which == "pochhammer":
+        return pochhammer_spec(PochhammerParams(parse("2/3"), parse("-1/5")))
+    rng = random.Random(int(which.split("-")[1]))
+    cs = [rng.choice(_C_POOL) for _ in range(10)]
+    cs[rng.randrange(6)] = ZERO
+    abs_ = [rng.choice(_C_POOL[1:]) for _ in range(10)]
+    return JFractionSpec.from_tables(which, cs, abs_)
+
+
+class TestLinearFactorProducts:
+    """Every product of linear factors 1 - c_i z is the Z layer's product;
+    reference.linear_step and linear_product, the hand-written step it
+    replaced, are the oracle."""
+
+    @pytest.mark.parametrize("which", _PRODUCT_SPECS)
+    def test_triangle_rows(self, qq2_spec, which):
+        spec = product_spec(qq2_spec, which)
+        row = [ONE]
+        for h in range(1, 10):
+            row = linear_step(row, spec.c(h))
+            assert triangle_row(spec, h) == tuple(row), h
+
+    @pytest.mark.parametrize("which", _PRODUCT_SPECS)
+    def test_cleared_numerators(self, qq2_spec, which):
+        # the spaced tuples of the expansions and the adjacent-allowed ones of
+        # the claim cells, whose index multisets repeat the shared indices
+        spec = product_spec(qq2_spec, which)
+        for h, m in ((4, 2), (6, 2), (6, 3)):
+            for tuples in (stirling._spaced_tuples(h, m), combinations(range(2, h + 1), m)):
+                terms = [stirling._term(spec, ks) for ks in tuples]
+                lcm, num = stirling._cleared(spec, terms)
+                oracle = ZPolynomial.zero()
+                for w, fs in terms:
+                    oracle = oracle + linear_product((spec.c(i) for i in (lcm - Counter(fs)).elements()), w)
+                assert num == oracle, (h, m)
+
+    @pytest.mark.parametrize("which", _PRODUCT_SPECS)
+    def test_nested_sums(self, qq2_spec, which):
+        spec = product_spec(qq2_spec, which)
+        for h in range(2, 8):
+            for m in range(1, h // 2 + 1):
+                for s in range(2 * m, m * h + 1):
+                    terms = [stirling._term(spec, ks) for ks in stirling._spaced_tuples(h, m) if sum(ks) == s]
+                    used = Counter()
+                    for _, fs in terms:
+                        used |= Counter(fs)
+                    num = ZPolynomial.zero()
+                    for w, fs in terms:
+                        num = num + linear_product((spec.c(i) for i in (used - Counter(fs)).elements()), w)
+                    den = linear_product(spec.c(i) for i in used.elements())
+                    assert nested_sum(spec, h, m, s) == (num, den), (h, m, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_C_POOL), max_size=6),
+        st.sampled_from([ONE, ZERO, -ONE, parse("3/2"), parse("(1+q)/(2-q)")]),
+    )
+    def test_drawn_factors_and_weights(self, cs, w):
+        spec = JFractionSpec.from_tables("drawn", cs, [])
+        got = stirling._times_factors(spec, ZPolynomial.constant(w), range(1, len(cs) + 1))
+        oracle = prod((ZPolynomial([ONE, -c]) for c in cs), start=ZPolynomial.one()) * w
+        assert got == linear_product(cs, w) == oracle
+
+    def test_edge_cases(self):
+        spec = JFractionSpec.from_tables("edge", [Q, Q, ZERO, ZERO, ZERO], [ONE] * 4)
+        one, three = ZPolynomial.one(), ZPolynomial.constant(3)
+        # the empty product, with and without a weight
+        assert stirling._times_factors(spec, one, ()) == one == linear_product([])
+        assert stirling._times_factors(spec, three, ()) == three == linear_product([], 3)
+        # a zero weight
+        assert stirling._times_factors(spec, ZPolynomial.constant(0), (1, 2)).is_zero()
+        assert linear_product([Q, Q], 0).is_zero()
+        # zero c values
+        assert stirling._times_factors(spec, one, (3, 4, 5)) == one == linear_product([ZERO] * 3)
+        # a repeated factor
+        square = ZPolynomial([ONE, -2 * Q, Q * Q])
+        assert stirling._times_factors(spec, one, (1, 2)) == square == linear_product([Q, Q])
+        assert triangle_row(spec, 2) == square.coeffs
+
+    def test_a_zero_c_keeps_the_top_zero_entry(self):
+        # the product drops the zero top coefficient; the row keeps h + 1 entries
+        spec = JFractionSpec.from_tables("zero-top", [Q, ZERO, ZERO], [ONE] * 2)
+        assert stirling._times_factors(spec, ZPolynomial([ONE, -Q]), (2,)).coeffs == (ONE, -Q)
+        assert triangle_row(spec, 2) == (ONE, -Q, ZERO) == tuple(linear_step([ONE, -Q], ZERO))
+        assert triangle_row(spec, 3) == (ONE, -Q, ZERO, ZERO)
+        assert linear_step([], Q) == []
 
 
 class TestExpansionLemmas:

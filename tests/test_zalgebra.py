@@ -1,14 +1,13 @@
 """Polynomials and truncated series in z over Q(q)."""
 
 from fractions import Fraction
-from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qjfrac.exact import QPolynomial, QRationalFn
-from qjfrac.zalgebra import ZPolynomial, ZSeries, linear_product, linear_step
+from qjfrac.zalgebra import ZPolynomial, ZSeries
 
 from conftest import parse
 from reference import schoolbook_zmul
@@ -45,7 +44,6 @@ class TestZPolynomial:
 
 # c values with zero and repeats likely: a small pool of rational functions of q
 _C_POOL = [QRationalFn.zero(), ONE, -ONE, Q, parse("1/2 - q"), parse("q^2/(1 - 3*q)")]
-_cs = st.lists(st.sampled_from(_C_POOL), max_size=6)
 
 
 class TestProduct:
@@ -60,25 +58,13 @@ class TestProduct:
         assert (p * ZPolynomial()).is_zero() and (ZPolynomial() * p).is_zero()
         assert p * ZPolynomial.constant(Q) == schoolbook_zmul(p, ZPolynomial.constant(Q)) == p * Q
 
-
-class TestLinearProduct:
-    @settings(max_examples=60, deadline=None)
-    @given(_cs, st.sampled_from([ONE, QRationalFn.zero(), -ONE, parse("3/2"), parse("(1+q)/(2-q)")]))
-    def test_matches_product_of_linear_factors(self, cs, w):
-        oracle = prod((ZPolynomial([ONE, -c]) for c in cs), start=ZPolynomial.one()) * w
-        assert linear_product(cs, w) == oracle
-
-    def test_edge_cases(self):
-        assert linear_product([]) == ZPolynomial.one()
-        assert linear_product([], 3) == ZPolynomial.constant(3)
-        assert linear_product([Q, Q], 0).is_zero()
-        assert linear_product([QRationalFn.zero()] * 3) == ZPolynomial.one()
-        assert linear_product([Q, Q]) == ZPolynomial([ONE, -2 * Q, Q * Q])
-
-    def test_step_keeps_the_top_zero(self):
-        # a triangle row keeps h + 1 entries even when c_h = 0
-        assert linear_step([ONE, -Q], QRationalFn.zero()) == [ONE, -Q, QRationalFn.zero()]
-        assert linear_step([], Q) == []
+    @pytest.mark.parametrize("c", _C_POOL + [parse("3/2")])
+    def test_a_constant_operand_scales_the_other(self, c):
+        # on either side, by one and by zero, as the schoolbook product
+        p = ZPolynomial([parse("1/(1-q)"), QRationalFn.zero(), -Q])
+        const = ZPolynomial.constant(c)
+        assert const * p == p * const == p * c == c * p == schoolbook_zmul(const, p)
+        assert (const * p).degree == (p.degree if c else -1)
 
 
 class TestZSeries:
