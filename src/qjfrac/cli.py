@@ -95,16 +95,22 @@ _MAX_DEPTH = 64
 # s (255 and 257: 0.42-0.53 s), and --a=q --b=256 --h 13, on it, 1.7-1.9 s
 # (1.3-1.4 s; whole process, three runs each)
 _MAX_EXPAND_COST = 2**26
-# --z enters the z presets through its powers, so its size s weighs s*(S +
-# s)/S for S = _EXPAND_Z_SCALE: about linearly when small, and like s^2,
-# close to the measured s^1.8, when large.  Linearly weighed, --preset
-# reciprocal_pochhammer_zqn --z "(1+q)^256" took 30.6 s at --h 3 and --z
-# "(1+q)^64" 3.8 s at --h 5 (in-process, one run each).  Any S from about
-# 1,300 to 4,200 refuses both and still admits --z 1/3 at --h 16.  Along
-# the bound that preset takes 0.2-1.3 s: --z "(1+q)^128" at --h 2, "(1+q)^16"
-# at --h 7, "(1+q)^64" at --h 4, "3^200" at --h 5 and "1/(1-3*q)^64" at
-# --h 3 (whole process, three runs each)
+# --z enters the z presets through its powers, so its size t = (degree + 1)
+# * bits weighs t*(S + t)/S for S = _EXPAND_Z_SCALE: about linearly when
+# small, and like t^2, close to the measured t^1.8, when large.  Linearly
+# weighed, --preset reciprocal_pochhammer_zqn --z "(1+q)^256" took 30.6 s at
+# --h 3 and --z "(1+q)^64" 3.8 s at --h 5 (in-process, one run each).  Any S
+# from about 1,300 to 4,200 refuses both and still admits --z 1/3 at --h 16.
+# The powers of a constant grow in bits instead, and its cost grew about like
+# h^7: --z 1234567/891011 took 2.0-2.4 s at --h 11 and --z 7 1.8-2.1 s at --h
+# 16 (whole process, three runs each).  So the bits above twice the degree
+# weigh the first t by (Z + e)/Z for e such bits and Z = _EXPAND_Z_BITS, which
+# refuses both and still admits --z 1/3 at --h 16.  Along the bound that
+# preset takes 0.1-1.7 s: constants 3^k from --h 13 (k = 3) to --h 3 (k =
+# 256), 256 at --h 12, 7 at --h 15, 1234567/891011 at --h 9, --z "(1+q)^64"
+# at --h 4 and "1/(1-3*q)^64" at --h 3 (whole process, three runs each)
 _EXPAND_Z_SCALE = 2048
+_EXPAND_Z_BITS = 8
 # jfrac triangle multiplies only linear factors 1 - c_i z, with no gcds of the
 # growing ab products, so its parameters cost far less than expand's: --a
 # "(2^256)^4" --b q^2 --h 5 took 0.07 s against 2.8 s for expand.  Its cost
@@ -383,11 +389,16 @@ def _check_cost(flag: str, value: int, power: int, size: int, size_text: str, ca
 
 def _check_expand_cost(args) -> None:
     """Raise ValueError when --h and the parsed parameters are jointly above _MAX_EXPAND_COST."""
-    a, b, z = (0 if x is None else _parameter_size(x, 64) for x in (args.a, args.b, args.z))
-    size = 1 + a + b + z * (_EXPAND_Z_SCALE + z) // _EXPAND_Z_SCALE
+    size = 1 + sum(_parameter_size(x, 64) for x in (args.a, args.b) if x is not None)
+    z = args.z
+    if z is not None:
+        from .parse import coefficient_bits
+
+        plain = (max(z.num.degree, z.den.degree) + 1) * coefficient_bits(z)
+        size += _parameter_size(z, _EXPAND_Z_BITS) * (_EXPAND_Z_SCALE + plain) // _EXPAND_Z_SCALE
     text = (
-        f"1 + s of each of --a and --b and s*({_EXPAND_Z_SCALE} + s)/{_EXPAND_Z_SCALE} of --z, "
-        "for s = (degree + 1)*bits*(64 + e)/64 and e bits above twice the degree"
+        "1 + t*(64 + e)/64 of each of --a and --b and t*(8 + e)/8*(2048 + t)/2048 of --z, "
+        "for t = (degree + 1)*bits and e bits above twice the degree"
     )
     _check_cost("--h", args.h, 6, size, text, _MAX_EXPAND_COST)
 
@@ -398,8 +409,9 @@ def _check_triangle_cost(args) -> None:
     def size_of(x: QRationalFn) -> int:
         return _parameter_size(x, 64) * (128 + x.den.degree) // 128
 
-    a, b, z = (0 if x is None else size_of(x) for x in (args.a, args.b, args.z))
-    size = 24 + a + b + z * z
+    size = 24 + sum(size_of(x) for x in (args.a, args.b) if x is not None)
+    if args.z is not None:
+        size += size_of(args.z) ** 2
     text = (
         "24 + (degree + 1)*bits*(64 + e)/64*(128 + d)/128 of each of --a and --b, and its square for --z, "
         "for e bits above twice the degree and d the degree of the denominator"

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional
 from .exact import QRationalFn
 from .jfraction import convergent_pairs, convergent_sum_decomposition, lemma_report
 from .sequences import JFractionSpec, divisor_spec, pochhammer_c_display_form
-from .zalgebra import ZPolynomial, _zpoly
+from .zalgebra import ZPolynomial
 
 _ONE = QRationalFn.one()
 _ZERO = QRationalFn.zero()
@@ -47,12 +47,11 @@ def triangle_row(spec: JFractionSpec, h: int) -> tuple[QRationalFn, ...]:
 
 
 def _times_factors(spec: JFractionSpec, p: ZPolynomial, indices: Iterable[int]) -> ZPolynomial:
-    """p (1 - c_i z)... over the indices i; a zero c_i is the factor 1.
-    Each linear factor is the left operand of the product, whose
-    convolution then walks its two coefficients rather than all of p's."""
+    """p (1 - c_i z)... over the indices i.  Each linear factor is the left
+    operand of the product, whose convolution then walks its two
+    coefficients rather than all of p's."""
     for c in map(spec.c, indices):
-        if c:
-            p = _zpoly((_ONE, -c)) * p
+        p = ZPolynomial((_ONE, -c)) * p
     return p
 
 

@@ -116,8 +116,11 @@ class ZPolynomial:
         terms = [(i, x) for i, x in enumerate(a) if x]
         ys = [y if y else None for y in b] + [None] * (len(a) - 1)
         sums = [_ratfn_convolution(terms, ys, k) for k in range(len(ys))]
-        # the top coefficient is the product of the operands' nonzero tops
-        return _zpoly(tuple([_ZERO if s is None else s for s in sums]))
+        # the top coefficient is the product of the operands' nonzero tops, so
+        # the coefficients are taken as they are, with no coercion or strip
+        p = _new(ZPolynomial)
+        _set_coeffs(p, tuple([_ZERO if s is None else s for s in sums]))
+        return p
 
     __rmul__ = __mul__
 
@@ -165,13 +168,6 @@ class ZPolynomial:
 
 
 _set_coeffs = ZPolynomial.coeffs.__set__
-
-
-def _zpoly(coeffs: tuple) -> ZPolynomial:
-    """The ZPolynomial on a tuple of QRationalFns with a nonzero last one, taken as it is."""
-    p = _new(ZPolynomial)
-    _set_coeffs(p, coeffs)
-    return p
 
 
 def _coerce_zpoly(x) -> ZPolynomial:

@@ -246,7 +246,7 @@ class TestSizeCaps:
     def test_readme_caps_table_matches_the_code(self):
         from qjfrac import cli, parse
 
-        z = cli._EXPAND_Z_SCALE
+        z, e = cli._EXPAND_Z_SCALE, cli._EXPAND_Z_BITS
         constants = {
             "exponent in `^`, in absolute value": parse._MAX_EXPONENT,
             "degree of any parsed value (numerator or denominator)": parse._MAX_DEGREE,
@@ -268,7 +268,7 @@ class TestSizeCaps:
             "`oracle qbinomialtheorem` joint cost `--order`⁴·size, (168 + d)/168 per denominator": cli._MAX_QBT_COST,
             "`verify lemmas --h`": cli._MAX_LEMMA_H,
             "`jfrac expand --h`, `jfrac triangle --h`, `divisor table --h`": cli._MAX_DEPTH,
-            f"`jfrac expand` joint cost `--h`⁶·size, `--z` weighed s·({z} + s)/{z}": cli._MAX_EXPAND_COST,
+            f"`jfrac expand` joint cost `--h`⁶·size, `--z` weighed t·({e} + e)/{e}·({z} + t)/{z}": cli._MAX_EXPAND_COST,
             "`jfrac triangle` joint cost `--h`⁷·size, `--z` squared": cli._MAX_TRIANGLE_COST,
             "`jfrac invert --depth`": cli._MAX_INVERT_DEPTH,
         }
@@ -373,6 +373,11 @@ class TestSizeCaps:
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^256", "--h", "3"],
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^64", "--h", "5"],
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^256", "--h", "2"],
+            # a constant --z grows in bits; with the bits weight of --a and
+            # --b, these took 2.0-2.4 s and 1.8-2.1 s (whole process, three
+            # runs each)
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1234567/891011", "--h", "11"],
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "7", "--h", "16"],
         ],
     )
     def test_expand_above_the_joint_cap_is_a_usage_error(self, capsys, monkeypatch, argv):
@@ -452,9 +457,12 @@ class TestSizeCaps:
             ["jfrac", "expand", "--a", "1234567/891011*q", "--b", "2/5*q^2", "--h", "10"],
             ["jfrac", "triangle", "--preset", "reciprocal_qq", "--h", "20"],
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1/3", "--h", "16"],
-            # on the bound of the --z weight: 0.9 s and 1.2-1.3 s whole-process
+            # on the bound of the --z weight: 1.1 s, 1.3 s, 1.3-1.4 s and 0.6
+            # s (whole process, three runs each)
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^64", "--h", "4"],
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1/(1-3*q)^64", "--h", "3"],
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "5/7", "--h", "15"],
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1234567/891011", "--h", "9"],
         ],
     )
     def test_expand_at_the_joint_cap_runs(self, monkeypatch, argv):
