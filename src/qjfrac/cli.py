@@ -79,12 +79,16 @@ _MAX_LEMMA_H = 8  # verify lemmas --h 8: 0.6-0.8 s (--spec random --h 10: 0.2 s)
 # argument alone: their joint caps, _MAX_EXPAND_COST, _MAX_TRIANGLE_COST and
 # _MAX_DIVISOR_COST, bound the cost and bind first
 _MAX_DEPTH = 64
-# jfrac expand: the cost grew about like h^6 times the size of --a, --b and
-# --z, (degree + 1) * bits each (_parameter_size), so the joint cap bounds
-# h^6 * (1 + their sizes).  Along the bound expand takes 1.2-1.8 s (--a
-# "(1+q)^8" --b q^2 --h 10, --preset reciprocal_qq --h 20, --a "(1+q)^256"
-# --b q^2 --h 3); above it, expand --a q --b q^2 --h 32 took 21 s and --a
-# "(1+q)^8" --b q^2 --h 16 over 60 s.
+# jfrac expand and jfrac triangle build the even contraction of one
+# C-fraction at (a, b) (jfraction.table1_preset), and their joint caps weigh
+# each parameter by the slot it fills (_slot_size): --a and pochhammer_zqn's
+# --z fill slot a, --b and reciprocal_pochhammer_zqn's --z slot b.
+# jfrac expand: the cost grew about like h^6 times the size of the
+# parameters, (degree + 1) * bits each (_parameter_size), so the joint cap
+# bounds h^6 * (1 + their weights), and slot a weighs the size.  Along the
+# bound expand takes 1.2-1.8 s (--a "(1+q)^8" --b q^2 --h 10, --preset
+# reciprocal_qq --h 20, --a "(1+q)^256" --b q^2 --h 3); above it, expand --a q
+# --b q^2 --h 32 took 21 s and --a "(1+q)^8" --b q^2 --h 16 over 60 s.
 # Bits above twice the degree cost more, about like bits^1.8 for a constant
 # at one h, and weigh their size by (64 + e)/64 for e such bits: along the
 # bound --a 3^k --b q^2 takes 0.8-1.4 s from --h 6 (k = 171) to --h 13 (k =
@@ -92,41 +96,49 @@ _MAX_DEPTH = 64
 # linearly weighed, --a "(2^256)^15" --b q^2 --h 5 took 29 s inside the cap.
 # A parameter holding a power of two retries many gcds at an odd point and
 # costs more: --a=256 --b=q^2 --h 13, now just above the bound, took 0.55-0.57
-# s (255 and 257: 0.42-0.53 s), and --a=q --b=256 --h 13, on it, 1.7-1.9 s
-# (1.3-1.4 s; whole process, three runs each)
+# s (255 and 257: 0.42-0.53 s; whole process, three runs each)
 _MAX_EXPAND_COST = 2**26
-# --z enters the z presets through its powers, so its size t = (degree + 1)
-# * bits weighs t*(S + t)/S for S = _EXPAND_Z_SCALE: about linearly when
-# small, and like t^2, close to the measured t^1.8, when large.  Linearly
-# weighed, --preset reciprocal_pochhammer_zqn --z "(1+q)^256" took 30.6 s at
-# --h 3 and --z "(1+q)^64" 3.8 s at --h 5 (in-process, one run each).  Any S
-# from about 1,300 to 4,200 refuses both and still admits --z 1/3 at --h 16.
-# The powers of a constant grow in bits instead, and its cost grew about like
-# h^7: --z 1234567/891011 took 2.0-2.4 s at --h 11 and --z 7 1.8-2.1 s at --h
-# 16 (whole process, three runs each).  So the bits above twice the degree
-# weigh the first t by (Z + e)/Z for e such bits and Z = _EXPAND_Z_BITS, which
-# refuses both and still admits --z 1/3 at --h 16.  Along the bound that
-# preset takes 0.1-1.7 s: constants 3^k from --h 13 (k = 3) to --h 3 (k =
-# 256), 256 at --h 12, 7 at --h 15, 1234567/891011 at --h 9, --z "(1+q)^64"
-# at --h 4 and "1/(1-3*q)^64" at --h 3 (whole process, three runs each)
-_EXPAND_Z_SCALE = 2048
-_EXPAND_Z_BITS = 8
+# b sits in every denominator 1 - b p^e of the C-fraction, so its powers
+# build the spec, and its size t weighs t*(S + t)/S for S = _EXPAND_B_SCALE:
+# about linearly when small, and like t^2, close to the measured t^1.8, when
+# large.  Linearly weighed, --preset reciprocal_pochhammer_zqn --z
+# "(1+q)^256" took 30.6 s at --h 3 and --z "(1+q)^64" 3.8 s at --h 5
+# (in-process, one run each), and --a=q --b="(1+q)^256" 33-35 s at --h 3
+# (whole process).  Any S from about 1,300 to 4,200 refuses these and still admits --z 1/3 at --h
+# 16.  The powers of a constant grow in bits instead, and its cost grew about
+# like h^7: that --z 1234567/891011 took 2.0-2.4 s at --h 11 and --z 7 1.8-2.1
+# s at --h 16, and --a=q --b=256 2.4-2.6 s at --h 13 (whole process, three
+# runs each).  So the bits above twice the degree weigh the first t by (Z +
+# e)/Z for e such bits and Z = _EXPAND_B_BITS, which refuses these and still
+# admits --z 1/3 at --h 16.  A denominator of degree d makes each 1 - b p^e
+# of degree d, and the gcds of their products cost about like d^2, so it
+# weighs ((64 + d)/64)^2: without it --a=q --b="(1-q)/(1-q^256)" took 2.4 s
+# at --h 5 and 10.3 s at --h 7 (whole process), and --b="(1-q)/(1-q^128)"
+# 4.3 s at --h 8 (in-process).  Along the bound of slot b, --b and that --z
+# take 0.1-0.8 s: (1+q)^256 at --h 1, (1+q)^16 at 7, 1/(1-3*q)^64 at 2,
+# (1-q)/(1-q^256) at 4, 3^100 at 5 and 1234567/891011 at 9 (whole process,
+# three runs each)
+_EXPAND_B_SCALE = 2048
+_EXPAND_B_BITS = 8
 # jfrac triangle multiplies only linear factors 1 - c_i z, with no gcds of the
 # growing ab products, so its parameters cost far less than expand's: --a
 # "(2^256)^4" --b q^2 --h 5 took 0.07 s against 2.8 s for expand.  Its cost
-# grew about like h^7 times (24 + the sizes of --a and --b + the square of the
-# size of --z), each size weighed by (128 + d)/128 for a denominator of degree
-# d.  The spec's own c_i weigh 24, which --preset reciprocal_qq needs (1.1 s
-# at --h 20, 4.4 s at --h 24).  --z enters --preset reciprocal_pochhammer_zqn
-# through its powers, so it weighs its square: linearly weighed, --z
-# "(1+q)^256" took 24 s at --h 4 and --z "(3^256)^12" 23 s at --h 5.  Along
-# the bound a constant --a takes 0.4-1.9 s from --h 2 to --h 18, --a
-# "(1+q)^256" --b q^2 0.9 s at --h 6, --a "1/(1-3*q)^64" --b q^2 and --a
-# "(1-q)/(1-q^256)" --b q^2 1.7 s at --h 8 and 12, and --preset
-# reciprocal_pochhammer_zqn --z 1234567/891011 0.9 s at --h 12; above it,
-# a 185,000-bit --a took 3.6 s at --h 2, --a "(3^256)^10" 9.9 s at --h 8,
-# --a "(1+q)^256" 4.0 s at --h 8, --a 3/7*q --b 2/5*q^2 29 s at --h 30 and
-# that --z 4.6 s at --h 15 (in-process, one run each)
+# grew about like h^7 times (24 + the size of slot a + the square of the
+# size of slot b), each size weighed by (64 + d)/64 for a denominator of
+# degree d: with (128 + d)/128, --preset pochhammer_zqn --z "(1-q)/(1-q^256)"
+# took 2.2-2.7 s at --h 12 and --a "(1-q)/(1-q^256)" --b q^2 2.1-3.2 s (whole
+# process, three runs each).  The spec's own c_i weigh 24, which --preset
+# reciprocal_qq needs (1.1 s at --h 20, 4.4 s at --h 24).  Linearly weighed,
+# slot b's --z "(1+q)^256" took 24 s at --h 4 and --z "(3^256)^12" 23 s at
+# --h 5, and --a=q --b="(1+q)^256" 44 s at --h 4 and --b="3^100*q^2" 28 s at
+# --h 11.  Along the bound a constant --a takes 0.4-1.9 s from --h 2 to --h
+# 18, --a "(1+q)^256" --b q^2 0.9 s at --h 6, --a "1/(1-3*q)^64" --b q^2 and
+# --a "(1-q)/(1-q^256)" --b q^2 1.6-2.8 s at --h 8 and 11, slot b 0.1-1.7 s
+# (the families above, from (1+q)^256 at --h 1 to 1234567/891011 at --h 12;
+# whole process, three runs each); above it, a 185,000-bit --a took 3.6 s at
+# --h 2, --a "(3^256)^10" 9.9 s at --h 8, --a "(1+q)^256" 4.0 s at --h 8, --a
+# 3/7*q --b 2/5*q^2 29 s at --h 30 and reciprocal_pochhammer_zqn's --z
+# 1234567/891011 4.6 s at --h 15 (in-process, one run each)
 _MAX_TRIANGLE_COST = 2**35
 _MAX_INVERT_DEPTH = 7  # jfrac invert --target n2_over_1mqn --depth 7: 0.6 s; --depth 8: 2.6 s
 _MAX_SIGMA_N = 10**14  # oracle sigma --alpha 32 --n 10^14: 2.0 s; the time grows with sqrt(n)
@@ -241,7 +253,7 @@ def _add_output_flags(parser: argparse.ArgumentParser, formats=("json", "pretty"
 
 
 def _args_expand(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=_PRESETS, help="named sequence family")
+    p.add_argument("--preset", choices=_PRESETS, default="pochhammer_ratio", help="named sequence family")
     p.add_argument("--a", type=_ratfn, help="parameter a (rational function of q)")
     p.add_argument("--b", type=_ratfn, help="parameter b (rational function of q)")
     p.add_argument("--z", type=_ratfn, help="parameter z for the families that need one")
@@ -259,7 +271,7 @@ def _args_invert(p: argparse.ArgumentParser) -> None:
 
 
 def _args_triangle(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=_PRESETS)
+    p.add_argument("--preset", choices=_PRESETS, default="pochhammer_ratio")
     p.add_argument("--a", type=_ratfn)
     p.add_argument("--b", type=_ratfn)
     p.add_argument("--z", type=_ratfn)
@@ -334,7 +346,7 @@ def _cmd_expand(args) -> int:
     zorder = args.zorder if args.zorder is not None else max(2 * h, 1)
     if zorder > _MAX_ZORDER:
         raise ValueError(f"--zorder {zorder} (default 2h) exceeds {_MAX_ZORDER}; pass a smaller --zorder")
-    _check_expand_cost(args)
+    _check_family_cost(args)
     pair = jfraction.convergents(spec, h)
     coeffs = jfraction.convergent_coefficients(pair, zorder)
     tabulated = spec.to_json(max(h, 1))
@@ -354,13 +366,7 @@ def _cmd_expand(args) -> int:
 def _spec_from_flags(args) -> JFractionSpec:
     from . import jfraction
 
-    if args.preset:
-        return jfraction.table1_preset(args.preset, a=args.a, b=args.b, z=args.z)
-    if args.z is not None:
-        raise ValueError("without --preset the family takes --a and --b, not --z")
-    if args.a is not None and args.b is not None:
-        return jfraction.pochhammer_spec(jfraction.PochhammerParams(args.a, args.b))
-    raise ValueError("need --preset or both --a and --b")
+    return jfraction.table1_preset(args.preset, a=args.a, b=args.b, z=args.z)
 
 
 def _parameter_size(x: QRationalFn, scale: int) -> int:
@@ -387,41 +393,48 @@ def _check_cost(flag: str, value: int, power: int, size: int, size_text: str, ca
         )
 
 
-def _check_expand_cost(args) -> None:
-    """Raise ValueError when --h and the parsed parameters are jointly above _MAX_EXPAND_COST."""
-    size = 1 + sum(_parameter_size(x, 64) for x in (args.a, args.b) if x is not None)
-    z = args.z
-    if z is not None:
-        from .parse import coefficient_bits
+def _slot_size(command: str, slot: str, x: QRationalFn) -> int:
+    """The weight of x in slot "a" or "b" of the C-fraction in the joint cost
+    of jfrac `command`, for a denominator of degree d.  b sits in every
+    denominator 1 - b p^e, so slot b weighs more: the triangle squares the
+    size, and expand weighs it as the comment on _EXPAND_B_SCALE says."""
+    if command == "triangle":
+        size = _parameter_size(x, 64) * (64 + x.den.degree) // 64
+        return size if slot == "a" else size ** 2
+    if slot == "a":
+        return _parameter_size(x, 64)
+    from .parse import coefficient_bits
 
-        plain = (max(z.num.degree, z.den.degree) + 1) * coefficient_bits(z)
-        size += _parameter_size(z, _EXPAND_Z_BITS) * (_EXPAND_Z_SCALE + plain) // _EXPAND_Z_SCALE
+    plain = (max(x.num.degree, x.den.degree) + 1) * coefficient_bits(x)
+    size = _parameter_size(x, _EXPAND_B_BITS) * (_EXPAND_B_SCALE + plain) // _EXPAND_B_SCALE
+    return size * (64 + x.den.degree) ** 2 // 64**2
+
+
+def _check_family_cost(args) -> None:
+    """Raise ValueError when --h and the parsed parameters of jfrac expand or
+    jfrac triangle are jointly above _MAX_EXPAND_COST or _MAX_TRIANGLE_COST,
+    each parameter weighed by the slot that the family's row gives it."""
+    from .jfraction import _ROW_PARAMETERS
+
+    slots = _ROW_PARAMETERS[args.preset].items()
+    size = sum(_slot_size(args.subcommand, slot, getattr(args, flag)) for flag, slot in slots)
+    given = ", ".join(f"--{flag} in slot {slot}" for flag, slot in slots) or "no parameter"
+    if args.subcommand == "expand":
+        base, power, cap = 1, 6, _MAX_EXPAND_COST
+        weights = "1 + t*(64 + e)/64 in slot a and t*(8 + e)/8*(2048 + t)/2048*((64 + d)/64)^2 in slot b"
+    else:
+        base, power, cap = 24, 7, _MAX_TRIANGLE_COST
+        weights = "24 + t*(64 + e)/64*(64 + d)/64 in slot a and its square in slot b"
     text = (
-        "1 + t*(64 + e)/64 of each of --a and --b and t*(8 + e)/8*(2048 + t)/2048 of --z, "
-        "for t = (degree + 1)*bits and e bits above twice the degree"
+        f"{weights} of the C-fraction ({given}), for t = (degree + 1)*bits, e bits above twice the "
+        "degree and d the degree of the denominator"
     )
-    _check_cost("--h", args.h, 6, size, text, _MAX_EXPAND_COST)
-
-
-def _check_triangle_cost(args) -> None:
-    """Raise ValueError when --h and the parsed parameters are jointly above _MAX_TRIANGLE_COST."""
-
-    def size_of(x: QRationalFn) -> int:
-        return _parameter_size(x, 64) * (128 + x.den.degree) // 128
-
-    size = 24 + sum(size_of(x) for x in (args.a, args.b) if x is not None)
-    if args.z is not None:
-        size += size_of(args.z) ** 2
-    text = (
-        "24 + (degree + 1)*bits*(64 + e)/64*(128 + d)/128 of each of --a and --b, and its square for --z, "
-        "for e bits above twice the degree and d the degree of the denominator"
-    )
-    _check_cost("--h", args.h, 7, size, text, _MAX_TRIANGLE_COST)
+    _check_cost("--h", args.h, power, base + size, text, cap)
 
 
 def _cmd_triangle(args) -> int:
     spec = _spec_from_flags(args)
-    _check_triangle_cost(args)
+    _check_family_cost(args)
     from .stirling import triangle_row
 
     payload = {

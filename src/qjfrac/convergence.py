@@ -159,10 +159,11 @@ def _direct_sum(ctx: mpmath.MPContext, q, z) -> tuple:
     total = ctx.mpc(0)
     zn = ctx.mpc(1)
     eps = ctx.mpf(2) ** (-ctx.prec - 8)
+    gap = 1 - abs(z)
     for n in range(1, _MAX_TERMS + 1):
         total += zn / (1 - q ** n)
         zn *= z
-        if abs(zn) / (1 - abs(z)) < eps * max(abs(total), 1) and n > 4:
+        if abs(zn) / gap < eps * max(abs(total), 1) and n > 4:
             return (1 - q) * total, True
     return (1 - q) * total, False
 

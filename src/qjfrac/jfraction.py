@@ -218,13 +218,15 @@ def invert(target: str, depth: int) -> dict:
 # tabulated sequence families
 # ---------------------------------------------------------------------------
 
-# each row with the parameters it takes; it must be given these and no other
+# each row with the parameters it takes, which it must be given and no other,
+# and the slot of the C-fraction (cfraction_coefficient) that each fills: b
+# sits in every denominator 1 - b p^e of the g_k, a only in their numerators
 _ROW_PARAMETERS = {
-    "pochhammer_a": ("a",),
-    "reciprocal_qq": (),
-    "pochhammer_zqn": ("z",),
-    "reciprocal_pochhammer_zqn": ("z",),
-    "pochhammer_ratio": ("a", "b"),
+    "pochhammer_a": {"a": "a"},
+    "reciprocal_qq": {},
+    "pochhammer_zqn": {"z": "a"},
+    "reciprocal_pochhammer_zqn": {"z": "b"},
+    "pochhammer_ratio": {"a": "a", "b": "b"},
 }
 TABLE1_ROWS = tuple(_ROW_PARAMETERS)
 

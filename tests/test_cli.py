@@ -246,7 +246,7 @@ class TestSizeCaps:
     def test_readme_caps_table_matches_the_code(self):
         from qjfrac import cli, parse
 
-        z, e = cli._EXPAND_Z_SCALE, cli._EXPAND_Z_BITS
+        s, e = cli._EXPAND_B_SCALE, cli._EXPAND_B_BITS
         constants = {
             "exponent in `^`, in absolute value": parse._MAX_EXPONENT,
             "degree of any parsed value (numerator or denominator)": parse._MAX_DEGREE,
@@ -268,8 +268,10 @@ class TestSizeCaps:
             "`oracle qbinomialtheorem` joint cost `--order`⁴·size, (168 + d)/168 per denominator": cli._MAX_QBT_COST,
             "`verify lemmas --h`": cli._MAX_LEMMA_H,
             "`jfrac expand --h`, `jfrac triangle --h`, `divisor table --h`": cli._MAX_DEPTH,
-            f"`jfrac expand` joint cost `--h`⁶·size, `--z` weighed t·({e} + e)/{e}·({z} + t)/{z}": cli._MAX_EXPAND_COST,
-            "`jfrac triangle` joint cost `--h`⁷·size, `--z` squared": cli._MAX_TRIANGLE_COST,
+            f"`jfrac expand` joint cost `--h`⁶·size, slot b weighed t·({e} + e)/{e}·({s} + t)/{s}·((64 + d)/64)²": (
+                cli._MAX_EXPAND_COST
+            ),
+            "`jfrac triangle` joint cost `--h`⁷·size, slot b squared": cli._MAX_TRIANGLE_COST,
             "`jfrac invert --depth`": cli._MAX_INVERT_DEPTH,
         }
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -368,8 +370,8 @@ class TestSizeCaps:
             ["jfrac", "expand", "--a", "(1+q)^256", "--b", "q^2", "--h", "4"],
             ["jfrac", "expand", "--a", "q", "--b", "q^2", "--h", "15"],
             ["jfrac", "expand", "--preset", "pochhammer_zqn", "--z", "(1+q)^8", "--h", "11", "--zorder", "4"],
-            # --z weighs about its square: linearly weighed, these took 30.6 s,
-            # 3.8 s and 2.1 s (in-process, one run each)
+            # slot b weighs about its square: linearly weighed, these took 30.6
+            # s, 3.8 s and 2.1 s (in-process, one run each)
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^256", "--h", "3"],
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^64", "--h", "5"],
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^256", "--h", "2"],
@@ -378,6 +380,19 @@ class TestSizeCaps:
             # runs each)
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1234567/891011", "--h", "11"],
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "7", "--h", "16"],
+            # --b fills slot b too: weighed as --a, these took 33-35 s, 5.9 s,
+            # 10 s and 13 s, and 2.4 s at --h 5 (whole process)
+            ["jfrac", "expand", "--a=q", "--b=(1+q)^256", "--h", "3"],
+            ["jfrac", "expand", "--a=q", "--b=(1+q)^64", "--h", "5"],
+            ["jfrac", "expand", "--a=q", "--b=1/(1-3*q)^64", "--h", "4"],
+            ["jfrac", "expand", "--a=q", "--b=(1-q)/(1-q^256)", "--h", "7"],
+            ["jfrac", "expand", "--a=q", "--b=(1-q)/(1-q^256)", "--h", "5"],
+            # a denominator of degree d weighs ((64 + d)/64)^2 in slot b: without
+            # it these took 11.5 s and 1.5 s (whole process)
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1-q)/(1-q^256)", "--h", "7"],
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1/(1-3*q)^64", "--h", "3"],
+            # the power-of-two guard of CI, now refused at --h 9 and 10
+            ["jfrac", "expand", "--a=q", "--b=65536*q^2", "--h", "10"],
         ],
     )
     def test_expand_above_the_joint_cap_is_a_usage_error(self, capsys, monkeypatch, argv):
@@ -402,10 +417,23 @@ class TestSizeCaps:
             ["--a", "(3^256)^78*3^18", "--b", "q^2", "--h", "3"],
             ["--a", "(3^256)^12*3^255", "--b", "q^2", "--h", "5"],
             ["--a", "3^97", "--b", "q^2", "--h", "13"],
-            # --z weighs its square: linearly weighed these took 24 s and 23 s
+            # slot b weighs its square: linearly weighed these took 24 s and 23 s
             ["--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^256", "--h", "4"],
             ["--preset", "reciprocal_pochhammer_zqn", "--z", "(3^256)^12", "--h", "5"],
             ["--preset", "reciprocal_pochhammer_zqn", "--z", "1234567/891011", "--h", "13"],
+            # --b fills slot b too: weighed as --a, these took 44 s, over 45 s,
+            # 28 s, 10 s and 6.7 s (whole process, one run each)
+            ["--a=q", "--b=(1+q)^256", "--h", "4"],
+            ["--a=q", "--b=(1+q)^64", "--h", "9"],
+            ["--a=q", "--b=3^100*q^2", "--h", "11"],
+            ["--a=q", "--b=1234567/891011*q^2", "--h", "16"],
+            ["--a=q", "--b=256*q^2", "--h", "18"],
+            # moved by the square of --b q^2 and by the denominator weight
+            # (64 + d)/64: at the parent these were admitted and took 1.9 s,
+            # 2.1-3.2 s and 2.2-2.7 s
+            ["--a", "3^96", "--b", "q^2", "--h", "13"],
+            ["--a", "(1-q)/(1-q^256)", "--b", "q^2", "--h", "12"],
+            ["--preset", "pochhammer_zqn", "--z", "(1-q)/(1-q^256)", "--h", "12"],
         ],
     )
     def test_triangle_above_its_joint_cap_is_a_usage_error(self, capsys, monkeypatch, flags):
@@ -421,15 +449,18 @@ class TestSizeCaps:
     @pytest.mark.parametrize(
         "flags",
         [
-            # on the bound; in-process these took 0.4-1.9 s, and the expand
-            # cap, which triangle shared, refused all but the last
+            # on the bound; these took 0.4-2.8 s, and the expand cap, which
+            # triangle shared, refused the constants
             ["--a", "(3^256)^256*(3^256)^66*3^244", "--b", "q^2", "--h", "2"],
             ["--a", "(3^256)^78*3^17", "--b", "q^2", "--h", "3"],
             ["--a", "(3^256)^12*3^254", "--b", "q^2", "--h", "5"],
-            ["--a", "3^96", "--b", "q^2", "--h", "13"],
+            ["--a", "3^95", "--b", "q^2", "--h", "13"],
             ["--a", "(1+q)^256", "--b", "q^2", "--h", "6"],
             ["--a", "1/(1-3*q)^64", "--b", "q^2", "--h", "8"],
-            ["--a", "(1-q)/(1-q^256)", "--b", "q^2", "--h", "12"],
+            ["--a", "(1-q)/(1-q^256)", "--b", "q^2", "--h", "11"],
+            # pochhammer_zqn's --z fills slot a: weighed as slot b, it was
+            # refused above --h 4
+            ["--preset", "pochhammer_zqn", "--z", "(1-q)/(1-q^256)", "--h", "11"],
             ["--preset", "reciprocal_pochhammer_zqn", "--z", "1234567/891011", "--h", "12"],
             ["--preset", "reciprocal_qq", "--h", "20"],
         ],
@@ -460,9 +491,15 @@ class TestSizeCaps:
             # on the bound of the --z weight: 1.1 s, 1.3 s, 1.3-1.4 s and 0.6
             # s (whole process, three runs each)
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "(1+q)^64", "--h", "4"],
-            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1/(1-3*q)^64", "--h", "3"],
+            ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1/(1-3*q)^64", "--h", "2"],
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "5/7", "--h", "15"],
             ["jfrac", "expand", "--preset", "reciprocal_pochhammer_zqn", "--z", "1234567/891011", "--h", "9"],
+            # pochhammer_zqn's --z fills slot a: weighed as slot b, the first
+            # was refused, though it takes 0.6-0.9 s
+            ["jfrac", "expand", "--preset", "pochhammer_zqn", "--z", "(1+q)^256", "--h", "3"],
+            ["jfrac", "triangle", "--preset", "pochhammer_zqn", "--z", "(1+q)^256", "--h", "6"],
+            ["jfrac", "expand", "--a=q", "--b=(1-q)/(1-q^256)", "--h", "4"],
+            ["jfrac", "expand", "--a=q", "--b=65536*q^2", "--h", "8"],
         ],
     )
     def test_expand_at_the_joint_cap_runs(self, monkeypatch, argv):
@@ -476,6 +513,27 @@ class TestSizeCaps:
             lambda spec, h: (),
         )
         assert run(argv) == 0
+
+    @pytest.mark.parametrize("command", ["expand", "triangle"])
+    @pytest.mark.parametrize("value", ["1/3", "3^100", "(1+q)^16", "1/(1-3*q)^16", "(1-q)/(1-q^64)"])
+    def test_each_parameter_weighs_as_the_slot_it_fills(self, capsys, monkeypatch, command, value):
+        # pochhammer_zqn's z fills slot a of the C-fraction, as --a does, and
+        # reciprocal_pochhammer_zqn's z fills slot b, as --b does
+        def never(*args):
+            raise AssertionError("the command must not run")
+
+        self._stub_expansion(monkeypatch, command, never, never)
+
+        def size(*flags):
+            zorder = ["--zorder", "64"] if command == "expand" else []
+            assert run(["jfrac", command, *flags, "--h", "64", *zorder]) == 2
+            return int(re.search(r"with parameter size (\d+):", capsys.readouterr().err).group(1))
+
+        base = size("--preset", "reciprocal_qq")
+        assert size("--preset", "pochhammer_zqn", "--z", value) == size("--preset", "pochhammer_a", "--a", value)
+        b = size("--a", "q", "--b", value) - size("--preset", "pochhammer_a", "--a", "q")
+        assert size("--preset", "reciprocal_pochhammer_zqn", "--z", value) - base == b
+        assert b >= size("--preset", "pochhammer_a", "--a", value) - base
 
     @pytest.mark.parametrize(
         "flags",
